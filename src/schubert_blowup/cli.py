@@ -10,6 +10,7 @@ import json
 import sys
 
 from . import blowup, flag, selfcheck
+from .conventions import RANK_BOUNDS, RANK_CAP
 from .errors import EngineError
 from .rootsys import TypeSpec, build_root_system
 from .weyl import ParabolicSubset
@@ -133,7 +134,7 @@ def cmd_cones(args):
 def _table_rows(families, max_rank, policy):
     rows = []
     for fam in families:
-        lo, hi = selfcheck.RANK_BOUNDS[fam]
+        lo, hi = RANK_BOUNDS[fam]
         for rank in range(lo, min(hi, max_rank) + 1):
             rs = build_root_system(TypeSpec(fam, rank))
             if policy == "full-flag":
@@ -167,10 +168,10 @@ def cmd_table(args):
     if not families:
         raise EngineError("empty family list")
     for f in families:
-        if f not in selfcheck.RANK_BOUNDS:
+        if f not in RANK_BOUNDS:
             raise EngineError("unknown family %r" % f)
-    if args.max_rank > 8:
-        raise EngineError("max rank capped at 8 for sweeps")
+    if args.max_rank > RANK_CAP:
+        raise EngineError("max rank capped at %d for sweeps" % RANK_CAP)
     policy = "full-flag" if args.full_flag else "maximal-parabolics"
     rows = _table_rows(families, args.max_rank, policy)
     if args.format == "json":

@@ -1,13 +1,21 @@
 """The generalized flag variety G/P: dimension, Picard basis, the
 beta invariants beta_alpha = <w_{0,P}(rho), alpha^vee>, anticanonical
-weight rho + w_{0,P}(rho), and Schubert codimension."""
+weight rho + w_{0,P}(rho), and Schubert codimension.
+
+No Weyl word is needed for the invariants: w_{0,P}(rho) = rho - 2 rho_P,
+where 2 rho_P is the sum of the positive roots supported on S_P
+(Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.8). One pass over
+the positive roots gives 2 rho_P and |R_P^+|, and each FlagVariety caches
+what follows from them.
+"""
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import EngineError, NotAPCharacter, NotMinimalRep
-from .rootsys import rho
-from .weyl import act, is_minimal_coset_rep, length, longest_element
+from .rootsys import Weight, rho
+from .weyl import is_minimal_coset_rep, length
 
 
 def _supported_on(root, members):
@@ -27,15 +35,34 @@ class FlagVariety:
             raise EngineError("S_P = S gives the degenerate variety G/G")
 
     @cached_property
-    def w0p(self):
-        return longest_element(self.par, self.rs)
+    def _invariants(self):
+        """(dim G/P, BetaVector, -K weight), all from one pass over R^+."""
+        rs, members = self.rs, self.par.members
+        two_rho_p = [0] * rs.rank
+        levi_roots = 0
+        for r in rs.positive_roots:
+            if _supported_on(r, members):
+                levi_roots += 1
+                for j, k in enumerate(r.coeffs):
+                    two_rho_p[j] += k
+        # w_{0,P}(rho) = rho - 2 rho_P, in weight coordinates
+        C = rs.cartan.entries
+        img = tuple(
+            1 - sum(cij * k for cij, k in zip(row, two_rho_p)) for row in C
+        )
+        betas = BetaVector(
+            MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
+        )
+        dim = len(rs.positive_roots) - levi_roots
+        return dim, betas, rho(rs) + Weight(img)
 
 
 @dataclass(frozen=True)
 class BetaVector:
-    """beta_alpha for each alpha in the Picard basis S \\ S_P."""
+    """beta_alpha for each alpha in the Picard basis S \\ S_P (read-only:
+    every report on one FlagVariety shares it)."""
 
-    values: dict
+    values: MappingProxyType
 
     def __getitem__(self, alpha):
         if alpha not in self.values:
@@ -53,8 +80,7 @@ class SchubertDatum:
 
 def dimension(fv):
     """dim G/P = |R^+| - |R_P^+|."""
-    members = fv.par.members
-    return sum(1 for r in fv.rs.positive_roots if not _supported_on(r, members))
+    return fv._invariants[0]
 
 
 def picard_basis(fv):
@@ -74,13 +100,13 @@ def weight_to_divisor(fv, lam):
 
 
 def beta_values(fv):
-    img = act(fv.w0p, rho(fv.rs), fv.rs)
-    return BetaVector({a: img.coeffs[a - 1] for a in picard_basis(fv)})
+    """beta_alpha = <rho - 2 rho_P, alpha^vee> for alpha in S \\ S_P."""
+    return fv._invariants[1]
 
 
 def anticanonical_weight(fv):
-    """rho + w_{0,P}(rho); lies in X^*(P)."""
-    return rho(fv.rs) + act(fv.w0p, rho(fv.rs), fv.rs)
+    """rho + w_{0,P}(rho) = 2 rho - 2 rho_P; lies in X^*(P)."""
+    return fv._invariants[2]
 
 
 def schubert_codim(fv, word):

@@ -62,7 +62,7 @@ def check_I2_sign_coherence(max_rank=4):
 
 
 # dual Coxeter numbers, fixed independently of any computation here
-def _dual_coxeter(spec):
+def dual_coxeter_number(spec):
     n = spec.rank
     if spec.family == "E":
         return {6: 12, 7: 18, 8: 30}[n]
@@ -73,7 +73,7 @@ def _dual_coxeter(spec):
 def check_I3_rho_pairing_highest_coroot(max_rank=4):
     for rs in _systems(max_rank):
         lhs = pairing(rho(rs), coroot_of(rs.highest_root, rs))
-        if lhs != _dual_coxeter(rs.spec) - 1:
+        if lhs != dual_coxeter_number(rs.spec) - 1:
             return False
         # in the simply-laced types this coincides with ht(alpha_0)
         if rs.spec.family in "ADE" and lhs != height(rs.highest_root):
@@ -182,6 +182,34 @@ def check_F1_anticanonical_in_picard(max_rank=4):
             if any(lam.coeffs[i - 1] != 0 for i in par.members):
                 return False
     return True
+
+
+def closed_forms_agree(rs, pars=None):
+    """Two derivations of the flag invariants on each S_P in `pars` (by
+    default every proper one): the closed forms of flag.py (from 2 rho_P)
+    against the Weyl word of w_{0,P}, i.e. betas against act(w0, rho), the
+    -K weight against rho + act(w0, rho) and dim G/P against
+    |R^+| - len(w0)."""
+    r = rho(rs)
+    for par in all_parabolics(rs.rank) if pars is None else pars:
+        fv = flag.FlagVariety(rs, par)
+        w0 = longest_element(par, rs)
+        img = act(w0, r, rs)
+        basis = flag.picard_basis(fv)
+        betas = flag.beta_values(fv)
+        if set(betas.values) != set(basis):
+            return False
+        if any(betas[a] != img.coeffs[a - 1] for a in basis):
+            return False
+        if flag.anticanonical_weight(fv) != r + img:
+            return False
+        if flag.dimension(fv) != len(rs.positive_roots) - len(w0.letters):
+            return False
+    return True
+
+
+def check_F2_closed_form_vs_weyl_word(max_rank=5):
+    return all(closed_forms_agree(rs) for rs in _systems(max_rank))
 
 
 def check_F3_beta_word_independent(max_rank=3):
@@ -384,6 +412,7 @@ CHECKS = [
     ("W4 coset rep counts", check_W4_coset_rep_count),
     ("W5 reducedness", check_W5_reducedness),
     ("F1 anticanonical weight in X*(P)", check_F1_anticanonical_in_picard),
+    ("F2 closed forms vs Weyl word", check_F2_closed_form_vs_weyl_word),
     ("F3 beta word-independence", check_F3_beta_word_independent),
     ("F4 Grassmannian dimension", check_F4_grassmannian_dimension),
     ("B1 cone duality", check_B1_cone_duality),

@@ -1,8 +1,12 @@
 """Weyl group words and their exact action on the three coordinate bases.
 
 Words are sequences of 1-based simple-reflection indices applied right to
-left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))). A brute-force
-group enumeration (rank <= 3) serves as an independent testing oracle.
+left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))).
+longest_element and enumerate_coset_reps walk weight orbits one
+reflection at a time instead of replaying words. flag.py needs neither:
+its invariants are closed forms, which selfcheck F2 compares with the
+action of w_{0,P}. A brute-force group enumeration (rank <= 3) serves as
+an independent testing oracle.
 """
 
 from dataclasses import dataclass
@@ -95,16 +99,18 @@ def longest_element(par, rs):
 
     Greedy ascent: append the smallest i in S_P with w(alpha_i) still
     positive; terminates when all of them are sent negative, with word
-    length |R_P^+|.
+    length |R_P^+|. Since (w(alpha_i), rho) = (alpha_i, w^{-1}(rho)),
+    w(alpha_i) > 0 iff coordinate i of v = w^{-1}(rho) is positive, and
+    appending s_i maps v to s_i(v): one reflection per letter.
     """
     members = sorted(par.members)
     letters = []
-    word = WeylWord(())
+    v = rho(rs)
     while True:
         for i in members:
-            if act(word, rs.simple_root(i), rs).is_positive():
+            if v.coeffs[i - 1] > 0:
                 letters.append(i)
-                word = WeylWord(tuple(letters))
+                v = reflect_weight(i, v, rs)
                 break
         else:
             return WeylWord(tuple(letters), reduced=True)
@@ -120,32 +126,36 @@ def is_minimal_coset_rep(word, par, rs):
 def enumerate_coset_reps(par, rs, max_length):
     """All minimal coset representatives of W/W_P up to the length bound.
 
-    Breadth-first over the Cayley graph, deduplicated by the (faithful)
-    action on rho; output sorted by (length, lexicographic word).
+    Breadth-first over the W-orbit of lambda_P = sum_{a not in S_P} omega_a,
+    whose stabiliser is W_P. For w in W^P, s_i w lies in W^P and is one
+    longer exactly when coordinate i of w(lambda_P) is positive
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5), so only
+    those steps are taken and every point reached is a new representative.
+    Each keeps the first word found, its reduced word that is least when
+    compared from the last letter; output sorted by (length, lexicographic
+    word).
     """
-    start = rho(rs)
-    seen = {start.coeffs: ()}
+    start = Weight(tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1)))
+    seen = {start.coeffs}
+    reps = [()]
     level = [((), start)]
     depth = 0
     while level and depth < max_length:
         nxt = []
         for letters, img in level:
             for i in range(1, rs.rank + 1):
-                # left multiplication by s_i: prepend the letter
-                img2 = reflect_weight(i, img, rs)
-                if img2.coeffs not in seen:
-                    w2 = (i,) + letters
-                    seen[img2.coeffs] = w2
-                    nxt.append((w2, img2))
+                if img.coeffs[i - 1] > 0:
+                    # left multiplication by s_i: prepend the letter
+                    img2 = reflect_weight(i, img, rs)
+                    if img2.coeffs not in seen:
+                        w2 = (i,) + letters
+                        seen.add(img2.coeffs)
+                        reps.append(w2)
+                        nxt.append((w2, img2))
         level = nxt
         depth += 1
-    reps = [
-        WeylWord(w, reduced=True)
-        for w in seen.values()
-        if is_minimal_coset_rep(WeylWord(w), par, rs)
-    ]
-    reps.sort(key=lambda w: (len(w.letters), w.letters))
-    return reps
+    reps.sort(key=lambda w: (len(w), w))
+    return [WeylWord(w, reduced=True) for w in reps]
 
 
 _ORACLE_MAX_RANK = 3

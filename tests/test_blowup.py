@@ -147,6 +147,17 @@ def test_classify_center_reads_codim_from_datum():
     assert classify_center(fv, datum) == classify(fv, 4)
 
 
+def test_reports_share_read_only_betas():
+    # every report on one FlagVariety shares its cached BetaVector, so a
+    # caller must not be able to change the betas of the next classify
+    fv = fv_of("A", 4, {1, 3, 4})
+    first = classify(fv, 6)
+    with pytest.raises(TypeError):
+        first.betas.values[2] = 99
+    assert classify(fv, 6) == first
+    assert classify(fv, 6).betas[2] == 4 == classify(fv_of("A", 4, {1, 3, 4}), 6).betas[2]
+
+
 def test_classify_big_unknown_when_not_weak_fano():
     fv = fv_of("B", 2, ())
     assert classify(fv, 4).anticanonical_big == Big.UNKNOWN

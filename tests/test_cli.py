@@ -134,3 +134,17 @@ def test_check_detects_corruption(monkeypatch):
     code, out = run(["check"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_table_runs_to_rank_cap():
+    code, out = run(["table", "--families", "A,B,C,D,E,F,G", "--max-rank", "16",
+                     "--format", "json"])
+    assert code == 0
+    types = {row["type"] for row in json.loads(out)["rows"]}
+    assert {"A16", "B16", "C16", "D16", "E8", "F4", "G2"} <= types
+
+
+def test_table_beyond_rank_cap_exits_2():
+    code, out = run(["table", "--families", "A", "--max-rank", "17"])
+    assert code == 2
+    assert out == ""

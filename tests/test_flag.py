@@ -14,7 +14,7 @@ from schubert_blowup import (
 )
 from schubert_blowup.errors import EngineError, NotAPCharacter, NotMinimalRep
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
-from schubert_blowup.selfcheck import all_parabolics, all_types
+from schubert_blowup.selfcheck import all_parabolics, all_types, closed_forms_agree
 
 
 def fv_of(family, rank, members):
@@ -118,6 +118,11 @@ def test_f1_anticanonical_weight_in_picard_group(spec):
         lam = anticanonical_weight(fv)
         for i in par.members:
             assert lam.coeffs[i - 1] == 0
+
+
+@pytest.mark.parametrize("spec", all_types(6), ids=str)
+def test_f2_closed_forms_match_weyl_word(spec):
+    assert closed_forms_agree(build_root_system(spec))
 
 
 def test_schubert_codim_point_and_curve():

@@ -211,3 +211,31 @@ def test_w5_outputs_are_reduced(spec):
     for par in all_parabolics(rs.rank):
         for w in enumerate_coset_reps(par, rs, len(rs.positive_roots)):
             assert length(w, rs) == len(w.letters)
+
+
+# the greedy words of the original replay-based search, frozen
+@pytest.mark.parametrize("family,rank,letters", [
+    ("A", 3, (1, 2, 1, 3, 2, 1)),
+    ("G", 2, (1, 2, 1, 2, 1, 2)),
+    ("D", 4, (1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4)),
+])
+def test_longest_element_words_pinned(family, rank, letters):
+    rs = build_root_system(TypeSpec(family, rank))
+    w0 = longest_element(ParabolicSubset.of(range(1, rank + 1)), rs)
+    assert w0.letters == letters
+
+
+# |W^P| = |W| / |W_P| for maximal parabolics of E: |W(E6)| / |W(D5)|,
+# |W(E7)| / |W(E6)|, |W(E8)| / |W(E7)| and |W(E8)| / |W(D7)|
+@pytest.mark.parametrize("rank,node,count", [
+    (6, 1, 27), (7, 7, 56), (8, 8, 240), (8, 1, 2160),
+])
+def test_coset_rep_count_exceptional(rank, node, count):
+    rs = build_root_system(TypeSpec("E", rank))
+    par = ParabolicSubset.of(set(range(1, rank + 1)) - {node})
+    reps = enumerate_coset_reps(par, rs, len(rs.positive_roots))
+    assert len(reps) == count
+    assert len({w.letters for w in reps}) == count
+    # the longest representative has length dim G/P = |R^+| - |R_P^+|
+    longest = longest_element(par, rs)
+    assert len(reps[-1].letters) == len(rs.positive_roots) - len(longest.letters)
