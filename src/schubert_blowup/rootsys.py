@@ -169,26 +169,15 @@ def height(r):
     return sum(r.coeffs)
 
 
-_SYSTEMS = {}
-
-
 def build_root_system(spec):
     """Construct the full root-system datum for a simple type.
 
-    Memoised on the spec together with its Cartan matrix, so that a
-    different matrix for the same spec is never served from the cache.
-    On each first build the closure is run twice with different
-    simple-root processing orders as an order-insensitivity self-check.
+    Not memoised, so that the cost of a query does not depend on which
+    types earlier queries in the same process built. The closure is run
+    twice with different simple-root processing orders as an
+    order-insensitivity self-check.
     """
     cartan = conventions.cartan_entries(spec.family, spec.rank)
-    key = (spec, cartan)
-    rs = _SYSTEMS.get(key)
-    if rs is None:
-        rs = _SYSTEMS[key] = _build(spec, cartan)
-    return rs
-
-
-def _build(spec, cartan):
     order = list(range(spec.rank))
     roots = _closure(cartan, order)
     roots_rev = _closure(cartan, order[::-1])
