@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import blowup, flag, selfcheck
+from . import blowup, flag
 from .conventions import RANK_BOUNDS, RANK_CAP
 from .errors import EngineError
 from .rootsys import TypeSpec, build_root_system
@@ -188,6 +188,9 @@ def cmd_table(args):
 
 
 def cmd_check(args):
+    # imported here: only `check` needs it, and it slows every other call's start-up
+    from . import selfcheck
+
     results = selfcheck.run_all()
     failed = 0
     for name, ok in results:

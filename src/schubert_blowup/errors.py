@@ -1,4 +1,4 @@
-"""Exception types raised on violated preconditions."""
+"""Exception types raised on violated preconditions and invariants."""
 
 
 class EngineError(ValueError):
@@ -47,3 +47,8 @@ class NotCominuscule(EngineError):
 
 class OutOfRange(EngineError):
     pass
+
+
+class InvariantViolation(EngineError):
+    """An internal invariant failed: the conventions or the engine are wrong,
+    not the input. Raised explicitly so that it survives python -O."""

@@ -4,17 +4,22 @@ Everything is exact integer arithmetic over three coordinate bases that
 are deliberately kept distinct: simple roots (Root), simple coroots
 (Coroot) and fundamental weights (Weight). Conventions (Bourbaki node
 numbering, Cartan matrix orientation) are fixed in conventions.py.
+
+The positive roots are the closure of the simple roots under the
+height-raising simple reflections (_positive_roots), checked on every
+build against sum R^+ = 2 rho. The root-string closure (_closure) is an
+independent second derivation that selfcheck I1 and the tests compare
+with it.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import conventions
-from .errors import NotARoot, RankMismatch
+from .errors import InvariantViolation, NotARoot, RankMismatch
 
 
 def _sign_coherent(coeffs):
-    return all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+    return not coeffs or min(coeffs) >= 0 or max(coeffs) <= 0
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,46 @@ def _closure(cartan, order):
     return roots
 
 
+def _positive_roots(cartan):
+    """Positive roots by the reflection closure.
+
+    Every non-simple positive root gamma has some i with
+    <gamma, alpha_i^vee> > 0, and s_i(gamma) is a positive root of lower
+    height (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 10.2). So R^+ is the closure of the simple roots under
+    beta -> s_i(beta) = beta - p*alpha_i, taken where
+    p = <beta, alpha_i^vee> < 0. Each root carries its weight coordinates
+    (p for every i at once); a step changes them by -p times column i of
+    the Cartan matrix, read from its nonzero entries only.
+    """
+    rank = len(cartan)
+    cols = [
+        tuple((j, row[i]) for j, row in enumerate(cartan) if row[i])
+        for i in range(rank)
+    ]
+    frontier = [
+        (tuple(1 if j == i else 0 for j in range(rank)), [row[i] for row in cartan])
+        for i in range(rank)
+    ]
+    roots = {beta for beta, _ in frontier}
+    while frontier:
+        new = []
+        for beta, wt in frontier:
+            for i, p in enumerate(wt):
+                if p < 0:
+                    up = list(beta)
+                    up[i] -= p
+                    t = tuple(up)
+                    if t not in roots:
+                        roots.add(t)
+                        wt2 = wt[:]
+                        for j, c in cols[i]:
+                            wt2[j] -= p * c
+                        new.append((t, wt2))
+        frontier = new
+    return roots
+
+
 def height(r):
     """Sum of simple-root coefficients (negative for negative roots)."""
     return sum(r.coeffs)
@@ -173,28 +218,27 @@ def build_root_system(spec):
     """Construct the full root-system datum for a simple type.
 
     Not memoised, so that the cost of a query does not depend on which
-    types earlier queries in the same process built. The closure is run
-    twice with different simple-root processing orders as an
-    order-insensitivity self-check.
+    types earlier queries in the same process built. The roots come from
+    one reflection closure; the identity sum R^+ = 2 rho (all twos in
+    weight coordinates) and a unique highest root are checked on every
+    build.
     """
     cartan = conventions.cartan_entries(spec.family, spec.rank)
-    order = list(range(spec.rank))
-    roots = _closure(cartan, order)
-    roots_rev = _closure(cartan, order[::-1])
-    assert roots == roots_rev, "closure output depends on processing order"
+    roots = sorted(_positive_roots(cartan), key=lambda t: (sum(t), t))
 
-    positive = tuple(
-        Root(t) for t in sorted(roots, key=lambda t: (sum(t), t))
-    )
-    top_height = height(positive[-1])
-    at_top = [r for r in positive if height(r) == top_height]
-    assert len(at_top) == 1, "highest root not unique"
+    total = [sum(col) for col in zip(*roots)]
+    if any(sum(c * k for c, k in zip(row, total)) != 2 for row in cartan):
+        raise InvariantViolation("positive roots of %s do not sum to 2 rho" % spec)
+    if len(roots) > 1 and sum(roots[-2]) == sum(roots[-1]):
+        raise InvariantViolation("highest root of %s not unique" % spec)
+
+    positive = tuple(Root(t) for t in roots)
 
     return RootSystem(
         spec=spec,
         cartan=CartanMatrix(cartan),
         positive_roots=positive,
-        highest_root=at_top[0],
+        highest_root=positive[-1],
         symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
     )
 
@@ -222,9 +266,12 @@ def coroot_of(r, rs):
     )
     coeffs = []
     for i in range(rs.rank):
-        c = Fraction(2 * k[i] * d[i], norm)
-        assert c.denominator == 1, "non-integral coroot coefficient"
-        coeffs.append(int(c))
+        c, rem = divmod(2 * k[i] * d[i], norm)
+        if rem:
+            raise InvariantViolation(
+                "non-integral coroot coefficient of %r in %s" % (k, rs.spec)
+            )
+        coeffs.append(c)
     return Coroot(tuple(coeffs))
 
 

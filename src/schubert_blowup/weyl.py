@@ -3,9 +3,10 @@
 Words are sequences of 1-based simple-reflection indices applied right to
 left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))).
 longest_element and enumerate_coset_reps walk weight orbits one
-reflection at a time instead of replaying words. flag.py needs neither:
-its invariants are closed forms, which selfcheck F2 compares with the
-action of w_{0,P}. A brute-force group enumeration (rank <= 3) serves as
+reflection at a time instead of replaying words; length and
+is_minimal_coset_rep read w^{-1}(rho), one reflection per letter.
+flag.py needs no Weyl word for its invariants: they are closed forms,
+which selfcheck F2 compares with the action of w_{0,P}. A brute-force group enumeration (rank <= 3) serves as
 an independent testing oracle.
 """
 
@@ -85,13 +86,29 @@ def act(word, x, rs):
     return x
 
 
+def _inverse_image_of_rho(word, rs):
+    """v = w^{-1}(rho): the letters of w applied left to right."""
+    v = rho(rs)
+    for i in word.letters:
+        v = reflect_weight(i, v, rs)
+    return v
+
+
 def length(word, rs):
-    """Bruhat length: number of positive roots sent negative."""
-    n = 0
-    for beta in rs.positive_roots:
-        if not act(word, beta, rs).is_positive():
-            n += 1
-    return n
+    """Bruhat length: number of positive roots sent negative.
+
+    For beta = sum_j k_j alpha_j and v = w^{-1}(rho),
+    (w(beta), rho) = (beta, v) = sum_j k_j d_j v_j, which is never 0, so
+    w(beta) < 0 iff that sum is negative: one pass of the word, then a
+    count over R^+. Correct on non-reduced words too.
+    """
+    v = _inverse_image_of_rho(word, rs)
+    dv = tuple(d * c for d, c in zip(rs.symmetrizers, v.coeffs))
+    return sum(
+        1
+        for beta in rs.positive_roots
+        if sum(k * x for k, x in zip(beta.coeffs, dv)) < 0
+    )
 
 
 def longest_element(par, rs):
@@ -117,10 +134,15 @@ def longest_element(par, rs):
 
 
 def is_minimal_coset_rep(word, par, rs):
-    """True iff w(alpha_i) > 0 for every i in S_P (w in W^P)."""
-    return all(
-        act(word, rs.simple_root(i), rs).is_positive() for i in sorted(par.members)
-    )
+    """True iff w(alpha_i) > 0 for every i in S_P (w in W^P).
+
+    (w(alpha_i), rho) = d_i v_i with v = w^{-1}(rho), so w(alpha_i) > 0
+    iff v_i > 0.
+    """
+    for i in par.members:
+        _check_index(i, rs)
+    v = _inverse_image_of_rho(word, rs)
+    return all(v.coeffs[i - 1] > 0 for i in par.members)
 
 
 def enumerate_coset_reps(par, rs, max_length):

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import schubert_blowup
 from schubert_blowup import cli, selfcheck
 
 
@@ -148,3 +152,53 @@ def test_table_beyond_rank_cap_exits_2():
     code, out = run(["table", "--families", "A", "--max-rank", "17"])
     assert code == 2
     assert out == ""
+
+
+# the Cartan corruption of test_check_detects_corruption, for a subprocess
+CORRUPT_A2 = """
+import sys
+from schubert_blowup import conventions
+real = conventions.cartan_entries
+def corrupted(family, rank):
+    C = [list(row) for row in real(family, rank)]
+    if family == "A" and rank == 2:
+        C[0][1] = -2
+    return tuple(tuple(row) for row in C)
+conventions.cartan_entries = corrupted
+print("optimize", sys.flags.optimize)
+"""
+
+
+def run_optimized(code):
+    """Run `code` in a fresh `python -O`, which strips every assert."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schubert_blowup.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_A2 + code],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.startswith("optimize 1\n"), proc.stderr
+    return proc
+
+
+def test_invariants_survive_python_O():
+    proc = run_optimized("""
+from schubert_blowup import TypeSpec, build_root_system, coroot_of
+from schubert_blowup.errors import InvariantViolation
+rs = build_root_system(TypeSpec("A", 2))
+try:
+    print(coroot_of(rs.highest_root, rs).coeffs)
+except InvariantViolation:
+    print("InvariantViolation")
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == ["InvariantViolation"]
+
+
+def test_check_detects_corruption_under_python_O():
+    proc = run_optimized("""
+import runpy
+sys.argv = ["schubert-blowup", "check"]
+runpy.run_module("schubert_blowup.cli", run_name="__main__", alter_sys=True)
+""")
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL I3 rho/highest-coroot pairing" in proc.stdout

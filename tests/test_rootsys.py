@@ -15,8 +15,12 @@ from schubert_blowup import (
     rho,
     root_as_weight,
 )
+from schubert_blowup import rootsys
 from schubert_blowup.errors import InadmissibleRank, NotARoot, RankMismatch
+from schubert_blowup.errors import InvariantViolation
 from schubert_blowup.rootsys import _closure
+from schubert_blowup.rootsys import _positive_roots
+from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.conventions import cartan_entries
 from schubert_blowup.selfcheck import all_types
 
@@ -197,3 +201,39 @@ def test_symmetrized_cartan_is_symmetric(spec):
         else:
             assert C[i][j] in (0, -1, -2, -3)
             assert (C[i][j] == 0) == (C[j][i] == 0)
+
+
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
+def test_reflection_closure_equals_root_string_closure(spec):
+    cartan = cartan_entries(spec.family, spec.rank)
+    assert _positive_roots(cartan) == _closure(cartan, list(range(spec.rank)))
+
+
+def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
+    from schubert_blowup.selfcheck import check_I1_closure_order_insensitive
+
+    real = rootsys._positive_roots
+    monkeypatch.setattr(rootsys, "_positive_roots",
+                        lambda cartan: real(cartan) - {(1,) * len(cartan)})
+    assert not check_I1_closure_order_insensitive(max_rank=3)
+
+
+def test_build_checks_two_rho(monkeypatch):
+    real = rootsys._positive_roots
+    monkeypatch.setattr(rootsys, "_positive_roots",
+                        lambda cartan: real(cartan) - {(1,) * len(cartan)})
+    with pytest.raises(InvariantViolation):
+        build_root_system(TypeSpec("A", 3))
+
+
+def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):
+    # the A2 corruption of test_check_detects_corruption: C[0][1] = -2
+    from schubert_blowup import conventions
+
+    real = conventions.cartan_entries
+    monkeypatch.setattr(conventions, "cartan_entries", lambda f, r: (
+        ((2, -2), (-1, 2)) if (f, r) == ("A", 2) else real(f, r)))
+    rs = build_root_system(TypeSpec("A", 2))
+    assert rs.highest_root == Root((2, 1))
+    with pytest.raises(InvariantViolation):
+        coroot_of(rs.highest_root, rs)

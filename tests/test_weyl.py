@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +130,12 @@ def test_minimal_coset_rep_basics(a2):
     assert not is_minimal_coset_rep(WeylWord((1,)), par, a2)
 
 
+@pytest.mark.parametrize("node", [0, -1, 3])
+def test_minimal_coset_rep_rejects_nodes_outside_the_diagram(a2, node):
+    with pytest.raises(IndexOutOfRange):
+        is_minimal_coset_rep(WeylWord((1,)), ParabolicSubset.of({node}), a2)
+
+
 def test_enumerate_coset_reps_zero_length(a2):
     reps = enumerate_coset_reps(ParabolicSubset.of({1}), a2, 0)
     assert [w.letters for w in reps] == [()]
@@ -239,3 +246,34 @@ def test_coset_rep_count_exceptional(rank, node, count):
     # the longest representative has length dim G/P = |R^+| - |R_P^+|
     longest = longest_element(par, rs)
     assert len(reps[-1].letters) == len(rs.positive_roots) - len(longest.letters)
+
+
+def _replay_length(word, rs):
+    return sum(1 for b in rs.positive_roots if not act(word, b, rs).is_positive())
+
+
+def _replay_minimal(word, par, rs):
+    return all(act(word, rs.simple_root(i), rs).is_positive() for i in par.members)
+
+
+@pytest.mark.parametrize("spec", all_types(6), ids=str)
+def test_length_and_coset_test_match_word_replay(spec):
+    rs = build_root_system(spec)
+    rng = random.Random(str(spec))
+    non_reduced = 0
+    for _ in range(40):
+        letters = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.3:
+            # an adjacent pair s_i s_i cancels: never reduced
+            i = rng.randint(1, rs.rank)
+            k = rng.randint(0, len(letters))
+            letters[k:k] = [i, i]
+        word = WeylWord(tuple(letters))
+        n = length(word, rs)
+        assert n == _replay_length(word, rs)
+        non_reduced += n < len(letters)
+        par = ParabolicSubset.of(
+            i for i in range(1, rs.rank + 1) if rng.random() < 0.5
+        )
+        assert is_minimal_coset_rep(word, par, rs) == _replay_minimal(word, par, rs)
+    assert non_reduced > 0
