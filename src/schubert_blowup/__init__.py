@@ -38,7 +38,6 @@ from .flag import (
 from .blowup import (
     DivisorClass,
     CurveClass,
-    ConeReport,
     FanoReport,
     Verdict,
     nef_generators,
@@ -47,9 +46,7 @@ from .blowup import (
     anticanonical_class,
     is_nef,
     is_ample,
-    is_globally_generated,
     classify,
-    classify_center,
 )
 from . import special
 

@@ -15,11 +15,11 @@ and Fano / weak-Fano follow since -K is big whenever all margins are
 nonnegative.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BasisMismatch, CodimOutOfRange
 from .flag import beta_values, dimension, picard_basis
+from .value import Value, setfield
 
 
 class Verdict(str, Enum):
@@ -30,15 +30,16 @@ class Verdict(str, Enum):
 
 class Big(str, Enum):
     TRUE = "true"
-    FALSE = "false"
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    basis: tuple  # picard_basis indices, fixes coordinate order
-    pullback_coeffs: tuple  # over Bl*D_alpha
-    exceptional_coeff: int  # of E_Z
+class DivisorClass(Value):
+    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff")
+
+    def __init__(self, basis, pullback_coeffs, exceptional_coeff):
+        setfield(self, "basis", basis)  # picard_basis indices, fixes coordinate order
+        setfield(self, "pullback_coeffs", pullback_coeffs)  # over Bl*D_alpha
+        setfield(self, "exceptional_coeff", exceptional_coeff)  # of E_Z
 
     def scaled(self, m):
         return DivisorClass(
@@ -48,29 +49,24 @@ class DivisorClass:
         )
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    basis: tuple
-    tilde_coeffs: tuple  # over tilde C_alpha
-    e_coeff: int
+class CurveClass(Value):
+    __slots__ = ("basis", "tilde_coeffs", "e_coeff")
+
+    def __init__(self, basis, tilde_coeffs, e_coeff):
+        setfield(self, "basis", basis)
+        setfield(self, "tilde_coeffs", tilde_coeffs)  # over tilde C_alpha
+        setfield(self, "e_coeff", e_coeff)
 
 
-@dataclass(frozen=True)
-class ConeReport:
-    nef_generators: list
-    mori_generators: list
-    # recorded facts from the source theorems, not recomputed
-    globally_generated_equals_nef: bool = True
-    h_minus_e_is_big: bool = True
+class FanoReport(Value):
+    __slots__ = ("betas", "codim", "margins", "verdict", "anticanonical_big")
 
-
-@dataclass(frozen=True)
-class FanoReport:
-    betas: object
-    codim: int
-    margins: dict  # alpha -> beta_alpha - c + 2
-    verdict: Verdict
-    anticanonical_big: Big
+    def __init__(self, betas, codim, margins, verdict, anticanonical_big):
+        setfield(self, "betas", betas)
+        setfield(self, "codim", codim)
+        setfield(self, "margins", margins)  # alpha -> beta_alpha - c + 2
+        setfield(self, "verdict", verdict)
+        setfield(self, "anticanonical_big", anticanonical_big)
 
 
 def _check_codim(fv, c):
@@ -146,34 +142,21 @@ def is_ample(d):
     return all(x > 0 for x in to_nef_basis(d))
 
 
-def is_globally_generated(d):
-    # the globally generated cone coincides with the nef cone
-    return is_nef(d)
-
-
-def cone_report(fv, c):
-    return ConeReport(nef_generators(fv, c), mori_generators(fv, c))
-
-
 def classify(fv, c):
     """Fano / weak-Fano verdict for Bl_Z(G/P) with Z a smooth Schubert
     variety of codimension c (existence and smoothness are the caller's
     assertion)."""
     _check_codim(fv, c)
     betas = beta_values(fv)
-    margins = {a: betas[a] - c + 2 for a in picard_basis(fv)}
-    if all(m > 0 for m in margins.values()):
+    # keyed by the Picard basis, ascending
+    margins = {a: b - c + 2 for a, b in betas.values.items()}
+    least = min(margins.values())
+    if least > 0:
         verdict = Verdict.FANO
-    elif all(m >= 0 for m in margins.values()):
+    elif least == 0:
         verdict = Verdict.WEAK_FANO_NOT_FANO
     else:
         verdict = Verdict.NOT_WEAK_FANO
-    big = Big.TRUE if verdict != Verdict.NOT_WEAK_FANO else Big.UNKNOWN
-    return FanoReport(
-        betas=betas, codim=c, margins=margins, verdict=verdict, anticanonical_big=big
-    )
-
-
-def classify_center(fv, datum):
-    """Convenience path: read the codimension off a SchubertDatum."""
-    return classify(fv, datum.codim)
+    big = Big.TRUE if least >= 0 else Big.UNKNOWN
+    # positional: keyword arguments cost about a microsecond more per call
+    return FanoReport(betas, c, margins, verdict, big)

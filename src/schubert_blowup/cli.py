@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, cones, table, check. Exit codes: 0 success,
-1 self-check failure, 2 usage/validation error. All numeric output is
+1 self-check failure, 2 usage/validation error, 3 a self-check crashed
+(an ERROR line, which takes precedence over FAIL). All numeric output is
 exact integers; --format json emits a machine-readable report.
 """
 
@@ -192,12 +193,11 @@ def cmd_check(args):
     from . import selfcheck
 
     results = selfcheck.run_all()
-    failed = 0
-    for name, ok in results:
-        print("%s %s" % ("PASS" if ok else "FAIL", name))
-        failed += 0 if ok else 1
-    print("%d/%d checks passed" % (len(results) - failed, len(results)))
-    return 1 if failed else 0
+    for name, status, error in results:
+        print("%s %s%s" % (status, name, ": " + error if error else ""))
+    statuses = [status for _, status, _ in results]
+    print("%d/%d checks passed" % (statuses.count("PASS"), len(results)))
+    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
 
 
 def build_parser():

@@ -3,66 +3,68 @@ beta invariants beta_alpha = <w_{0,P}(rho), alpha^vee>, anticanonical
 weight rho + w_{0,P}(rho), and Schubert codimension.
 
 No Weyl word is needed for the invariants: w_{0,P}(rho) = rho - 2 rho_P,
-where 2 rho_P is the sum of the positive roots supported on S_P
-(Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.8). One pass over
-the positive roots gives 2 rho_P and |R_P^+|, and each FlagVariety caches
-what follows from them.
+where 2 rho_P is the sum of the positive roots of the Levi factor, the
+roots supported on S_P (Humphreys, Reflection Groups and Coxeter Groups,
+1.6-1.8). The reflection closure on the Cartan matrix of S_P gives those
+roots directly, and each FlagVariety caches what follows from them.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import EngineError, NotAPCharacter, NotMinimalRep
-from .rootsys import Weight, rho
+from .errors import EngineError, InvariantViolation, NotAPCharacter, NotMinimalRep
+from .rootsys import Weight, _positive_roots, rho
+from .value import Value, setfield
 from .weyl import is_minimal_coset_rep, length
 
 
-def _supported_on(root, members):
-    return all(c == 0 for j, c in enumerate(root.coeffs) if (j + 1) not in members)
+class FlagVariety(Value):
+    # no __slots__: the cached invariants live in the instance __dict__,
+    # which is also the fastest place to read them from
+    _fields = ("rs", "par")  # par: ParabolicSubset S_P
 
-
-@dataclass(frozen=True)
-class FlagVariety:
-    rs: object
-    par: object  # ParabolicSubset S_P
-
-    def __post_init__(self):
-        if not set(self.par.members) <= set(range(1, self.rs.rank + 1)):
+    def __init__(self, rs, par):
+        if not set(par.members) <= set(range(1, rs.rank + 1)):
             raise EngineError("parabolic indices %r outside 1..%d"
-                              % (sorted(self.par.members), self.rs.rank))
-        if len(self.par.members) == self.rs.rank:
+                              % (sorted(par.members), rs.rank))
+        if len(par.members) == rs.rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
+        setfield(self, "rs", rs)
+        setfield(self, "par", par)
 
     @cached_property
     def _invariants(self):
-        """(dim G/P, BetaVector, -K weight), all from one pass over R^+."""
-        rs, members = self.rs, self.par.members
-        two_rho_p = [0] * rs.rank
-        levi_roots = 0
-        for r in rs.positive_roots:
-            if _supported_on(r, members):
-                levi_roots += 1
-                for j, k in enumerate(r.coeffs):
-                    two_rho_p[j] += k
-        # w_{0,P}(rho) = rho - 2 rho_P, in weight coordinates
+        """(dim G/P, BetaVector, -K weight), from the Levi's positive roots."""
+        rs = self.rs
         C = rs.cartan.entries
+        members = sorted(self.par.members)
+        levi = _positive_roots([[C[i - 1][j - 1] for j in members] for i in members])
+        two_rho_p = [0] * rs.rank
+        for i, col in zip(members, zip(*levi)):
+            two_rho_p[i - 1] = sum(col)
+        # w_{0,P}(rho) = rho - 2 rho_P, in weight coordinates
         img = tuple(
             1 - sum(cij * k for cij, k in zip(row, two_rho_p)) for row in C
         )
+        # C_P . 2 rho_P = (2, ..., 2), i.e. w_{0,P}(rho) pairs to -1 on S_P
+        if any(img[i - 1] != -1 for i in members):
+            raise InvariantViolation("Levi roots of %s on S_P %r do not sum to 2 rho_P"
+                                     % (rs.spec, members))
         betas = BetaVector(
             MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
         )
-        dim = len(rs.positive_roots) - levi_roots
+        dim = len(rs.positive_roots) - len(levi)
         return dim, betas, rho(rs) + Weight(img)
 
 
-@dataclass(frozen=True)
-class BetaVector:
+class BetaVector(Value):
     """beta_alpha for each alpha in the Picard basis S \\ S_P (read-only:
     every report on one FlagVariety shares it)."""
 
-    values: MappingProxyType
+    __slots__ = ("values",)  # MappingProxyType, keys ascending
+
+    def __init__(self, values):
+        setfield(self, "values", values)
 
     def __getitem__(self, alpha):
         if alpha not in self.values:
@@ -70,12 +72,13 @@ class BetaVector:
         return self.values[alpha]
 
 
-@dataclass(frozen=True)
-class SchubertDatum:
-    word: object
-    dim: int
-    codim: int
-    smooth_asserted: bool = False
+class SchubertDatum(Value):
+    __slots__ = ("word", "dim", "codim")
+
+    def __init__(self, word, dim, codim):
+        setfield(self, "word", word)
+        setfield(self, "dim", dim)
+        setfield(self, "codim", codim)
 
 
 def dimension(fv):

@@ -12,37 +12,32 @@ independent second derivation that selfcheck I1 and the tests compare
 with it.
 """
 
-from dataclasses import dataclass
-
 from . import conventions
 from .errors import InvariantViolation, NotARoot, RankMismatch
+from .value import Value, setfield
 
 
-def _sign_coherent(coeffs):
-    return not coeffs or min(coeffs) >= 0 or max(coeffs) <= 0
+class TypeSpec(Value):
+    __slots__ = ("family", "rank")
 
-
-@dataclass(frozen=True)
-class TypeSpec:
-    family: str
-    rank: int
-
-    def __post_init__(self):
-        conventions.check_type(self.family, self.rank)
+    def __init__(self, family, rank):
+        conventions.check_type(family, rank)
+        setfield(self, "family", family)
+        setfield(self, "rank", rank)
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Value):
     """Integer coordinates over the simple-root basis (alpha_1..alpha_l)."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not _sign_coherent(self.coeffs):
-            raise NotARoot("mixed-sign root coordinates %r" % (self.coeffs,))
+    def __init__(self, coeffs):
+        if coeffs and min(coeffs) < 0 < max(coeffs):
+            raise NotARoot("mixed-sign root coordinates %r" % (coeffs,))
+        setfield(self, "coeffs", coeffs)
 
     @property
     def rank(self):
@@ -55,29 +50,31 @@ class Root:
         return any(c > 0 for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class Coroot:
+class Coroot(Value):
     """Integer coordinates over the simple-coroot basis."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not _sign_coherent(self.coeffs):
-            raise NotARoot("mixed-sign coroot coordinates %r" % (self.coeffs,))
+    def __init__(self, coeffs):
+        if coeffs and min(coeffs) < 0 < max(coeffs):
+            raise NotARoot("mixed-sign coroot coordinates %r" % (coeffs,))
+        setfield(self, "coeffs", coeffs)
 
     @property
     def rank(self):
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """Integer coordinates over the fundamental-weight basis.
 
     Coordinate i is <lambda, alpha_i^vee> directly.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        setfield(self, "coeffs", coeffs)
 
     @property
     def rank(self):
@@ -89,24 +86,28 @@ class Weight:
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(Value):
     """C[i][j] = <alpha_j, alpha_i^vee>; diag(symmetrizer) @ C symmetric."""
 
-    entries: tuple
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        setfield(self, "entries", entries)
 
     @property
     def rank(self):
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    spec: TypeSpec
-    cartan: CartanMatrix
-    positive_roots: tuple
-    highest_root: Root
-    symmetrizers: tuple
+class RootSystem(Value):
+    __slots__ = ("spec", "cartan", "positive_roots", "highest_root", "symmetrizers")
+
+    def __init__(self, spec, cartan, positive_roots, highest_root, symmetrizers):
+        setfield(self, "spec", spec)
+        setfield(self, "cartan", cartan)
+        setfield(self, "positive_roots", positive_roots)
+        setfield(self, "highest_root", highest_root)
+        setfield(self, "symmetrizers", symmetrizers)
 
     @property
     def rank(self):

@@ -1,8 +1,9 @@
 """Desk-scale invariant suites behind the `check` CLI command.
 
 Each check returns True/False; run_all evaluates them in a fixed order so
-the report is deterministic. The pytest suite re-runs the same properties
-at larger scale.
+the report is deterministic, and reports a check that crashes apart from
+one that fails. The pytest suite re-runs the same properties at larger
+scale.
 """
 
 import itertools
@@ -430,11 +431,18 @@ CHECKS = [
 
 
 def run_all():
+    """(name, status, error) per check. status is PASS, FAIL (False, an
+    EngineError or an AssertionError) or ERROR (any other exception: the
+    check itself crashed), and error is "<Type>: <msg>" for an ERROR, else
+    None."""
     results = []
     for name, fn in CHECKS:
+        error = None
         try:
-            ok = bool(fn())
+            status = "PASS" if fn() else "FAIL"
         except (EngineError, AssertionError):
-            ok = False
-        results.append((name, ok))
+            status = "FAIL"
+        except Exception as exc:
+            status, error = "ERROR", "%s: %s" % (type(exc).__name__, exc)
+        results.append((name, status, error))
     return results

@@ -10,27 +10,30 @@ which selfcheck F2 compares with the action of w_{0,P}. A brute-force group enum
 an independent testing oracle.
 """
 
-from dataclasses import dataclass
 from collections import deque
 
 from .errors import IndexOutOfRange, RankTooLargeForOracle
 from .rootsys import Coroot, Root, Weight, rho
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    letters: tuple
-    reduced: bool = False
+class WeylWord(Value):
+    __slots__ = ("letters",)
+
+    def __init__(self, letters):
+        setfield(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
+class ParabolicSubset(Value):
     """The subset S_P of simple-root indices whose reflections lie in W_P."""
 
-    members: frozenset
+    __slots__ = ("members",)
+
+    def __init__(self, members):
+        setfield(self, "members", members)
 
     @staticmethod
     def of(indices):
@@ -130,7 +133,7 @@ def longest_element(par, rs):
                 v = reflect_weight(i, v, rs)
                 break
         else:
-            return WeylWord(tuple(letters), reduced=True)
+            return WeylWord(tuple(letters))
 
 
 def is_minimal_coset_rep(word, par, rs):
@@ -177,7 +180,7 @@ def enumerate_coset_reps(par, rs, max_length):
         level = nxt
         depth += 1
     reps.sort(key=lambda w: (len(w), w))
-    return [WeylWord(w, reduced=True) for w in reps]
+    return [WeylWord(w) for w in reps]
 
 
 _ORACLE_MAX_RANK = 3
@@ -229,6 +232,6 @@ def brute_force_group(rs):
                 elements[k] = (M2, w2)
                 queue.append((M2, w2))
     return [
-        (M, WeylWord(w, reduced=True))
+        (M, WeylWord(w))
         for M, w in sorted(elements.values(), key=lambda e: (len(e[1]), e[1]))
     ]

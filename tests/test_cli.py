@@ -140,6 +140,25 @@ def test_check_detects_corruption(monkeypatch):
     assert "FAIL" in out
 
 
+def test_check_reports_a_crashed_check_as_error(monkeypatch):
+    # a check that crashes is not a failed check: ERROR line and exit 3,
+    # which takes precedence over a FAIL
+    def crash():
+        return 1 // 0
+
+    checks = dict(selfcheck.CHECKS)
+    checks["B1 cone duality"] = crash
+    checks["I2 sign coherence"] = lambda: False
+    monkeypatch.setattr(selfcheck, "CHECKS", list(checks.items()))
+    code, out = run(["check"])
+    assert code == 3
+    lines = out.splitlines()
+    assert "ERROR B1 cone duality: ZeroDivisionError: integer division or modulo by zero" in lines
+    assert "FAIL I2 sign coherence" in lines
+    assert lines[-1] == "%d/%d checks passed" % (len(checks) - 2, len(checks))
+    assert sum(line.startswith("PASS ") for line in lines) == len(checks) - 2
+
+
 def test_table_runs_to_rank_cap():
     code, out = run(["table", "--families", "A,B,C,D,E,F,G", "--max-rank", "16",
                      "--format", "json"])

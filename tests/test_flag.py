@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schubert_blowup import (
@@ -12,7 +14,14 @@ from schubert_blowup import (
     schubert_codim,
     weight_to_divisor,
 )
-from schubert_blowup.errors import EngineError, NotAPCharacter, NotMinimalRep
+from schubert_blowup import flag
+from schubert_blowup.conventions import RANK_CAP
+from schubert_blowup.errors import (
+    EngineError,
+    InvariantViolation,
+    NotAPCharacter,
+    NotMinimalRep,
+)
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import all_parabolics, all_types, closed_forms_agree
 
@@ -131,7 +140,6 @@ def test_schubert_codim_point_and_curve():
     assert (point.dim, point.codim) == (0, 4)
     curve = schubert_codim(fv, WeylWord((2,)))
     assert (curve.dim, curve.codim) == (1, 3)
-    assert not curve.smooth_asserted
 
 
 def test_schubert_codim_length_two():
@@ -144,3 +152,41 @@ def test_schubert_codim_rejects_non_minimal():
     fv = fv_of("A", 3, {1, 3})
     with pytest.raises(NotMinimalRep):
         schubert_codim(fv, WeylWord((1,)))
+
+
+def support_filter_invariants(rs, members):
+    """|R_P^+| and 2 rho_P by filtering R^+ for the roots supported on S_P."""
+    levi = [r.coeffs for r in rs.positive_roots
+            if all(c == 0 for j, c in enumerate(r.coeffs) if j + 1 not in members)]
+    return len(levi), [sum(col) for col in zip(*levi)] if levi else [0] * rs.rank
+
+
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
+def test_levi_closure_matches_support_filter(spec):
+    rs = build_root_system(spec)
+    n = rs.rank
+    rng = random.Random(str(spec))
+    subsets = [set(range(1, n + 1)) - {k} for k in range(1, n + 1)] + [set()]
+    subsets += [{i for i in range(1, n + 1) if rng.random() < 0.5} - {rng.randint(1, n)}
+                for _ in range(6)]
+    for members in subsets:
+        fv = FlagVariety(rs, ParabolicSubset.of(members))
+        count, two_rho_p = support_filter_invariants(rs, members)
+        assert dimension(fv) == len(rs.positive_roots) - count
+        # w_{0,P}(rho) = rho - 2 rho_P in weight coordinates
+        img = [1 - sum(c * k for c, k in zip(row, two_rho_p)) for row in rs.cartan.entries]
+        assert dict(beta_values(fv).values) == {a: img[a - 1] for a in picard_basis(fv)}
+        assert anticanonical_weight(fv) == Weight(tuple(1 + x for x in img))
+
+
+def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):
+    # negative control: a Levi closure that drops a root breaks C_P 2rho_P = 2
+    real = flag._positive_roots
+
+    def dropped(cartan):
+        roots = real(cartan)
+        return roots - {max(roots, key=sum)} if len(roots) > 1 else roots
+
+    monkeypatch.setattr(flag, "_positive_roots", dropped)
+    with pytest.raises(InvariantViolation):
+        dimension(fv_of("A", 4, {1, 2, 3}))
