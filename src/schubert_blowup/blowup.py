@@ -123,14 +123,12 @@ def from_nef_basis(basis, coords):
 
 
 def anticanonical_class(fv, c):
-    """-K of the blow-up, in both bases (cross-checked equal)."""
+    """-K of the blow-up, in both bases (selfcheck B2 checks that they agree)."""
     _check_codim(fv, c)
     basis = picard_basis(fv)
     betas = beta_values(fv)
     d = DivisorClass(basis, tuple(1 + betas[a] for a in basis), -(c - 1))
     basis2 = tuple(betas[a] + 2 - c for a in basis) + (c - 1,)
-    assert to_nef_basis(d) == basis2
-    assert from_nef_basis(basis, basis2) == d
     return d, basis2
 
 

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from .errors import EngineError, InvariantViolation, NotAPCharacter, NotMinimalRep
 from .rootsys import Weight, _positive_roots, rho
 from .value import Value, setfield
-from .weyl import is_minimal_coset_rep, length
+from .weyl import _replay
 
 
 class FlagVariety(Value):
@@ -113,8 +113,9 @@ def anticanonical_weight(fv):
 
 
 def schubert_codim(fv, word):
-    if not is_minimal_coset_rep(word, fv.par, fv.rs):
+    """dim X_{wP} = l(w) and its codimension; one replay tests w in W^P."""
+    v, d = _replay(word, fv.rs)
+    if not all(v[i - 1] > 0 for i in fv.par.members):
         raise NotMinimalRep("word %r is not a minimal coset representative"
                             % (word.letters,))
-    d = length(word, fv.rs)
-    return SchubertDatum(word=word, dim=d, codim=dimension(fv) - d)
+    return SchubertDatum(word, d, dimension(fv) - d)

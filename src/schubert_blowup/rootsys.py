@@ -170,6 +170,12 @@ def _closure(cartan, order):
     return roots
 
 
+def _cartan_column(cartan, i):
+    """Nonzero (row, entry) pairs of Cartan column i (0-based), i.e. of
+    alpha_i in weight coordinates: s_i(lambda) = lambda - lambda_i alpha_i."""
+    return [(j, row[i]) for j, row in enumerate(cartan) if row[i]]
+
+
 def _positive_roots(cartan):
     """Positive roots by the reflection closure.
 
@@ -183,10 +189,7 @@ def _positive_roots(cartan):
     the Cartan matrix, read from its nonzero entries only.
     """
     rank = len(cartan)
-    cols = [
-        tuple((j, row[i]) for j, row in enumerate(cartan) if row[i])
-        for i in range(rank)
-    ]
+    cols = [_cartan_column(cartan, i) for i in range(rank)]
     frontier = [
         (tuple(1 if j == i else 0 for j in range(rank)), [row[i] for row in cartan])
         for i in range(rank)

@@ -117,15 +117,15 @@ def check_W1_longest_element_involution(max_rank=3):
     return True
 
 
+def _in_levi(r, members):
+    return all(c == 0 for j, c in enumerate(r.coeffs) if (j + 1) not in members)
+
+
 def check_W2_longest_element_length(max_rank=3):
     for rs in _systems(max_rank):
         for par in all_parabolics(rs.rank, proper=False):
             w0 = longest_element(par, rs)
-            supported = sum(
-                1
-                for r in rs.positive_roots
-                if all(c == 0 for j, c in enumerate(r.coeffs) if (j + 1) not in par.members)
-            )
+            supported = sum(_in_levi(r, par.members) for r in rs.positive_roots)
             if length(w0, rs) != supported or len(w0.letters) != supported:
                 return False
     return True
@@ -136,9 +136,7 @@ def check_W3_longest_element_permutes(max_rank=3):
         for par in all_parabolics(rs.rank, proper=False):
             w0 = longest_element(par, rs)
             for r in rs.positive_roots:
-                inside = all(
-                    c == 0 for j, c in enumerate(r.coeffs) if (j + 1) not in par.members
-                )
+                inside = _in_levi(r, par.members)
                 img = act(w0, r, rs)
                 if inside and img.is_positive():
                     return False
@@ -162,14 +160,17 @@ def check_W4_coset_rep_count(max_rank=3):
 
 
 def check_W5_reducedness(max_rank=3):
+    """length (a signed replay) = #{beta > 0 : w(beta) < 0} on the words of
+    longest_element and enumerate_coset_reps, which equal len(w), and on
+    their squares, most of which are not reduced."""
     for rs in _systems(max_rank):
-        for par in all_parabolics(rs.rank, proper=False):
-            w0 = longest_element(par, rs)
-            if length(w0, rs) != len(w0.letters):
-                return False
+        words = [longest_element(par, rs) for par in all_parabolics(rs.rank, proper=False)]
         for par in all_parabolics(rs.rank):
-            for w in weyl.enumerate_coset_reps(par, rs, 4):
-                if length(w, rs) != len(w.letters):
+            words += weyl.enumerate_coset_reps(par, rs, 4)
+        for w in words:
+            for x in (w, WeylWord(w.letters * 2)):
+                inversions = sum(not act(x, b, rs).is_positive() for b in rs.positive_roots)
+                if length(x, rs) != inversions or x is w and inversions != len(w.letters):
                     return False
     return True
 
@@ -273,7 +274,8 @@ def check_B2_anticanonical_round_trip(max_rank=4):
             d = flag.dimension(fv)
             for c in range(2, d + 1):
                 dc, basis2 = blowup.anticanonical_class(fv, c)
-                if blowup.from_nef_basis(dc.basis, basis2) != dc:
+                if (blowup.to_nef_basis(dc) != basis2
+                        or blowup.from_nef_basis(dc.basis, basis2) != dc):
                     return False
     return True
 

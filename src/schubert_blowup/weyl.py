@@ -2,18 +2,19 @@
 
 Words are sequences of 1-based simple-reflection indices applied right to
 left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))).
-longest_element and enumerate_coset_reps walk weight orbits one
-reflection at a time instead of replaying words; length and
-is_minimal_coset_rep read w^{-1}(rho), one reflection per letter.
-flag.py needs no Weyl word for its invariants: they are closed forms,
-which selfcheck F2 compares with the action of w_{0,P}. A brute-force group enumeration (rank <= 3) serves as
-an independent testing oracle.
+longest_element and enumerate_coset_reps walk weight orbits one reflection
+at a time instead of replaying words. length and is_minimal_coset_rep read
+one replay of the word on rho, whose signed count of steps is the length.
+flag.py needs no Weyl word for its invariants: they are closed forms, which
+selfcheck F2 compares with the action of w_{0,P}. A brute-force group
+enumeration (rank <= 3) serves as an independent testing oracle.
 """
 
 from collections import deque
+from operator import mul
 
 from .errors import IndexOutOfRange, RankTooLargeForOracle
-from .rootsys import Coroot, Root, Weight, rho
+from .rootsys import Coroot, Root, Weight, _cartan_column, rho
 from .value import Value, setfield
 
 
@@ -43,14 +44,14 @@ class ParabolicSubset(Value):
         return tuple(i for i in range(1, rank + 1) if i not in self.members)
 
 
-def _check_index(i, rs):
-    if not (1 <= i <= rs.rank):
-        raise IndexOutOfRange("reflection index %d outside 1..%d" % (i, rs.rank))
+def _check_index(i, rank):
+    if not (1 <= i <= rank):
+        raise IndexOutOfRange("reflection index %d outside 1..%d" % (i, rank))
 
 
 def reflect_weight(i, w, rs):
     """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i."""
-    _check_index(i, rs)
+    _check_index(i, rs.rank)
     C = rs.cartan.entries
     c = w.coeffs[i - 1]
     return Weight(
@@ -60,9 +61,9 @@ def reflect_weight(i, w, rs):
 
 def reflect_root(i, r, rs):
     """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
-    _check_index(i, rs)
+    _check_index(i, rs.rank)
     C = rs.cartan.entries
-    p = sum(C[i - 1][j] * r.coeffs[j] for j in range(rs.rank))
+    p = sum(map(mul, C[i - 1], r.coeffs))
     coeffs = list(r.coeffs)
     coeffs[i - 1] -= p
     return Root(tuple(coeffs))
@@ -70,7 +71,7 @@ def reflect_root(i, r, rs):
 
 def reflect_coroot(i, c, rs):
     """Dual action: s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
-    _check_index(i, rs)
+    _check_index(i, rs.rank)
     C = rs.cartan.entries
     p = sum(C[j][i - 1] * c.coeffs[j] for j in range(rs.rank))
     coeffs = list(c.coeffs)
@@ -89,39 +90,41 @@ def act(word, x, rs):
     return x
 
 
-def _inverse_image_of_rho(word, rs):
-    """v = w^{-1}(rho): the letters of w applied left to right."""
-    v = rho(rs)
+def _replay(word, rs):
+    """(v, l): v = w^{-1}(rho) as a list of weight coordinates, l = l(w).
+
+    The letters act left to right on rho. Appending s_i to a prefix u adds
+    1 to its length iff (u(alpha_i), rho) = d_i v_i > 0 for v = u^{-1}(rho),
+    and subtracts 1 otherwise; v_i is never 0 (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.6-1.7), so l is exact on non-reduced words too.
+    """
+    C = rs.cartan.entries
+    v = [1] * len(C)
+    l = 0
+    cols = {}  # built per letter on first use: short words need few columns
     for i in word.letters:
-        v = reflect_weight(i, v, rs)
-    return v
+        col = cols.get(i)
+        if col is None:
+            _check_index(i, len(C))
+            col = cols[i] = _cartan_column(C, i - 1)
+        c = v[i - 1]
+        l += 1 if c > 0 else -1
+        for j, a in col:
+            v[j] -= c * a
+    return v, l
 
 
 def length(word, rs):
-    """Bruhat length: number of positive roots sent negative.
-
-    For beta = sum_j k_j alpha_j and v = w^{-1}(rho),
-    (w(beta), rho) = (beta, v) = sum_j k_j d_j v_j, which is never 0, so
-    w(beta) < 0 iff that sum is negative: one pass of the word, then a
-    count over R^+. Correct on non-reduced words too.
-    """
-    v = _inverse_image_of_rho(word, rs)
-    dv = tuple(d * c for d, c in zip(rs.symmetrizers, v.coeffs))
-    return sum(
-        1
-        for beta in rs.positive_roots
-        if sum(k * x for k, x in zip(beta.coeffs, dv)) < 0
-    )
+    """Bruhat length: number of positive roots sent negative."""
+    return _replay(word, rs)[1]
 
 
 def longest_element(par, rs):
     """Longest element w_{0,P} of the parabolic subgroup W_P.
 
     Greedy ascent: append the smallest i in S_P with w(alpha_i) still
-    positive; terminates when all of them are sent negative, with word
-    length |R_P^+|. Since (w(alpha_i), rho) = (alpha_i, w^{-1}(rho)),
-    w(alpha_i) > 0 iff coordinate i of v = w^{-1}(rho) is positive, and
-    appending s_i maps v to s_i(v): one reflection per letter.
+    positive, i.e. with v_i > 0 for v = w^{-1}(rho) (see _replay), and map
+    v to s_i(v); it ends with all of them negative, at length |R_P^+|.
     """
     members = sorted(par.members)
     letters = []
@@ -137,15 +140,12 @@ def longest_element(par, rs):
 
 
 def is_minimal_coset_rep(word, par, rs):
-    """True iff w(alpha_i) > 0 for every i in S_P (w in W^P).
-
-    (w(alpha_i), rho) = d_i v_i with v = w^{-1}(rho), so w(alpha_i) > 0
-    iff v_i > 0.
-    """
+    """True iff w(alpha_i) > 0, i.e. v_i > 0 for v = w^{-1}(rho) (see
+    _replay), for every i in S_P (w in W^P)."""
     for i in par.members:
-        _check_index(i, rs)
-    v = _inverse_image_of_rho(word, rs)
-    return all(v.coeffs[i - 1] > 0 for i in par.members)
+        _check_index(i, rs.rank)
+    v = _replay(word, rs)[0]
+    return all(v[i - 1] > 0 for i in par.members)
 
 
 def enumerate_coset_reps(par, rs, max_length):
@@ -160,27 +160,27 @@ def enumerate_coset_reps(par, rs, max_length):
     compared from the last letter; output sorted by (length, lexicographic
     word).
     """
-    start = Weight(tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1)))
-    seen = {start.coeffs}
-    reps = [()]
-    level = [((), start)]
+    cols = [_cartan_column(rs.cartan.entries, i) for i in range(rs.rank)]
+    start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
+    words = {start: ()}  # orbit point -> the first word that reached it
+    level = [start]
     depth = 0
     while level and depth < max_length:
         nxt = []
-        for letters, img in level:
-            for i in range(1, rs.rank + 1):
-                if img.coeffs[i - 1] > 0:
+        for img in level:
+            for i, c in enumerate(img):
+                if c > 0:
                     # left multiplication by s_i: prepend the letter
-                    img2 = reflect_weight(i, img, rs)
-                    if img2.coeffs not in seen:
-                        w2 = (i,) + letters
-                        seen.add(img2.coeffs)
-                        reps.append(w2)
-                        nxt.append((w2, img2))
+                    img2 = list(img)
+                    for j, a in cols[i]:
+                        img2[j] -= c * a
+                    img2 = tuple(img2)
+                    if img2 not in words:
+                        words[img2] = (i + 1,) + words[img]
+                        nxt.append(img2)
         level = nxt
         depth += 1
-    reps.sort(key=lambda w: (len(w), w))
-    return [WeylWord(w) for w in reps]
+    return [WeylWord(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
 
 
 _ORACLE_MAX_RANK = 3

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schubert_blowup import (
+    FlagVariety,
     Root,
     TypeSpec,
     Weight,
@@ -16,8 +18,10 @@ from schubert_blowup import (
     length,
     longest_element,
     rho,
+    schubert_codim,
 )
-from schubert_blowup.errors import IndexOutOfRange, RankTooLargeForOracle
+from schubert_blowup.conventions import RANK_CAP
+from schubert_blowup.errors import IndexOutOfRange, NotMinimalRep, RankTooLargeForOracle
 from schubert_blowup.weyl import (
     ParabolicSubset,
     WeylWord,
@@ -256,9 +260,10 @@ def _replay_minimal(word, par, rs):
     return all(act(word, rs.simple_root(i), rs).is_positive() for i in par.members)
 
 
-@pytest.mark.parametrize("spec", all_types(6), ids=str)
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_length_and_coset_test_match_word_replay(spec):
     rs = build_root_system(spec)
+    bad = "reflection index %d outside 1..%d"
     rng = random.Random(str(spec))
     non_reduced = 0
     for _ in range(40):
@@ -269,11 +274,57 @@ def test_length_and_coset_test_match_word_replay(spec):
             k = rng.randint(0, len(letters))
             letters[k:k] = [i, i]
         word = WeylWord(tuple(letters))
-        n = length(word, rs)
-        assert n == _replay_length(word, rs)
+        n = _replay_length(word, rs)
+        assert length(word, rs) == n
         non_reduced += n < len(letters)
         par = ParabolicSubset.of(
             i for i in range(1, rs.rank + 1) if rng.random() < 0.5
         )
-        assert is_minimal_coset_rep(word, par, rs) == _replay_minimal(word, par, rs)
+        minimal = _replay_minimal(word, par, rs)
+        assert is_minimal_coset_rep(word, par, rs) == minimal
+        if len(par.members) == rs.rank:
+            continue  # S_P = S: no flag variety
+        fv = FlagVariety(rs, par)
+        if minimal:
+            levi = sum(_supported(r, par.members) for r in rs.positive_roots)
+            datum = schubert_codim(fv, word)
+            assert (datum.word, datum.dim) == (word, n)
+            assert datum.codim == len(rs.positive_roots) - levi - datum.dim
+        else:
+            with pytest.raises(NotMinimalRep, match="not a minimal coset"):
+                schubert_codim(fv, word)
+        for i in (0, rs.rank + 1):
+            with pytest.raises(IndexOutOfRange, match=bad % (i, rs.rank)):
+                schubert_codim(fv, WeylWord(tuple(letters) + (i,)))
     assert non_reduced > 0
+
+
+# SHA-256 of repr([w.letters for w in W^P]), recorded from the earlier walk
+# over Weight objects, so that any rewrite of the walk keeps its words and
+# their order: the benchmark's census pairs (node 0: the full flag), then
+# E7/P7, E8/P1 and B5/P2
+@pytest.mark.parametrize("family,rank,node,count,digest", [
+    ("A", 4, 0, 120, "f75cc5848ab6137cf86bcaf36764a15059b96e17d518ace149d17677b9ac7560"),
+    ("A", 5, 3, 20, "56b9973e228c36767bd1d18ce9085bb376a94f0a67be387d19cf1e7de05e9f31"),
+    ("A", 6, 3, 35, "5ac1d4a5940cd0ed5bc5fabdc49aecf39ecc84c1a2346f1c187a30f33060b086"),
+    ("B", 3, 0, 48, "ca963c32338e41013349ca78cb17334727e1a431a1af05013c5dd2fd61206823"),
+    ("B", 4, 1, 8, "d8c8b6f3420a1fa5f039d4bc0f96c25fbf01446144b61506bd027d713cd35ddb"),
+    ("C", 4, 4, 16, "f014554893530bb61ad77cf65c21eaeb430c0f65fc89b06d7bc0fbbb5587004d"),
+    ("D", 4, 2, 24, "c1c5050db3c59f138679ac6b53778babe6d0791631cd281e224d67ca4dff3ce7"),
+    ("D", 5, 1, 10, "a0f096f15bb10d19029589fc85e5ca621ba91ffb86d52f90420444a696b9b8be"),
+    ("D", 6, 1, 12, "a0adc5b25a1f94e2c41c97c4905c3bf35588f8bb2c700ce132dc25b10edcf9bc"),
+    ("E", 6, 1, 27, "a03f0bc04062c7b7c706ba5b291d75d6bdc148df6a54b7824a65b8289822fbd4"),
+    ("F", 4, 1, 24, "c15b3ca73d3b6aaab22eceb5e7813d5c0f24c887ce240b18e0adf559ffc853bf"),
+    ("F", 4, 4, 24, "922c16f0e986409410f5f9250d3c37ff0e9f6215a101bf27e8d6f3207bebf474"),
+    ("G", 2, 1, 6, "7eab024d5215d2db1c7d571a9350458fbd83f47483bdba8ef32a7c39b55db55a"),
+    ("E", 7, 7, 56, "4771613591ab926688e36ea79021b590636693df2d96c425ae08ae5ab9fbd1e7"),
+    ("E", 8, 1, 2160, "e22ac214ca75f65b56b0a0b95436becf86f700fb7f2550ec0f9d1ac00f8121b3"),
+    ("B", 5, 2, 40, "5da91d90086bcb610685847c5269049743ff2bea70db564b833db05478f11ec3"),
+])
+def test_coset_walk_words_pinned(family, rank, node, count, digest):
+    rs = build_root_system(TypeSpec(family, rank))
+    par = ParabolicSubset.of(set(range(1, rank + 1)) - {node} if node else ())
+    reps = enumerate_coset_reps(par, rs, len(rs.positive_roots))
+    letters = [w.letters for w in reps]
+    assert len(letters) == count
+    assert hashlib.sha256(repr(letters).encode()).hexdigest() == digest
