@@ -22,7 +22,6 @@ from .weyl import (
     longest_element,
     is_minimal_coset_rep,
     enumerate_coset_reps,
-    brute_force_group,
 )
 from .flag import (
     FlagVariety,

@@ -167,6 +167,8 @@ def cmd_table(args):
     for f in families:
         if f not in RANK_BOUNDS:
             raise EngineError("unknown family %r" % f)
+    if args.max_rank < 1:
+        raise EngineError("max rank must be at least 1, got %d" % args.max_rank)
     if args.max_rank > RANK_CAP:
         raise EngineError("max rank capped at %d for sweeps" % RANK_CAP)
     policy = "full-flag" if args.full_flag else "maximal-parabolics"

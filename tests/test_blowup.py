@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +10,6 @@ from schubert_blowup import (
     anticanonical_class,
     build_root_system,
     classify,
-    dimension,
     intersect,
     is_ample,
     is_nef,
@@ -20,10 +17,9 @@ from schubert_blowup import (
     nef_generators,
     picard_basis,
 )
-from schubert_blowup.blowup import Big, from_nef_basis, to_nef_basis
+from schubert_blowup.blowup import Big
 from schubert_blowup.errors import BasisMismatch, CodimOutOfRange
 from schubert_blowup.weyl import ParabolicSubset
-from schubert_blowup.selfcheck import all_parabolics, all_types
 
 
 def fv_of(family, rank, members):
@@ -152,41 +148,6 @@ def test_classify_big_unknown_when_not_weak_fano():
     assert classify(fv, 4).anticanonical_big == Big.UNKNOWN
 
 
-@pytest.mark.parametrize("spec", all_types(5), ids=str)
-def test_b1_cone_duality(spec):
-    rs = build_root_system(spec)
-    for par in all_parabolics(rs.rank):
-        fv = FlagVariety(rs, par)
-        d = dimension(fv)
-        if d < 2:
-            continue
-        for c in range(2, d + 1):
-            nef = nef_generators(fv, c)
-            mori = mori_generators(fv, c)
-            for i, dd in enumerate(nef):
-                for j, kk in enumerate(mori):
-                    assert intersect(dd, kk) == (1 if i == j else 0)
-
-
-@pytest.mark.parametrize("spec", all_types(4), ids=str)
-def test_b2_b3_round_trip_and_cone_agreement(spec):
-    rs = build_root_system(spec)
-    for par in all_parabolics(rs.rank):
-        fv = FlagVariety(rs, par)
-        d = dimension(fv)
-        for c in range(2, d + 1):
-            dc, basis2 = anticanonical_class(fv, c)
-            assert from_nef_basis(dc.basis, basis2) == dc
-            assert to_nef_basis(dc) == basis2
-            rep = classify(fv, c)
-            if rep.verdict == Verdict.FANO:
-                assert is_ample(dc)
-            elif rep.verdict == Verdict.WEAK_FANO_NOT_FANO:
-                assert is_nef(dc) and not is_ample(dc)
-            else:
-                assert not is_nef(dc)
-
-
 @given(
     st.lists(st.integers(-5, 5), min_size=2, max_size=2),
     st.integers(-5, 5),
@@ -196,26 +157,3 @@ def test_b4_scaling_preserves_verdicts(pullback, exc, m):
     d = DivisorClass((1, 2), tuple(pullback), exc)
     assert is_nef(d) == is_nef(d.scaled(m))
     assert is_ample(d) == is_ample(d.scaled(m))
-
-
-def test_b5_margin_certificates_random_sample():
-    rng = random.Random(42)
-    specs = all_types(6)
-    done = 0
-    while done < 100:
-        spec = rng.choice(specs)
-        rs = build_root_system(spec)
-        pars = all_parabolics(rs.rank)
-        fv = FlagVariety(rs, rng.choice(pars))
-        d = dimension(fv)
-        if d < 2:
-            continue
-        c = rng.randint(2, d)
-        dc, _ = anticanonical_class(fv, c)
-        mori = mori_generators(fv, c)
-        rep = classify(fv, c)
-        basis = picard_basis(fv)
-        for j, a in enumerate(basis):
-            assert intersect(dc, mori[j]) == rep.margins[a] == rep.betas[a] - c + 2
-        assert intersect(dc, mori[-1]) == c - 1
-        done += 1

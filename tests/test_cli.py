@@ -114,12 +114,40 @@ def test_table_deterministic():
     assert run(args) == run(args)
 
 
+CHECK_STDOUT = """\
+PASS I1 closure order-insensitive
+PASS I2 sign coherence
+PASS I3 rho/highest-coroot pairing
+PASS I4 root_as_weight injective
+PASS I5 simply-laced coroot identity
+PASS W1 longest element squares to id
+PASS W2 longest element length
+PASS W3 longest element root permutation
+PASS W4 coset rep counts
+PASS W5 reducedness
+PASS F1 anticanonical weight in X*(P)
+PASS F2 closed forms vs Weyl word
+PASS F3 beta word-independence
+PASS F4 Grassmannian dimension
+PASS B1 cone duality
+PASS B2 anticanonical basis round trip
+PASS B3 classifier vs cone test
+PASS B4 scaling invariance
+PASS B5 margin certificates
+PASS S1 Grassmannian two-path
+PASS S2 Grassmannian point two-path
+PASS S3 cominuscule two-path
+PASS S4 full-flag two-path
+PASS S5 Kannan-Saha coroot identity
+24/24 checks passed
+"""
+
+
 def test_check_passes_and_is_deterministic():
     code1, out1 = run(["check"])
     code2, out2 = run(["check"])
     assert code1 == code2 == 0
-    assert out1 == out2
-    assert "FAIL" not in out1
+    assert out1 == out2 == CHECK_STDOUT
 
 
 def test_check_detects_corruption(monkeypatch):
@@ -143,13 +171,12 @@ def test_check_detects_corruption(monkeypatch):
 def test_check_reports_a_crashed_check_as_error(monkeypatch):
     # a check that crashes is not a failed check: ERROR line and exit 3,
     # which takes precedence over a FAIL
-    def crash():
+    def crash(spec):
         return 1 // 0
 
-    checks = dict(selfcheck.CHECKS)
-    checks["B1 cone duality"] = crash
-    checks["I2 sign coherence"] = lambda: False
-    monkeypatch.setattr(selfcheck, "CHECKS", list(checks.items()))
+    replaced = {"B1 cone duality": crash, "I2 sign coherence": lambda spec: ("counterexample",)}
+    checks = [(label, replaced.get(label, fn), rank) for label, fn, rank in selfcheck.CHECKS]
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
     code, out = run(["check"])
     assert code == 3
     lines = out.splitlines()
@@ -171,6 +198,14 @@ def test_table_beyond_rank_cap_exits_2():
     code, out = run(["table", "--families", "A", "--max-rank", "17"])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_table_below_rank_one_exits_2(capsys, max_rank):
+    code, out = run(["table", "--families", "A", "--max-rank", max_rank])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: max rank must be at least 1, got %s\n" % max_rank
 
 
 # the Cartan corruption of test_check_detects_corruption, for a subprocess

@@ -11,7 +11,6 @@ from schubert_blowup import (
     TypeSpec,
     Weight,
     act,
-    brute_force_group,
     build_root_system,
     enumerate_coset_reps,
     is_minimal_coset_rep,
@@ -25,11 +24,12 @@ from schubert_blowup.errors import IndexOutOfRange, NotMinimalRep, RankTooLargeF
 from schubert_blowup.weyl import (
     ParabolicSubset,
     WeylWord,
+    brute_force_group,
     reflect_coroot,
     reflect_root,
     reflect_weight,
 )
-from schubert_blowup.selfcheck import all_parabolics, all_types
+from schubert_blowup.selfcheck import all_types
 
 
 @pytest.fixture(scope="module")
@@ -171,57 +171,8 @@ def test_brute_force_group_rank_guard():
         brute_force_group(rs)
 
 
-@pytest.mark.parametrize("spec", all_types(5), ids=str)
-def test_w1_longest_element_squares_to_identity(spec):
-    rs = build_root_system(spec)
-    for par in all_parabolics(rs.rank, proper=False):
-        w0 = longest_element(par, rs)
-        square = WeylWord(w0.letters + w0.letters)
-        assert act(square, rho(rs), rs) == rho(rs)
-        for i in range(rs.rank):
-            lam = Weight(tuple(1 if j == i else 0 for j in range(rs.rank)))
-            assert act(square, lam, rs) == lam
-
-
 def _supported(root, members):
     return all(c == 0 for j, c in enumerate(root.coeffs) if (j + 1) not in members)
-
-
-@pytest.mark.parametrize("spec", all_types(4), ids=str)
-def test_w2_w3_longest_element_inversions(spec):
-    rs = build_root_system(spec)
-    for par in all_parabolics(rs.rank, proper=False):
-        w0 = longest_element(par, rs)
-        supported = [r for r in rs.positive_roots if _supported(r, par.members)]
-        assert len(w0.letters) == len(supported)
-        assert length(w0, rs) == len(supported)
-        for r in rs.positive_roots:
-            img = act(w0, r, rs)
-            if r in supported:
-                assert not img.is_positive()
-            else:
-                assert img.is_positive()
-
-
-@pytest.mark.parametrize("spec", all_types(3), ids=str)
-def test_w4_coset_rep_cardinality(spec):
-    rs = build_root_system(spec)
-    group = brute_force_group(rs)
-    for par in all_parabolics(rs.rank):
-        reps = enumerate_coset_reps(par, rs, len(rs.positive_roots))
-        wp_order = sum(1 for _, w in group if set(w.letters) <= set(par.members))
-        assert len(reps) * wp_order == len(group)
-
-
-@pytest.mark.parametrize("spec", all_types(3), ids=str)
-def test_w5_outputs_are_reduced(spec):
-    rs = build_root_system(spec)
-    for par in all_parabolics(rs.rank, proper=False):
-        w0 = longest_element(par, rs)
-        assert length(w0, rs) == len(w0.letters)
-    for par in all_parabolics(rs.rank):
-        for w in enumerate_coset_reps(par, rs, len(rs.positive_roots)):
-            assert length(w, rs) == len(w.letters)
 
 
 # the greedy words of the original replay-based search, frozen
@@ -253,7 +204,17 @@ def test_coset_rep_count_exceptional(rank, node, count):
 
 
 def _replay_length(word, rs):
-    return sum(1 for b in rs.positive_roots if not act(word, b, rs).is_positive())
+    """#{beta > 0 : w(beta) < 0}: every positive root, as a list of ints,
+    reflected by s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, letter by
+    letter from the right, with <beta, alpha_i^vee> read from the nonzero
+    entries of Cartan row i."""
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan.entries]
+    roots = [list(b.coeffs) for b in rs.positive_roots]
+    for i in reversed(word.letters):
+        row = rows[i - 1]
+        for b in roots:
+            b[i - 1] -= sum(a * b[j] for j, a in row)
+    return sum(1 for b in roots if min(b) < 0)
 
 
 def _replay_minimal(word, par, rs):
