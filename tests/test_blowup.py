@@ -20,6 +20,7 @@ from schubert_blowup import (
 from schubert_blowup.blowup import Big
 from schubert_blowup.errors import BasisMismatch, CodimOutOfRange
 from schubert_blowup.weyl import ParabolicSubset
+from test_selfcheck import check_test
 
 
 def fv_of(family, rank, members):
@@ -146,6 +147,14 @@ def test_reports_share_read_only_betas():
 def test_classify_big_unknown_when_not_weak_fano():
     fv = fv_of("B", 2, ())
     assert classify(fv, 4).anticanonical_big == Big.UNKNOWN
+
+
+test_b1_cone_duality = check_test("B1 cone duality")
+test_b2_b3_round_trip_and_cone_agreement = check_test(
+    "B2 anticanonical basis round trip", "B3 classifier vs cone test")
+test_b4_scaling_invariance_on_every_blowup = check_test("B4 scaling invariance")
+# exhaustive despite its name: every S_P and c of every type up to rank 6
+test_b5_margin_certificates_random_sample = check_test("B5 margin certificates", per_type=False)
 
 
 @given(

@@ -24,6 +24,7 @@ from schubert_blowup.errors import (
 )
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import all_types
+from test_selfcheck import check_test
 
 
 def fv_of(family, rank, members):
@@ -43,6 +44,9 @@ def test_degenerate_parabolic_rejected():
 
 def test_full_flag_dimension_a2():
     assert dimension(fv_of("A", 2, ())) == 3
+
+
+test_grassmannian_dimension = check_test("F4 Grassmannian dimension", families="A", per_type=False)
 
 
 def test_picard_basis_is_complement():
@@ -111,6 +115,11 @@ def test_anticanonical_weight_b2():
     # from the W_P orbit oracle
     fv = fv_of("B", 2, {1})
     assert anticanonical_weight(fv) == Weight((0, 4))
+
+
+test_f1_anticanonical_weight_in_picard_group = check_test("F1 anticanonical weight in X*(P)")
+test_f2_closed_forms_match_weyl_word = check_test("F2 closed forms vs Weyl word")
+test_f3_beta_word_independence = check_test("F3 beta word-independence")
 
 
 def test_schubert_codim_point_and_curve():

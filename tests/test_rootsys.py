@@ -18,6 +18,7 @@ from schubert_blowup import rootsys
 from schubert_blowup.errors import InadmissibleRank, NotARoot, RankMismatch
 from schubert_blowup.errors import InvariantViolation
 from schubert_blowup.selfcheck import all_types
+from test_selfcheck import check_test
 
 
 # positive root counts, fixed from |R+| = (dim G - rank)/2 per type
@@ -161,6 +162,15 @@ def test_symmetrized_cartan_is_symmetric(spec):
         else:
             assert C[i][j] in (0, -1, -2, -3)
             assert (C[i][j] == 0) == (C[j][i] == 0)
+
+
+test_closure_order_insensitive = check_test("I1 closure order-insensitive", max_rank=8)
+test_reflection_closure_equals_root_string_closure = check_test("I1 closure order-insensitive")
+test_sign_coherence_and_unique_highest = check_test("I2 sign coherence")
+test_i3_rho_pairs_with_highest_coroot = check_test("I3 rho/highest-coroot pairing")
+test_root_as_weight_injective = check_test("I4 root_as_weight injective")
+test_simply_laced_coroot_coefficientwise = check_test(
+    "I5 simply-laced coroot identity", families="ADE")
 
 
 def test_selfcheck_i1_detects_a_missing_root(monkeypatch):

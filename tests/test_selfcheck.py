@@ -1,6 +1,10 @@
-"""Every invariant of selfcheck.CHECKS, one test per (check, type), at
-ranks above the ones that `check` runs it at. A failing case shows the
-check's counterexample."""
+"""Every invariant of selfcheck.CHECKS runs in the tests at a rank above
+the one that `check` runs it at. Each layer's test file turns its own
+checks into tests with `check_test` (I in test_rootsys, W in test_weyl,
+F in test_flag, B in test_blowup, S in test_special); a failing case
+shows the check's counterexample."""
+
+import importlib
 
 import pytest
 
@@ -36,6 +40,30 @@ TEST_RANK = {
 
 CHECK = {label: fn for label, fn, _ in CHECKS}
 
+LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special")
+
+
+def check_test(*labels, max_rank=None, families="ABCDEFG", per_type=True):
+    """A test asserting that each labelled check returns None on every type
+    of `families` up to max_rank (by default the labels' TEST_RANK): one
+    case per type, or, unless per_type, one test over all of them."""
+    rank = max_rank or max(TEST_RANK[label] for label in labels)
+    specs = [spec for spec in all_types(rank) if spec.family in families]
+
+    def run(spec):
+        for label in labels:
+            counterexample = CHECK[label](spec)
+            assert counterexample is None, "%s on %s: %r" % (label, spec, counterexample)
+
+    if per_type:
+        test = pytest.mark.parametrize("spec", specs, ids=str)(run)
+    else:
+        def test():
+            for spec in specs:
+                run(spec)
+    test.check_ranks = {label: rank for label in labels}
+    return test
+
 
 def test_every_check_is_tested_at_least_at_its_check_rank():
     assert list(TEST_RANK) == [label for label, _, _ in CHECKS]
@@ -43,10 +71,10 @@ def test_every_check_is_tested_at_least_at_its_check_rank():
         assert TEST_RANK[label] >= rank, label
 
 
-@pytest.mark.parametrize("label,spec", [
-    pytest.param(label, spec, id="%s-%s" % (label.split()[0], spec))
-    for label in TEST_RANK for spec in all_types(TEST_RANK[label])
-])
-def test_check(label, spec):
-    counterexample = CHECK[label](spec)
-    assert counterexample is None, "%s on %s: %r" % (label, spec, counterexample)
+def test_every_check_runs_in_a_layer_test_at_its_test_rank():
+    tested = {}
+    for name in LAYER_TESTS:
+        for obj in vars(importlib.import_module(name)).values():
+            for label, rank in getattr(obj, "check_ranks", {}).items():
+                tested[label] = max(rank, tested.get(label, 0))
+    assert tested == TEST_RANK

@@ -30,6 +30,7 @@ from schubert_blowup.weyl import (
     reflect_weight,
 )
 from schubert_blowup.selfcheck import all_types
+from test_selfcheck import check_test
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,13 @@ def test_brute_force_group_rank_guard():
     rs = build_root_system(TypeSpec("A", 4))
     with pytest.raises(RankTooLargeForOracle):
         brute_force_group(rs)
+
+
+test_w1_longest_element_squares_to_identity = check_test("W1 longest element squares to id")
+test_w2_w3_longest_element_inversions = check_test(
+    "W2 longest element length", "W3 longest element root permutation")
+test_w4_coset_rep_cardinality = check_test("W4 coset rep counts")
+test_w5_outputs_are_reduced = check_test("W5 reducedness")
 
 
 def _supported(root, members):
