@@ -46,7 +46,7 @@ def test_full_flag_dimension_a2():
     assert dimension(fv_of("A", 2, ())) == 3
 
 
-test_grassmannian_dimension = check_test("F4 Grassmannian dimension", families="A", per_type=False)
+test_grassmannian_dimension = check_test("F4 Grassmannian dimension", per_type=False)
 
 
 def test_picard_basis_is_complement():

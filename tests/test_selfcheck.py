@@ -1,8 +1,9 @@
-"""Every invariant of selfcheck.CHECKS runs in the tests at a rank above
-the one that `check` runs it at. Each layer's test file turns its own
-checks into tests with `check_test` (I in test_rootsys, W in test_weyl,
-F in test_flag, B in test_blowup, S in test_special); a failing case
-shows the check's counterexample."""
+"""Every invariant of selfcheck.CHECKS runs in the tests on every type up
+to its TEST_RANK, which is at least the rank that `check` runs it at. Each
+layer's test file turns its own checks into tests with `check_test` (I in
+test_rootsys, W in test_weyl, F in test_flag, B in test_blowup, S in
+test_special), under the names of the test bodies they replaced; a failing
+case shows the check's counterexample."""
 
 import importlib
 
@@ -43,12 +44,11 @@ CHECK = {label: fn for label, fn, _ in CHECKS}
 LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special")
 
 
-def check_test(*labels, max_rank=None, families="ABCDEFG", per_type=True):
+def check_test(*labels, per_type=True):
     """A test asserting that each labelled check returns None on every type
-    of `families` up to max_rank (by default the labels' TEST_RANK): one
-    case per type, or, unless per_type, one test over all of them."""
-    rank = max_rank or max(TEST_RANK[label] for label in labels)
-    specs = [spec for spec in all_types(rank) if spec.family in families]
+    up to the labels' TEST_RANK: one case per type or, where the test it
+    replaces was a single test, one test over all of them (per_type=False)."""
+    specs = all_types(max(TEST_RANK[label] for label in labels))
 
     def run(spec):
         for label in labels:
@@ -61,7 +61,7 @@ def check_test(*labels, max_rank=None, families="ABCDEFG", per_type=True):
         def test():
             for spec in specs:
                 run(spec)
-    test.check_ranks = {label: rank for label in labels}
+    test.check_labels = labels
     return test
 
 
@@ -71,10 +71,9 @@ def test_every_check_is_tested_at_least_at_its_check_rank():
         assert TEST_RANK[label] >= rank, label
 
 
-def test_every_check_runs_in_a_layer_test_at_its_test_rank():
-    tested = {}
+def test_every_check_runs_in_a_layer_test():
+    tested = set()
     for name in LAYER_TESTS:
         for obj in vars(importlib.import_module(name)).values():
-            for label, rank in getattr(obj, "check_ranks", {}).items():
-                tested[label] = max(rank, tested.get(label, 0))
-    assert tested == TEST_RANK
+            tested.update(getattr(obj, "check_labels", ()))
+    assert tested == set(TEST_RANK)

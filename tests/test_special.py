@@ -93,9 +93,8 @@ def test_kannan_saha_a2_by_hand():
     assert kannan_saha_check(rs, 1)
 
 
-test_s1_grassmannian_two_path = check_test("S1 Grassmannian two-path", families="A", per_type=False)
-test_s2_grassmannian_point_two_path = check_test(
-    "S2 Grassmannian point two-path", families="A", per_type=False)
+test_s1_grassmannian_two_path = check_test("S1 Grassmannian two-path", per_type=False)
+test_s2_grassmannian_point_two_path = check_test("S2 Grassmannian point two-path", per_type=False)
 test_s3_cominuscule_two_path = check_test("S3 cominuscule two-path")
 test_s4_full_flag_two_path = check_test("S4 full-flag two-path")
 test_s5_kannan_saha_all_cominuscule = check_test("S5 Kannan-Saha coroot identity")
