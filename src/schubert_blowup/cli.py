@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: classify, cones, table, check. Exit codes: 0 success,
-1 self-check failure, 2 usage/validation error, 3 a self-check crashed
-(an ERROR line, which takes precedence over FAIL). All numeric output is
-exact integers; --format json emits a machine-readable report.
+1 self-check failure, 2 usage/validation error (one stderr line), 3 a
+self-check crashed (an ERROR line, which takes precedence over FAIL). All
+numeric output is exact integers; --format json emits a machine-readable
+report. The CLI only parses: the library validates what it is given.
 """
 
 import argparse
@@ -12,28 +13,30 @@ import sys
 from . import blowup, flag
 from .conventions import RANK_BOUNDS, RANK_CAP
 from .errors import EngineError
-from .rootsys import TypeSpec, build_root_system
+from .rootsys import TypeSpec, all_types, build_root_system
 from .weyl import ParabolicSubset
 
 
-def _parse_parabolic(text, rank):
-    text = (text or "").strip()
-    if not text:
-        return ParabolicSubset.of(())
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise EngineError, so that main reports them as one
+    line with exit 2; the subparsers inherit this class."""
+
+    def error(self, message):
+        # argparse echoes unrecognized arguments verbatim
+        raise EngineError(" ".join(message.splitlines()))
+
+
+def _parse_parabolic(text):
     try:
-        indices = sorted({int(t) for t in text.split(",") if t.strip()})
+        return ParabolicSubset.of(int(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise EngineError("parabolic list must be comma-separated integers: %r" % text)
-    for i in indices:
-        if not (1 <= i <= rank):
-            raise EngineError("parabolic index %d outside 1..%d" % (i, rank))
-    return ParabolicSubset.of(indices)
+        raise EngineError("parabolic list must be comma-separated integers: %r"
+                          % text.strip())
 
 
 def _flag_variety(args):
     rs = build_root_system(TypeSpec(args.type, args.rank))
-    par = _parse_parabolic(args.parabolic, rs.rank)
-    return flag.FlagVariety(rs, par)
+    return flag.FlagVariety(rs, _parse_parabolic(args.parabolic))
 
 
 def _dump_json(obj):
@@ -130,33 +133,26 @@ def cmd_cones(args):
 
 def _table_rows(families, max_rank, policy):
     rows = []
-    for fam in families:
-        lo, hi = RANK_BOUNDS[fam]
-        for rank in range(lo, min(hi, max_rank) + 1):
-            rs = build_root_system(TypeSpec(fam, rank))
-            if policy == "full-flag":
-                pars = [((), ParabolicSubset.of(()))]
-            else:
-                pars = [
-                    (
-                        (node,),
-                        ParabolicSubset.of(set(range(1, rank + 1)) - {node}),
-                    )
-                    for node in range(1, rank + 1)
-                ]
-            for marked, par in pars:
-                fv = flag.FlagVariety(rs, par)
-                betas = flag.beta_values(fv)
-                basis = flag.picard_basis(fv)
-                bmin = min(betas[a] for a in basis)
-                rows.append({
-                    "type": str(rs.spec),
-                    "crossed_nodes": list(marked) if marked else list(basis),
-                    "dim": flag.dimension(fv),
-                    "betas": {str(a): betas[a] for a in basis},
-                    "fano_max_c": bmin + 1,
-                    "weak_fano_boundary_c": bmin + 2,
-                })
+    for spec in all_types(max_rank, families):
+        rs = build_root_system(spec)
+        nodes = range(1, rs.rank + 1)
+        if policy == "full-flag":
+            pars = [ParabolicSubset.of(())]
+        else:
+            pars = [ParabolicSubset.of(set(nodes) - {node}) for node in nodes]
+        for par in pars:
+            fv = flag.FlagVariety(rs, par)
+            betas = flag.beta_values(fv)
+            basis = flag.picard_basis(fv)
+            bmin = min(betas[a] for a in basis)
+            rows.append({
+                "type": str(spec),
+                "crossed_nodes": list(basis),
+                "dim": flag.dimension(fv),
+                "betas": {str(a): betas[a] for a in basis},
+                "fano_max_c": bmin + 1,
+                "weak_fano_boundary_c": bmin + 2,
+            })
     return rows
 
 
@@ -164,9 +160,6 @@ def cmd_table(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
         raise EngineError("empty family list")
-    for f in families:
-        if f not in RANK_BOUNDS:
-            raise EngineError("unknown family %r" % f)
     if args.max_rank < 1:
         raise EngineError("max rank must be at least 1, got %d" % args.max_rank)
     if args.max_rank > RANK_CAP:
@@ -199,7 +192,7 @@ def cmd_check(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="schubert-blowup",
         description="Fano / weak-Fano classification of blow-ups of flag "
                     "varieties along smooth Schubert varieties",
@@ -207,7 +200,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--type", required=True, choices=list("ABCDEFG"))
+        sp.add_argument("--type", required=True, choices=list(RANK_BOUNDS))
         sp.add_argument("--rank", required=True, type=int)
         sp.add_argument("--parabolic", default="",
                         help="comma-separated S_P node indices (what P contains)")
@@ -225,9 +218,7 @@ def build_parser():
     sp = sub.add_parser("table", help="sweep table of beta values and boundaries")
     sp.add_argument("--families", required=True, help="comma-separated, e.g. A,B,G")
     sp.add_argument("--max-rank", type=int, default=4)
-    pol = sp.add_mutually_exclusive_group()
-    pol.add_argument("--maximal-parabolics", action="store_true", default=True)
-    pol.add_argument("--full-flag", action="store_true")
+    sp.add_argument("--full-flag", action="store_true")
     sp.add_argument("--format", default="text", choices=["text", "json"])
     sp.set_defaults(fn=cmd_table)
 
@@ -238,9 +229,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except EngineError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -27,11 +27,10 @@ so (alpha_i, alpha_i) = 2 * d_i.
 
 from .errors import InadmissibleRank
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
 RANK_CAP = 16
 
-# (min rank, max rank) per family; E is the exceptional list {6,7,8}.
+# (min rank, max rank) per family; E is the exceptional list {6,7,8}. Its
+# keys, in this order, are the one list of families.
 RANK_BOUNDS = {
     "A": (1, RANK_CAP),
     "B": (2, RANK_CAP),
@@ -43,10 +42,14 @@ RANK_BOUNDS = {
 }
 
 
-def check_type(family, rank):
+def rank_bounds(family):
     if family not in RANK_BOUNDS:
         raise InadmissibleRank("unknown family %r" % (family,))
-    lo, hi = RANK_BOUNDS[family]
+    return RANK_BOUNDS[family]
+
+
+def check_type(family, rank):
+    lo, hi = rank_bounds(family)
     if not (isinstance(rank, int) and lo <= rank <= hi):
         raise InadmissibleRank(
             "rank %r not admissible for family %s (allowed %d..%d)"

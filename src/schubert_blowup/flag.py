@@ -7,12 +7,15 @@ where 2 rho_P is the sum of the positive roots of the Levi factor, the
 roots supported on S_P (Humphreys, Reflection Groups and Coxeter Groups,
 1.6-1.8). The reflection closure on the Cartan matrix of S_P gives those
 roots directly, and each FlagVariety caches what follows from them.
+Nothing is re-checked on the way: selfcheck F1 (the -K weight vanishes on
+S_P, i.e. C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the
+Weyl word of w_{0,P}) hold these invariants.
 """
 
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import EngineError, InvariantViolation, NotAPCharacter, NotMinimalRep
+from .errors import EngineError, NotAPCharacter, NotMinimalRep
 from .rootsys import Weight, _positive_roots, rho
 from .value import Value, setfield
 from .weyl import _replay
@@ -46,10 +49,6 @@ class FlagVariety(Value):
         img = tuple(
             1 - sum(cij * k for cij, k in zip(row, two_rho_p)) for row in C
         )
-        # C_P . 2 rho_P = (2, ..., 2), i.e. w_{0,P}(rho) pairs to -1 on S_P
-        if any(img[i - 1] != -1 for i in members):
-            raise InvariantViolation("Levi roots of %s on S_P %r do not sum to 2 rho_P"
-                                     % (rs.spec, members))
         betas = BetaVector(
             MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
         )

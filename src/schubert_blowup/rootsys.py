@@ -6,10 +6,10 @@ are deliberately kept distinct: simple roots (Root), simple coroots
 numbering, Cartan matrix orientation) are fixed in conventions.py.
 
 The positive roots are the closure of the simple roots under the
-height-raising simple reflections (_positive_roots), checked on every
-build against sum R^+ = 2 rho. The root-string closure (_closure) is an
-independent second derivation that selfcheck I1 and the tests compare
-with it.
+height-raising simple reflections (_positive_roots). The build re-checks
+nothing: the root-string closure (_closure) is an independent second
+derivation that selfcheck I1 compares with it, and selfcheck I2 holds the
+unique highest root.
 """
 
 from . import conventions
@@ -27,6 +27,17 @@ class TypeSpec(Value):
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)
+
+
+def all_types(max_rank, families=conventions.RANK_BOUNDS):
+    """Every TypeSpec of rank at most max_rank, family by family in the
+    order of `families`, each by ascending rank."""
+    out = []
+    for fam in families:
+        lo, hi = conventions.rank_bounds(fam)
+        for r in range(lo, min(hi, max_rank) + 1):
+            out.append(TypeSpec(fam, r))
+    return out
 
 
 class Root(Value):
@@ -223,19 +234,12 @@ def build_root_system(spec):
 
     Not memoised, so that the cost of a query does not depend on which
     types earlier queries in the same process built. The roots come from
-    one reflection closure; the identity sum R^+ = 2 rho (all twos in
-    weight coordinates) and a unique highest root are checked on every
-    build.
+    one reflection closure, sorted by height, so the last is the highest
+    root; nothing is re-checked here (selfcheck I1 and I2 hold the closure
+    and the unique highest root, and the tests sum R^+ = 2 rho).
     """
     cartan = conventions.cartan_entries(spec.family, spec.rank)
     roots = sorted(_positive_roots(cartan), key=lambda t: (sum(t), t))
-
-    total = [sum(col) for col in zip(*roots)]
-    if any(sum(c * k for c, k in zip(row, total)) != 2 for row in cartan):
-        raise InvariantViolation("positive roots of %s do not sum to 2 rho" % spec)
-    if len(roots) > 1 and sum(roots[-2]) == sum(roots[-1]):
-        raise InvariantViolation("highest root of %s not unique" % spec)
-
     positive = tuple(Root(t) for t in roots)
 
     return RootSystem(

@@ -5,26 +5,17 @@ counterexample as a short tuple such as (sorted S_P, c). CHECKS pairs each
 with the rank up to which `check` runs it; run_all evaluates them in a
 fixed order so the report is deterministic, and reports a check that
 crashes apart from one that fails. The pytest suite runs these same checks
-per type, at larger ranks.
+per type, at larger ranks. They are the one place the internal invariants
+are verified: rootsys and flag re-check none of them at run time.
 """
 
 import itertools
 import random
 
 from . import blowup, conventions, flag, rootsys, special, weyl
-from .conventions import RANK_BOUNDS
 from .errors import EngineError
-from .rootsys import TypeSpec, build_root_system, coroot_of, height, pairing, rho
+from .rootsys import all_types, build_root_system, coroot_of, height, pairing, rho
 from .weyl import ParabolicSubset, WeylWord, act, length, longest_element
-
-
-def all_types(max_rank):
-    out = []
-    for fam in "ABCDEFG":
-        lo, hi = RANK_BOUNDS[fam]
-        for r in range(lo, min(hi, max_rank) + 1):
-            out.append(TypeSpec(fam, r))
-    return out
 
 
 def all_parabolics(rank, proper=True):

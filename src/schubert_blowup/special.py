@@ -13,6 +13,16 @@ from .rootsys import coroot_of
 from .weyl import act, longest_element, ParabolicSubset
 
 
+def _verdict(c, boundary):
+    """The ladder every law here shares: Fano below the weak-Fano boundary,
+    weak-Fano but not Fano at it, not weak-Fano above it."""
+    if c < boundary:
+        return Verdict.FANO
+    if c == boundary:
+        return Verdict.WEAK_FANO_NOT_FANO
+    return Verdict.NOT_WEAK_FANO
+
+
 def grassmannian_classify(r, n, c):
     """Fano law for Bl_Z Gr(r, n), Z a smooth Schubert variety of codim c:
     Fano iff c <= n, weak-Fano boundary exactly at c = n + 1."""
@@ -20,11 +30,7 @@ def grassmannian_classify(r, n, c):
         raise OutOfRange("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
     if not (2 <= c <= r * (n - r)):
         raise OutOfRange("codimension %d outside 2..%d" % (c, r * (n - r)))
-    if c <= n:
-        return Verdict.FANO
-    if c == n + 1:
-        return Verdict.WEAK_FANO_NOT_FANO
-    return Verdict.NOT_WEAK_FANO
+    return _verdict(c, n + 1)
 
 
 def grassmannian_point_classify(r, n):
@@ -35,11 +41,7 @@ def grassmannian_point_classify(r, n):
     c = r * (n - r)
     if c < 2:
         raise OutOfRange("point blow-up needs codimension >= 2, got %d" % c)
-    if n + 1 > c:
-        return Verdict.FANO
-    if n + 1 == c:
-        return Verdict.WEAK_FANO_NOT_FANO
-    return Verdict.NOT_WEAK_FANO
+    return _verdict(c, n + 1)
 
 
 def cominuscule_nodes(rs):
@@ -74,12 +76,7 @@ def cominuscule_classify(rs, node, c):
     dim = _dim_maximal(rs, node)
     if not (2 <= c <= dim):
         raise OutOfRange("codimension %d outside 2..%d" % (c, dim))
-    h = dual_height(rs)
-    if c < h + 2:
-        return Verdict.FANO
-    if c == h + 2:
-        return Verdict.WEAK_FANO_NOT_FANO
-    return Verdict.NOT_WEAK_FANO
+    return _verdict(c, dual_height(rs) + 2)
 
 
 def full_flag_classify(rs, c):
@@ -88,11 +85,7 @@ def full_flag_classify(rs, c):
         raise OutOfRange(
             "codimension %d outside 2..%d" % (c, len(rs.positive_roots))
         )
-    if c < 3:
-        return Verdict.FANO
-    if c == 3:
-        return Verdict.WEAK_FANO_NOT_FANO
-    return Verdict.NOT_WEAK_FANO
+    return _verdict(c, 3)
 
 
 def kannan_saha_check(rs, node):

@@ -10,17 +10,13 @@ from schubert_blowup import (
     FlagVariety,
     TypeSpec,
     Verdict,
-    act,
     beta_values,
     build_root_system,
     classify,
     cli,
     dimension,
-    enumerate_coset_reps,
-    length,
     longest_element,
     picard_basis,
-    rho,
     selfcheck,
 )
 from schubert_blowup.special import (
@@ -29,7 +25,7 @@ from schubert_blowup.special import (
     grassmannian_classify,
     grassmannian_point_classify,
 )
-from schubert_blowup.weyl import ParabolicSubset, WeylWord, brute_force_group
+from schubert_blowup.weyl import ParabolicSubset, brute_force_group
 from schubert_blowup.selfcheck import all_parabolics, all_types
 
 
@@ -56,20 +52,19 @@ def test_criterion_1_grassmannian_beta_law():
 
 def test_criterion_2_grassmannian_fano_boundary():
     t0 = time.perf_counter()
-    ok = True
+    # the engine's verdicts equal grassmannian_classify's (S1), whose law
+    # is checked here, for every Gr(r, n) with n <= 9
+    ok = all(selfcheck.check_S1_grassmannian_two_path(spec) is None
+             for spec in all_types(8, "A"))
     for n in range(2, 10):
         for r in range(1, n):
-            fv = grassmannian(r, n)
-            for c in range(2, dimension(fv) + 1):
-                closed = grassmannian_classify(r, n, c)
-                engine = classify(fv, c).verdict
-                ok = ok and closed == engine
+            for c in range(2, r * (n - r) + 1):
                 expected = (
                     Verdict.FANO if c <= n
                     else Verdict.WEAK_FANO_NOT_FANO if c == n + 1
                     else Verdict.NOT_WEAK_FANO
                 )
-                ok = ok and closed == expected
+                ok = ok and grassmannian_classify(r, n, c) == expected
     elapsed = time.perf_counter() - t0
     report(2, "Grassmannian Fano boundary two-path", ok and elapsed < 10.0)
 
@@ -137,28 +132,23 @@ def test_criterion_7_weyl_oracle_equivalence():
     ok = True
     for fam, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                       ("C", 3), ("G", 2)]:
-        rs = build_root_system(TypeSpec(fam, rank))
+        spec = TypeSpec(fam, rank)
+        # W1 (w_{0,P} squares to id), W2 (its length is the number of Levi
+        # roots) and W4 (|W^P| |W_P| = |W| against the oracle)
+        ok = ok and all(check(spec) is None for check in (
+            selfcheck.check_W1_longest_element_involution,
+            selfcheck.check_W2_longest_element_length,
+            selfcheck.check_W4_coset_rep_count,
+        ))
+        rs = build_root_system(spec)
         group = brute_force_group(rs)
         for par in all_parabolics(rs.rank, proper=False):
-            members = set(par.members)
-            w0 = longest_element(par, rs)
-            supported = sum(
-                1 for r in rs.positive_roots
-                if all(k == 0 for j, k in enumerate(r.coeffs) if (j + 1) not in members)
-            )
-            ok = ok and len(w0.letters) == supported == length(w0, rs)
             # oracle: longest word among elements of W_P
             longest_in_oracle = max(
-                (len(w.letters) for _, w in group if set(w.letters) <= members),
+                (len(w.letters) for _, w in group if set(w.letters) <= par.members),
                 default=0,
             )
-            ok = ok and longest_in_oracle == supported
-            square = WeylWord(w0.letters + w0.letters)
-            ok = ok and act(square, rho(rs), rs) == rho(rs)
-            if members != set(range(1, rs.rank + 1)):
-                reps = enumerate_coset_reps(par, rs, len(rs.positive_roots))
-                wp = sum(1 for _, w in group if set(w.letters) <= members)
-                ok = ok and len(reps) * wp == len(group)
+            ok = ok and longest_in_oracle == len(longest_element(par, rs).letters)
     elapsed = time.perf_counter() - t0
     report(7, "Weyl oracle equivalence", ok and elapsed < 10.0)
 

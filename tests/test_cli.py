@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schubert_blowup
 from schubert_blowup import cli, selfcheck
+from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
+from schubert_blowup.selfcheck import all_types
 
 
 def run(argv):
@@ -206,6 +209,79 @@ def test_table_below_rank_one_exits_2(capsys, max_rank):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: max rank must be at least 1, got %s\n" % max_rank
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "--type", "H", "--rank", "2", "--codim", "2"], id="invalid-choice"),
+    pytest.param(["classify", "--type", "A", "--rank", "two", "--codim", "2"], id="invalid-int"),
+    pytest.param(["cones", "--type", "A", "--rank", "2"], id="missing-required"),
+    pytest.param(["frobnicate"], id="unknown-command"),
+    pytest.param([], id="no-command"),
+    pytest.param(["table", "--families", "A", "--maximal-parabolics"], id="removed-option"),
+    pytest.param(["check", "one\ntwo"], id="unrecognized-multiline"),
+    pytest.param(["table", "--families", "A,H"], id="unknown-family"),
+    pytest.param(["cones", "--type", "A", "--rank", "2", "--parabolic", "7", "--codim", "2"],
+                 id="library-validation"),
+])
+def test_bad_argv_exits_2_with_one_error_line(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def _no_float(token):
+    raise AssertionError("JSON number %s is not an integer" % token)
+
+
+_JUNK = st.sampled_from(["x", "", "2.5", "-1", "99", "H", "1,x", "one\ntwo"])
+
+
+@st.composite
+def _argv(draw):
+    """A random argv of classify, cones or table: all valid, or with one
+    option dropped or given a junk value, or with a junk argument added."""
+    command = draw(st.sampled_from(["classify", "cones", "table"]))
+    options = {"--format": draw(st.sampled_from(["text", "json"]))}
+    if command == "table":
+        families = st.lists(st.sampled_from(list(RANK_BOUNDS)), min_size=1, max_size=3)
+        options["--families"] = ",".join(draw(families))
+        options["--max-rank"] = str(draw(st.integers(1, RANK_CAP)))
+        if draw(st.booleans()):
+            options["--full-flag"] = None
+    else:
+        spec = draw(st.sampled_from(all_types(RANK_CAP)))
+        nodes = draw(st.lists(st.integers(1, spec.rank), max_size=spec.rank))
+        options.update({"--type": spec.family, "--rank": str(spec.rank),
+                        "--parabolic": ",".join(map(str, nodes)),
+                        "--codim": str(draw(st.integers(2, 30)))})
+    names = draw(st.permutations(sorted(options)))
+    fault = draw(st.sampled_from([None, "drop", "value", "extra"]))
+    victim = draw(st.sampled_from(names))
+    if fault == "drop":
+        names.remove(victim)
+    elif fault == "value":
+        options[victim] = draw(_JUNK)
+    argv = [command]
+    for name in names:
+        argv += [name] if options[name] is None else [name, options[name]]
+    return argv + [draw(_JUNK)] if fault == "extra" else argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_cli_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert err == ""
+        if "json" in argv:
+            json.loads(out, parse_float=_no_float, parse_constant=_no_float)
 
 
 # the Cartan corruption of test_check_detects_corruption, for a subprocess

@@ -16,14 +16,13 @@ from schubert_blowup import (
 )
 from schubert_blowup import flag
 from schubert_blowup.conventions import RANK_CAP
-from schubert_blowup.errors import (
-    EngineError,
-    InvariantViolation,
-    NotAPCharacter,
-    NotMinimalRep,
-)
+from schubert_blowup.errors import EngineError, NotAPCharacter, NotMinimalRep
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
-from schubert_blowup.selfcheck import all_types
+from schubert_blowup.selfcheck import (
+    all_types,
+    check_F1_anticanonical_in_picard,
+    check_F2_closed_form_vs_weyl_word,
+)
 from test_selfcheck import check_test
 
 
@@ -168,7 +167,8 @@ def test_levi_closure_matches_support_filter(spec):
 
 
 def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):
-    # negative control: a Levi closure that drops a root breaks C_P 2rho_P = 2
+    # negative control: a Levi closure that drops a root breaks
+    # C_P 2 rho_P = (2, ..., 2), which F1 and F2 both catch
     real = flag._positive_roots
 
     def dropped(cartan):
@@ -176,5 +176,6 @@ def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):
         return roots - {max(roots, key=sum)} if len(roots) > 1 else roots
 
     monkeypatch.setattr(flag, "_positive_roots", dropped)
-    with pytest.raises(InvariantViolation):
-        dimension(fv_of("A", 4, {1, 2, 3}))
+    spec = TypeSpec("A", 4)
+    assert check_F1_anticanonical_in_picard(spec) == ([1, 2], (1, 1, 3, 2))
+    assert check_F2_closed_form_vs_weyl_word(spec) == ([1, 2],)

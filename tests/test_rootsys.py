@@ -15,9 +15,14 @@ from schubert_blowup import (
     root_as_weight,
 )
 from schubert_blowup import rootsys
+from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import InadmissibleRank, NotARoot, RankMismatch
 from schubert_blowup.errors import InvariantViolation
-from schubert_blowup.selfcheck import all_types, check_I1_closure_order_insensitive
+from schubert_blowup.selfcheck import (
+    all_types,
+    check_I1_closure_order_insensitive,
+    check_I2_sign_coherence,
+)
 from test_selfcheck import check_test
 
 
@@ -139,7 +144,7 @@ def test_rho_is_all_ones():
     assert rho(build_root_system(TypeSpec("A", 3))) == Weight((1, 1, 1))
 
 
-@pytest.mark.parametrize("spec", all_types(6), ids=str)
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_rho_is_half_sum_of_positive_roots(spec):
     rs = build_root_system(spec)
     total = [0] * rs.rank
@@ -185,12 +190,11 @@ def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
     assert check_I1_closure_order_insensitive(TypeSpec("A", 3)) == ((0, 1, 2), (1, 1, 1))
 
 
-def test_build_checks_two_rho(monkeypatch):
+def test_selfcheck_i2_detects_a_second_highest_root(monkeypatch):
     real = rootsys._positive_roots
-    monkeypatch.setattr(rootsys, "_positive_roots",
-                        lambda cartan: real(cartan) - {(1,) * len(cartan)})
-    with pytest.raises(InvariantViolation):
-        build_root_system(TypeSpec("A", 3))
+    monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: real(cartan) | {(2, 3)})
+    # (2, 3) has the height of G2's highest root 3 alpha_1 + 2 alpha_2
+    assert check_I2_sign_coherence(TypeSpec("G", 2)) == ((2, 3), (3, 2))
 
 
 def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):

@@ -14,7 +14,7 @@ from schubert_blowup.selfcheck import CHECKS, all_types
 
 TEST_RANK = {
     "I1 closure order-insensitive": RANK_CAP,
-    "I2 sign coherence": 8,
+    "I2 sign coherence": RANK_CAP,
     "I3 rho/highest-coroot pairing": RANK_CAP,
     "I4 root_as_weight injective": 8,
     "I5 simply-laced coroot identity": 8,
