@@ -20,7 +20,6 @@ from .weyl import (
     act,
     length,
     longest_element,
-    is_minimal_coset_rep,
     enumerate_coset_reps,
 )
 from .flag import (
@@ -29,7 +28,6 @@ from .flag import (
     SchubertDatum,
     dimension,
     picard_basis,
-    weight_to_divisor,
     beta_values,
     anticanonical_weight,
     schubert_codim,

@@ -28,11 +28,6 @@ class Verdict(str, Enum):
     NOT_WEAK_FANO = "NOT_WEAK_FANO"
 
 
-class Big(str, Enum):
-    TRUE = "true"
-    UNKNOWN = "unknown"
-
-
 class DivisorClass(Value):
     __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff")
 
@@ -59,20 +54,20 @@ class CurveClass(Value):
 
 
 class FanoReport(Value):
-    __slots__ = ("betas", "codim", "margins", "verdict", "anticanonical_big")
+    __slots__ = ("betas", "margins", "verdict")
 
-    def __init__(self, betas, codim, margins, verdict, anticanonical_big):
+    def __init__(self, betas, margins, verdict):
         setfield(self, "betas", betas)
-        setfield(self, "codim", codim)
         setfield(self, "margins", margins)  # alpha -> beta_alpha - c + 2
         setfield(self, "verdict", verdict)
-        setfield(self, "anticanonical_big", anticanonical_big)
 
 
 def _check_codim(fv, c):
     d = dimension(fv)
     if not (2 <= c <= d):
-        raise CodimOutOfRange("codimension %d outside 2..%d" % (c, d))
+        raise CodimOutOfRange(
+            "codimension %d outside 2..%d" % (c, d) if d >= 2
+            else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
 def nef_generators(fv, c):
@@ -155,6 +150,5 @@ def classify(fv, c):
         verdict = Verdict.WEAK_FANO_NOT_FANO
     else:
         verdict = Verdict.NOT_WEAK_FANO
-    big = Big.TRUE if least >= 0 else Big.UNKNOWN
     # positional: keyword arguments cost about a microsecond more per call
-    return FanoReport(betas, c, margins, verdict, big)
+    return FanoReport(betas, margins, verdict)

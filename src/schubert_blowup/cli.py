@@ -69,7 +69,9 @@ def _classify_payload(fv, c):
             },
         },
         "facts": {"gg_equals_nef": True, "h_minus_e_big": True},
-        "anticanonical_big": rep.anticanonical_big.value,
+        # -K is big whenever it is nef; beyond that, bigness is not decided
+        "anticanonical_big": (
+            "unknown" if rep.verdict == blowup.Verdict.NOT_WEAK_FANO else "true"),
     }
 
 

@@ -25,10 +25,6 @@ class RankTooLargeForOracle(EngineError):
     pass
 
 
-class NotAPCharacter(EngineError):
-    pass
-
-
 class NotMinimalRep(EngineError):
     pass
 

@@ -15,7 +15,7 @@ Weyl word of w_{0,P}) hold these invariants.
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import EngineError, NotAPCharacter, NotMinimalRep
+from .errors import EngineError, NotMinimalRep
 from .rootsys import Weight, _positive_roots, rho
 from .value import Value, setfield
 from .weyl import _replay
@@ -39,7 +39,7 @@ class FlagVariety(Value):
     def _invariants(self):
         """(dim G/P, BetaVector, -K weight), from the Levi's positive roots."""
         rs = self.rs
-        C = rs.cartan.entries
+        C = rs.cartan
         members = sorted(self.par.members)
         levi = _positive_roots([[C[i - 1][j - 1] for j in members] for i in members])
         two_rho_p = [0] * rs.rank
@@ -72,10 +72,9 @@ class BetaVector(Value):
 
 
 class SchubertDatum(Value):
-    __slots__ = ("word", "dim", "codim")
+    __slots__ = ("dim", "codim")
 
-    def __init__(self, word, dim, codim):
-        setfield(self, "word", word)
+    def __init__(self, dim, codim):
         setfield(self, "dim", dim)
         setfield(self, "codim", codim)
 
@@ -88,17 +87,6 @@ def dimension(fv):
 def picard_basis(fv):
     """Ascending indices of S \\ S_P; these label D_alpha and C_alpha."""
     return fv.par.complement(fv.rs.rank)
-
-
-def weight_to_divisor(fv, lam):
-    """Coefficients over {D_alpha} of the line bundle of lam in X^*(P)."""
-    for i in sorted(fv.par.members):
-        if lam.coeffs[i - 1] != 0:
-            raise NotAPCharacter(
-                "weight has nonzero pairing %d with alpha_%d^vee in S_P"
-                % (lam.coeffs[i - 1], i)
-            )
-    return tuple(lam.coeffs[a - 1] for a in picard_basis(fv))
 
 
 def beta_values(fv):
@@ -117,4 +105,4 @@ def schubert_codim(fv, word):
     if not all(v[i - 1] > 0 for i in fv.par.members):
         raise NotMinimalRep("word %r is not a minimal coset representative"
                             % (word.letters,))
-    return SchubertDatum(word, d, dimension(fv) - d)
+    return SchubertDatum(d, dimension(fv) - d)

@@ -13,7 +13,7 @@ unique highest root.
 """
 
 from . import conventions
-from .errors import InvariantViolation, NotARoot, RankMismatch
+from .errors import EngineError, InvariantViolation, NotARoot, RankMismatch
 from .value import Value, setfield
 
 
@@ -31,10 +31,14 @@ class TypeSpec(Value):
 
 def all_types(max_rank, families=conventions.RANK_BOUNDS):
     """Every TypeSpec of rank at most max_rank, family by family in the
-    order of `families`, each by ascending rank."""
-    out = []
+    order of `families`, each by ascending rank; a family given twice is
+    an error."""
+    out, seen = [], set()
     for fam in families:
         lo, hi = conventions.rank_bounds(fam)
+        if fam in seen:
+            raise EngineError("family %r given more than once" % (fam,))
+        seen.add(fam)
         for r in range(lo, min(hi, max_rank) + 1):
             out.append(TypeSpec(fam, r))
     return out
@@ -97,25 +101,12 @@ class Weight(Value):
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-class CartanMatrix(Value):
-    """C[i][j] = <alpha_j, alpha_i^vee>; diag(symmetrizer) @ C symmetric."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        setfield(self, "entries", entries)
-
-    @property
-    def rank(self):
-        return len(self.entries)
-
-
 class RootSystem(Value):
     __slots__ = ("spec", "cartan", "positive_roots", "highest_root", "symmetrizers")
 
     def __init__(self, spec, cartan, positive_roots, highest_root, symmetrizers):
         setfield(self, "spec", spec)
-        setfield(self, "cartan", cartan)
+        setfield(self, "cartan", cartan)  # rows: C[i][j] = <alpha_j, alpha_i^vee>
         setfield(self, "positive_roots", positive_roots)
         setfield(self, "highest_root", highest_root)
         setfield(self, "symmetrizers", symmetrizers)
@@ -244,7 +235,7 @@ def build_root_system(spec):
 
     return RootSystem(
         spec=spec,
-        cartan=CartanMatrix(cartan),
+        cartan=cartan,
         positive_roots=positive,
         highest_root=positive[-1],
         symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
@@ -267,7 +258,7 @@ def coroot_of(r, rs):
     if not rs.contains(r):
         raise NotARoot("%r is not a root of %s" % (r.coeffs, rs.spec))
     d = rs.symmetrizers
-    C = rs.cartan.entries
+    C = rs.cartan
     k = r.coeffs
     norm = sum(
         k[i] * k[j] * d[i] * C[i][j] for i in range(rs.rank) for j in range(rs.rank)
@@ -287,7 +278,7 @@ def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
     if r.rank != rs.rank:
         raise RankMismatch("root rank %d vs system rank %d" % (r.rank, rs.rank))
-    C = rs.cartan.entries
+    C = rs.cartan
     return Weight(
         tuple(sum(C[i][j] * r.coeffs[j] for j in range(rs.rank)) for i in range(rs.rank))
     )

@@ -323,19 +323,6 @@ def check_S1_grassmannian_two_path(spec):
     return None
 
 
-def check_S2_grassmannian_point_two_path(spec):
-    if spec.family != "A":
-        return None
-    rs = build_root_system(spec)
-    n = rs.rank + 1
-    for r in range(1, n):
-        c = r * (n - r)
-        if c >= 2 and (special.grassmannian_point_classify(r, n)
-                       != blowup.classify(_maximal(rs, r), c).verdict):
-            return r, n
-    return None
-
-
 def check_S3_cominuscule_two_path(spec):
     rs = build_root_system(spec)
     for node in sorted(special.cominuscule_nodes(rs)):
@@ -386,7 +373,6 @@ CHECKS = [
     ("B4 scaling invariance", check_B4_scaling_preserves_verdicts, 3),
     ("B5 margin certificates", check_B5_margin_certificates, 4),
     ("S1 Grassmannian two-path", check_S1_grassmannian_two_path, 6),
-    ("S2 Grassmannian point two-path", check_S2_grassmannian_point_two_path, 6),
     ("S3 cominuscule two-path", check_S3_cominuscule_two_path, 5),
     ("S4 full-flag two-path", check_S4_full_flag_two_path, 3),
     ("S5 Kannan-Saha coroot identity", check_S5_kannan_saha, 5),

@@ -25,22 +25,15 @@ def _verdict(c, boundary):
 
 def grassmannian_classify(r, n, c):
     """Fano law for Bl_Z Gr(r, n), Z a smooth Schubert variety of codim c:
-    Fano iff c <= n, weak-Fano boundary exactly at c = n + 1."""
+    Fano iff c <= n, weak-Fano boundary exactly at c = n + 1.
+
+    A point center has c = r(n-r): the blow-up is Fano exactly for the
+    projective spaces and Gr(2,4), and weak-Fano-not-Fano exactly for
+    Gr(2,5) and Gr(3,5), which are the same variety."""
     if not (1 <= r <= n - 1):
         raise OutOfRange("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
     if not (2 <= c <= r * (n - r)):
         raise OutOfRange("codimension %d outside 2..%d" % (c, r * (n - r)))
-    return _verdict(c, n + 1)
-
-
-def grassmannian_point_classify(r, n):
-    """Point-center case c = r(n-r): Fano exactly for projective spaces
-    and Gr(2,4); weak-Fano-not-Fano exactly for Gr(2,5)."""
-    if not (1 <= r <= n - 1):
-        raise OutOfRange("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
-    c = r * (n - r)
-    if c < 2:
-        raise OutOfRange("point blow-up needs codimension >= 2, got %d" % c)
     return _verdict(c, n + 1)
 
 

@@ -3,8 +3,9 @@
 Words are sequences of 1-based simple-reflection indices applied right to
 left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))).
 longest_element and enumerate_coset_reps walk weight orbits one reflection
-at a time instead of replaying words. length and is_minimal_coset_rep read
-one replay of the word on rho, whose signed count of steps is the length.
+at a time instead of replaying words. length reads one replay of the word
+on rho, whose signed count of steps is the length; flag.schubert_codim
+reads W^P membership from the same replay.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. A brute-force group
 enumeration (rank <= 3) serves as an independent testing oracle.
@@ -52,7 +53,7 @@ def _check_index(i, rank):
 def reflect_weight(i, w, rs):
     """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i."""
     _check_index(i, rs.rank)
-    C = rs.cartan.entries
+    C = rs.cartan
     c = w.coeffs[i - 1]
     return Weight(
         tuple(w.coeffs[j] - c * C[j][i - 1] for j in range(rs.rank))
@@ -62,7 +63,7 @@ def reflect_weight(i, w, rs):
 def reflect_root(i, r, rs):
     """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
     _check_index(i, rs.rank)
-    C = rs.cartan.entries
+    C = rs.cartan
     p = sum(map(mul, C[i - 1], r.coeffs))
     coeffs = list(r.coeffs)
     coeffs[i - 1] -= p
@@ -72,7 +73,7 @@ def reflect_root(i, r, rs):
 def reflect_coroot(i, c, rs):
     """Dual action: s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
     _check_index(i, rs.rank)
-    C = rs.cartan.entries
+    C = rs.cartan
     p = sum(C[j][i - 1] * c.coeffs[j] for j in range(rs.rank))
     coeffs = list(c.coeffs)
     coeffs[i - 1] -= p
@@ -98,7 +99,7 @@ def _replay(word, rs):
     and subtracts 1 otherwise; v_i is never 0 (Humphreys, Reflection Groups
     and Coxeter Groups, 1.6-1.7), so l is exact on non-reduced words too.
     """
-    C = rs.cartan.entries
+    C = rs.cartan
     v = [1] * len(C)
     l = 0
     cols = {}  # built per letter on first use: short words need few columns
@@ -139,15 +140,6 @@ def longest_element(par, rs):
             return WeylWord(tuple(letters))
 
 
-def is_minimal_coset_rep(word, par, rs):
-    """True iff w(alpha_i) > 0, i.e. v_i > 0 for v = w^{-1}(rho) (see
-    _replay), for every i in S_P (w in W^P)."""
-    for i in par.members:
-        _check_index(i, rs.rank)
-    v = _replay(word, rs)[0]
-    return all(v[i - 1] > 0 for i in par.members)
-
-
 def enumerate_coset_reps(par, rs, max_length):
     """All minimal coset representatives of W/W_P up to the length bound.
 
@@ -160,7 +152,7 @@ def enumerate_coset_reps(par, rs, max_length):
     compared from the last letter; output sorted by (length, lexicographic
     word).
     """
-    cols = [_cartan_column(rs.cartan.entries, i) for i in range(rs.rank)]
+    cols = [_cartan_column(rs.cartan, i) for i in range(rs.rank)]
     start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
     words = {start: ()}  # orbit point -> the first word that reached it
     level = [start]
@@ -205,7 +197,7 @@ def brute_force_group(rs):
         )
 
     n = rs.rank
-    C = rs.cartan.entries
+    C = rs.cartan
     # s_i on weight coordinates: column vectors of the matrix
     gens = {}
     for i in range(1, n + 1):

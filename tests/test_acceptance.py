@@ -23,7 +23,6 @@ from schubert_blowup.special import (
     cominuscule_nodes,
     full_flag_classify,
     grassmannian_classify,
-    grassmannian_point_classify,
 )
 from schubert_blowup.weyl import ParabolicSubset, brute_force_group
 from schubert_blowup.selfcheck import all_parabolics, all_types
@@ -75,7 +74,7 @@ def test_criterion_3_point_center_census():
         for r in range(1, n):
             if r * (n - r) < 2:
                 continue
-            v = grassmannian_point_classify(r, n)
+            v = grassmannian_classify(r, n, r * (n - r))
             engine = classify(grassmannian(r, n), r * (n - r)).verdict
             assert v == engine
             if v == Verdict.FANO:
@@ -156,6 +155,10 @@ def test_criterion_7_weyl_oracle_equivalence():
 def test_criterion_8_margin_certificates():
     ok = all(selfcheck.check_B5_margin_certificates(spec) is None for spec in all_types(6))
     report(8, "anticanonical margin certificates (every S_P and c to rank 6)", ok)
+
+
+# the one test of B5 at its TEST_RANK (6)
+test_criterion_8_margin_certificates.check_labels = ("B5 margin certificates",)
 
 
 def _capture(argv):

@@ -35,6 +35,14 @@ def test_classify_gr25_point():
     assert "WEAK_FANO_NOT_FANO" in out
 
 
+@pytest.mark.parametrize("codim, big", [("3", "true"), ("4", "unknown")])
+def test_classify_big_follows_the_verdict(codim, big):
+    # B2/B: weak-Fano-not-Fano at c = 3, not weak-Fano at c = 4
+    argv = ["classify", "--type", "B", "--rank", "2", "--codim", codim]
+    assert "\n-K big      : %s\n" % big in run(argv)[1]
+    assert '\n  "anticanonical_big": "%s",\n' % big in run(argv + ["--format", "json"])[1]
+
+
 def test_classify_codim_out_of_range_exits_2():
     code, _ = run(["classify", "--type", "A", "--rank", "2",
                    "--parabolic", "", "--codim", "5"])
@@ -138,11 +146,10 @@ PASS B3 classifier vs cone test
 PASS B4 scaling invariance
 PASS B5 margin certificates
 PASS S1 Grassmannian two-path
-PASS S2 Grassmannian point two-path
 PASS S3 cominuscule two-path
 PASS S4 full-flag two-path
 PASS S5 Kannan-Saha coroot identity
-24/24 checks passed
+23/23 checks passed
 """
 
 
@@ -211,23 +218,29 @@ def test_table_below_rank_one_exits_2(capsys, max_rank):
     assert capsys.readouterr().err == "error: max rank must be at least 1, got %s\n" % max_rank
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["classify", "--type", "H", "--rank", "2", "--codim", "2"], id="invalid-choice"),
-    pytest.param(["classify", "--type", "A", "--rank", "two", "--codim", "2"], id="invalid-int"),
-    pytest.param(["cones", "--type", "A", "--rank", "2"], id="missing-required"),
-    pytest.param(["frobnicate"], id="unknown-command"),
-    pytest.param([], id="no-command"),
-    pytest.param(["table", "--families", "A", "--maximal-parabolics"], id="removed-option"),
-    pytest.param(["check", "one\ntwo"], id="unrecognized-multiline"),
-    pytest.param(["table", "--families", "A,H"], id="unknown-family"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["classify", "--type", "H", "--rank", "2", "--codim", "2"], None, id="invalid-choice"),
+    pytest.param(["classify", "--type", "A", "--rank", "two", "--codim", "2"], None, id="invalid-int"),
+    pytest.param(["cones", "--type", "A", "--rank", "2"], None, id="missing-required"),
+    pytest.param(["frobnicate"], None, id="unknown-command"),
+    pytest.param([], None, id="no-command"),
+    pytest.param(["table", "--families", "A", "--maximal-parabolics"], None, id="removed-option"),
+    pytest.param(["check", "one\ntwo"], None, id="unrecognized-multiline"),
+    pytest.param(["table", "--families", "A,H"], None, id="unknown-family"),
     pytest.param(["cones", "--type", "A", "--rank", "2", "--parabolic", "7", "--codim", "2"],
-                 id="library-validation"),
+                 None, id="library-validation"),
+    pytest.param(["classify", "--type", "A", "--rank", "1", "--codim", "2"],
+                 "G/P has dimension 1, so it has no center of codimension >= 2",
+                 id="no-center"),
+    pytest.param(["table", "--families", "A,A"], "family 'A' given more than once",
+                 id="repeated-family"),
 ])
-def test_bad_argv_exits_2_with_one_error_line(capsys, argv):
+def test_bad_argv_exits_2_with_one_error_line(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert message is None or err == "error: %s\n" % message
 
 
 def _no_float(token):
@@ -244,7 +257,9 @@ def _argv(draw):
     command = draw(st.sampled_from(["classify", "cones", "table"]))
     options = {"--format": draw(st.sampled_from(["text", "json"]))}
     if command == "table":
-        families = st.lists(st.sampled_from(list(RANK_BOUNDS)), min_size=1, max_size=3)
+        # unique: a repeated family is bad input, not a valid draw
+        families = st.lists(st.sampled_from(list(RANK_BOUNDS)), min_size=1, max_size=3,
+                            unique=True)
         options["--families"] = ",".join(draw(families))
         options["--max-rank"] = str(draw(st.integers(1, RANK_CAP)))
         if draw(st.booleans()):

@@ -157,7 +157,7 @@ def test_rho_is_half_sum_of_positive_roots(spec):
 @pytest.mark.parametrize("spec", all_types(6), ids=str)
 def test_symmetrized_cartan_is_symmetric(spec):
     rs = build_root_system(spec)
-    C = rs.cartan.entries
+    C = rs.cartan
     d = rs.symmetrizers
     n = rs.rank
     for i, j in itertools.product(range(n), range(n)):

@@ -33,7 +33,6 @@ TEST_RANK = {
     "B4 scaling invariance": 3,
     "B5 margin certificates": 6,
     "S1 Grassmannian two-path": 8,
-    "S2 Grassmannian point two-path": 8,
     "S3 cominuscule two-path": 8,
     "S4 full-flag two-path": 5,
     "S5 Kannan-Saha coroot identity": 8,
@@ -41,7 +40,8 @@ TEST_RANK = {
 
 CHECK = {label: fn for label, fn, _ in CHECKS}
 
-LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special")
+LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special",
+               "test_acceptance")
 
 
 def check_test(*labels, per_type=True):

@@ -8,7 +8,6 @@ from schubert_blowup.special import (
     dual_height,
     full_flag_classify,
     grassmannian_classify,
-    grassmannian_point_classify,
     kannan_saha_check,
 )
 from test_selfcheck import check_test
@@ -30,16 +29,17 @@ def test_grassmannian_classify_range_errors():
 
 
 def test_grassmannian_point_classify():
-    assert grassmannian_point_classify(2, 4) == Verdict.FANO
-    assert grassmannian_point_classify(1, 7) == Verdict.FANO
-    assert grassmannian_point_classify(6, 7) == Verdict.FANO
-    assert grassmannian_point_classify(2, 5) == Verdict.WEAK_FANO_NOT_FANO
-    assert grassmannian_point_classify(3, 6) == Verdict.NOT_WEAK_FANO
+    # a point center has codimension r(n-r)
+    assert grassmannian_classify(2, 4, 4) == Verdict.FANO
+    assert grassmannian_classify(1, 7, 6) == Verdict.FANO
+    assert grassmannian_classify(6, 7, 6) == Verdict.FANO
+    assert grassmannian_classify(2, 5, 6) == Verdict.WEAK_FANO_NOT_FANO
+    assert grassmannian_classify(3, 6, 9) == Verdict.NOT_WEAK_FANO
 
 
 def test_grassmannian_point_rejects_projective_line():
     with pytest.raises(OutOfRange):
-        grassmannian_point_classify(1, 2)
+        grassmannian_classify(1, 2, 1)
 
 
 def test_cominuscule_nodes_per_type():
@@ -94,7 +94,6 @@ def test_kannan_saha_a2_by_hand():
 
 
 test_s1_grassmannian_two_path = check_test("S1 Grassmannian two-path", per_type=False)
-test_s2_grassmannian_point_two_path = check_test("S2 Grassmannian point two-path", per_type=False)
 test_s3_cominuscule_two_path = check_test("S3 cominuscule two-path")
 test_s4_full_flag_two_path = check_test("S4 full-flag two-path")
 test_s5_kannan_saha_all_cominuscule = check_test("S5 Kannan-Saha coroot identity")

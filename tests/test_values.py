@@ -28,9 +28,7 @@ from schubert_blowup import (
     build_root_system,
     dimension,
 )
-from schubert_blowup.blowup import Big
 from schubert_blowup.errors import InadmissibleRank, NotARoot
-from schubert_blowup.rootsys import CartanMatrix
 
 A2 = build_root_system(TypeSpec("A", 2))
 
@@ -40,19 +38,17 @@ SAMPLES = [
     (Root, dict(coeffs=(1, 0))),
     (Coroot, dict(coeffs=(0, -1))),
     (Weight, dict(coeffs=(1, -2))),
-    (CartanMatrix, dict(entries=((2, -1), (-1, 2)))),
     (RootSystem, dict(spec=A2.spec, cartan=A2.cartan, positive_roots=A2.positive_roots,
                       highest_root=A2.highest_root, symmetrizers=A2.symmetrizers)),
     (WeylWord, dict(letters=(1, 2, 1))),
     (ParabolicSubset, dict(members=frozenset({1}))),
     (FlagVariety, dict(rs=A2, par=ParabolicSubset.of({1}))),
     (BetaVector, dict(values=MappingProxyType({2: 0}))),
-    (SchubertDatum, dict(word=WeylWord(()), dim=0, codim=2)),
+    (SchubertDatum, dict(dim=0, codim=2)),
     (DivisorClass, dict(basis=(2,), pullback_coeffs=(1,), exceptional_coeff=-1)),
     (CurveClass, dict(basis=(2,), tilde_coeffs=(0,), e_coeff=1)),
-    (FanoReport, dict(betas=BetaVector(MappingProxyType({2: 0})), codim=2,
-                      margins={2: 0}, verdict=Verdict.WEAK_FANO_NOT_FANO,
-                      anticanonical_big=Big.TRUE)),
+    (FanoReport, dict(betas=BetaVector(MappingProxyType({2: 0})), margins={2: 0},
+                      verdict=Verdict.WEAK_FANO_NOT_FANO)),
 ]
 IDS = [cls.__name__ for cls, _ in SAMPLES]
 # the read-only betas (a mapping proxy) among the fields: neither hashable nor
