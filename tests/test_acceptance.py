@@ -157,10 +157,6 @@ def test_criterion_8_margin_certificates():
     report(8, "anticanonical margin certificates (every S_P and c to rank 6)", ok)
 
 
-# the one test of B5 at its TEST_RANK (6)
-test_criterion_8_margin_certificates.check_labels = ("B5 margin certificates",)
-
-
 def _capture(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):

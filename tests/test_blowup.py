@@ -146,7 +146,8 @@ test_b1_cone_duality = check_test("B1 cone duality")
 test_b2_b3_round_trip_and_cone_agreement = check_test(
     "B2 anticanonical basis round trip", "B3 classifier vs cone test")
 test_b4_scaling_invariance_on_every_blowup = check_test("B4 scaling invariance")
-# B5 runs in test_acceptance, criterion 8
+# exhaustive despite its name: every S_P and c of every type up to rank 6
+test_b5_margin_certificates_random_sample = check_test("B5 margin certificates", per_type=False)
 
 
 @given(

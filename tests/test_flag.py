@@ -30,6 +30,10 @@ def fv_of(family, rank, members):
     return FlagVariety(rs, ParabolicSubset.of(members))
 
 
+def grassmannian(r, n):
+    return fv_of("A", n - 1, set(range(1, n)) - {r})
+
+
 def test_degenerate_parabolic_rejected():
     rs = build_root_system(TypeSpec("A", 2))
     with pytest.raises(EngineError):
@@ -53,6 +57,12 @@ def test_beta_full_flag_all_one():
     fv = fv_of("D", 4, ())
     betas = beta_values(fv)
     assert all(betas[a] == 1 for a in picard_basis(fv))
+
+
+def test_beta_grassmannian_is_n_minus_1():
+    for n in range(2, 10):
+        for r in range(1, n):
+            assert beta_values(grassmannian(r, n))[r] == n - 1
 
 
 def test_beta_b3_oracle_value():

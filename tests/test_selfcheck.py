@@ -40,8 +40,7 @@ TEST_RANK = {
 
 CHECK = {label: fn for label, fn, _ in CHECKS}
 
-LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special",
-               "test_acceptance")
+LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special")
 
 
 def check_test(*labels, per_type=True):
