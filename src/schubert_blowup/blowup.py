@@ -17,7 +17,7 @@ nonnegative.
 
 from enum import Enum
 
-from .errors import BasisMismatch, CodimOutOfRange
+from .errors import EngineError
 from .flag import beta_values, dimension, picard_basis
 from .value import Value, setfield
 
@@ -62,17 +62,18 @@ class FanoReport(Value):
         setfield(self, "verdict", verdict)
 
 
-def _check_codim(fv, c):
-    d = dimension(fv)
+def check_codim(c, d):
+    """A center of codimension c in a G/P of dimension d needs 2 <= c <= d;
+    blowup and the closed-form laws of special share this one check."""
     if not (2 <= c <= d):
-        raise CodimOutOfRange(
+        raise EngineError(
             "codimension %d outside 2..%d" % (c, d) if d >= 2
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
 def nef_generators(fv, c):
     """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha."""
-    _check_codim(fv, c)
+    check_codim(c, dimension(fv))
     basis = picard_basis(fv)
     n = len(basis)
     gens = [
@@ -85,7 +86,7 @@ def nef_generators(fv, c):
 
 def mori_generators(fv, c):
     """{tilde C_alpha} plus e."""
-    _check_codim(fv, c)
+    check_codim(c, dimension(fv))
     basis = picard_basis(fv)
     n = len(basis)
     gens = [
@@ -100,7 +101,7 @@ def intersect(d, k):
     """Bilinear pairing from Bl*D_alpha . Bl*C_beta = delta, Bl*D_alpha . e = 0,
     E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e."""
     if d.basis != k.basis:
-        raise BasisMismatch("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
+        raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
     dot = sum(a * t for a, t in zip(d.pullback_coeffs, k.tilde_coeffs))
     # E_Z . tilde C_alpha = 1, E_Z . e = -1
     return dot + d.exceptional_coeff * (sum(k.tilde_coeffs) - k.e_coeff)
@@ -119,7 +120,7 @@ def from_nef_basis(basis, coords):
 
 def anticanonical_class(fv, c):
     """-K of the blow-up, in both bases (selfcheck B2 checks that they agree)."""
-    _check_codim(fv, c)
+    check_codim(c, dimension(fv))
     basis = picard_basis(fv)
     betas = beta_values(fv)
     d = DivisorClass(basis, tuple(1 + betas[a] for a in basis), -(c - 1))
@@ -139,7 +140,7 @@ def classify(fv, c):
     """Fano / weak-Fano verdict for Bl_Z(G/P) with Z a smooth Schubert
     variety of codimension c (existence and smoothness are the caller's
     assertion)."""
-    _check_codim(fv, c)
+    check_codim(c, dimension(fv))
     betas = beta_values(fv)
     # keyed by the Picard basis, ascending
     margins = {a: b - c + 2 for a, b in betas.values.items()}

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import blowup, flag
-from .conventions import RANK_BOUNDS, RANK_CAP
+from .conventions import RANK_BOUNDS
 from .errors import EngineError
 from .rootsys import TypeSpec, all_types, build_root_system
 from .weyl import ParabolicSubset
@@ -44,17 +44,18 @@ def _dump_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _input(fv, c):
+    """The `input` block of the classify and cones JSON reports."""
+    return {"type": str(fv.rs.spec), "parabolic": sorted(fv.par.members),
+            "picard_basis": list(flag.picard_basis(fv)), "codim": c}
+
+
 def _classify_payload(fv, c):
     rep = blowup.classify(fv, c)
     dc, basis2 = blowup.anticanonical_class(fv, c)
     basis = flag.picard_basis(fv)
     return rep, {
-        "input": {
-            "type": str(fv.rs.spec),
-            "parabolic": sorted(fv.par.members),
-            "picard_basis": list(basis),
-            "codim": c,
-        },
+        "input": _input(fv, c),
         "betas": {str(a): rep.betas[a] for a in basis},
         "margins": {str(a): rep.margins[a] for a in basis},
         "verdict": rep.verdict.value,
@@ -103,15 +104,9 @@ def cmd_cones(args):
     nef = blowup.nef_generators(fv, args.codim)
     mori = blowup.mori_generators(fv, args.codim)
     matrix = [[blowup.intersect(d, k) for k in mori] for d in nef]
-    basis = flag.picard_basis(fv)
     if args.format == "json":
         _dump_json({
-            "input": {
-                "type": str(fv.rs.spec),
-                "parabolic": sorted(fv.par.members),
-                "picard_basis": list(basis),
-                "codim": args.codim,
-            },
+            "input": _input(fv, args.codim),
             "nef_generators": [
                 {"pullback": list(d.pullback_coeffs), "exceptional": d.exceptional_coeff}
                 for d in nef
@@ -122,6 +117,7 @@ def cmd_cones(args):
             "intersection_matrix": matrix,
         })
         return 0
+    basis = flag.picard_basis(fv)
     labels = ["Bl*D_%d" % a for a in basis] + ["H-E_Z"]
     clabels = ["C~_%d" % a for a in basis] + ["e"]
     print("type %s, S_P %s, codim %d" % (fv.rs.spec, sorted(fv.par.members) or "{}", args.codim))
@@ -160,12 +156,6 @@ def _table_rows(families, max_rank, policy):
 
 def cmd_table(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if not families:
-        raise EngineError("empty family list")
-    if args.max_rank < 1:
-        raise EngineError("max rank must be at least 1, got %d" % args.max_rank)
-    if args.max_rank > RANK_CAP:
-        raise EngineError("max rank capped at %d for sweeps" % RANK_CAP)
     policy = "full-flag" if args.full_flag else "maximal-parabolics"
     rows = _table_rows(families, args.max_rank, policy)
     if args.format == "json":

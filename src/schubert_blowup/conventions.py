@@ -25,7 +25,7 @@ symmetric; (alpha_i, alpha_j) = d_i * C[i][j] defines the invariant form,
 so (alpha_i, alpha_i) = 2 * d_i.
 """
 
-from .errors import InadmissibleRank
+from .errors import EngineError
 
 RANK_CAP = 16
 
@@ -44,14 +44,14 @@ RANK_BOUNDS = {
 
 def rank_bounds(family):
     if family not in RANK_BOUNDS:
-        raise InadmissibleRank("unknown family %r" % (family,))
+        raise EngineError("unknown family %r" % (family,))
     return RANK_BOUNDS[family]
 
 
 def check_type(family, rank):
     lo, hi = rank_bounds(family)
     if not (isinstance(rank, int) and lo <= rank <= hi):
-        raise InadmissibleRank(
+        raise EngineError(
             "rank %r not admissible for family %s (allowed %d..%d)"
             % (rank, family, lo, hi)
         )

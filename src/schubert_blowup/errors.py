@@ -1,48 +1,9 @@
-"""Exception types raised on violated preconditions and invariants."""
+"""The two exception types: EngineError for bad input, InvariantViolation
+for a broken engine. The CLI reports either as one line with exit 2."""
 
 
 class EngineError(ValueError):
-    """Base class for all precondition violations."""
-
-
-class InadmissibleRank(EngineError):
-    pass
-
-
-class RankMismatch(EngineError):
-    pass
-
-
-class NotARoot(EngineError):
-    pass
-
-
-class IndexOutOfRange(EngineError):
-    pass
-
-
-class RankTooLargeForOracle(EngineError):
-    pass
-
-
-class NotMinimalRep(EngineError):
-    pass
-
-
-class CodimOutOfRange(EngineError):
-    pass
-
-
-class BasisMismatch(EngineError):
-    pass
-
-
-class NotCominuscule(EngineError):
-    pass
-
-
-class OutOfRange(EngineError):
-    pass
+    """A violated precondition: the input is bad, and the message says how."""
 
 
 class InvariantViolation(EngineError):

@@ -15,7 +15,7 @@ Weyl word of w_{0,P}) hold these invariants.
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import EngineError, NotMinimalRep
+from .errors import EngineError
 from .rootsys import Weight, _positive_roots, rho
 from .value import Value, setfield
 from .weyl import _replay
@@ -103,6 +103,6 @@ def schubert_codim(fv, word):
     """dim X_{wP} = l(w) and its codimension; one replay tests w in W^P."""
     v, d = _replay(word, fv.rs)
     if not all(v[i - 1] > 0 for i in fv.par.members):
-        raise NotMinimalRep("word %r is not a minimal coset representative"
-                            % (word.letters,))
+        raise EngineError("word %r is not a minimal coset representative"
+                          % (word.letters,))
     return SchubertDatum(d, dimension(fv) - d)

@@ -13,7 +13,7 @@ unique highest root.
 """
 
 from . import conventions
-from .errors import EngineError, InvariantViolation, NotARoot, RankMismatch
+from .errors import EngineError, InvariantViolation
 from .value import Value, setfield
 
 
@@ -31,8 +31,14 @@ class TypeSpec(Value):
 
 def all_types(max_rank, families=conventions.RANK_BOUNDS):
     """Every TypeSpec of rank at most max_rank, family by family in the
-    order of `families`, each by ascending rank; a family given twice is
-    an error."""
+    order of `families`, each by ascending rank. An empty `families`, a
+    max_rank outside 1..RANK_CAP and a family given twice are errors."""
+    if not families:
+        raise EngineError("empty family list")
+    if max_rank < 1:
+        raise EngineError("max rank must be at least 1, got %d" % max_rank)
+    if max_rank > conventions.RANK_CAP:
+        raise EngineError("max rank capped at %d for sweeps" % conventions.RANK_CAP)
     out, seen = [], set()
     for fam in families:
         lo, hi = conventions.rank_bounds(fam)
@@ -51,7 +57,7 @@ class Root(Value):
 
     def __init__(self, coeffs):
         if coeffs and min(coeffs) < 0 < max(coeffs):
-            raise NotARoot("mixed-sign root coordinates %r" % (coeffs,))
+            raise EngineError("mixed-sign root coordinates %r" % (coeffs,))
         setfield(self, "coeffs", coeffs)
 
     @property
@@ -72,7 +78,7 @@ class Coroot(Value):
 
     def __init__(self, coeffs):
         if coeffs and min(coeffs) < 0 < max(coeffs):
-            raise NotARoot("mixed-sign coroot coordinates %r" % (coeffs,))
+            raise EngineError("mixed-sign coroot coordinates %r" % (coeffs,))
         setfield(self, "coeffs", coeffs)
 
     @property
@@ -97,7 +103,7 @@ class Weight(Value):
 
     def __add__(self, other):
         if self.rank != other.rank:
-            raise RankMismatch("weight ranks %d vs %d" % (self.rank, other.rank))
+            raise EngineError("weight ranks %d vs %d" % (self.rank, other.rank))
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
@@ -245,7 +251,7 @@ def build_root_system(spec):
 def pairing(w, c):
     """<lambda, beta^vee> as a plain dot product of coordinates."""
     if w.rank != c.rank:
-        raise RankMismatch("weight rank %d vs coroot rank %d" % (w.rank, c.rank))
+        raise EngineError("weight rank %d vs coroot rank %d" % (w.rank, c.rank))
     return sum(a * b for a, b in zip(w.coeffs, c.coeffs))
 
 
@@ -256,7 +262,7 @@ def coroot_of(r, rs):
     roots of a crystallographic system.
     """
     if not rs.contains(r):
-        raise NotARoot("%r is not a root of %s" % (r.coeffs, rs.spec))
+        raise EngineError("%r is not a root of %s" % (r.coeffs, rs.spec))
     d = rs.symmetrizers
     C = rs.cartan
     k = r.coeffs
@@ -277,7 +283,7 @@ def coroot_of(r, rs):
 def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
     if r.rank != rs.rank:
-        raise RankMismatch("root rank %d vs system rank %d" % (r.rank, rs.rank))
+        raise EngineError("root rank %d vs system rank %d" % (r.rank, rs.rank))
     C = rs.cartan
     return Weight(
         tuple(sum(C[i][j] * r.coeffs[j] for j in range(rs.rank)) for i in range(rs.rank))

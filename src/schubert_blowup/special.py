@@ -7,8 +7,8 @@ highest root. Agreement with blowup.classify is therefore a genuine
 two-path verification.
 """
 
-from .blowup import Verdict
-from .errors import NotCominuscule, OutOfRange
+from .blowup import Verdict, check_codim
+from .errors import EngineError
 from .rootsys import coroot_of
 from .weyl import act, longest_element, ParabolicSubset
 
@@ -31,9 +31,8 @@ def grassmannian_classify(r, n, c):
     projective spaces and Gr(2,4), and weak-Fano-not-Fano exactly for
     Gr(2,5) and Gr(3,5), which are the same variety."""
     if not (1 <= r <= n - 1):
-        raise OutOfRange("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
-    if not (2 <= c <= r * (n - r)):
-        raise OutOfRange("codimension %d outside 2..%d" % (c, r * (n - r)))
+        raise EngineError("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
+    check_codim(c, r * (n - r))
     return _verdict(c, n + 1)
 
 
@@ -65,19 +64,14 @@ def cominuscule_classify(rs, node, c):
     coefficient sum of the highest coroot, which collapses to
     ht(alpha_0) only when all roots have the same length."""
     if node not in cominuscule_nodes(rs):
-        raise NotCominuscule("node %d is not cominuscule in %s" % (node, rs.spec))
-    dim = _dim_maximal(rs, node)
-    if not (2 <= c <= dim):
-        raise OutOfRange("codimension %d outside 2..%d" % (c, dim))
+        raise EngineError("node %d is not cominuscule in %s" % (node, rs.spec))
+    check_codim(c, _dim_maximal(rs, node))
     return _verdict(c, dual_height(rs) + 2)
 
 
 def full_flag_classify(rs, c):
     """Fano law for blow-ups of G/B: Fano iff c = 2, boundary at c = 3."""
-    if not (2 <= c <= len(rs.positive_roots)):
-        raise OutOfRange(
-            "codimension %d outside 2..%d" % (c, len(rs.positive_roots))
-        )
+    check_codim(c, len(rs.positive_roots))
     return _verdict(c, 3)
 
 
@@ -85,7 +79,7 @@ def kannan_saha_check(rs, node):
     """Verify w_{0, S\\{node}}(alpha_node^vee) = alpha_0^vee, the coroot
     identity behind the cominuscule law."""
     if node not in cominuscule_nodes(rs):
-        raise NotCominuscule("node %d is not cominuscule in %s" % (node, rs.spec))
+        raise EngineError("node %d is not cominuscule in %s" % (node, rs.spec))
     par = ParabolicSubset.of(set(range(1, rs.rank + 1)) - {node})
     w0p = longest_element(par, rs)
     image = act(w0p, rs.simple_coroot(node), rs)

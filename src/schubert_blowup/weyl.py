@@ -14,7 +14,7 @@ enumeration (rank <= 3) serves as an independent testing oracle.
 from collections import deque
 from operator import mul
 
-from .errors import IndexOutOfRange, RankTooLargeForOracle
+from .errors import EngineError
 from .rootsys import Coroot, Root, Weight, _cartan_column, rho
 from .value import Value, setfield
 
@@ -47,7 +47,7 @@ class ParabolicSubset(Value):
 
 def _check_index(i, rank):
     if not (1 <= i <= rank):
-        raise IndexOutOfRange("reflection index %d outside 1..%d" % (i, rank))
+        raise EngineError("reflection index %d outside 1..%d" % (i, rank))
 
 
 def reflect_weight(i, w, rs):
@@ -185,7 +185,7 @@ def brute_force_group(rs):
     keyed by its image of rho and carrying a shortest word.
     """
     if rs.rank > _ORACLE_MAX_RANK:
-        raise RankTooLargeForOracle(
+        raise EngineError(
             "oracle limited to rank %d, got %d" % (_ORACLE_MAX_RANK, rs.rank)
         )
 

@@ -2,9 +2,7 @@
 line (run with -s or look at the captured output). All tolerances are
 exact integer equalities; the stated runtime bounds are asserted."""
 
-import io
 import time
-from contextlib import redirect_stdout
 
 from schubert_blowup import (
     FlagVariety,
@@ -13,7 +11,6 @@ from schubert_blowup import (
     beta_values,
     build_root_system,
     classify,
-    cli,
     dimension,
     longest_element,
     picard_basis,
@@ -26,16 +23,13 @@ from schubert_blowup.special import (
 )
 from schubert_blowup.weyl import ParabolicSubset, brute_force_group
 from schubert_blowup.selfcheck import all_parabolics, all_types
+from test_cli import run
+from test_flag import grassmannian
 
 
 def report(num, label, ok):
     print("ACCEPTANCE %d [%s]: %s" % (num, label, "PASS" if ok else "FAIL"))
     assert ok, "acceptance criterion %d (%s) failed" % (num, label)
-
-
-def grassmannian(r, n):
-    rs = build_root_system(TypeSpec("A", n - 1))
-    return FlagVariety(rs, ParabolicSubset.of(set(range(1, n)) - {r}))
 
 
 def test_criterion_1_grassmannian_beta_law():
@@ -157,20 +151,13 @@ def test_criterion_8_margin_certificates():
     report(8, "anticanonical margin certificates (every S_P and c to rank 6)", ok)
 
 
-def _capture(argv):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main(argv)
-    return code, buf.getvalue()
-
-
 def test_criterion_9_determinism():
-    check1 = _capture(["check"])
-    check2 = _capture(["check"])
+    check1 = run(["check"])
+    check2 = run(["check"])
     table_args = ["table", "--families", "A,B,C,D,E,F,G", "--max-rank", "6",
                   "--format", "json"]
-    table1 = _capture(table_args)
-    table2 = _capture(table_args)
+    table1 = run(table_args)
+    table2 = run(table_args)
     ok = check1 == check2 and table1 == table2
     ok = ok and check1[0] == 0 and table1[0] == 0
     report(9, "byte-identical check/table reruns", ok)

@@ -1,6 +1,8 @@
+import ast
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,6 +21,13 @@ def run(argv):
     with redirect_stdout(buf):
         code = cli.main(argv)
     return code, buf.getvalue()
+
+
+def subprocess_env():
+    """os.environ with this package's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schubert_blowup.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def test_classify_gr24_point():
@@ -243,6 +252,17 @@ def test_bad_argv_exits_2_with_one_error_line(capsys, argv, message):
     assert message is None or err == "error: %s\n" % message
 
 
+def test_the_library_raises_only_engine_errors():
+    # main catches EngineError alone, so any other raise would reach the user
+    # as a traceback; a frozen Value's AttributeError is the one exception
+    for path in sorted(pathlib.Path(schubert_blowup.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                raised = (path.name, ast.unparse(getattr(node.exc, "func", node.exc)))
+                assert raised[1] in ("EngineError", "InvariantViolation") or raised == (
+                    "value.py", "AttributeError"), (raised, node.lineno)
+
+
 def _no_float(token):
     raise AssertionError("JSON number %s is not an integer" % token)
 
@@ -316,11 +336,8 @@ print("optimize", sys.flags.optimize)
 
 def run_optimized(code):
     """Run `code` in a fresh `python -O`, which strips every assert."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(schubert_blowup.__file__)))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_A2 + code],
-                          capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, timeout=300, env=subprocess_env())
     assert proc.stdout.startswith("optimize 1\n"), proc.stderr
     return proc
 

@@ -15,7 +15,7 @@ from schubert_blowup import (
 )
 from schubert_blowup import flag
 from schubert_blowup.conventions import RANK_CAP
-from schubert_blowup.errors import EngineError, NotMinimalRep
+from schubert_blowup.errors import EngineError
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import (
     all_types,
@@ -116,7 +116,7 @@ def test_schubert_codim_length_two():
 
 def test_schubert_codim_rejects_non_minimal():
     fv = fv_of("A", 3, {1, 3})
-    with pytest.raises(NotMinimalRep):
+    with pytest.raises(EngineError, match=r"word \(1,\) is not a minimal coset representative"):
         schubert_codim(fv, WeylWord((1,)))
 
 

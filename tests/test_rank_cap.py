@@ -5,7 +5,7 @@ import pytest
 
 from schubert_blowup import FlagVariety, TypeSpec, beta_values, build_root_system, dimension
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
-from schubert_blowup.selfcheck import closed_form_mismatch, dual_coxeter_number
+from schubert_blowup.selfcheck import _maximal, closed_form_mismatch, dual_coxeter_number
 from schubert_blowup.special import cominuscule_nodes, dual_height
 from schubert_blowup.weyl import ParabolicSubset
 
@@ -32,10 +32,6 @@ def maximal_dimension(spec, k):
     return k * (2 * n - k) - k * (k + 1) // 2
 
 
-def maximal(rs, node):
-    return FlagVariety(rs, ParabolicSubset.of(set(range(1, rs.rank + 1)) - {node}))
-
-
 @pytest.mark.parametrize("spec", HIGH, ids=str)
 def test_positive_root_count(spec):
     assert len(build_root_system(spec).positive_roots) == positive_root_count(spec)
@@ -47,9 +43,9 @@ def test_dimension_is_roots_outside_levi(spec):
     full = ParabolicSubset.of(())
     assert dimension(FlagVariety(rs, full)) == positive_root_count(spec)
     for k in range(1, rs.rank + 1):
-        assert dimension(maximal(rs, k)) == maximal_dimension(spec, k)
+        assert dimension(_maximal(rs, k)) == maximal_dimension(spec, k)
     # and the same betas, -K and dim from the Weyl word of w_{0,P}
-    maximals = [maximal(rs, k).par for k in range(1, rs.rank + 1)]
+    maximals = [_maximal(rs, k).par for k in range(1, rs.rank + 1)]
     assert closed_form_mismatch(rs, [full] + maximals) is None
 
 
@@ -57,7 +53,7 @@ def test_dimension_is_roots_outside_levi(spec):
 def test_grassmannian_beta_is_n_minus_1(n):
     rs = build_root_system(TypeSpec("A", n - 1))
     for r in range(1, n):
-        assert beta_values(maximal(rs, r))[r] == n - 1
+        assert beta_values(_maximal(rs, r))[r] == n - 1
 
 
 @pytest.mark.parametrize("spec", [
@@ -70,4 +66,4 @@ def test_cominuscule_beta_is_dual_height(spec):
     nodes = sorted(cominuscule_nodes(rs))
     assert nodes
     for node in nodes:
-        assert beta_values(maximal(rs, node))[node] == h
+        assert beta_values(_maximal(rs, node))[node] == h

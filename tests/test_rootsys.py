@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -15,9 +16,8 @@ from schubert_blowup import (
     root_as_weight,
 )
 from schubert_blowup import rootsys
-from schubert_blowup.conventions import RANK_CAP
-from schubert_blowup.errors import InadmissibleRank, NotARoot, RankMismatch
-from schubert_blowup.errors import InvariantViolation
+from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
+from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import (
     all_types,
     check_I1_closure_order_insensitive,
@@ -63,12 +63,25 @@ def test_g2_highest_root():
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 9), ("F", 5), ("G", 3), ("H", 2), ("A", 17)])
 def test_inadmissible_ranks_rejected(family, rank):
-    with pytest.raises(InadmissibleRank):
+    message = ("unknown family 'H'" if family == "H" else
+               "rank %d not admissible for family %s (allowed %d..%d)"
+               % ((rank, family) + RANK_BOUNDS[family]))
+    with pytest.raises(EngineError, match=re.escape(message)):
         TypeSpec(family, rank)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0,), "max rank must be at least 1, got 0"),
+    ((RANK_CAP + 1,), "max rank capped at 16 for sweeps"),
+    ((4, []), "empty family list"),
+], ids=["rank-0", "above-cap", "no-families"])
+def test_all_types_rejects_what_table_rejects(args, message):
+    with pytest.raises(EngineError, match="^%s$" % message):
+        all_types(*args)
+
+
 def test_mixed_sign_root_rejected():
-    with pytest.raises(NotARoot):
+    with pytest.raises(EngineError, match=r"mixed-sign root coordinates \(1, -1\)"):
         Root((1, -1))
 
 
@@ -104,7 +117,7 @@ def test_pairing_rho_with_highest_coroot_g2():
 
 
 def test_pairing_rank_mismatch():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(EngineError, match=r"weight rank 2 vs coroot rank 3"):
         pairing(Weight((1, 1)), Coroot((1, 1, 1)))
 
 
@@ -128,7 +141,7 @@ def test_coroot_of_b2_highest_root():
 
 def test_coroot_of_rejects_non_roots():
     rs = build_root_system(TypeSpec("A", 2))
-    with pytest.raises(NotARoot):
+    with pytest.raises(EngineError, match=r"\(2, 0\) is not a root of A2"):
         coroot_of(Root((2, 0)), rs)
 
 

@@ -1,7 +1,8 @@
 import pytest
 
-from schubert_blowup import TypeSpec, Verdict, build_root_system
-from schubert_blowup.errors import NotCominuscule, OutOfRange
+from schubert_blowup import (
+    FlagVariety, ParabolicSubset, TypeSpec, Verdict, build_root_system, classify)
+from schubert_blowup.errors import EngineError
 from schubert_blowup.special import (
     cominuscule_classify,
     cominuscule_nodes,
@@ -12,6 +13,8 @@ from schubert_blowup.special import (
 )
 from test_selfcheck import check_test
 
+NO_CENTER_ON_P1 = r"^G/P has dimension 1, so it has no center of codimension >= 2$"
+
 
 def test_grassmannian_classify_boundary():
     assert grassmannian_classify(2, 6, 6) == Verdict.FANO
@@ -20,11 +23,11 @@ def test_grassmannian_classify_boundary():
 
 
 def test_grassmannian_classify_range_errors():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EngineError, match=r"need 1 <= r <= n-1, got r=0, n=5"):
         grassmannian_classify(0, 5, 3)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EngineError, match=r"codimension 1 outside 2\.\.6"):
         grassmannian_classify(2, 5, 1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EngineError, match=r"codimension 7 outside 2\.\.6"):
         grassmannian_classify(2, 5, 7)
 
 
@@ -38,8 +41,19 @@ def test_grassmannian_point_classify():
 
 
 def test_grassmannian_point_rejects_projective_line():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EngineError, match=NO_CENTER_ON_P1):
         grassmannian_classify(1, 2, 1)
+
+
+def test_every_law_finds_no_center_on_p1():
+    # A1: G/P = P^1 has dimension 1, and the laws share the engine's message
+    rs = build_root_system(TypeSpec("A", 1))
+    for law in (lambda: classify(FlagVariety(rs, ParabolicSubset.of(())), 2),
+                lambda: full_flag_classify(rs, 2),
+                lambda: cominuscule_classify(rs, 1, 2),
+                lambda: grassmannian_classify(1, 2, 2)):
+        with pytest.raises(EngineError, match=NO_CENTER_ON_P1):
+            law()
 
 
 def test_cominuscule_nodes_per_type():
@@ -73,9 +87,9 @@ def test_cominuscule_classify_boundary_and_beyond():
 
 def test_cominuscule_classify_rejects_non_cominuscule():
     rs = build_root_system(TypeSpec("E", 8))
-    with pytest.raises(NotCominuscule):
+    with pytest.raises(EngineError, match=r"node 1 is not cominuscule in E8"):
         cominuscule_classify(rs, 1, 2)
-    with pytest.raises(NotCominuscule):
+    with pytest.raises(EngineError, match=r"node 1 is not cominuscule in E8"):
         kannan_saha_check(rs, 1)
 
 
@@ -84,7 +98,7 @@ def test_full_flag_classify():
     assert full_flag_classify(rs, 2) == Verdict.FANO
     assert full_flag_classify(rs, 3) == Verdict.WEAK_FANO_NOT_FANO
     assert full_flag_classify(rs, 4) == Verdict.NOT_WEAK_FANO
-    with pytest.raises(OutOfRange):
+    with pytest.raises(EngineError, match=r"codimension 7 outside 2\.\.6"):
         full_flag_classify(rs, 7)
 
 
