@@ -69,7 +69,6 @@ def _classify_payload(fv, c):
                 "h_minus_e": basis2[-1],
             },
         },
-        "facts": {"gg_equals_nef": True, "h_minus_e_big": True},
         # -K is big whenever it is nef; beyond that, bigness is not decided
         "anticanonical_big": (
             "unknown" if rep.verdict == blowup.Verdict.NOT_WEAK_FANO else "true"),

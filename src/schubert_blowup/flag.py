@@ -18,7 +18,7 @@ from types import MappingProxyType
 from .errors import EngineError
 from .rootsys import Weight, _positive_roots, rho
 from .value import Value, setfield
-from .weyl import _replay
+from .weyl import _replay, check_parabolic
 
 
 class FlagVariety(Value):
@@ -27,9 +27,7 @@ class FlagVariety(Value):
     _fields = ("rs", "par")  # par: ParabolicSubset S_P
 
     def __init__(self, rs, par):
-        if not set(par.members) <= set(range(1, rs.rank + 1)):
-            raise EngineError("parabolic indices %r outside 1..%d"
-                              % (sorted(par.members), rs.rank))
+        check_parabolic(par, rs.rank)
         if len(par.members) == rs.rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
         setfield(self, "rs", rs)

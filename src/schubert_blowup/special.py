@@ -1,10 +1,13 @@
 """Closed-form classification laws used as independent cross-checks
 against the cone machinery in blowup.py.
 
-None of these touch the Weyl group: the Grassmannian and full-flag laws
-are pure arithmetic, the cominuscule law only needs the height of the
-highest root. Agreement with blowup.classify is therefore a genuine
-two-path verification.
+No law touches the Weyl group: the Grassmannian and full-flag laws are
+pure arithmetic, and the cominuscule law reads only the root system (the
+highest root, its coroot and the positive roots). Agreement with
+blowup.classify is therefore a genuine two-path verification.
+kannan_saha_check, which verifies the coroot identity behind the
+cominuscule law, is the one Weyl computation here: it applies the word of
+longest_element with act.
 """
 
 from .blowup import Verdict, check_codim

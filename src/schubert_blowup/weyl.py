@@ -50,6 +50,12 @@ def _check_index(i, rank):
         raise EngineError("reflection index %d outside 1..%d" % (i, rank))
 
 
+def check_parabolic(par, rank):
+    """The one check that every node of S_P lies in 1..rank."""
+    if not all(1 <= i <= rank for i in par.members):
+        raise EngineError("parabolic indices %r outside 1..%d" % (sorted(par.members), rank))
+
+
 def reflect_weight(i, w, rs):
     """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i."""
     _check_index(i, rs.rank)
@@ -127,6 +133,7 @@ def longest_element(par, rs):
     positive, i.e. with v_i > 0 for v = w^{-1}(rho) (see _replay), and map
     v to s_i(v); it ends with all of them negative, at length |R_P^+|.
     """
+    check_parabolic(par, rs.rank)
     members = sorted(par.members)
     letters = []
     v = rho(rs)
@@ -152,6 +159,7 @@ def enumerate_coset_reps(par, rs, max_length):
     compared from the last letter; output sorted by (length, lexicographic
     word).
     """
+    check_parabolic(par, rs.rank)
     cols = [_cartan_column(rs.cartan, i) for i in range(rs.rank)]
     start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
     words = {start: ()}  # orbit point -> the first word that reached it

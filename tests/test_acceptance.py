@@ -14,7 +14,6 @@ from schubert_blowup import (
     dimension,
     longest_element,
     picard_basis,
-    selfcheck,
 )
 from schubert_blowup.special import (
     cominuscule_nodes,
@@ -25,6 +24,7 @@ from schubert_blowup.weyl import ParabolicSubset, brute_force_group
 from schubert_blowup.selfcheck import all_parabolics, all_types
 from test_cli import run
 from test_flag import grassmannian
+from test_selfcheck import counterexample
 
 
 def report(num, label, ok):
@@ -47,7 +47,7 @@ def test_criterion_2_grassmannian_fano_boundary():
     t0 = time.perf_counter()
     # the engine's verdicts equal grassmannian_classify's (S1), whose law
     # is checked here, for every Gr(r, n) with n <= 9
-    ok = all(selfcheck.check_S1_grassmannian_two_path(spec) is None
+    ok = all(counterexample("S1 Grassmannian two-path", spec) is None
              for spec in all_types(8, "A"))
     for n in range(2, 10):
         for r in range(1, n):
@@ -92,7 +92,7 @@ def test_criterion_4_full_flag_law():
     for spec in all_types(5):
         # the engine's verdicts equal full_flag_classify's (S4), whose law
         # is checked here
-        ok = ok and selfcheck.check_S4_full_flag_two_path(spec) is None
+        ok = ok and counterexample("S4 full-flag two-path", spec) is None
         rs = build_root_system(spec)
         fv = FlagVariety(rs, ParabolicSubset.of(()))
         betas = beta_values(fv)
@@ -108,15 +108,15 @@ def test_criterion_5_cominuscule_two_path():
     ok = True
     pairs = 0
     for spec in all_types(8):
-        ok = ok and selfcheck.check_S3_cominuscule_two_path(spec) is None
-        ok = ok and selfcheck.check_S5_kannan_saha(spec) is None
+        ok = ok and counterexample("S3 cominuscule two-path", spec) is None
+        ok = ok and counterexample("S5 Kannan-Saha coroot identity", spec) is None
         pairs += len(cominuscule_nodes(build_root_system(spec)))
     elapsed = time.perf_counter() - t0
     report(5, "cominuscule two-path (%d nodes)" % pairs, ok and pairs > 0 and elapsed < 60.0)
 
 
 def test_criterion_6_cone_duality():
-    ok = all(selfcheck.check_B1_cone_duality(spec) is None for spec in all_types(6))
+    ok = all(counterexample("B1 cone duality", spec) is None for spec in all_types(6))
     report(6, "cone duality identity matrix", ok)
 
 
@@ -128,10 +128,10 @@ def test_criterion_7_weyl_oracle_equivalence():
         spec = TypeSpec(fam, rank)
         # W1 (w_{0,P} squares to id), W2 (its length is the number of Levi
         # roots) and W4 (|W^P| |W_P| = |W| against the oracle)
-        ok = ok and all(check(spec) is None for check in (
-            selfcheck.check_W1_longest_element_involution,
-            selfcheck.check_W2_longest_element_length,
-            selfcheck.check_W4_coset_rep_count,
+        ok = ok and all(counterexample(label, spec) is None for label in (
+            "W1 longest element squares to id",
+            "W2 longest element length",
+            "W4 coset rep counts",
         ))
         rs = build_root_system(spec)
         group = brute_force_group(rs)
@@ -147,7 +147,7 @@ def test_criterion_7_weyl_oracle_equivalence():
 
 
 def test_criterion_8_margin_certificates():
-    ok = all(selfcheck.check_B5_margin_certificates(spec) is None for spec in all_types(6))
+    ok = all(counterexample("B5 margin certificates", spec) is None for spec in all_types(6))
     report(8, "anticanonical margin certificates (every S_P and c to rank 6)", ok)
 
 

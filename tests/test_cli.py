@@ -14,6 +14,7 @@ import schubert_blowup
 from schubert_blowup import cli, selfcheck
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.selfcheck import all_types
+from test_rootsys import corrupt_a2_cartan
 
 
 def run(argv):
@@ -91,6 +92,8 @@ def test_json_round_trip():
                   "--parabolic", "1,2", "--codim", "3", "--format", "json"])
     data = json.loads(out)
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == out
+    assert sorted(data) == ["anticanonical", "anticanonical_big", "betas", "input",
+                            "margins", "verdict"]
 
 
 def test_text_and_json_agree():
@@ -171,17 +174,7 @@ def test_check_passes_and_is_deterministic():
 
 def test_check_detects_corruption(monkeypatch):
     # negative control: corrupt one Cartan entry and the suite must fail
-    from schubert_blowup import conventions
-
-    real = conventions.cartan_entries
-
-    def corrupted(family, rank):
-        C = [list(row) for row in real(family, rank)]
-        if family == "A" and rank == 2:
-            C[0][1] = -2
-        return tuple(tuple(row) for row in C)
-
-    monkeypatch.setattr(conventions, "cartan_entries", corrupted)
+    corrupt_a2_cartan(monkeypatch)
     code, out = run(["check"])
     assert code == 1
     assert "FAIL" in out
@@ -194,7 +187,7 @@ def test_check_reports_a_crashed_check_as_error(monkeypatch):
         return 1 // 0
 
     replaced = {"B1 cone duality": crash, "I2 sign coherence": lambda spec: ("counterexample",)}
-    checks = [(label, replaced.get(label, fn), rank) for label, fn, rank in selfcheck.CHECKS]
+    checks = [(label, replaced.get(label, fn), *ranks) for label, fn, *ranks in selfcheck.CHECKS]
     monkeypatch.setattr(selfcheck, "CHECKS", checks)
     code, out = run(["check"])
     assert code == 3
@@ -254,9 +247,11 @@ def test_bad_argv_exits_2_with_one_error_line(capsys, argv, message):
 
 def test_the_library_raises_only_engine_errors():
     # main catches EngineError alone, so any other raise would reach the user
-    # as a traceback; a frozen Value's AttributeError is the one exception
+    # as a traceback; a frozen Value's AttributeError is the one exception.
+    # An assert would raise AssertionError, and vanish under python -O.
     for path in sorted(pathlib.Path(schubert_blowup.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), (path.name, node.lineno)
             if isinstance(node, ast.Raise):
                 raised = (path.name, ast.unparse(getattr(node.exc, "func", node.exc)))
                 assert raised[1] in ("EngineError", "InvariantViolation") or raised == (

@@ -15,7 +15,7 @@ from schubert_blowup import (
     rho,
     root_as_weight,
 )
-from schubert_blowup import rootsys
+from schubert_blowup import conventions, rootsys
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import (
@@ -23,7 +23,7 @@ from schubert_blowup.selfcheck import (
     check_I1_closure_order_insensitive,
     check_I2_sign_coherence,
 )
-from test_selfcheck import check_test
+from test_selfcheck import check_test, counterexample, types_for
 
 
 # positive root counts, fixed from |R+| = (dim G - rank)/2 per type
@@ -185,14 +185,24 @@ def test_symmetrized_cartan_is_symmetric(spec):
 # The rank-8 name of I1 keeps its type ids; I1 runs to RANK_CAP below.
 @pytest.mark.parametrize("spec", all_types(8), ids=str)
 def test_closure_order_insensitive(spec):
-    assert check_I1_closure_order_insensitive(spec) is None
+    assert counterexample("I1 closure order-insensitive", spec) is None
 
 
 test_reflection_closure_equals_root_string_closure = check_test("I1 closure order-insensitive")
 test_sign_coherence_and_unique_highest = check_test("I2 sign coherence")
 test_i3_rho_pairs_with_highest_coroot = check_test("I3 rho/highest-coroot pairing")
 test_root_as_weight_injective = check_test("I4 root_as_weight injective")
-test_simply_laced_coroot_coefficientwise = check_test("I5 simply-laced coroot identity")
+
+I5 = "I5 simply-laced coroot identity"
+
+
+# I5 returns None off A, D and E before building anything: only those are cases
+@pytest.mark.parametrize("spec", [s for s in types_for(I5) if s.family in "ADE"], ids=str)
+def test_simply_laced_coroot_coefficientwise(spec):
+    assert counterexample(I5, spec) is None
+
+
+test_simply_laced_coroot_coefficientwise.check_labels = (I5,)
 
 
 def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
@@ -210,13 +220,15 @@ def test_selfcheck_i2_detects_a_second_highest_root(monkeypatch):
     assert check_I2_sign_coherence(TypeSpec("G", 2)) == ((2, 3), (3, 2))
 
 
-def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):
-    # the A2 corruption of test_check_detects_corruption: C[0][1] = -2
-    from schubert_blowup import conventions
-
+def corrupt_a2_cartan(monkeypatch):
+    """The negative control of the `check` tests: C[0][1] = -2 in A2."""
     real = conventions.cartan_entries
     monkeypatch.setattr(conventions, "cartan_entries", lambda f, r: (
         ((2, -2), (-1, 2)) if (f, r) == ("A", 2) else real(f, r)))
+
+
+def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):
+    corrupt_a2_cartan(monkeypatch)
     rs = build_root_system(TypeSpec("A", 2))
     assert rs.highest_root == Root((2, 1))
     with pytest.raises(InvariantViolation):

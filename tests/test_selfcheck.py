@@ -1,58 +1,44 @@
 """Every invariant of selfcheck.CHECKS runs in the tests on every type up
-to its TEST_RANK, which is at least the rank that `check` runs it at. Each
-layer's test file turns its own checks into tests with `check_test` (I in
-test_rootsys, W in test_weyl, F in test_flag, B in test_blowup, S in
-test_special), under the names of the test bodies they replaced; a failing
-case shows the check's counterexample."""
+to the test_rank of its row, which is at least the rank that `check` runs
+it at. Each layer's test file turns its own checks into tests with
+`check_test` (I in test_rootsys, W in test_weyl, F in test_flag, B in
+test_blowup, S in test_special), under the names of the test bodies they
+replaced; a failing case shows the check's counterexample. The tests that
+call a check go through `counterexample`, so each (check, type) pair runs
+once per session."""
 
+import functools
 import importlib
 
 import pytest
 
-from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.selfcheck import CHECKS, all_types
-
-TEST_RANK = {
-    "I1 closure order-insensitive": RANK_CAP,
-    "I2 sign coherence": RANK_CAP,
-    "I3 rho/highest-coroot pairing": RANK_CAP,
-    "I4 root_as_weight injective": 8,
-    "I5 simply-laced coroot identity": 8,
-    "W1 longest element squares to id": 5,
-    "W2 longest element length": 4,
-    "W3 longest element root permutation": 4,
-    "W4 coset rep counts": 3,  # the brute-force oracle stops at rank 3
-    "W5 reducedness": 3,
-    "F1 anticanonical weight in X*(P)": 6,
-    "F2 closed forms vs Weyl word": 6,
-    "F3 beta word-independence": 6,
-    "F4 Grassmannian dimension": 8,
-    "B1 cone duality": 6,
-    "B2 anticanonical basis round trip": 4,
-    "B3 classifier vs cone test": 4,
-    "B4 scaling invariance": 3,
-    "B5 margin certificates": 6,
-    "S1 Grassmannian two-path": 8,
-    "S3 cominuscule two-path": 8,
-    "S4 full-flag two-path": 5,
-    "S5 Kannan-Saha coroot identity": 8,
-}
-
-CHECK = {label: fn for label, fn, _ in CHECKS}
 
 LAYER_TESTS = ("test_rootsys", "test_weyl", "test_flag", "test_blowup", "test_special")
 
 
+@functools.cache
+def counterexample(label, spec):
+    """The labelled check on `spec`, evaluated once per session. Tests that
+    monkeypatch a check or the conventions call the check itself."""
+    return next(fn for name, fn, _, _ in CHECKS if name == label)(spec)
+
+
+def types_for(*labels):
+    """Every type up to the largest test_rank of the labelled checks."""
+    return all_types(max(rank for name, _, _, rank in CHECKS if name in labels))
+
+
 def check_test(*labels, per_type=True):
     """A test asserting that each labelled check returns None on every type
-    up to the labels' TEST_RANK: one case per type or, where the test it
+    up to the labels' test_rank: one case per type or, where the test it
     replaces was a single test, one test over all of them (per_type=False)."""
-    specs = all_types(max(TEST_RANK[label] for label in labels))
+    specs = types_for(*labels)
 
     def run(spec):
         for label in labels:
-            counterexample = CHECK[label](spec)
-            assert counterexample is None, "%s on %s: %r" % (label, spec, counterexample)
+            found = counterexample(label, spec)
+            assert found is None, "%s on %s: %r" % (label, spec, found)
 
     if per_type:
         test = pytest.mark.parametrize("spec", specs, ids=str)(run)
@@ -65,9 +51,8 @@ def check_test(*labels, per_type=True):
 
 
 def test_every_check_is_tested_at_least_at_its_check_rank():
-    assert list(TEST_RANK) == [label for label, _, _ in CHECKS]
-    for label, _, rank in CHECKS:
-        assert TEST_RANK[label] >= rank, label
+    for label, _, check_rank, test_rank in CHECKS:
+        assert test_rank >= check_rank, label
 
 
 def test_every_check_runs_in_a_layer_test():
@@ -75,4 +60,4 @@ def test_every_check_runs_in_a_layer_test():
     for name in LAYER_TESTS:
         for obj in vars(importlib.import_module(name)).values():
             tested.update(getattr(obj, "check_labels", ()))
-    assert tested == set(TEST_RANK)
+    assert tested == {label for label, _, _, _ in CHECKS}

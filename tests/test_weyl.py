@@ -138,8 +138,11 @@ def test_minimal_coset_rep_basics(a2):
 
 @pytest.mark.parametrize("node", [0, -1, 3])
 def test_minimal_coset_rep_rejects_nodes_outside_the_diagram(a2, node):
-    with pytest.raises(EngineError):
-        FlagVariety(a2, ParabolicSubset.of({node}))
+    par = ParabolicSubset.of({node})
+    for call in (lambda: FlagVariety(a2, par), lambda: longest_element(par, a2),
+                 lambda: enumerate_coset_reps(par, a2, 5)):
+        with pytest.raises(EngineError, match=r"^parabolic indices \[%d\] outside 1\.\.2$" % node):
+            call()
 
 
 def test_enumerate_coset_reps_zero_length(a2):
