@@ -58,8 +58,7 @@ def check_type(family, rank):
 
 
 def cartan_entries(family, rank):
-    """rank x rank Cartan matrix as a tuple of row tuples."""
-    check_type(family, rank)
+    """rank x rank Cartan matrix as a tuple of row tuples (TypeSpec checks the type)."""
     n = rank
     C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -103,7 +102,6 @@ def cartan_entries(family, rank):
 
 def symmetrizer(family, rank):
     """Diagonal d with diag(d) @ C symmetric, minimal positive integers."""
-    check_type(family, rank)
     n = rank
     if family == "B":
         return tuple([2] * (n - 1) + [1])

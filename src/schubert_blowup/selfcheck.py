@@ -1,19 +1,21 @@
 """Invariant checks behind the `check` CLI command.
 
-Each check takes one TypeSpec and returns None, or its first
-counterexample as a short tuple such as (sorted S_P, c). CHECKS is the one
-table of checks and ranks: each row gives the rank up to which `check`
-runs the check and the larger one up to which the pytest suite runs it,
-per type. run_all evaluates them in a fixed order so the report is
-deterministic, and reports a check that crashes apart from one that fails.
-They are the one place the internal invariants are verified: rootsys and
-flag re-check none of them at run time.
+Each check takes one RootSystem and yields its counterexamples, each a
+short tuple such as (sorted S_P, c). first_counterexample builds the
+system of a TypeSpec and stops at the first one; it is the one place a
+check becomes a verdict. CHECKS is the one table of checks and ranks: each
+row gives the rank up to which `check` runs the check and the larger one
+up to which the pytest suite runs it, per type. run_all evaluates them in
+a fixed order so the report is deterministic, and reports a check that
+crashes apart from one that fails. They are the one place the internal
+invariants are verified: rootsys and flag re-check none of them at run
+time.
 """
 
 import itertools
 import random
 
-from . import blowup, conventions, flag, rootsys, special, weyl
+from . import blowup, flag, rootsys, special, weyl
 from .conventions import RANK_CAP
 from .errors import EngineError
 from .rootsys import all_types, build_root_system, coroot_of, height, pairing, rho
@@ -33,9 +35,8 @@ def _maximal(rs, node):
     return flag.FlagVariety(rs, ParabolicSubset.of(set(range(1, rs.rank + 1)) - {node}))
 
 
-def _blowups(spec):
-    """(fv, c) for every proper S_P of `spec` and every c in 2..dim G/P."""
-    rs = build_root_system(spec)
+def _blowups(rs):
+    """(fv, c) for every proper S_P of `rs` and every c in 2..dim G/P."""
     for par in all_parabolics(rs.rank):
         fv = flag.FlagVariety(rs, par)
         for c in range(2, flag.dimension(fv) + 1):
@@ -44,30 +45,28 @@ def _blowups(spec):
 
 # ---- rootsys invariants -------------------------------------------------
 
-def check_I1_closure_order_insensitive(spec):
+def check_I1_closure_order_insensitive(rs):
     """The reflection closure that build_root_system uses equals the
     root-string closure, in the natural and in shuffled orders."""
-    cartan = conventions.cartan_entries(spec.family, spec.rank)
-    base = rootsys._positive_roots(cartan)
-    order = list(range(spec.rank))
+    base = {r.coeffs for r in rs.positive_roots}
+    order = list(range(rs.rank))
     rng = random.Random(0)
     for _ in range(5):
-        diff = rootsys._closure(cartan, order) ^ base
+        diff = rootsys._closure(rs.cartan, order) ^ base
         if diff:
-            return tuple(order), min(diff)
+            yield tuple(order), min(diff)
         rng.shuffle(order)
-    return None
 
 
-def check_I2_sign_coherence(spec):
+def check_I2_sign_coherence(rs):
     """Every positive root has nonnegative coefficients, and the highest
     root is the only root of its height."""
-    rs = build_root_system(spec)
     for r in rs.positive_roots:
         if any(c < 0 for c in r.coeffs):
-            return (r.coeffs,)
+            yield (r.coeffs,)
     top = [r.coeffs for r in rs.positive_roots if height(r) == height(rs.highest_root)]
-    return None if len(top) == 1 else tuple(top)
+    if len(top) != 1:
+        yield tuple(top)
 
 
 # dual Coxeter numbers, fixed independently of any computation here
@@ -79,40 +78,33 @@ def dual_coxeter_number(spec):
             "F": 9, "G": 4}[spec.family]
 
 
-def check_I3_rho_pairing_highest_coroot(spec):
-    rs = build_root_system(spec)
+def check_I3_rho_pairing_highest_coroot(rs):
     lhs = pairing(rho(rs), coroot_of(rs.highest_root, rs))
     # in the simply-laced types this coincides with ht(alpha_0)
-    if lhs != dual_coxeter_number(spec) - 1 or (
-            spec.family in "ADE" and lhs != height(rs.highest_root)):
-        return lhs, dual_coxeter_number(spec) - 1, height(rs.highest_root)
-    return None
+    if lhs != dual_coxeter_number(rs.spec) - 1 or (
+            rs.spec.family in "ADE" and lhs != height(rs.highest_root)):
+        yield lhs, dual_coxeter_number(rs.spec) - 1, height(rs.highest_root)
 
 
-def check_I4_root_as_weight_injective(spec):
-    rs = build_root_system(spec)
+def check_I4_root_as_weight_injective(rs):
     seen = {}
     for r in rs.positive_roots:
         other = seen.setdefault(rootsys.root_as_weight(r, rs).coeffs, r)
         if other is not r:
-            return other.coeffs, r.coeffs
-    return None
+            yield other.coeffs, r.coeffs
 
 
-def check_I5_simply_laced_coroot_identity(spec):
-    if spec.family not in "ADE":
-        return None
-    rs = build_root_system(spec)
+def check_I5_simply_laced_coroot_identity(rs):
+    if rs.spec.family not in "ADE":
+        return
     for r in rs.positive_roots:
         if coroot_of(r, rs).coeffs != r.coeffs:
-            return (r.coeffs,)
-    return None
+            yield (r.coeffs,)
 
 
 # ---- weyl invariants ----------------------------------------------------
 
-def check_W1_longest_element_involution(spec):
-    rs = build_root_system(spec)
+def check_W1_longest_element_involution(rs):
     for par in all_parabolics(rs.rank, proper=False):
         w0 = longest_element(par, rs)
         square = WeylWord(w0.letters + w0.letters)
@@ -121,54 +113,46 @@ def check_W1_longest_element_involution(spec):
             for i in range(rs.rank)
         ]:
             if act(square, lam, rs) != lam:
-                return sorted(par.members), lam.coeffs
-    return None
+                yield sorted(par.members), lam.coeffs
 
 
 def _in_levi(r, members):
     return all(c == 0 for j, c in enumerate(r.coeffs) if (j + 1) not in members)
 
 
-def check_W2_longest_element_length(spec):
-    rs = build_root_system(spec)
+def check_W2_longest_element_length(rs):
     for par in all_parabolics(rs.rank, proper=False):
         w0 = longest_element(par, rs)
         supported = sum(_in_levi(r, par.members) for r in rs.positive_roots)
         if length(w0, rs) != supported or len(w0.letters) != supported:
-            return sorted(par.members), length(w0, rs), len(w0.letters), supported
-    return None
+            yield sorted(par.members), length(w0, rs), len(w0.letters), supported
 
 
-def check_W3_longest_element_permutes(spec):
-    rs = build_root_system(spec)
+def check_W3_longest_element_permutes(rs):
     for par in all_parabolics(rs.rank, proper=False):
         w0 = longest_element(par, rs)
         for r in rs.positive_roots:
             # w_{0,P} sends exactly the roots of the Levi negative
             if act(w0, r, rs).is_positive() == _in_levi(r, par.members):
-                return sorted(par.members), r.coeffs
-    return None
+                yield sorted(par.members), r.coeffs
 
 
-def check_W4_coset_rep_count(spec):
-    rs = build_root_system(spec)
+def check_W4_coset_rep_count(rs):
     group = weyl.brute_force_group(rs)
     for par in all_parabolics(rs.rank):
         reps = weyl.enumerate_coset_reps(par, rs, len(rs.positive_roots))
         # any reduced word of an element of W_P stays inside S_P, so
         # the oracle's shortest words identify the subgroup exactly
         members = set(par.members)
-        wp_order = sum(1 for _, w in group if set(w.letters) <= members)
+        wp_order = sum(1 for w in group if set(w.letters) <= members)
         if len(reps) * wp_order != len(group):
-            return sorted(par.members), len(reps), wp_order
-    return None
+            yield sorted(par.members), len(reps), wp_order
 
 
-def check_W5_reducedness(spec):
+def check_W5_reducedness(rs):
     """length (a signed replay) = #{beta > 0 : w(beta) < 0} on the words of
     longest_element and on all of W^P, which equal len(w), and on their
     squares, most of which are not reduced."""
-    rs = build_root_system(spec)
     words = [longest_element(par, rs) for par in all_parabolics(rs.rank, proper=False)]
     for par in all_parabolics(rs.rank):
         words += weyl.enumerate_coset_reps(par, rs, len(rs.positive_roots))
@@ -176,27 +160,24 @@ def check_W5_reducedness(spec):
         for x in (w, WeylWord(w.letters * 2)):
             inversions = sum(not act(x, b, rs).is_positive() for b in rs.positive_roots)
             if length(x, rs) != inversions or x is w and inversions != len(w.letters):
-                return x.letters, inversions
-    return None
+                yield x.letters, inversions
 
 
 # ---- flag invariants ----------------------------------------------------
 
-def check_F1_anticanonical_in_picard(spec):
-    rs = build_root_system(spec)
+def check_F1_anticanonical_in_picard(rs):
     for par in all_parabolics(rs.rank):
         lam = flag.anticanonical_weight(flag.FlagVariety(rs, par))
         if any(lam.coeffs[i - 1] != 0 for i in par.members):
-            return sorted(par.members), lam.coeffs
-    return None
+            yield sorted(par.members), lam.coeffs
 
 
 def closed_form_mismatch(rs, pars):
     """Two derivations of the flag invariants: the closed forms of flag.py
     (from 2 rho_P) against the Weyl word of w_{0,P}, i.e. betas against
     act(w0, rho), the -K weight against rho + act(w0, rho) and dim G/P
-    against |R^+| - len(w0). Returns the first S_P in `pars` on which they
-    differ, sorted, or None."""
+    against |R^+| - len(w0). Yields each S_P in `pars` on which they
+    differ, sorted."""
     r = rho(rs)
     for par in pars:
         fv = flag.FlagVariety(rs, par)
@@ -208,63 +189,56 @@ def closed_form_mismatch(rs, pars):
                 or any(betas[a] != img.coeffs[a - 1] for a in basis)
                 or flag.anticanonical_weight(fv) != r + img
                 or flag.dimension(fv) != len(rs.positive_roots) - len(w0.letters)):
-            return sorted(par.members)
-    return None
+            yield sorted(par.members)
 
 
-def check_F2_closed_form_vs_weyl_word(spec):
-    bad = closed_form_mismatch(build_root_system(spec), all_parabolics(spec.rank))
-    return None if bad is None else (bad,)
+def check_F2_closed_form_vs_weyl_word(rs):
+    for bad in closed_form_mismatch(rs, all_parabolics(rs.rank)):
+        yield (bad,)
 
 
-def check_F3_beta_word_independent(spec):
+def check_F3_beta_word_independent(rs):
     # w_{0,P} is an involution, so the reverse of its greedy word is a
     # second reduced word of the same element, and must give the same betas
-    rs = build_root_system(spec)
     for par in all_parabolics(rs.rank):
         fv = flag.FlagVariety(rs, par)
         betas = flag.beta_values(fv)
         img = act(WeylWord(longest_element(par, rs).letters[::-1]), rho(rs), rs)
         if any(img.coeffs[a - 1] != betas[a] for a in flag.picard_basis(fv)):
-            return sorted(par.members), img.coeffs
-    return None
+            yield sorted(par.members), img.coeffs
 
 
-def check_F4_grassmannian_dimension(spec):
-    if spec.family != "A":
-        return None
-    rs = build_root_system(spec)
+def check_F4_grassmannian_dimension(rs):
+    if rs.spec.family != "A":
+        return
     n = rs.rank + 1
     for r in range(1, n):
         d = flag.dimension(_maximal(rs, r))
         if d != r * (n - r):
-            return r, n, d
-    return None
+            yield r, n, d
 
 
 # ---- blowup invariants --------------------------------------------------
 
-def check_B1_cone_duality(spec):
-    for fv, c in _blowups(spec):
+def check_B1_cone_duality(rs):
+    for fv, c in _blowups(rs):
         nef = blowup.nef_generators(fv, c)
         mori = blowup.mori_generators(fv, c)
         matrix = [[blowup.intersect(d, k) for k in mori] for d in nef]
         if matrix != [[int(i == j) for j in range(len(mori))] for i in range(len(nef))]:
-            return sorted(fv.par.members), c
-    return None
+            yield sorted(fv.par.members), c
 
 
-def check_B2_anticanonical_round_trip(spec):
-    for fv, c in _blowups(spec):
+def check_B2_anticanonical_round_trip(rs):
+    for fv, c in _blowups(rs):
         dc, basis2 = blowup.anticanonical_class(fv, c)
         if (blowup.to_nef_basis(dc) != basis2
                 or blowup.from_nef_basis(dc.basis, basis2) != dc):
-            return sorted(fv.par.members), c
-    return None
+            yield sorted(fv.par.members), c
 
 
-def check_B3_classifier_matches_cone_test(spec):
-    for fv, c in _blowups(spec):
+def check_B3_classifier_matches_cone_test(rs):
+    for fv, c in _blowups(rs):
         dc, _ = blowup.anticanonical_class(fv, c)
         expected = (
             blowup.Verdict.FANO
@@ -274,13 +248,11 @@ def check_B3_classifier_matches_cone_test(spec):
             else blowup.Verdict.NOT_WEAK_FANO
         )
         if blowup.classify(fv, c).verdict != expected:
-            return sorted(fv.par.members), c
-    return None
+            yield sorted(fv.par.members), c
 
 
-def check_B4_scaling_preserves_verdicts(spec):
-    rng = random.Random(str(spec))
-    rs = build_root_system(spec)
+def check_B4_scaling_preserves_verdicts(rs):
+    rng = random.Random(str(rs.spec))
     for par in all_parabolics(rs.rank):
         basis = flag.picard_basis(flag.FlagVariety(rs, par))
         for _ in range(5):
@@ -292,65 +264,55 @@ def check_B4_scaling_preserves_verdicts(spec):
             m = rng.randint(1, 4)
             if (blowup.is_nef(d) != blowup.is_nef(d.scaled(m))
                     or blowup.is_ample(d) != blowup.is_ample(d.scaled(m))):
-                return sorted(par.members), d.pullback_coeffs, d.exceptional_coeff, m
-    return None
+                yield sorted(par.members), d.pullback_coeffs, d.exceptional_coeff, m
 
 
-def check_B5_margin_certificates(spec):
+def check_B5_margin_certificates(rs):
     """-K pairs with each tilde C_alpha to the margin beta_alpha - c + 2,
     and with e to c - 1."""
-    for fv, c in _blowups(spec):
+    for fv, c in _blowups(rs):
         dc, _ = blowup.anticanonical_class(fv, c)
         mori = blowup.mori_generators(fv, c)
         rep = blowup.classify(fv, c)
         margins = [rep.betas[a] - c + 2 for a in flag.picard_basis(fv)]
         if ([blowup.intersect(dc, k) for k in mori] != margins + [c - 1]
                 or [rep.margins[a] for a in flag.picard_basis(fv)] != margins):
-            return sorted(fv.par.members), c
-    return None
+            yield sorted(fv.par.members), c
 
 
 # ---- special cross-checks ------------------------------------------------
 
-def check_S1_grassmannian_two_path(spec):
-    if spec.family != "A":
-        return None
-    rs = build_root_system(spec)
+def check_S1_grassmannian_two_path(rs):
+    if rs.spec.family != "A":
+        return
     n = rs.rank + 1
     for r in range(1, n):
         fv = _maximal(rs, r)
         for c in range(2, flag.dimension(fv) + 1):
             if special.grassmannian_classify(r, n, c) != blowup.classify(fv, c).verdict:
-                return r, n, c
-    return None
+                yield r, n, c
 
 
-def check_S3_cominuscule_two_path(spec):
-    rs = build_root_system(spec)
+def check_S3_cominuscule_two_path(rs):
     for node in sorted(special.cominuscule_nodes(rs)):
         fv = _maximal(rs, node)
         for c in range(2, flag.dimension(fv) + 1):
             if special.cominuscule_classify(rs, node, c) != blowup.classify(fv, c).verdict:
-                return node, c
-    return None
+                yield node, c
 
 
-def check_S4_full_flag_two_path(spec):
-    rs = build_root_system(spec)
+def check_S4_full_flag_two_path(rs):
     fv = flag.FlagVariety(rs, ParabolicSubset.of(()))
     for c in range(2, flag.dimension(fv) + 1):
         if special.full_flag_classify(rs, c) != blowup.classify(fv, c).verdict:
-            return (c,)
-    return None
+            yield (c,)
 
 
-def check_S5_kannan_saha(spec):
-    rs = build_root_system(spec)
+def check_S5_kannan_saha(rs):
     for node in sorted(special.cominuscule_nodes(rs)):
         if (not special.kannan_saha_check(rs, node)
                 or flag.beta_values(_maximal(rs, node))[node] != special.dual_height(rs)):
-            return (node,)
-    return None
+            yield (node,)
 
 
 # (label, check, check_rank, test_rank): `check` runs each check over
@@ -384,17 +346,24 @@ CHECKS = [
 ]
 
 
+def first_counterexample(check, spec):
+    """The first counterexample that `check` yields on the root system of
+    `spec`, or None: the one place a check is turned into a verdict."""
+    return next(iter(check(build_root_system(spec))), None)
+
+
 def run_all():
-    """(name, status, error) per check. status is PASS (every type up to
-    the check's rank gave None), FAIL (a counterexample, an EngineError or
-    an AssertionError) or ERROR (any other exception: the check itself
-    crashed), and error is "<Type>: <msg>" for an ERROR, else None."""
+    """(name, status, error) per check. status is PASS (no type up to the
+    check's rank gave a counterexample), FAIL (a counterexample or an
+    EngineError) or ERROR (any other exception: the check itself crashed),
+    and error is "<Type>: <msg>" for an ERROR, else None."""
     results = []
     for name, fn, rank, _ in CHECKS:
         error = None
         try:
-            status = "PASS" if all(fn(spec) is None for spec in all_types(rank)) else "FAIL"
-        except (EngineError, AssertionError):
+            found = any(first_counterexample(fn, spec) is not None for spec in all_types(rank))
+            status = "FAIL" if found else "PASS"
+        except EngineError:
             status = "FAIL"
         except Exception as exc:
             status, error = "ERROR", "%s: %s" % (type(exc).__name__, exc)

@@ -7,8 +7,9 @@ at a time instead of replaying words. length reads one replay of the word
 on rho, whose signed count of steps is the length; flag.schubert_codim
 reads W^P membership from the same replay.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
-selfcheck F2 compares with the action of w_{0,P}. A brute-force group
-enumeration (rank <= 3) serves as an independent testing oracle.
+selfcheck F2 compares with the action of w_{0,P}. brute_force_group
+(rank <= 3), an independent testing oracle, walks the orbit of rho, on
+which W acts simply, one element per orbit point.
 """
 
 from collections import deque
@@ -24,9 +25,6 @@ class WeylWord(Value):
 
     def __init__(self, letters):
         setfield(self, "letters", letters)
-
-    def __len__(self):
-        return len(self.letters)
 
 
 class ParabolicSubset(Value):
@@ -187,51 +185,27 @@ _ORACLE_MAX_RANK = 3
 
 
 def brute_force_group(rs):
-    """Oracle: the whole Weyl group as weight-space actions, rank <= 3.
+    """Oracle: the whole Weyl group, rank <= 3, as one shortest word per
+    element, sorted by (length, lexicographic word).
 
-    Closure of the simple reflections under composition, each element
-    keyed by its image of rho and carrying a shortest word.
+    Breadth-first over the orbit of rho, on which W acts simply, so each
+    orbit point is one element. s_i acts by the dense Cartan formula
+    v - v_i alpha_i, written out here so that the oracle shares no code
+    with the walks it checks.
     """
     if rs.rank > _ORACLE_MAX_RANK:
         raise EngineError(
             "oracle limited to rank %d, got %d" % (_ORACLE_MAX_RANK, rs.rank)
         )
-
-    def matmul(A, B):
-        n = len(A)
-        return tuple(
-            tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    n = rs.rank
     C = rs.cartan
-    # s_i on weight coordinates: column vectors of the matrix
-    gens = {}
-    for i in range(1, n + 1):
-        M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        for r in range(n):
-            M[r][i - 1] -= C[r][i - 1]
-        gens[i] = tuple(tuple(row) for row in M)
-
-    ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-    def key(M):
-        # image of rho = row sums
-        return tuple(sum(row) for row in M)
-
-    elements = {key(ident): (ident, ())}
-    queue = deque([(ident, ())])
+    start = (1,) * rs.rank
+    words = {start: ()}  # orbit point -> the first word that reached it
+    queue = deque([start])
     while queue:
-        M, word = queue.popleft()
-        for i, S in gens.items():
-            M2 = matmul(S, M)
-            k = key(M2)
-            if k not in elements:
-                w2 = (i,) + word
-                elements[k] = (M2, w2)
-                queue.append((M2, w2))
-    return [
-        (M, WeylWord(w))
-        for M, w in sorted(elements.values(), key=lambda e: (len(e[1]), e[1]))
-    ]
+        v = queue.popleft()
+        for i in range(rs.rank):
+            img = tuple(v[r] - v[i] * C[r][i] for r in range(rs.rank))
+            if img not in words:
+                words[img] = (i + 1,) + words[v]
+                queue.append(img)
+    return [WeylWord(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]

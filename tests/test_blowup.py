@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from schubert_blowup import (
     CurveClass,
@@ -141,13 +140,5 @@ test_b4_scaling_invariance_on_every_blowup = check_test("B4 scaling invariance")
 # exhaustive despite its name: every S_P and c of every type up to rank 6
 test_b5_margin_certificates_random_sample = check_test("B5 margin certificates", per_type=False)
 
-
-@given(
-    st.lists(st.integers(-5, 5), min_size=2, max_size=2),
-    st.integers(-5, 5),
-    st.integers(1, 6),
-)
-def test_b4_scaling_preserves_verdicts(pullback, exc, m):
-    d = DivisorClass((1, 2), tuple(pullback), exc)
-    assert is_nef(d) == is_nef(d.scaled(m))
-    assert is_ample(d) == is_ample(d.scaled(m))
+# B4 once more as one test, so that this id stays; the memo runs nothing twice
+test_b4_scaling_preserves_verdicts = check_test("B4 scaling invariance", per_type=False)

@@ -1,4 +1,5 @@
 import ast
+import functools
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import schubert_blowup
 from schubert_blowup import cli, selfcheck
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.selfcheck import all_types
-from test_rootsys import corrupt_a2_cartan
+from test_rootsys import CORRUPT_A2_ROWS, corrupt_a2_cartan
 
 
 def run(argv):
@@ -165,9 +166,15 @@ PASS S5 Kannan-Saha coroot identity
 """
 
 
+@functools.cache
+def check_runs():
+    """Two clean in-process `check` runs, shared by the tests that compare
+    them (here and acceptance criterion 9)."""
+    return run(["check"]), run(["check"])
+
+
 def test_check_passes_and_is_deterministic():
-    code1, out1 = run(["check"])
-    code2, out2 = run(["check"])
+    (code1, out1), (code2, out2) = check_runs()
     assert code1 == code2 == 0
     assert out1 == out2 == CHECK_STDOUT
 
@@ -183,10 +190,13 @@ def test_check_detects_corruption(monkeypatch):
 def test_check_reports_a_crashed_check_as_error(monkeypatch):
     # a check that crashes is not a failed check: ERROR line and exit 3,
     # which takes precedence over a FAIL
-    def crash(spec):
-        return 1 // 0
+    def crash(rs):
+        yield 1 // 0
 
-    replaced = {"B1 cone duality": crash, "I2 sign coherence": lambda spec: ("counterexample",)}
+    def found(rs):
+        yield ("counterexample",)
+
+    replaced = {"B1 cone duality": crash, "I2 sign coherence": found}
     checks = [(label, replaced.get(label, fn), *ranks) for label, fn, *ranks in selfcheck.CHECKS]
     monkeypatch.setattr(selfcheck, "CHECKS", checks)
     code, out = run(["check"])
@@ -314,19 +324,14 @@ def test_cli_fuzz(argv):
             json.loads(out, parse_float=_no_float, parse_constant=_no_float)
 
 
-# the Cartan corruption of test_check_detects_corruption, for a subprocess
+# corrupt_a2_cartan's corruption, for a subprocess
 CORRUPT_A2 = """
 import sys
 from schubert_blowup import conventions
 real = conventions.cartan_entries
-def corrupted(family, rank):
-    C = [list(row) for row in real(family, rank)]
-    if family == "A" and rank == 2:
-        C[0][1] = -2
-    return tuple(tuple(row) for row in C)
-conventions.cartan_entries = corrupted
+conventions.cartan_entries = lambda f, r: %r if (f, r) == ("A", 2) else real(f, r)
 print("optimize", sys.flags.optimize)
-"""
+""" % (CORRUPT_A2_ROWS,)
 
 
 def run_optimized(code):

@@ -21,6 +21,7 @@ from schubert_blowup.selfcheck import (
     all_types,
     check_F1_anticanonical_in_picard,
     check_F2_closed_form_vs_weyl_word,
+    first_counterexample,
 )
 from test_selfcheck import check_test
 
@@ -156,5 +157,5 @@ def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):
 
     monkeypatch.setattr(flag, "_positive_roots", dropped)
     spec = TypeSpec("A", 4)
-    assert check_F1_anticanonical_in_picard(spec) == ([1, 2], (1, 1, 3, 2))
-    assert check_F2_closed_form_vs_weyl_word(spec) == ([1, 2],)
+    assert first_counterexample(check_F1_anticanonical_in_picard, spec) == ([1, 2], (1, 1, 3, 2))
+    assert first_counterexample(check_F2_closed_form_vs_weyl_word, spec) == ([1, 2],)

@@ -22,6 +22,7 @@ from schubert_blowup.selfcheck import (
     all_types,
     check_I1_closure_order_insensitive,
     check_I2_sign_coherence,
+    first_counterexample,
 )
 from test_selfcheck import check_test, counterexample, types_for
 
@@ -210,21 +211,25 @@ def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
     monkeypatch.setattr(rootsys, "_positive_roots",
                         lambda cartan: real(cartan) - {(1,) * len(cartan)})
     # the root-string closure still finds alpha_1 + alpha_2 + alpha_3
-    assert check_I1_closure_order_insensitive(TypeSpec("A", 3)) == ((0, 1, 2), (1, 1, 1))
+    found = first_counterexample(check_I1_closure_order_insensitive, TypeSpec("A", 3))
+    assert found == ((0, 1, 2), (1, 1, 1))
 
 
 def test_selfcheck_i2_detects_a_second_highest_root(monkeypatch):
     real = rootsys._positive_roots
     monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: real(cartan) | {(2, 3)})
     # (2, 3) has the height of G2's highest root 3 alpha_1 + 2 alpha_2
-    assert check_I2_sign_coherence(TypeSpec("G", 2)) == ((2, 3), (3, 2))
+    assert first_counterexample(check_I2_sign_coherence, TypeSpec("G", 2)) == ((2, 3), (3, 2))
+
+
+# the negative control of the `check` tests: A2 with C[0][1] = -2
+CORRUPT_A2_ROWS = ((2, -2), (-1, 2))
 
 
 def corrupt_a2_cartan(monkeypatch):
-    """The negative control of the `check` tests: C[0][1] = -2 in A2."""
     real = conventions.cartan_entries
     monkeypatch.setattr(conventions, "cartan_entries", lambda f, r: (
-        ((2, -2), (-1, 2)) if (f, r) == ("A", 2) else real(f, r)))
+        CORRUPT_A2_ROWS if (f, r) == ("A", 2) else real(f, r)))
 
 
 def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):

@@ -74,7 +74,7 @@ def test_reflect_coroot_b2_matches_oracle_orbit(b2):
     img = reflect_coroot(2, b2.simple_coroot(1), b2)
     assert img.coeffs == (1, 1)  # alpha_1^v + alpha_2^v, hand-checked
     orbit = set()
-    for _, w in brute_force_group(b2):
+    for w in brute_force_group(b2):
         orbit.add(act(w, b2.simple_coroot(1), b2).coeffs)
     assert img.coeffs in orbit
 
@@ -94,7 +94,7 @@ def test_act_longest_word_on_rho_a2(a2):
 
 
 def test_act_involutions_from_oracle(a2):
-    for _, w in brute_force_group(a2):
+    for w in brute_force_group(a2):
         square = WeylWord(w.letters + w.letters)
         if act(square, rho(a2), a2) == rho(a2):
             for lam in (Weight((2, 0)), Weight((3, -1))):
