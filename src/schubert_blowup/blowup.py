@@ -4,8 +4,8 @@ along a smooth Schubert variety of codimension c >= 2.
 Divisor classes live over the basis {Bl*D_alpha} + {E_Z}, curve classes
 over {tilde C_alpha} + {e} with tilde C_alpha = Bl*C_alpha - e. The nef
 cone is generated by the Bl*D_alpha together with H - E_Z (where H is
-the pullback of sum D_alpha), the Mori cone by the tilde C_alpha and e,
-and the anticanonical class is
+the pullback of sum D_alpha), the dual Mori cone by the tilde C_alpha and
+e, whose pairings decide is_nef and is_ample, and the anticanonical class is
 
     -K = sum (1 + beta_alpha) Bl*D_alpha - (c-1) E_Z
        = sum (beta_alpha + 2 - c) Bl*D_alpha + (c-1)(H - E_Z),
@@ -35,13 +35,6 @@ class DivisorClass(Value):
         setfield(self, "basis", basis)  # picard_basis indices, fixes coordinate order
         setfield(self, "pullback_coeffs", pullback_coeffs)  # over Bl*D_alpha
         setfield(self, "exceptional_coeff", exceptional_coeff)  # of E_Z
-
-    def scaled(self, m):
-        return DivisorClass(
-            self.basis,
-            tuple(m * a for a in self.pullback_coeffs),
-            m * self.exceptional_coeff,
-        )
 
 
 class CurveClass(Value):
@@ -87,7 +80,10 @@ def nef_generators(fv, c):
 def mori_generators(fv, c):
     """{tilde C_alpha} plus e."""
     check_codim(c, dimension(fv))
-    basis = picard_basis(fv)
+    return _mori(picard_basis(fv))
+
+
+def _mori(basis):
     n = len(basis)
     gens = [
         CurveClass(basis, tuple(1 if j == k else 0 for j in range(n)), 0)
@@ -107,19 +103,8 @@ def intersect(d, k):
     return dot + d.exceptional_coeff * (sum(k.tilde_coeffs) - k.e_coeff)
 
 
-def to_nef_basis(d):
-    """Coordinates over {Bl*D_alpha} + {H - E_Z}: (a_alpha + b, ..., -b)."""
-    b = d.exceptional_coeff
-    return tuple(a + b for a in d.pullback_coeffs) + (-b,)
-
-
-def from_nef_basis(basis, coords):
-    *m, h = coords
-    return DivisorClass(basis, tuple(a + h for a in m), -h)
-
-
 def anticanonical_class(fv, c):
-    """-K of the blow-up, in both bases (selfcheck B2 checks that they agree)."""
+    """-K of the blow-up in both bases (selfcheck B5 checks them against its pairings)."""
     check_codim(c, dimension(fv))
     basis = picard_basis(fv)
     betas = beta_values(fv)
@@ -129,11 +114,11 @@ def anticanonical_class(fv, c):
 
 
 def is_nef(d):
-    return all(x >= 0 for x in to_nef_basis(d))
+    return all(intersect(d, k) >= 0 for k in _mori(d.basis))
 
 
 def is_ample(d):
-    return all(x > 0 for x in to_nef_basis(d))
+    return all(intersect(d, k) > 0 for k in _mori(d.basis))
 
 
 def classify(fv, c):

@@ -12,6 +12,7 @@ invariants are verified: rootsys and flag re-check none of them at run
 time.
 """
 
+import collections
 import itertools
 import random
 
@@ -137,15 +138,24 @@ def check_W3_longest_element_permutes(rs):
                 yield sorted(par.members), r.coeffs
 
 
+def weyl_order(roots):
+    """|W| = prod (e_i + 1) over the exponents e_i, the partition dual to
+    the number of positive roots at each height (Kostant, Amer. J. Math.
+    81, 1959; Humphreys, Reflection Groups and Coxeter Groups, 3.9). On a
+    reducible system, such as a Levi's, the product over its factors."""
+    at_height = collections.Counter(height(r) for r in roots)
+    order = 1
+    for i in range(1, at_height[1] + 1):
+        order *= 1 + sum(n >= i for n in at_height.values())
+    return order
+
+
 def check_W4_coset_rep_count(rs):
-    group = weyl.brute_force_group(rs)
+    order = weyl_order(rs.positive_roots)
     for par in all_parabolics(rs.rank):
         reps = weyl.enumerate_coset_reps(par, rs, len(rs.positive_roots))
-        # any reduced word of an element of W_P stays inside S_P, so
-        # the oracle's shortest words identify the subgroup exactly
-        members = set(par.members)
-        wp_order = sum(1 for w in group if set(w.letters) <= members)
-        if len(reps) * wp_order != len(group):
+        wp_order = weyl_order([r for r in rs.positive_roots if _in_levi(r, par.members)])
+        if len(reps) * wp_order != order:
             yield sorted(par.members), len(reps), wp_order
 
 
@@ -229,14 +239,6 @@ def check_B1_cone_duality(rs):
             yield sorted(fv.par.members), c
 
 
-def check_B2_anticanonical_round_trip(rs):
-    for fv, c in _blowups(rs):
-        dc, basis2 = blowup.anticanonical_class(fv, c)
-        if (blowup.to_nef_basis(dc) != basis2
-                or blowup.from_nef_basis(dc.basis, basis2) != dc):
-            yield sorted(fv.par.members), c
-
-
 def check_B3_classifier_matches_cone_test(rs):
     for fv, c in _blowups(rs):
         dc, _ = blowup.anticanonical_class(fv, c)
@@ -251,32 +253,17 @@ def check_B3_classifier_matches_cone_test(rs):
             yield sorted(fv.par.members), c
 
 
-def check_B4_scaling_preserves_verdicts(rs):
-    rng = random.Random(str(rs.spec))
-    for par in all_parabolics(rs.rank):
-        basis = flag.picard_basis(flag.FlagVariety(rs, par))
-        for _ in range(5):
-            d = blowup.DivisorClass(
-                basis,
-                tuple(rng.randint(-3, 3) for _ in basis),
-                rng.randint(-3, 3),
-            )
-            m = rng.randint(1, 4)
-            if (blowup.is_nef(d) != blowup.is_nef(d.scaled(m))
-                    or blowup.is_ample(d) != blowup.is_ample(d.scaled(m))):
-                yield sorted(par.members), d.pullback_coeffs, d.exceptional_coeff, m
-
-
 def check_B5_margin_certificates(rs):
     """-K pairs with each tilde C_alpha to the margin beta_alpha - c + 2,
-    and with e to c - 1."""
+    and with e to c - 1: its coordinates over the nef generators, which
+    anticanonical_class also gives."""
     for fv, c in _blowups(rs):
-        dc, _ = blowup.anticanonical_class(fv, c)
+        dc, basis2 = blowup.anticanonical_class(fv, c)
         mori = blowup.mori_generators(fv, c)
         rep = blowup.classify(fv, c)
         margins = [rep.betas[a] - c + 2 for a in flag.picard_basis(fv)]
-        if ([blowup.intersect(dc, k) for k in mori] != margins + [c - 1]
-                or [rep.margins[a] for a in flag.picard_basis(fv)] != margins):
+        if not ([blowup.intersect(dc, k) for k in mori] == list(basis2) == margins + [c - 1]
+                and [rep.margins[a] for a in flag.picard_basis(fv)] == margins):
             yield sorted(fv.par.members), c
 
 
@@ -327,17 +314,14 @@ CHECKS = [
     ("W1 longest element squares to id", check_W1_longest_element_involution, 3, 5),
     ("W2 longest element length", check_W2_longest_element_length, 3, 4),
     ("W3 longest element root permutation", check_W3_longest_element_permutes, 3, 4),
-    # W4's oracle, brute_force_group, stops at rank 3
-    ("W4 coset rep counts", check_W4_coset_rep_count, 3, 3),
+    ("W4 coset rep counts", check_W4_coset_rep_count, 3, 5),
     ("W5 reducedness", check_W5_reducedness, 3, 3),
     ("F1 anticanonical weight in X*(P)", check_F1_anticanonical_in_picard, 4, 6),
     ("F2 closed forms vs Weyl word", check_F2_closed_form_vs_weyl_word, 5, 6),
     ("F3 beta word-independence", check_F3_beta_word_independent, 3, 6),
     ("F4 Grassmannian dimension", check_F4_grassmannian_dimension, 6, 8),
     ("B1 cone duality", check_B1_cone_duality, 4, 6),
-    ("B2 anticanonical basis round trip", check_B2_anticanonical_round_trip, 4, 4),
     ("B3 classifier vs cone test", check_B3_classifier_matches_cone_test, 4, 4),
-    ("B4 scaling invariance", check_B4_scaling_preserves_verdicts, 3, 3),
     ("B5 margin certificates", check_B5_margin_certificates, 4, 6),
     ("S1 Grassmannian two-path", check_S1_grassmannian_two_path, 6, 8),
     ("S3 cominuscule two-path", check_S3_cominuscule_two_path, 5, 8),

@@ -21,7 +21,7 @@ from schubert_blowup.special import (
     grassmannian_classify,
 )
 from schubert_blowup.weyl import ParabolicSubset, brute_force_group
-from schubert_blowup.selfcheck import all_parabolics, all_types
+from schubert_blowup.selfcheck import all_parabolics, all_types, weyl_order
 from test_cli import check_runs, run
 from test_flag import grassmannian
 from test_selfcheck import counterexample
@@ -127,7 +127,7 @@ def test_criterion_7_weyl_oracle_equivalence():
                       ("C", 3), ("G", 2)]:
         spec = TypeSpec(fam, rank)
         # W1 (w_{0,P} squares to id), W2 (its length is the number of Levi
-        # roots) and W4 (|W^P| |W_P| = |W| against the oracle)
+        # roots) and W4 (|W^P| |W_P| = |W|, both orders from weyl_order)
         ok = ok and all(counterexample(label, spec) is None for label in (
             "W1 longest element squares to id",
             "W2 longest element length",
@@ -135,6 +135,7 @@ def test_criterion_7_weyl_oracle_equivalence():
         ))
         rs = build_root_system(spec)
         group = brute_force_group(rs)
+        ok = ok and len(group) == weyl_order(rs.positive_roots)
         for par in all_parabolics(rs.rank, proper=False):
             # oracle: longest word among elements of W_P
             longest_in_oracle = max(

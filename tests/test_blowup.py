@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from schubert_blowup import (
     CurveClass,
     DivisorClass,
+    FlagVariety,
     Verdict,
     anticanonical_class,
+    build_root_system,
     classify,
     intersect,
     is_ample,
@@ -14,6 +18,7 @@ from schubert_blowup import (
     picard_basis,
 )
 from schubert_blowup.errors import EngineError
+from schubert_blowup.selfcheck import all_parabolics, all_types
 from test_flag import fv_of
 from test_selfcheck import check_test
 
@@ -109,6 +114,21 @@ def test_nef_ample_gg_tests():
     assert is_ample(ample)
 
 
+@pytest.mark.parametrize("spec", all_types(3), ids=str)
+def test_nef_and_ample_match_the_nef_basis_closed_form(spec):
+    # d = sum a_alpha Bl*D_alpha + b E_Z = sum (a_alpha + b) Bl*D_alpha
+    # - b (H - E_Z), and the nef cone is spanned by that basis: every class
+    # with coefficients in -3..3, on every S_P
+    rs = build_root_system(spec)
+    for par in all_parabolics(spec.rank):
+        basis = picard_basis(FlagVariety(rs, par))
+        for *a, b in itertools.product(range(-3, 4), repeat=len(basis) + 1):
+            coords = [x + b for x in a] + [-b]
+            d = DivisorClass(basis, tuple(a), b)
+            assert is_nef(d) == all(x >= 0 for x in coords), d
+            assert is_ample(d) == all(x > 0 for x in coords), d
+
+
 def test_classify_full_flag():
     fv = fv_of("B", 2, ())
     assert classify(fv, 2).verdict == Verdict.FANO
@@ -134,11 +154,7 @@ def test_reports_share_read_only_betas():
 
 
 test_b1_cone_duality = check_test("B1 cone duality")
-test_b2_b3_round_trip_and_cone_agreement = check_test(
-    "B2 anticanonical basis round trip", "B3 classifier vs cone test")
-test_b4_scaling_invariance_on_every_blowup = check_test("B4 scaling invariance")
+# B2 is gone (its -K half is in B5); the id stays
+test_b2_b3_round_trip_and_cone_agreement = check_test("B3 classifier vs cone test")
 # exhaustive despite its name: every S_P and c of every type up to rank 6
 test_b5_margin_certificates_random_sample = check_test("B5 margin certificates", per_type=False)
-
-# B4 once more as one test, so that this id stays; the memo runs nothing twice
-test_b4_scaling_preserves_verdicts = check_test("B4 scaling invariance", per_type=False)
