@@ -162,7 +162,7 @@ def cmd_table(args):
         return 0
     print("%-5s %-14s %5s %-20s %-28s" % ("type", "crossed", "dimX", "betas", "Fano range"))
     for r in rows:
-        betas = ",".join("%s:%d" % kv for kv in sorted(r["betas"].items(), key=lambda kv: int(kv[0])))
+        betas = ",".join("%s:%d" % kv for kv in r["betas"].items())
         print("%-5s %-14s %5d %-20s Fano for 2<=c<=%d, boundary c=%d" % (
             r["type"], ",".join(map(str, r["crossed_nodes"])), r["dim"], betas,
             r["fano_max_c"], r["weak_fano_boundary_c"],

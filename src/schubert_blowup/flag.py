@@ -65,7 +65,7 @@ class BetaVector(Value):
 
     def __getitem__(self, alpha):
         if alpha not in self.values:
-            raise EngineError("beta is defined only on S \\ S_P, not node %d" % alpha)
+            raise EngineError("beta is defined only on S \\ S_P, not node %r" % (alpha,))
         return self.values[alpha]
 
 

@@ -7,9 +7,9 @@ numbering, Cartan matrix orientation) are fixed in conventions.py.
 
 The positive roots are the closure of the simple roots under the
 height-raising simple reflections (_positive_roots). The build re-checks
-nothing: the root-string closure (_closure) is an independent second
-derivation that selfcheck I1 compares with it, and selfcheck I2 holds the
-unique highest root.
+nothing: selfcheck I1 compares it with the root-string closure, an
+independent second derivation that lives beside I1 in selfcheck, and
+selfcheck I2 holds the unique highest root.
 """
 
 from . import conventions
@@ -134,48 +134,6 @@ class RootSystem(Value):
             return False
         pos = r if r.is_positive() or not any(r.coeffs) else -r
         return pos in self.positive_roots
-
-
-def _pair_root_coroot(cartan, coeffs, i):
-    # <beta, alpha_i^vee> for beta = sum_j k_j alpha_j (0-based i)
-    return sum(cartan[i][j] * k for j, k in enumerate(coeffs))
-
-
-def _closure(cartan, order):
-    """Positive roots by the root-string closure rule.
-
-    Starting from the simple roots, beta + alpha_i is adjoined whenever
-    q = p - <beta, alpha_i^vee> > 0, where p is the largest k with
-    beta - k*alpha_i still a root. `order` permutes the processing order
-    of the simple roots (the result must not depend on it).
-    """
-    rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in order:
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    t = tuple(down)
-                    if any(c for c in t) and tuple(t) in roots:
-                        p += 1
-                    else:
-                        break
-                q = p - _pair_root_coroot(cartan, beta, i)
-                if q > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        new.append(t)
-        frontier = new
-    return roots
 
 
 def _cartan_column(cartan, i):

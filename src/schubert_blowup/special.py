@@ -5,15 +5,11 @@ No law touches the Weyl group: the Grassmannian and full-flag laws are
 pure arithmetic, and the cominuscule law reads only the root system (the
 highest root, its coroot and the positive roots). Agreement with
 blowup.classify is therefore a genuine two-path verification.
-kannan_saha_check, which verifies the coroot identity behind the
-cominuscule law, is the one Weyl computation here: it applies the word of
-longest_element with act.
 """
 
 from .blowup import Verdict, check_codim
 from .errors import EngineError
 from .rootsys import coroot_of
-from .weyl import act, longest_element, ParabolicSubset
 
 
 def _verdict(c, boundary):
@@ -63,7 +59,7 @@ def cominuscule_classify(rs, node, c):
     at c = <rho, alpha_0^vee> + 2.
 
     The coroot identity w_{0,P}(alpha_node^vee) = alpha_0^vee (see
-    kannan_saha_check) gives beta_node = <rho, alpha_0^vee>; this is the
+    selfcheck S5) gives beta_node = <rho, alpha_0^vee>; this is the
     coefficient sum of the highest coroot, which collapses to
     ht(alpha_0) only when all roots have the same length."""
     if node not in cominuscule_nodes(rs):
@@ -76,14 +72,3 @@ def full_flag_classify(rs, c):
     """Fano law for blow-ups of G/B: Fano iff c = 2, boundary at c = 3."""
     check_codim(c, len(rs.positive_roots))
     return _verdict(c, 3)
-
-
-def kannan_saha_check(rs, node):
-    """Verify w_{0, S\\{node}}(alpha_node^vee) = alpha_0^vee, the coroot
-    identity behind the cominuscule law."""
-    if node not in cominuscule_nodes(rs):
-        raise EngineError("node %d is not cominuscule in %s" % (node, rs.spec))
-    par = ParabolicSubset.of(set(range(1, rs.rank + 1)) - {node})
-    w0p = longest_element(par, rs)
-    image = act(w0p, rs.simple_coroot(node), rs)
-    return image == coroot_of(rs.highest_root, rs)

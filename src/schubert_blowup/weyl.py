@@ -7,12 +7,9 @@ at a time instead of replaying words. length reads one replay of the word
 on rho, whose signed count of steps is the length; flag.schubert_codim
 reads W^P membership from the same replay.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
-selfcheck F2 compares with the action of w_{0,P}. brute_force_group
-(rank <= 3), an independent testing oracle, walks the orbit of rho, on
-which W acts simply, one element per orbit point.
+selfcheck F2 compares with the action of w_{0,P}.
 """
 
-from collections import deque
 from operator import mul
 
 from .errors import EngineError
@@ -89,6 +86,9 @@ _REFLECT = {Weight: reflect_weight, Root: reflect_root, Coroot: reflect_coroot}
 
 def act(word, x, rs):
     """Apply the word right to left to a Weight, Root or Coroot."""
+    if x.rank != rs.rank:
+        raise EngineError("%s rank %d vs system rank %d"
+                          % (type(x).__name__.lower(), x.rank, rs.rank))
     f = _REFLECT[type(x)]
     for i in reversed(word.letters):
         x = f(i, x, rs)
@@ -178,34 +178,4 @@ def enumerate_coset_reps(par, rs, max_length):
                         nxt.append(img2)
         level = nxt
         depth += 1
-    return [WeylWord(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
-
-
-_ORACLE_MAX_RANK = 3
-
-
-def brute_force_group(rs):
-    """Oracle: the whole Weyl group, rank <= 3, as one shortest word per
-    element, sorted by (length, lexicographic word).
-
-    Breadth-first over the orbit of rho, on which W acts simply, so each
-    orbit point is one element. s_i acts by the dense Cartan formula
-    v - v_i alpha_i, written out here so that the oracle shares no code
-    with the walks it checks.
-    """
-    if rs.rank > _ORACLE_MAX_RANK:
-        raise EngineError(
-            "oracle limited to rank %d, got %d" % (_ORACLE_MAX_RANK, rs.rank)
-        )
-    C = rs.cartan
-    start = (1,) * rs.rank
-    words = {start: ()}  # orbit point -> the first word that reached it
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for i in range(rs.rank):
-            img = tuple(v[r] - v[i] * C[r][i] for r in range(rs.rank))
-            if img not in words:
-                words[img] = (i + 1,) + words[v]
-                queue.append(img)
     return [WeylWord(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]

@@ -20,11 +20,12 @@ from schubert_blowup.special import (
     full_flag_classify,
     grassmannian_classify,
 )
-from schubert_blowup.weyl import ParabolicSubset, brute_force_group
+from schubert_blowup.weyl import ParabolicSubset
 from schubert_blowup.selfcheck import all_parabolics, all_types, weyl_order
 from test_cli import check_runs, run
 from test_flag import grassmannian
 from test_selfcheck import counterexample
+from test_weyl import brute_force_group
 
 
 def report(num, label, ok):

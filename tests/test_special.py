@@ -1,5 +1,9 @@
+import ast
+import pathlib
+
 import pytest
 
+import schubert_blowup.special
 from schubert_blowup import (
     FlagVariety, ParabolicSubset, TypeSpec, Verdict, build_root_system, classify)
 from schubert_blowup.errors import EngineError
@@ -9,7 +13,6 @@ from schubert_blowup.special import (
     dual_height,
     full_flag_classify,
     grassmannian_classify,
-    kannan_saha_check,
 )
 from test_selfcheck import check_test
 
@@ -89,8 +92,6 @@ def test_cominuscule_classify_rejects_non_cominuscule():
     rs = build_root_system(TypeSpec("E", 8))
     with pytest.raises(EngineError, match=r"node 1 is not cominuscule in E8"):
         cominuscule_classify(rs, 1, 2)
-    with pytest.raises(EngineError, match=r"node 1 is not cominuscule in E8"):
-        kannan_saha_check(rs, 1)
 
 
 def test_full_flag_classify():
@@ -102,9 +103,16 @@ def test_full_flag_classify():
         full_flag_classify(rs, 7)
 
 
-def test_kannan_saha_a2_by_hand():
-    rs = build_root_system(TypeSpec("A", 2))
-    assert kannan_saha_check(rs, 1)
+def test_special_imports_nothing_from_weyl():
+    # the laws stay Weyl-free; selfcheck S5 holds the coroot identity
+    tree = ast.parse(pathlib.Path(schubert_blowup.special.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not [name for name in names if name.split(".")[-1] == "weyl"], names
 
 
 test_s1_grassmannian_two_path = check_test("S1 Grassmannian two-path", per_type=False)

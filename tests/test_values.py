@@ -132,7 +132,8 @@ def test_package_import_needs_no_dataclasses():
         "import sys\n"
         "before = set(sys.modules)\n"
         "import schubert_blowup.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'schubert_blowup.selfcheck'}\n"
+        "             & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=subprocess_env())

@@ -2,16 +2,19 @@ import hashlib
 import math
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
 from schubert_blowup import (
+    Coroot,
     FlagVariety,
     Root,
     TypeSpec,
     Weight,
     act,
+    beta_values,
     build_root_system,
     enumerate_coset_reps,
     length,
@@ -24,13 +27,35 @@ from schubert_blowup.errors import EngineError
 from schubert_blowup.weyl import (
     ParabolicSubset,
     WeylWord,
-    brute_force_group,
     reflect_coroot,
     reflect_root,
     reflect_weight,
 )
 from schubert_blowup.selfcheck import _in_levi, all_types
 from test_selfcheck import check_test
+
+
+def brute_force_group(rs):
+    """Oracle: the whole Weyl group of a small rank, as one shortest word
+    per element, sorted by (length, lexicographic word).
+
+    Breadth-first over the orbit of rho, on which W acts simply, so each
+    orbit point is one element. s_i acts by the dense Cartan formula
+    v - v_i alpha_i, written out here so that the oracle shares no code
+    with the walks it checks.
+    """
+    C = rs.cartan
+    start = (1,) * rs.rank
+    words = {start: ()}  # orbit point -> the first word that reached it
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for i in range(rs.rank):
+            img = tuple(v[r] - v[i] * C[r][i] for r in range(rs.rank))
+            if img not in words:
+                words[img] = (i + 1,) + words[v]
+                queue.append(img)
+    return [WeylWord(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +107,23 @@ def test_reflect_coroot_b2_matches_oracle_orbit(b2):
 def test_reflect_index_out_of_range(a2):
     with pytest.raises(EngineError, match=r"reflection index 3 outside 1\.\.2"):
         reflect_weight(3, rho(a2), a2)
+
+
+# input whose rank is not the system's, and a node that is not an int:
+# each is an EngineError with its own message, never a wrong answer
+@pytest.mark.parametrize("call,message", [
+    (lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs), "weight rank 3 vs system rank 2"),
+    (lambda rs: act(WeylWord((1,)), Weight((5,)), rs), "weight rank 1 vs system rank 2"),
+    (lambda rs: act(WeylWord((1,)), Coroot((0, 1, 1)), rs), "coroot rank 3 vs system rank 2"),
+    (lambda rs: act(WeylWord((1,)), Coroot((1,)), rs), "coroot rank 1 vs system rank 2"),
+    (lambda rs: act(WeylWord((1,)), Root((1,)), rs), "root rank 1 vs system rank 2"),
+    (lambda rs: act(WeylWord((1,)), Root((1, 0, 1)), rs), "root rank 3 vs system rank 2"),
+    (lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
+     "beta is defined only on S \\ S_P, not node '2'"),
+], ids=["weight-3", "weight-1", "coroot-3", "coroot-1", "root-1", "root-3", "beta-str-node"])
+def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
+    with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
+        call(a2)
 
 
 def test_act_empty_word_is_identity(a2):
@@ -168,12 +210,6 @@ def test_brute_force_group_orders():
     for (fam, rank), order in expected.items():
         rs = build_root_system(TypeSpec(fam, rank))
         assert len(brute_force_group(rs)) == order
-
-
-def test_brute_force_group_rank_guard():
-    rs = build_root_system(TypeSpec("A", 4))
-    with pytest.raises(EngineError, match=r"oracle limited to rank 3, got 4"):
-        brute_force_group(rs)
 
 
 test_w1_longest_element_squares_to_identity = check_test("W1 longest element squares to id")
