@@ -16,6 +16,7 @@ nonnegative.
 """
 
 from enum import Enum
+from operator import mul
 
 from .errors import EngineError
 from .flag import beta_values, dimension, picard_basis
@@ -64,16 +65,18 @@ def check_codim(c, d):
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
+def _units(n):
+    """The n unit vectors of length n, sliced from one zero tuple."""
+    zero = (0,) * n
+    return [zero[:k] + (1,) + zero[k + 1:] for k in range(n)]
+
+
 def nef_generators(fv, c):
     """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha."""
     check_codim(c, dimension(fv))
     basis = picard_basis(fv)
-    n = len(basis)
-    gens = [
-        DivisorClass(basis, tuple(1 if j == k else 0 for j in range(n)), 0)
-        for k in range(n)
-    ]
-    gens.append(DivisorClass(basis, (1,) * n, -1))
+    gens = [DivisorClass(basis, u, 0) for u in _units(len(basis))]
+    gens.append(DivisorClass(basis, (1,) * len(basis), -1))
     return gens
 
 
@@ -84,12 +87,8 @@ def mori_generators(fv, c):
 
 
 def _mori(basis):
-    n = len(basis)
-    gens = [
-        CurveClass(basis, tuple(1 if j == k else 0 for j in range(n)), 0)
-        for k in range(n)
-    ]
-    gens.append(CurveClass(basis, (0,) * n, 1))
+    gens = [CurveClass(basis, u, 0) for u in _units(len(basis))]
+    gens.append(CurveClass(basis, (0,) * len(basis), 1))
     return gens
 
 
@@ -98,7 +97,7 @@ def intersect(d, k):
     E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e."""
     if d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
-    dot = sum(a * t for a, t in zip(d.pullback_coeffs, k.tilde_coeffs))
+    dot = sum(map(mul, d.pullback_coeffs, k.tilde_coeffs))
     # E_Z . tilde C_alpha = 1, E_Z . e = -1
     return dot + d.exceptional_coeff * (sum(k.tilde_coeffs) - k.e_coeff)
 

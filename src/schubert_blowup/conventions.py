@@ -42,6 +42,19 @@ RANK_BOUNDS = {
 }
 
 
+def positive_root_count(family, rank):
+    """|R^+| = rank * h / 2 for the Coxeter number h (Humphreys, Reflection
+    Groups and Coxeter Groups, 3.18; Bourbaki, Plates I-IX): n(n+1)/2 for
+    A_n, n^2 for B_n and C_n, n(n-1) for D_n, 36, 63 and 120 for E_6, E_7
+    and E_8, 24 for F_4 and 6 for G_2 (TypeSpec checks the type)."""
+    if family == "E":
+        h = {6: 12, 7: 18, 8: 30}[rank]
+    else:
+        h = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
+             "F": 12, "G": 6}[family]
+    return rank * h // 2
+
+
 def rank_bounds(family):
     if family not in RANK_BOUNDS:
         raise EngineError("unknown family %r" % (family,))

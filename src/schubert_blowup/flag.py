@@ -6,15 +6,18 @@ No Weyl word is needed for the invariants: w_{0,P}(rho) = rho - 2 rho_P,
 where 2 rho_P is the sum of the positive roots of the Levi factor, the
 roots supported on S_P (Humphreys, Reflection Groups and Coxeter Groups,
 1.6-1.8). The reflection closure on the Cartan matrix of S_P gives those
-roots directly, and each FlagVariety caches what follows from them.
-Nothing is re-checked on the way: selfcheck F1 (the -K weight vanishes on
-S_P, i.e. C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the
-Weyl word of w_{0,P}) hold these invariants.
+roots directly, and each FlagVariety caches what follows from them. No
+closure of the whole R^+ is needed either: dim G/P is the closed form
+conventions.positive_root_count less |R_P^+|. Nothing is re-checked on
+the way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
+C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
+of w_{0,P} and the closure of R^+) hold these invariants.
 """
 
 from functools import cached_property
 from types import MappingProxyType
 
+from .conventions import positive_root_count
 from .errors import EngineError
 from .rootsys import Weight, _positive_roots, rho
 from .value import Value, setfield
@@ -50,7 +53,7 @@ class FlagVariety(Value):
         betas = BetaVector(
             MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
         )
-        dim = len(rs.positive_roots) - len(levi)
+        dim = positive_root_count(rs.spec.family, rs.rank) - len(levi)
         return dim, betas, rho(rs) + Weight(img)
 
 
@@ -78,7 +81,7 @@ class SchubertDatum(Value):
 
 
 def dimension(fv):
-    """dim G/P = |R^+| - |R_P^+|."""
+    """dim G/P = |R^+| - |R_P^+|, with |R^+| in closed form."""
     return fv._invariants[0]
 
 

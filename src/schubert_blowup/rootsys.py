@@ -5,12 +5,18 @@ are deliberately kept distinct: simple roots (Root), simple coroots
 (Coroot) and fundamental weights (Weight). Conventions (Bourbaki node
 numbering, Cartan matrix orientation) are fixed in conventions.py.
 
-The positive roots are the closure of the simple roots under the
-height-raising simple reflections (_positive_roots). The build re-checks
-nothing: selfcheck I1 compares it with the root-string closure, an
-independent second derivation that lives beside I1 in selfcheck, and
-selfcheck I2 holds the unique highest root.
+A RootSystem is its Cartan matrix and symmetrizers; building one costs
+one Cartan table and nothing is memoised across systems. Its positive
+roots are the closure of the simple roots under the height-raising simple
+reflections (_positive_roots), run on the first read of positive_roots or
+highest_root and cached on that system. No query path reads them: dim G/P
+takes |R^+| from conventions.positive_root_count. Nothing is re-checked:
+selfcheck I1 compares the closure with the root-string closure, an
+independent second derivation that lives beside I1 in selfcheck, I2 holds
+the unique highest root and F2 the closed form of |R^+|.
 """
+
+from functools import cached_property
 
 from . import conventions
 from .errors import EngineError, InvariantViolation
@@ -108,18 +114,28 @@ class Weight(Value):
 
 
 class RootSystem(Value):
-    __slots__ = ("spec", "cartan", "positive_roots", "highest_root", "symmetrizers")
+    # no __slots__: the roots, built on first read, live in the instance __dict__
+    _fields = ("spec", "cartan", "symmetrizers")
 
-    def __init__(self, spec, cartan, positive_roots, highest_root, symmetrizers):
+    def __init__(self, spec, cartan, symmetrizers):
         setfield(self, "spec", spec)
         setfield(self, "cartan", cartan)  # rows: C[i][j] = <alpha_j, alpha_i^vee>
-        setfield(self, "positive_roots", positive_roots)
-        setfield(self, "highest_root", highest_root)
         setfield(self, "symmetrizers", symmetrizers)
 
     @property
     def rank(self):
         return self.spec.rank
+
+    @cached_property
+    def positive_roots(self):
+        """R^+ from one reflection closure, sorted by height, so the last is
+        the highest root (selfcheck I1 and I2 hold both)."""
+        roots = sorted(_positive_roots(self.cartan), key=lambda t: (sum(t), t))
+        return tuple(Root(t) for t in roots)
+
+    @cached_property
+    def highest_root(self):
+        return self.positive_roots[-1]
 
     def simple_root(self, i):
         """alpha_i, 1-based."""
@@ -185,23 +201,13 @@ def height(r):
 
 
 def build_root_system(spec):
-    """Construct the full root-system datum for a simple type.
-
-    Not memoised, so that the cost of a query does not depend on which
-    types earlier queries in the same process built. The roots come from
-    one reflection closure, sorted by height, so the last is the highest
-    root; nothing is re-checked here (selfcheck I1 and I2 hold the closure
-    and the unique highest root, and the tests sum R^+ = 2 rho).
-    """
-    cartan = conventions.cartan_entries(spec.family, spec.rank)
-    roots = sorted(_positive_roots(cartan), key=lambda t: (sum(t), t))
-    positive = tuple(Root(t) for t in roots)
-
+    """The root-system datum of a simple type: its Cartan matrix and
+    symmetrizers. Not memoised, so that the cost of a query does not depend
+    on which types earlier queries in the same process built; the positive
+    roots are built on their first read (RootSystem.positive_roots)."""
     return RootSystem(
         spec=spec,
-        cartan=cartan,
-        positive_roots=positive,
-        highest_root=positive[-1],
+        cartan=conventions.cartan_entries(spec.family, spec.rank),
         symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
     )
 

@@ -86,10 +86,12 @@ _REFLECT = {Weight: reflect_weight, Root: reflect_root, Coroot: reflect_coroot}
 
 def act(word, x, rs):
     """Apply the word right to left to a Weight, Root or Coroot."""
+    f = _REFLECT.get(type(x))
+    if f is None:
+        raise EngineError("act needs a Weight, Root or Coroot, not %s" % type(x).__name__)
     if x.rank != rs.rank:
         raise EngineError("%s rank %d vs system rank %d"
                           % (type(x).__name__.lower(), x.rank, rs.rank))
-    f = _REFLECT[type(x)]
     for i in reversed(word.letters):
         x = f(i, x, rs)
     return x

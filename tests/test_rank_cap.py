@@ -1,20 +1,18 @@
 """Ranks 9 to RANK_CAP of the classical families, against ground truth
-from family formulas that the engine does not use."""
+from family formulas that the engine does not use, and the one closed form
+it does use, |R^+|, against the closure on every type to RANK_CAP."""
 
 import pytest
 
-from schubert_blowup import FlagVariety, TypeSpec, beta_values, build_root_system, dimension
+from schubert_blowup import (
+    FlagVariety, TypeSpec, beta_values, build_root_system, conventions, dimension)
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
+from schubert_blowup.rootsys import all_types
 from schubert_blowup.selfcheck import _maximal, closed_form_mismatch, dual_coxeter_number
 from schubert_blowup.special import cominuscule_nodes, dual_height
 from schubert_blowup.weyl import ParabolicSubset
 
 HIGH = [TypeSpec(f, n) for f in "ABCD" for n in range(9, RANK_CAP + 1)]
-
-
-def positive_root_count(spec):
-    n = spec.rank
-    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[spec.family]
 
 
 def maximal_dimension(spec, k):
@@ -32,16 +30,18 @@ def maximal_dimension(spec, k):
     return k * (2 * n - k) - k * (k + 1) // 2
 
 
-@pytest.mark.parametrize("spec", HIGH, ids=str)
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_positive_root_count(spec):
-    assert len(build_root_system(spec).positive_roots) == positive_root_count(spec)
+    # the closed form that dim G/P reads, against the reflection closure
+    assert (len(build_root_system(spec).positive_roots)
+            == conventions.positive_root_count(spec.family, spec.rank))
 
 
 @pytest.mark.parametrize("spec", HIGH, ids=str)
 def test_dimension_is_roots_outside_levi(spec):
     rs = build_root_system(spec)
     full = ParabolicSubset.of(())
-    assert dimension(FlagVariety(rs, full)) == positive_root_count(spec)
+    assert dimension(FlagVariety(rs, full)) == len(rs.positive_roots)
     for k in range(1, rs.rank + 1):
         assert dimension(_maximal(rs, k)) == maximal_dimension(spec, k)
     # and the same betas, -K and dim from the Weyl word of w_{0,P}

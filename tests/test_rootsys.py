@@ -5,17 +5,25 @@ import pytest
 
 from schubert_blowup import (
     Coroot,
+    FlagVariety,
+    ParabolicSubset,
     Root,
     TypeSpec,
+    Verdict,
     Weight,
+    anticanonical_class,
     build_root_system,
+    classify,
     coroot_of,
     height,
+    intersect,
+    mori_generators,
+    nef_generators,
     pairing,
     rho,
     root_as_weight,
 )
-from schubert_blowup import conventions, rootsys
+from schubert_blowup import cli, conventions, rootsys
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import (
@@ -60,6 +68,43 @@ def test_g2_highest_root():
     assert len(rs.positive_roots) == 6
     assert rs.highest_root == Root((3, 2))
     assert height(rs.highest_root) == 5
+
+
+def no_closure(cartan):
+    pytest.fail("the closure of R^+ ran")
+
+
+# flag binds _positive_roots itself for the Levi's closure, so patching
+# rootsys stops only the closure of all of R^+
+@pytest.mark.parametrize("family, rank, members", [
+    ("B", 16, ()), ("E", 8, range(2, 9)),
+], ids=["B16-full-flag", "E8-P1"])
+def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, rank, members):
+    monkeypatch.setattr(rootsys, "_positive_roots", no_closure)
+    fv = FlagVariety(build_root_system(TypeSpec(family, rank)), ParabolicSubset.of(members))
+    assert classify(fv, 2).verdict == Verdict.FANO
+    anticanonical_class(fv, 2)
+    nef, mori = nef_generators(fv, 2), mori_generators(fv, 2)
+    assert [[intersect(d, k) for k in mori] for d in nef] == [
+        [int(i == j) for j in range(len(mori))] for i in range(len(nef))]
+    argv = ["--type", family, "--rank", str(rank), "--parabolic", ",".join(map(str, members)),
+            "--codim", "2"]
+    for command in ("classify", "cones"):
+        for fmt in ("text", "json"):
+            assert cli.main([command, *argv, "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_positive_roots_are_built_once_on_first_read(monkeypatch):
+    calls = []
+    real = rootsys._positive_roots
+    monkeypatch.setattr(rootsys, "_positive_roots",
+                        lambda cartan: calls.append(cartan) or real(cartan))
+    rs = build_root_system(TypeSpec("A", 3))
+    assert calls == []
+    roots = rs.positive_roots
+    assert rs.positive_roots is roots and rs.highest_root == Root((1, 1, 1))
+    assert calls == [rs.cartan]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 9), ("F", 5), ("G", 3), ("H", 2), ("A", 17)])

@@ -109,8 +109,8 @@ def test_reflect_index_out_of_range(a2):
         reflect_weight(3, rho(a2), a2)
 
 
-# input whose rank is not the system's, and a node that is not an int:
-# each is an EngineError with its own message, never a wrong answer
+# input whose rank is not the system's, a plain tuple, and a node that is not
+# an int: each is an EngineError with its own message, never a wrong answer
 @pytest.mark.parametrize("call,message", [
     (lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs), "weight rank 3 vs system rank 2"),
     (lambda rs: act(WeylWord((1,)), Weight((5,)), rs), "weight rank 1 vs system rank 2"),
@@ -118,9 +118,11 @@ def test_reflect_index_out_of_range(a2):
     (lambda rs: act(WeylWord((1,)), Coroot((1,)), rs), "coroot rank 1 vs system rank 2"),
     (lambda rs: act(WeylWord((1,)), Root((1,)), rs), "root rank 1 vs system rank 2"),
     (lambda rs: act(WeylWord((1,)), Root((1, 0, 1)), rs), "root rank 3 vs system rank 2"),
+    (lambda rs: act(WeylWord((1,)), (1, 1), rs), "act needs a Weight, Root or Coroot, not tuple"),
     (lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
      "beta is defined only on S \\ S_P, not node '2'"),
-], ids=["weight-3", "weight-1", "coroot-3", "coroot-1", "root-1", "root-3", "beta-str-node"])
+], ids=["weight-3", "weight-1", "coroot-3", "coroot-1", "root-1", "root-3", "tuple",
+        "beta-str-node"])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2)
