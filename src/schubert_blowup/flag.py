@@ -5,13 +5,13 @@ weight rho + w_{0,P}(rho), and Schubert codimension.
 No Weyl word is needed for the invariants: w_{0,P}(rho) = rho - 2 rho_P,
 where 2 rho_P is the sum of the positive roots of the Levi factor, the
 roots supported on S_P (Humphreys, Reflection Groups and Coxeter Groups,
-1.6-1.8). The reflection closure on the Cartan matrix of S_P gives those
-roots directly, and each FlagVariety caches what follows from them. No
-closure of the whole R^+ is needed either: dim G/P is the closed form
-conventions.positive_root_count less |R_P^+|. Nothing is re-checked on
-the way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
-C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
-of w_{0,P} and the closure of R^+) hold these invariants.
+1.6-1.8). The reflection closure over the S_P columns of RootSystem.columns
+gives those roots, w_{0,P}(rho) subtracts only those columns, and each
+FlagVariety caches what follows. No closure of the whole R^+ is needed
+either: dim G/P is the closed form conventions.positive_root_count less
+|R_P^+|. Nothing is re-checked on the way: selfcheck F1 (the -K weight
+vanishes on S_P, i.e. C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms
+against the Weyl word of w_{0,P} and the closure of R^+) hold them.
 """
 
 from functools import cached_property
@@ -40,21 +40,18 @@ class FlagVariety(Value):
     def _invariants(self):
         """(dim G/P, BetaVector, -K weight), from the Levi's positive roots."""
         rs = self.rs
-        C = rs.cartan
-        members = sorted(self.par.members)
-        levi = _positive_roots([[C[i - 1][j - 1] for j in members] for i in members])
-        two_rho_p = [0] * rs.rank
-        for i, col in zip(members, zip(*levi)):
-            two_rho_p[i - 1] = sum(col)
-        # w_{0,P}(rho) = rho - 2 rho_P, in weight coordinates
-        img = tuple(
-            1 - sum(cij * k for cij, k in zip(row, two_rho_p)) for row in C
-        )
+        levi = _positive_roots(rs, [i - 1 for i in self.par.members])
+        # w_{0,P}(rho) = rho - 2 rho_P: each S_P column times its 2 rho_P coefficient
+        img = [1] * rs.rank
+        for i, k in enumerate(map(sum, zip(*levi))):
+            if k:
+                for j, a in rs.columns[i]:
+                    img[j] -= k * a
         betas = BetaVector(
             MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
         )
         dim = positive_root_count(rs.spec.family, rs.rank) - len(levi)
-        return dim, betas, rho(rs) + Weight(img)
+        return dim, betas, rho(rs) + Weight(tuple(img))
 
 
 class BetaVector(Value):

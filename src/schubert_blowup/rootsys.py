@@ -5,11 +5,12 @@ are deliberately kept distinct: simple roots (Root), simple coroots
 (Coroot) and fundamental weights (Weight). Conventions (Bourbaki node
 numbering, Cartan matrix orientation) are fixed in conventions.py.
 
-A RootSystem is its Cartan matrix and symmetrizers; building one costs
-one Cartan table and nothing is memoised across systems. Its positive
-roots are the closure of the simple roots under the height-raising simple
-reflections (_positive_roots), run on the first read of positive_roots or
-highest_root and cached on that system. No query path reads them: dim G/P
+A RootSystem is its Cartan matrix and symmetrizers; nothing is memoised
+across systems. Two tables are built on first read and cached on it:
+columns, the sparse Cartan columns that every Weyl walk, the flag
+invariants and the closure read, and positive_roots (and highest_root),
+the closure of the simple roots under the height-raising simple
+reflections (_positive_roots). No query path reads the roots: dim G/P
 takes |R^+| from conventions.positive_root_count. Nothing is re-checked:
 selfcheck I1 compares the closure with the root-string closure, an
 independent second derivation that lives beside I1 in selfcheck, I2 holds
@@ -127,10 +128,15 @@ class RootSystem(Value):
         return self.spec.rank
 
     @cached_property
+    def columns(self):
+        """Per node (0-based), the nonzero (row, entry) pairs of its Cartan column."""
+        return tuple(_cartan_column(self.cartan, i) for i in range(self.rank))
+
+    @cached_property
     def positive_roots(self):
         """R^+ from one reflection closure, sorted by height, so the last is
         the highest root (selfcheck I1 and I2 hold both)."""
-        roots = sorted(_positive_roots(self.cartan), key=lambda t: (sum(t), t))
+        roots = sorted(_positive_roots(self, range(self.rank)), key=lambda t: (sum(t), t))
         return tuple(Root(t) for t in roots)
 
     @cached_property
@@ -158,8 +164,9 @@ def _cartan_column(cartan, i):
     return [(j, row[i]) for j, row in enumerate(cartan) if row[i]]
 
 
-def _positive_roots(cartan):
-    """Positive roots by the reflection closure.
+def _positive_roots(rs, nodes):
+    """Positive roots of the subsystem of rs spanned by the 0-based `nodes`,
+    in the coordinates of rs, by the reflection closure on rs.columns.
 
     Every non-simple positive root gamma has some i with
     <gamma, alpha_i^vee> > 0, and s_i(gamma) is a positive root of lower
@@ -167,20 +174,17 @@ def _positive_roots(cartan):
     Theory, 10.2). So R^+ is the closure of the simple roots under
     beta -> s_i(beta) = beta - p*alpha_i, taken where
     p = <beta, alpha_i^vee> < 0. Each root carries its weight coordinates
-    (p for every i at once); a step changes them by -p times column i of
-    the Cartan matrix, read from its nonzero entries only.
+    (p for every i at once); a step changes them by -p times column i.
     """
-    rank = len(cartan)
-    cols = [_cartan_column(cartan, i) for i in range(rank)]
-    frontier = [
-        (tuple(1 if j == i else 0 for j in range(rank)), [row[i] for row in cartan])
-        for i in range(rank)
-    ]
+    rank, cols = rs.rank, rs.columns
+    frontier = [(tuple(int(j == i) for j in range(rank)), [row[i] for row in rs.cartan])
+                for i in nodes]
     roots = {beta for beta, _ in frontier}
     while frontier:
         new = []
         for beta, wt in frontier:
-            for i, p in enumerate(wt):
+            for i in nodes:
+                p = wt[i]
                 if p < 0:
                     up = list(beta)
                     up[i] -= p
@@ -203,8 +207,8 @@ def height(r):
 def build_root_system(spec):
     """The root-system datum of a simple type: its Cartan matrix and
     symmetrizers. Not memoised, so that the cost of a query does not depend
-    on which types earlier queries in the same process built; the positive
-    roots are built on their first read (RootSystem.positive_roots)."""
+    on which types earlier queries in the same process built; columns and
+    the positive roots are built on their first read and cached there."""
     return RootSystem(
         spec=spec,
         cartan=conventions.cartan_entries(spec.family, spec.rank),

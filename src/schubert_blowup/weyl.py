@@ -1,11 +1,12 @@
 """Weyl group words and their exact action on the three coordinate bases.
 
 Words are sequences of 1-based simple-reflection indices applied right to
-left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))).
-longest_element and enumerate_coset_reps walk weight orbits one reflection
-at a time instead of replaying words. length reads one replay of the word
-on rho, whose signed count of steps is the length; flag.schubert_codim
-reads W^P membership from the same replay.
+left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))). Every walk
+reads RootSystem.columns and checks a word's letters once, up front.
+longest_element and enumerate_coset_reps walk weight orbits on integer
+lists instead of replaying words. length reads one replay of the word on
+rho, whose signed count of steps is the length; flag.schubert_codim reads
+W^P membership from the same replay.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}.
 """
@@ -13,7 +14,7 @@ selfcheck F2 compares with the action of w_{0,P}.
 from operator import mul
 
 from .errors import EngineError
-from .rootsys import Coroot, Root, Weight, _cartan_column, rho
+from .rootsys import Coroot, Root, Weight
 from .value import Value, setfield
 
 
@@ -40,9 +41,11 @@ class ParabolicSubset(Value):
         return tuple(i for i in range(1, rank + 1) if i not in self.members)
 
 
-def _check_index(i, rank):
-    if not (1 <= i <= rank):
-        raise EngineError("reflection index %d outside 1..%d" % (i, rank))
+def _check_letters(letters, rank):
+    """The one letter check, once per word; names the first letter outside 1..rank."""
+    if letters and not (1 <= min(letters) and max(letters) <= rank):
+        bad = next(i for i in letters if not 1 <= i <= rank)
+        raise EngineError("reflection index %d outside 1..%d" % (bad, rank))
 
 
 def check_parabolic(par, rank):
@@ -51,37 +54,26 @@ def check_parabolic(par, rank):
         raise EngineError("parabolic indices %r outside 1..%d" % (sorted(par.members), rank))
 
 
-def reflect_weight(i, w, rs):
-    """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i."""
-    _check_index(i, rs.rank)
-    C = rs.cartan
-    c = w.coeffs[i - 1]
-    return Weight(
-        tuple(w.coeffs[j] - c * C[j][i - 1] for j in range(rs.rank))
-    )
+def _reflect_weight(i, w, rs):
+    coeffs = list(w.coeffs)
+    for j, a in rs.columns[i - 1]:
+        coeffs[j] -= w.coeffs[i - 1] * a
+    return Weight(tuple(coeffs))
 
 
-def reflect_root(i, r, rs):
-    """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
-    _check_index(i, rs.rank)
-    C = rs.cartan
-    p = sum(map(mul, C[i - 1], r.coeffs))
+def _reflect_root(i, r, rs):
     coeffs = list(r.coeffs)
-    coeffs[i - 1] -= p
+    coeffs[i - 1] -= sum(map(mul, rs.cartan[i - 1], coeffs))
     return Root(tuple(coeffs))
 
 
-def reflect_coroot(i, c, rs):
-    """Dual action: s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
-    _check_index(i, rs.rank)
-    C = rs.cartan
-    p = sum(C[j][i - 1] * c.coeffs[j] for j in range(rs.rank))
+def _reflect_coroot(i, c, rs):
     coeffs = list(c.coeffs)
-    coeffs[i - 1] -= p
+    coeffs[i - 1] -= sum(a * coeffs[j] for j, a in rs.columns[i - 1])
     return Coroot(tuple(coeffs))
 
 
-_REFLECT = {Weight: reflect_weight, Root: reflect_root, Coroot: reflect_coroot}
+_REFLECT = {Weight: _reflect_weight, Root: _reflect_root, Coroot: _reflect_coroot}
 
 
 def act(word, x, rs):
@@ -92,9 +84,25 @@ def act(word, x, rs):
     if x.rank != rs.rank:
         raise EngineError("%s rank %d vs system rank %d"
                           % (type(x).__name__.lower(), x.rank, rs.rank))
+    _check_letters(word.letters, rs.rank)
     for i in reversed(word.letters):
         x = f(i, x, rs)
     return x
+
+
+def reflect_weight(i, w, rs):
+    """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i."""
+    return act(WeylWord((i,)), w, rs)
+
+
+def reflect_root(i, r, rs):
+    """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
+    return act(WeylWord((i,)), r, rs)
+
+
+def reflect_coroot(i, c, rs):
+    """Dual action: s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
+    return act(WeylWord((i,)), c, rs)
 
 
 def _replay(word, rs):
@@ -105,18 +113,14 @@ def _replay(word, rs):
     and subtracts 1 otherwise; v_i is never 0 (Humphreys, Reflection Groups
     and Coxeter Groups, 1.6-1.7), so l is exact on non-reduced words too.
     """
-    C = rs.cartan
-    v = [1] * len(C)
+    cols = rs.columns
+    _check_letters(word.letters, len(cols))
+    v = [1] * len(cols)
     l = 0
-    cols = {}  # built per letter on first use: short words need few columns
     for i in word.letters:
-        col = cols.get(i)
-        if col is None:
-            _check_index(i, len(C))
-            col = cols[i] = _cartan_column(C, i - 1)
         c = v[i - 1]
         l += 1 if c > 0 else -1
-        for j, a in col:
+        for j, a in cols[i - 1]:
             v[j] -= c * a
     return v, l
 
@@ -134,14 +138,17 @@ def longest_element(par, rs):
     v to s_i(v); it ends with all of them negative, at length |R_P^+|.
     """
     check_parabolic(par, rs.rank)
-    members = sorted(par.members)
+    cols = rs.columns
+    members = sorted(i - 1 for i in par.members)
     letters = []
-    v = rho(rs)
+    v = [1] * rs.rank
     while True:
         for i in members:
-            if v.coeffs[i - 1] > 0:
-                letters.append(i)
-                v = reflect_weight(i, v, rs)
+            c = v[i]
+            if c > 0:
+                letters.append(i + 1)
+                for j, a in cols[i]:
+                    v[j] -= c * a
                 break
         else:
             return WeylWord(tuple(letters))
@@ -160,7 +167,7 @@ def enumerate_coset_reps(par, rs, max_length):
     word).
     """
     check_parabolic(par, rs.rank)
-    cols = [_cartan_column(rs.cartan, i) for i in range(rs.rank)]
+    cols = rs.columns
     start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
     words = {start: ()}  # orbit point -> the first word that reached it
     level = [start]

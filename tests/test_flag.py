@@ -151,8 +151,8 @@ def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):
     # C_P 2 rho_P = (2, ..., 2), which F1 and F2 both catch
     real = flag._positive_roots
 
-    def dropped(cartan):
-        roots = real(cartan)
+    def dropped(rs, nodes):
+        roots = real(rs, nodes)
         return roots - {max(roots, key=sum)} if len(roots) > 1 else roots
 
     monkeypatch.setattr(flag, "_positive_roots", dropped)

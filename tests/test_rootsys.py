@@ -11,17 +11,24 @@ from schubert_blowup import (
     TypeSpec,
     Verdict,
     Weight,
+    act,
     anticanonical_class,
+    anticanonical_weight,
     build_root_system,
     classify,
     coroot_of,
+    dimension,
+    enumerate_coset_reps,
     height,
     intersect,
+    length,
+    longest_element,
     mori_generators,
     nef_generators,
     pairing,
     rho,
     root_as_weight,
+    schubert_codim,
 )
 from schubert_blowup import cli, conventions, rootsys
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
@@ -70,7 +77,7 @@ def test_g2_highest_root():
     assert height(rs.highest_root) == 5
 
 
-def no_closure(cartan):
+def no_closure(rs, nodes):
     pytest.fail("the closure of R^+ ran")
 
 
@@ -99,12 +106,40 @@ def test_positive_roots_are_built_once_on_first_read(monkeypatch):
     calls = []
     real = rootsys._positive_roots
     monkeypatch.setattr(rootsys, "_positive_roots",
-                        lambda cartan: calls.append(cartan) or real(cartan))
+                        lambda rs, nodes: calls.append(rs) or real(rs, nodes))
     rs = build_root_system(TypeSpec("A", 3))
     assert calls == []
     roots = rs.positive_roots
     assert rs.positive_roots is roots and rs.highest_root == Root((1, 1, 1))
-    assert calls == [rs.cartan]
+    assert calls == [rs]
+
+
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
+def test_columns_are_the_nonzero_entries_of_each_cartan_column(spec):
+    rs = build_root_system(spec)
+    n = rs.rank
+    assert rs.columns == tuple(
+        [(j, rs.cartan[j][i]) for j in range(n) if rs.cartan[j][i] != 0] for i in range(n))
+
+
+def test_columns_are_built_once_on_first_read(monkeypatch):
+    calls = []
+    real = rootsys._cartan_column
+    monkeypatch.setattr(rootsys, "_cartan_column",
+                        lambda cartan, i: calls.append(i) or real(cartan, i))
+    monkeypatch.setattr(rootsys, "_positive_roots", no_closure)
+    rs = build_root_system(TypeSpec("E", 8))
+    assert calls == []
+    cols = rs.columns
+    assert rs.columns is cols and calls == list(range(8))
+    # every walk and the flag invariants read the one table
+    fv = FlagVariety(rs, ParabolicSubset.of(range(2, 9)))
+    reps = enumerate_coset_reps(fv.par, rs, dimension(fv))
+    assert [schubert_codim(fv, w).codim for w in reps[:3]] == [78, 77, 76]
+    w0 = longest_element(fv.par, rs)
+    assert length(w0, rs) == 42
+    assert rho(rs) + act(w0, rho(rs), rs) == anticanonical_weight(fv)
+    assert calls == list(range(8))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 9), ("F", 5), ("G", 3), ("H", 2), ("A", 17)])
@@ -254,7 +289,7 @@ test_simply_laced_coroot_coefficientwise.check_labels = (I5,)
 def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
     real = rootsys._positive_roots
     monkeypatch.setattr(rootsys, "_positive_roots",
-                        lambda cartan: real(cartan) - {(1,) * len(cartan)})
+                        lambda rs, nodes: real(rs, nodes) - {(1,) * rs.rank})
     # the root-string closure still finds alpha_1 + alpha_2 + alpha_3
     found = first_counterexample(check_I1_closure_order_insensitive, TypeSpec("A", 3))
     assert found == ((0, 1, 2), (1, 1, 1))
@@ -262,7 +297,7 @@ def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
 
 def test_selfcheck_i2_detects_a_second_highest_root(monkeypatch):
     real = rootsys._positive_roots
-    monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: real(cartan) | {(2, 3)})
+    monkeypatch.setattr(rootsys, "_positive_roots", lambda rs, nodes: real(rs, nodes) | {(2, 3)})
     # (2, 3) has the height of G2's highest root 3 alpha_1 + 2 alpha_2
     assert first_counterexample(check_I2_sign_coherence, TypeSpec("G", 2)) == ((2, 3), (3, 2))
 

@@ -119,13 +119,40 @@ def test_reflect_index_out_of_range(a2):
     (lambda rs: act(WeylWord((1,)), Root((1,)), rs), "root rank 1 vs system rank 2"),
     (lambda rs: act(WeylWord((1,)), Root((1, 0, 1)), rs), "root rank 3 vs system rank 2"),
     (lambda rs: act(WeylWord((1,)), (1, 1), rs), "act needs a Weight, Root or Coroot, not tuple"),
+    (lambda rs: reflect_weight(1, Weight((1, 1, 1)), rs), "weight rank 3 vs system rank 2"),
+    (lambda rs: reflect_weight(1, Weight((5,)), rs), "weight rank 1 vs system rank 2"),
+    (lambda rs: reflect_root(1, Root((1,)), rs), "root rank 1 vs system rank 2"),
+    (lambda rs: reflect_coroot(1, Coroot((0, 1, 1)), rs), "coroot rank 3 vs system rank 2"),
     (lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
      "beta is defined only on S \\ S_P, not node '2'"),
 ], ids=["weight-3", "weight-1", "coroot-3", "coroot-1", "root-1", "root-3", "tuple",
+        "reflect-weight-3", "reflect-weight-1", "reflect-root-1", "reflect-coroot-3",
         "beta-str-node"])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2)
+
+
+# the letters are checked once, up front: the error names the first bad
+# letter wherever it stands, also before valid letters or beside a second
+# one; N stands for rank + 1
+N = "rank+1"
+
+
+@pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("E", 8)], ids=str)
+@pytest.mark.parametrize("letters,first", [
+    ((0, 1, 2), 0), ((N, 2, 1, 2), N), ((0, N, 1), 0), ((N, 0), N), ((1, 2, 0, N), 0),
+], ids=["0-first", "N-first", "0-then-N", "N-then-0", "0-after-valid"])
+def test_letters_are_checked_before_the_walk(spec, letters, first):
+    rs = build_root_system(spec)
+    n = rs.rank
+    word = WeylWord(tuple(n + 1 if i == N else i for i in letters))
+    bad = r"^reflection index %d outside 1\.\.%d$" % (n + 1 if first == N else first, n)
+    fv = FlagVariety(rs, ParabolicSubset.of(()))
+    for call in (lambda: length(word, rs), lambda: schubert_codim(fv, word),
+                 lambda: act(word, rho(rs), rs)):
+        with pytest.raises(EngineError, match=bad):
+            call()
 
 
 def test_act_empty_word_is_identity(a2):
