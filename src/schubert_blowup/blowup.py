@@ -57,11 +57,11 @@ class FanoReport(Value):
 
 
 def check_codim(c, d):
-    """A center of codimension c in a G/P of dimension d needs 2 <= c <= d;
+    """A center of codimension c in a G/P of dimension d needs an int c in 2..d;
     blowup and the closed-form laws of special share this one check."""
-    if not (2 <= c <= d):
+    if not (isinstance(c, int) and 2 <= c <= d):
         raise EngineError(
-            "codimension %d outside 2..%d" % (c, d) if d >= 2
+            "codimension %r outside 2..%d" % (c, d) if d >= 2
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 

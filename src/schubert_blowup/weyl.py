@@ -1,8 +1,10 @@
 """Weyl group words and their exact action on the three coordinate bases.
 
 Words are sequences of 1-based simple-reflection indices applied right to
-left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))). Every walk
-reads RootSystem.columns and checks a word's letters once, up front.
+left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))). act checks its
+input once, walks one list of its coordinates and builds one value, whose
+signs a Root or Coroot checks once. Every walk reads RootSystem.columns
+and checks a word's letters once, up front.
 longest_element and enumerate_coset_reps walk weight orbits on integer
 lists instead of replaying words. length reads one replay of the word on
 rho, whose signed count of steps is the length; flag.schubert_codim reads
@@ -49,60 +51,38 @@ def _check_letters(letters, rank):
 
 
 def check_parabolic(par, rank):
-    """The one check that every node of S_P lies in 1..rank."""
-    if not all(1 <= i <= rank for i in par.members):
-        raise EngineError("parabolic indices %r outside 1..%d" % (sorted(par.members), rank))
-
-
-def _reflect_weight(i, w, rs):
-    coeffs = list(w.coeffs)
-    for j, a in rs.columns[i - 1]:
-        coeffs[j] -= w.coeffs[i - 1] * a
-    return Weight(tuple(coeffs))
-
-
-def _reflect_root(i, r, rs):
-    coeffs = list(r.coeffs)
-    coeffs[i - 1] -= sum(map(mul, rs.cartan[i - 1], coeffs))
-    return Root(tuple(coeffs))
-
-
-def _reflect_coroot(i, c, rs):
-    coeffs = list(c.coeffs)
-    coeffs[i - 1] -= sum(a * coeffs[j] for j, a in rs.columns[i - 1])
-    return Coroot(tuple(coeffs))
-
-
-_REFLECT = {Weight: _reflect_weight, Root: _reflect_root, Coroot: _reflect_coroot}
+    """The one check that every node of S_P is an int in 1..rank."""
+    if not all(isinstance(i, int) and 1 <= i <= rank for i in par.members):
+        # ints in order, then any other node by its repr: mixed types never compare
+        nodes = sorted(par.members, key=lambda i: (0, i) if isinstance(i, int) else (1, repr(i)))
+        raise EngineError("parabolic indices %r outside 1..%d" % (nodes, rank))
 
 
 def act(word, x, rs):
     """Apply the word right to left to a Weight, Root or Coroot."""
-    f = _REFLECT.get(type(x))
-    if f is None:
-        raise EngineError("act needs a Weight, Root or Coroot, not %s" % type(x).__name__)
+    kind = type(x)
+    if kind not in (Weight, Root, Coroot):
+        raise EngineError("act needs a Weight, Root or Coroot, not %s" % kind.__name__)
     if x.rank != rs.rank:
         raise EngineError("%s rank %d vs system rank %d"
-                          % (type(x).__name__.lower(), x.rank, rs.rank))
+                          % (kind.__name__.lower(), x.rank, rs.rank))
     _check_letters(word.letters, rs.rank)
-    for i in reversed(word.letters):
-        x = f(i, x, rs)
-    return x
-
-
-def reflect_weight(i, w, rs):
-    """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i."""
-    return act(WeylWord((i,)), w, rs)
-
-
-def reflect_root(i, r, rs):
-    """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i."""
-    return act(WeylWord((i,)), r, rs)
-
-
-def reflect_coroot(i, c, rs):
-    """Dual action: s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
-    return act(WeylWord((i,)), c, rs)
+    letters, cols, v = reversed(word.letters), rs.columns, list(x.coeffs)
+    if kind is Weight:
+        # s_i(lambda) = lambda - lambda_i alpha_i, alpha_i being Cartan column i
+        for i in letters:
+            c = v[i - 1]
+            for j, a in cols[i - 1]:
+                v[j] -= c * a
+    elif kind is Root:
+        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, the pairing from Cartan row i
+        for i in letters:
+            v[i - 1] -= sum(map(mul, rs.cartan[i - 1], v))
+    else:
+        # s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee, alpha_i being column i
+        for i in letters:
+            v[i - 1] -= sum(a * v[j] for j, a in cols[i - 1])
+    return kind(tuple(v))
 
 
 def _replay(word, rs):

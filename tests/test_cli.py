@@ -279,6 +279,37 @@ def test_the_library_raises_only_engine_errors():
                     "value.py", "AttributeError"), (raised, node.lineno)
 
 
+def _named(tree):
+    """Every name a module reads: Name ids, Attribute attrs and import aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_engine_name_has_a_caller():
+    # a public top-level function or class of an engine module (any module
+    # but __init__, cli and selfcheck) must be named by __init__, by another
+    # module of the package or by perfbench: API that nothing uses is deleted
+    package = pathlib.Path(schubert_blowup.__file__).parent
+    bench = package.parents[1] / "perfbench"
+    assert bench.is_dir(), bench
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    bench_names = {n for path in bench.glob("*.py") for n in _named(ast.parse(path.read_text()))}
+    unused = []
+    for path, tree in trees.items():
+        if path.stem in ("__init__", "cli", "selfcheck"):
+            continue
+        named = bench_names.union(*(_named(t) for p, t in trees.items() if p != path))
+        unused += ["%s.%s" % (path.stem, node.name) for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and node.name not in named]
+    assert unused == []
+
+
 def _no_float(token):
     raise AssertionError("JSON number %s is not an integer" % token)
 

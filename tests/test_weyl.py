@@ -14,23 +14,25 @@ from schubert_blowup import (
     TypeSpec,
     Weight,
     act,
+    anticanonical_class,
     beta_values,
     build_root_system,
+    classify,
+    coroot_of,
     enumerate_coset_reps,
     length,
     longest_element,
+    mori_generators,
+    nef_generators,
+    pairing,
     rho,
+    root_as_weight,
     schubert_codim,
+    special,
 )
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
-from schubert_blowup.weyl import (
-    ParabolicSubset,
-    WeylWord,
-    reflect_coroot,
-    reflect_root,
-    reflect_weight,
-)
+from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import _in_levi, all_types
 from test_selfcheck import check_test
 
@@ -69,34 +71,34 @@ def b2():
 
 
 def test_reflect_weight_a2(a2):
-    assert reflect_weight(1, rho(a2), a2) == Weight((-1, 2))
+    assert act(WeylWord((1,)), rho(a2), a2) == Weight((-1, 2))
 
 
 def test_reflect_fixes_zero_coordinate(a2):
     lam = Weight((0, 5))
-    assert reflect_weight(1, lam, a2) == lam
+    assert act(WeylWord((1,)), lam, a2) == lam
 
 
 @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.integers(1, 2))
 def test_reflect_weight_involution(coeffs, i):
     rs = build_root_system(TypeSpec("A", 2))
     lam = Weight(coeffs)
-    assert reflect_weight(i, reflect_weight(i, lam, rs), rs) == lam
+    assert act(WeylWord((i,)), act(WeylWord((i,)), lam, rs), rs) == lam
 
 
 def test_reflect_root_negates_own_root(a2):
     for i in (1, 2):
-        assert reflect_root(i, a2.simple_root(i), a2) == -a2.simple_root(i)
+        assert act(WeylWord((i,)), a2.simple_root(i), a2) == -a2.simple_root(i)
 
 
 def test_reflect_root_a2(a2):
-    assert reflect_root(1, a2.simple_root(2), a2) == Root((1, 1))
+    assert act(WeylWord((1,)), a2.simple_root(2), a2) == Root((1, 1))
 
 
 def test_reflect_coroot_b2_matches_oracle_orbit(b2):
     # orbit of alpha_1^v under the full group, cross-checked via the
     # oracle: s_2(alpha_1^v) must land in the coroot orbit computed there
-    img = reflect_coroot(2, b2.simple_coroot(1), b2)
+    img = act(WeylWord((2,)), b2.simple_coroot(1), b2)
     assert img.coeffs == (1, 1)  # alpha_1^v + alpha_2^v, hand-checked
     orbit = set()
     for w in brute_force_group(b2):
@@ -106,28 +108,66 @@ def test_reflect_coroot_b2_matches_oracle_orbit(b2):
 
 def test_reflect_index_out_of_range(a2):
     with pytest.raises(EngineError, match=r"reflection index 3 outside 1\.\.2"):
-        reflect_weight(3, rho(a2), a2)
+        act(WeylWord((3,)), rho(a2), a2)
 
 
-# input whose rank is not the system's, a plain tuple, and a node that is not
-# an int: each is an EngineError with its own message, never a wrong answer
+def _full_flag(rs):
+    return FlagVariety(rs, ParabolicSubset.of(()))
+
+
+# every law that takes a codimension, each on a G/P of dimension 3: A2/B,
+# Gr(1, 4) and A3/P1
+_CODIM_LAWS = {
+    "classify": lambda rs, c: classify(_full_flag(rs), c),
+    "anticanonical": lambda rs, c: anticanonical_class(_full_flag(rs), c),
+    "nef": lambda rs, c: nef_generators(_full_flag(rs), c),
+    "mori": lambda rs, c: mori_generators(_full_flag(rs), c),
+    "grassmannian": lambda rs, c: special.grassmannian_classify(1, 4, c),
+    "cominuscule": lambda rs, c: special.cominuscule_classify(
+        build_root_system(TypeSpec("A", 3)), 1, c),
+    "full-flag": lambda rs, c: special.full_flag_classify(rs, c),
+}
+
+# every call that takes S_P, each on A2
+_PARABOLIC_CALLS = {
+    "flag": FlagVariety,
+    "longest": lambda rs, par: longest_element(par, rs),
+    "cosets": lambda rs, par: enumerate_coset_reps(par, rs, 3),
+}
+
+
+# input whose rank is not the system's, a plain tuple, a beta node that is
+# not an int, and a codimension or an S_P node that is not an int: each is
+# an EngineError with its own message, never a wrong answer
 @pytest.mark.parametrize("call,message", [
-    (lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs), "weight rank 3 vs system rank 2"),
-    (lambda rs: act(WeylWord((1,)), Weight((5,)), rs), "weight rank 1 vs system rank 2"),
-    (lambda rs: act(WeylWord((1,)), Coroot((0, 1, 1)), rs), "coroot rank 3 vs system rank 2"),
-    (lambda rs: act(WeylWord((1,)), Coroot((1,)), rs), "coroot rank 1 vs system rank 2"),
-    (lambda rs: act(WeylWord((1,)), Root((1,)), rs), "root rank 1 vs system rank 2"),
-    (lambda rs: act(WeylWord((1,)), Root((1, 0, 1)), rs), "root rank 3 vs system rank 2"),
-    (lambda rs: act(WeylWord((1,)), (1, 1), rs), "act needs a Weight, Root or Coroot, not tuple"),
-    (lambda rs: reflect_weight(1, Weight((1, 1, 1)), rs), "weight rank 3 vs system rank 2"),
-    (lambda rs: reflect_weight(1, Weight((5,)), rs), "weight rank 1 vs system rank 2"),
-    (lambda rs: reflect_root(1, Root((1,)), rs), "root rank 1 vs system rank 2"),
-    (lambda rs: reflect_coroot(1, Coroot((0, 1, 1)), rs), "coroot rank 3 vs system rank 2"),
-    (lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
-     "beta is defined only on S \\ S_P, not node '2'"),
-], ids=["weight-3", "weight-1", "coroot-3", "coroot-1", "root-1", "root-3", "tuple",
-        "reflect-weight-3", "reflect-weight-1", "reflect-root-1", "reflect-coroot-3",
-        "beta-str-node"])
+    pytest.param(lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs),
+                 "weight rank 3 vs system rank 2", id="weight-3"),
+    pytest.param(lambda rs: act(WeylWord((1,)), Weight((5,)), rs),
+                 "weight rank 1 vs system rank 2", id="weight-1"),
+    pytest.param(lambda rs: act(WeylWord((1,)), Coroot((0, 1, 1)), rs),
+                 "coroot rank 3 vs system rank 2", id="coroot-3"),
+    pytest.param(lambda rs: act(WeylWord((1,)), Coroot((1,)), rs),
+                 "coroot rank 1 vs system rank 2", id="coroot-1"),
+    pytest.param(lambda rs: act(WeylWord((1,)), Root((1,)), rs),
+                 "root rank 1 vs system rank 2", id="root-1"),
+    pytest.param(lambda rs: act(WeylWord((1,)), Root((1, 0, 1)), rs),
+                 "root rank 3 vs system rank 2", id="root-3"),
+    pytest.param(lambda rs: act(WeylWord((1,)), (1, 1), rs),
+                 "act needs a Weight, Root or Coroot, not tuple", id="tuple"),
+    pytest.param(lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
+                 "beta is defined only on S \\ S_P, not node '2'", id="beta-str-node"),
+] + [
+    pytest.param(lambda rs, law=law, c=c: law(rs, c), "codimension %r outside 2..3" % (c,),
+                 id="codim-%s-%s" % (label, name))
+    for c, label in [(2.5, "2.5"), (3.0, "3.0"), ("3", "str"), (None, "None")]
+    for name, law in _CODIM_LAWS.items()
+] + [
+    pytest.param(lambda rs, f=f, nodes=nodes: f(rs, ParabolicSubset.of(nodes)),
+                 "parabolic indices %s outside 1..2" % shown, id="node-%s-%s" % (label, name))
+    for nodes, shown, label in [([1.5], "[1.5]", "float"), ([1.0], "[1.0]", "int-valued-float"),
+                                ({"a"}, "['a']", "str"), ({1, "a"}, "[1, 'a']", "mixed")]
+    for name, f in _PARABOLIC_CALLS.items()
+])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2)
@@ -162,6 +202,32 @@ def test_act_empty_word_is_identity(a2):
 def test_act_longest_word_on_rho_a2(a2):
     w0 = longest_element(ParabolicSubset.of({1, 2}), a2)
     assert act(w0, rho(a2), a2) == Weight((-1, -1))
+
+
+# the signs of a Root or Coroot are checked once, on the result: (2, 1) is
+# sign-coherent but no root of A2, and s_2 s_1 takes it through (-1, 1)
+def test_act_checks_the_signs_of_the_result_only(a2):
+    assert act(WeylWord((2, 1)), Root((2, 1)), a2) == Root((-1, -2))
+    with pytest.raises(EngineError, match=r"^mixed-sign root coordinates \(-1, 1\)$"):
+        act(WeylWord((1,)), Root((2, 1)), a2)
+
+
+# the three branches of act agree through the basis changes: the root branch
+# with the weight branch, and the coroot branch with the weight branch through
+# the W-invariance of the pairing
+@pytest.mark.parametrize("spec", all_types(6), ids=str)
+def test_act_commutes_with_the_basis_changes(spec):
+    rs = build_root_system(spec)
+    rng = random.Random(str(spec))
+    for _ in range(20):
+        word = WeylWord(tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 12))))
+        lam = Weight(tuple(rng.randint(-5, 5) for _ in range(rs.rank)))
+        w_lam = act(word, lam, rs)
+        for beta in rs.positive_roots:
+            assert root_as_weight(act(word, beta, rs), rs) == act(
+                word, root_as_weight(beta, rs), rs)
+            cob = coroot_of(beta, rs)
+            assert pairing(w_lam, act(word, cob, rs)) == pairing(lam, cob)
 
 
 def test_act_involutions_from_oracle(a2):
