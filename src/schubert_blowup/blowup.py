@@ -12,7 +12,7 @@ e, whose pairings decide is_nef and is_ample, and the anticanonical class is
 
 so -K is ample (nef) iff every margin beta_alpha - c + 2 is > 0 (>= 0),
 and Fano / weak-Fano follow since -K is big whenever all margins are
-nonnegative.
+nonnegative: the one ladder verdict_of, which classify and special share.
 """
 
 from enum import Enum
@@ -27,6 +27,16 @@ class Verdict(str, Enum):
     FANO = "FANO"
     WEAK_FANO_NOT_FANO = "WEAK_FANO_NOT_FANO"
     NOT_WEAK_FANO = "NOT_WEAK_FANO"
+
+
+# bound once: reading Verdict.FANO goes through the Enum metaclass, 8x slower
+_FANO, _WEAK, _NOT_WEAK = Verdict.FANO, Verdict.WEAK_FANO_NOT_FANO, Verdict.NOT_WEAK_FANO
+
+
+def verdict_of(least_margin):
+    """The Fano ladder on the least margin of -K against the Mori generators:
+    Fano above 0, weak-Fano but not Fano at 0, not weak-Fano below."""
+    return _FANO if least_margin > 0 else _WEAK if least_margin == 0 else _NOT_WEAK
 
 
 class DivisorClass(Value):
@@ -106,9 +116,9 @@ def anticanonical_class(fv, c):
     """-K of the blow-up in both bases (selfcheck B5 checks them against its pairings)."""
     check_codim(c, dimension(fv))
     basis = picard_basis(fv)
-    betas = beta_values(fv)
-    d = DivisorClass(basis, tuple(1 + betas[a] for a in basis), -(c - 1))
-    basis2 = tuple(betas[a] + 2 - c for a in basis) + (c - 1,)
+    betas = beta_values(fv).values.values()  # in Picard-basis order
+    d = DivisorClass(basis, tuple(1 + b for b in betas), -(c - 1))
+    basis2 = tuple(b + 2 - c for b in betas) + (c - 1,)
     return d, basis2
 
 
@@ -128,12 +138,5 @@ def classify(fv, c):
     betas = beta_values(fv)
     # keyed by the Picard basis, ascending
     margins = {a: b - c + 2 for a, b in betas.values.items()}
-    least = min(margins.values())
-    if least > 0:
-        verdict = Verdict.FANO
-    elif least == 0:
-        verdict = Verdict.WEAK_FANO_NOT_FANO
-    else:
-        verdict = Verdict.NOT_WEAK_FANO
     # positional: keyword arguments cost about a microsecond more per call
-    return FanoReport(betas, margins, verdict)
+    return FanoReport(betas, margins, verdict_of(min(margins.values())))

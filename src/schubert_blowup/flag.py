@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .conventions import positive_root_count
 from .errors import EngineError
-from .rootsys import Weight, _positive_roots, rho
+from .rootsys import Weight, _positive_roots
 from .value import Value, setfield
 from .weyl import _replay, check_parabolic
 
@@ -51,7 +51,7 @@ class FlagVariety(Value):
             MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
         )
         dim = positive_root_count(rs.spec.family, rs.rank) - len(levi)
-        return dim, betas, rho(rs) + Weight(tuple(img))
+        return dim, betas, Weight(tuple(1 + x for x in img))  # rho + w_{0,P}(rho)
 
 
 class BetaVector(Value):

@@ -2,8 +2,9 @@
 
 Everything is exact integer arithmetic over three coordinate bases that
 are deliberately kept distinct: simple roots (Root), simple coroots
-(Coroot) and fundamental weights (Weight). Conventions (Bourbaki node
-numbering, Cartan matrix orientation) are fixed in conventions.py.
+(Coroot) and fundamental weights (Weight), on one private base (_Coords)
+that holds their rank and checks. Conventions (Bourbaki node numbering,
+Cartan matrix orientation) are fixed in conventions.py.
 
 A RootSystem is its Cartan matrix and symmetrizers; nothing is memoised
 across systems. Two tables are built on first read and cached on it:
@@ -57,19 +58,34 @@ def all_types(max_rank, families=conventions.RANK_BOUNDS):
     return out
 
 
-class Root(Value):
-    """Integer coordinates over the simple-root basis (alpha_1..alpha_l)."""
+class _Coords(Value):
+    """Integer coordinates over one of the three bases, named in messages by
+    the lower-cased type name; a Root or Coroot is sign-coherent, a Weight not."""
 
     __slots__ = ("coeffs",)
+    _sign_coherent = True
 
     def __init__(self, coeffs):
-        if coeffs and min(coeffs) < 0 < max(coeffs):
-            raise EngineError("mixed-sign root coordinates %r" % (coeffs,))
+        if self._sign_coherent and coeffs and min(coeffs) < 0 < max(coeffs):
+            raise EngineError("mixed-sign %s coordinates %r"
+                              % (type(self).__name__.lower(), coeffs))
         setfield(self, "coeffs", coeffs)
 
     @property
     def rank(self):
         return len(self.coeffs)
+
+    def check_rank(self, rs):
+        """The one check that the coordinates have the rank of the system rs."""
+        if self.rank != rs.rank:
+            raise EngineError("%s rank %d vs system rank %d"
+                              % (type(self).__name__.lower(), self.rank, rs.rank))
+
+
+class Root(_Coords):
+    """Integer coordinates over the simple-root basis (alpha_1..alpha_l)."""
+
+    __slots__ = ()
 
     def __neg__(self):
         return Root(tuple(-c for c in self.coeffs))
@@ -78,35 +94,18 @@ class Root(Value):
         return any(c > 0 for c in self.coeffs)
 
 
-class Coroot(Value):
+class Coroot(_Coords):
     """Integer coordinates over the simple-coroot basis."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        if coeffs and min(coeffs) < 0 < max(coeffs):
-            raise EngineError("mixed-sign coroot coordinates %r" % (coeffs,))
-        setfield(self, "coeffs", coeffs)
-
-    @property
-    def rank(self):
-        return len(self.coeffs)
+    __slots__ = ()
 
 
-class Weight(Value):
-    """Integer coordinates over the fundamental-weight basis.
+class Weight(_Coords):
+    """Integer coordinates over the fundamental-weight basis; coordinate i
+    is <lambda, alpha_i^vee> directly."""
 
-    Coordinate i is <lambda, alpha_i^vee> directly.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        setfield(self, "coeffs", coeffs)
-
-    @property
-    def rank(self):
-        return len(self.coeffs)
+    __slots__ = ()
+    _sign_coherent = False
 
     def __add__(self, other):
         if self.rank != other.rank:
@@ -250,8 +249,7 @@ def coroot_of(r, rs):
 
 def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
-    if r.rank != rs.rank:
-        raise EngineError("root rank %d vs system rank %d" % (r.rank, rs.rank))
+    r.check_rank(rs)
     C = rs.cartan
     return Weight(
         tuple(sum(C[i][j] * r.coeffs[j] for j in range(rs.rank)) for i in range(rs.rank))

@@ -1,25 +1,16 @@
-"""Closed-form classification laws used as independent cross-checks
-against the cone machinery in blowup.py.
+"""Closed-form classification laws used as cross-checks against the cone
+machinery in blowup.py.
 
 No law touches the Weyl group: the Grassmannian and full-flag laws are
 pure arithmetic, and the cominuscule law reads only the root system (the
-highest root, its coroot and the positive roots). Agreement with
-blowup.classify is therefore a genuine two-path verification.
+highest root, its coroot and the positive roots). What stays independent
+of blowup.classify is each law's closed-form boundary; both map the least
+margin through the one ladder blowup.verdict_of, which selfcheck B3 checks.
 """
 
-from .blowup import Verdict, check_codim
+from .blowup import check_codim, verdict_of
 from .errors import EngineError
 from .rootsys import coroot_of
-
-
-def _verdict(c, boundary):
-    """The ladder every law here shares: Fano below the weak-Fano boundary,
-    weak-Fano but not Fano at it, not weak-Fano above it."""
-    if c < boundary:
-        return Verdict.FANO
-    if c == boundary:
-        return Verdict.WEAK_FANO_NOT_FANO
-    return Verdict.NOT_WEAK_FANO
 
 
 def grassmannian_classify(r, n, c):
@@ -32,7 +23,7 @@ def grassmannian_classify(r, n, c):
     if not (1 <= r <= n - 1):
         raise EngineError("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
     check_codim(c, r * (n - r))
-    return _verdict(c, n + 1)
+    return verdict_of(n + 1 - c)
 
 
 def cominuscule_nodes(rs):
@@ -65,10 +56,10 @@ def cominuscule_classify(rs, node, c):
     if node not in cominuscule_nodes(rs):
         raise EngineError("node %d is not cominuscule in %s" % (node, rs.spec))
     check_codim(c, _dim_maximal(rs, node))
-    return _verdict(c, dual_height(rs) + 2)
+    return verdict_of(dual_height(rs) + 2 - c)
 
 
 def full_flag_classify(rs, c):
     """Fano law for blow-ups of G/B: Fano iff c = 2, boundary at c = 3."""
     check_codim(c, len(rs.positive_roots))
-    return _verdict(c, 3)
+    return verdict_of(3 - c)

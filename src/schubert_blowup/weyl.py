@@ -44,10 +44,17 @@ class ParabolicSubset(Value):
 
 
 def _check_letters(letters, rank):
-    """The one letter check, once per word; names the first letter outside 1..rank."""
-    if letters and not (1 <= min(letters) and max(letters) <= rank):
-        bad = next(i for i in letters if not 1 <= i <= rank)
-        raise EngineError("reflection index %d outside 1..%d" % (bad, rank))
+    """The one letter check, once per word; names the first letter that is not
+    an int in 1..rank (a bool counts, as in check_parabolic)."""
+    try:
+        # a float or Fraction among ints makes the sum one too
+        ok = not letters or (1 <= min(letters) and max(letters) <= rank
+                             and type(sum(letters)) is int)
+    except TypeError:  # a letter that neither compares nor adds with an int
+        ok = False
+    if not ok:
+        bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
+        raise EngineError("reflection index %r outside 1..%d" % (bad, rank))
 
 
 def check_parabolic(par, rank):
@@ -63,9 +70,7 @@ def act(word, x, rs):
     kind = type(x)
     if kind not in (Weight, Root, Coroot):
         raise EngineError("act needs a Weight, Root or Coroot, not %s" % kind.__name__)
-    if x.rank != rs.rank:
-        raise EngineError("%s rank %d vs system rank %d"
-                          % (kind.__name__.lower(), x.rank, rs.rank))
+    x.check_rank(rs)
     _check_letters(word.letters, rs.rank)
     letters, cols, v = reversed(word.letters), rs.columns, list(x.coeffs)
     if kind is Weight:

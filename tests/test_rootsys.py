@@ -248,7 +248,7 @@ def test_rho_is_half_sum_of_positive_roots(spec):
     assert all(t == 2 for t in total)
 
 
-@pytest.mark.parametrize("spec", all_types(6), ids=str)
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_symmetrized_cartan_is_symmetric(spec):
     rs = build_root_system(spec)
     C = rs.cartan

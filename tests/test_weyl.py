@@ -175,19 +175,23 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
 
 # the letters are checked once, up front: the error names the first bad
 # letter wherever it stands, also before valid letters or beside a second
-# one; N stands for rank + 1
+# one, and a letter that is not an int is bad even inside 1..rank; N stands
+# for rank + 1
 N = "rank+1"
 
 
 @pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("E", 8)], ids=str)
 @pytest.mark.parametrize("letters,first", [
     ((0, 1, 2), 0), ((N, 2, 1, 2), N), ((0, N, 1), 0), ((N, 0), N), ((1, 2, 0, N), 0),
-], ids=["0-first", "N-first", "0-then-N", "N-then-0", "0-after-valid"])
+    ((1.0,), 1.0), ((1, 2.0), 2.0), (("a",), "a"),
+], ids=["0-first", "N-first", "0-then-N", "N-then-0", "0-after-valid",
+        "float", "int-then-float", "str"])
 def test_letters_are_checked_before_the_walk(spec, letters, first):
     rs = build_root_system(spec)
     n = rs.rank
     word = WeylWord(tuple(n + 1 if i == N else i for i in letters))
-    bad = r"^reflection index %d outside 1\.\.%d$" % (n + 1 if first == N else first, n)
+    bad = r"^reflection index %s outside 1\.\.%d$" % (
+        re.escape(repr(n + 1 if first == N else first)), n)
     fv = FlagVariety(rs, ParabolicSubset.of(()))
     for call in (lambda: length(word, rs), lambda: schubert_codim(fv, word),
                  lambda: act(word, rho(rs), rs)):
