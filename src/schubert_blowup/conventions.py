@@ -23,6 +23,14 @@ Symmetrizers
 d = (d_1, ..., d_l) are the smallest positive integers making diag(d) @ C
 symmetric; (alpha_i, alpha_j) = d_i * C[i][j] defines the invariant form,
 so (alpha_i, alpha_i) = 2 * d_i.
+
+Closed forms
+------------
+positive_root_count gives |R^+| and two_rho gives 2 rho over the simple
+roots of each simple type. simple_factors splits a set of nodes into the
+simple factors of its subsystem, read off the same diagrams as
+cartan_entries, so that the flag invariants take |R_P^+| and 2 rho_P of
+a Levi from these closed forms, with no root closure.
 """
 
 from .errors import EngineError
@@ -53,6 +61,96 @@ def positive_root_count(family, rank):
         h = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
              "F": 12, "G": 6}[family]
     return rank * h // 2
+
+
+# 2 rho over the simple roots of the exceptional types (Bourbaki, Plates V-IX)
+_TWO_RHO = {
+    ("E", 6): (16, 22, 30, 42, 30, 16),
+    ("E", 7): (34, 49, 66, 96, 75, 52, 27),
+    ("E", 8): (92, 136, 182, 270, 220, 168, 114, 58),
+    ("F", 4): (16, 30, 42, 22),
+    ("G", 2): (10, 6),
+}
+
+
+def two_rho(family, rank):
+    """2 rho of a simple type over its simple roots, in Bourbaki order
+    (Plates I-IX): j(m+1-j) on A_m; j(2m-j) on B_m; j(2m-j+1), and
+    m(m+1)/2 on node m, on C_m; j(2m-j-1), and m(m-1)/2 on both fork
+    nodes, on D_m (m >= 3, D_3 = A_3); a table for E, F and G."""
+    m = rank
+    if family == "A":
+        return tuple(j * (m + 1 - j) for j in range(1, m + 1))
+    if family == "B":
+        return tuple(j * (2 * m - j) for j in range(1, m + 1))
+    if family == "C":
+        return tuple(j * (2 * m - j + 1) for j in range(1, m)) + (m * (m + 1) // 2,)
+    if family == "D":
+        return tuple(j * (2 * m - j - 1) for j in range(1, m - 1)) + (m * (m - 1) // 2,) * 2
+    return _TWO_RHO[family, rank]
+
+
+def simple_factors(family, rank, members):
+    """The simple factors of the subsystem on the 1-based nodes `members`
+    of a simple type, the Levi of S_P: a list of (family, rank, nodes), the
+    nodes of each factor in its own Bourbaki order.
+
+    Each diagram is a chain with at most one extra node: node n of D_n
+    hangs on node n-2, and node 2 of E_n on node 4. A run of `members`
+    along the chain is one factor, and the extra node joins the run
+    through its hub.
+    - A run alone is A_m unless a double bond lies inside it: ending at
+      node n of B_n or C_n (m >= 2), it is B_m or C_m; in F_4, {2,3} is
+      B_2, {1,2,3} is B_3 and {2,3,4} is C_3, read from node 4.
+    - In D_n, the run through n-2 with node n is D_m if it holds n-1
+      (D_3 = A_3), else a chain A_m.
+    - In E_n, the run through 4 with node 2 has an arm of at most 2 nodes
+      to the left (3, then 1) and one of k nodes to the right: a chain A_m
+      if either is empty, else D_{k+3} (left arm 1), D_5 (left arm 2,
+      k = 1) or E_{k+4} (left arm 2, k >= 2).
+    """
+    n = rank
+    if len(members) == n:  # all of S: the type itself
+        return [(family, n, tuple(range(1, n + 1)))]
+    if family == "D":
+        chain, extra, hub = range(1, n), n, n - 2
+    elif family == "E":
+        chain, extra, hub = (1, *range(3, n + 1)), 2, 4
+    else:
+        chain, extra, hub = range(1, n + 1), None, None
+    runs, run = [], []
+    for i in (*chain, None):  # None ends the last run
+        if i in members:
+            run.append(i)
+        elif run:
+            runs.append(run)
+            run = []
+    if extra in members and hub not in members:
+        runs.append([extra])
+    factors = []
+    for run in runs:
+        fam = "A"
+        if hub in run and extra in members:
+            if family == "D":
+                fam = "D" if run[-1] == n - 1 else "A"
+                run = run + [n]
+            else:
+                k = run.index(4)
+                left, right = run[:k], run[k + 1:]
+                if not (left and right):
+                    run = run + [2] if left else [2] + run
+                elif len(left) == 1:
+                    fam, run = "D", right[::-1] + [4, 3, 2]
+                elif len(right) == 1:
+                    fam, run = "D", run + [2]
+                else:
+                    fam, run = "E", [1, 2] + run[1:]
+        elif family in "BC" and run[-1] == n and len(run) > 1:
+            fam = family
+        elif family == "F" and 2 in run and 3 in run:
+            fam, run = ("C", run[::-1]) if 4 in run else ("B", run)
+        factors.append((fam, len(run), tuple(run)))
+    return factors
 
 
 def rank_bounds(family):

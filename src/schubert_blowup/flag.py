@@ -2,24 +2,26 @@
 beta invariants beta_alpha = <w_{0,P}(rho), alpha^vee>, anticanonical
 weight rho + w_{0,P}(rho), and Schubert codimension.
 
-No Weyl word is needed for the invariants: w_{0,P}(rho) = rho - 2 rho_P,
-where 2 rho_P is the sum of the positive roots of the Levi factor, the
-roots supported on S_P (Humphreys, Reflection Groups and Coxeter Groups,
-1.6-1.8). The reflection closure over the S_P columns of RootSystem.columns
-gives those roots, w_{0,P}(rho) subtracts only those columns, and each
-FlagVariety caches what follows. No closure of the whole R^+ is needed
-either: dim G/P is the closed form conventions.positive_root_count less
-|R_P^+|. Nothing is re-checked on the way: selfcheck F1 (the -K weight
-vanishes on S_P, i.e. C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms
-against the Weyl word of w_{0,P} and the closure of R^+) hold them.
+No Weyl word and no root is needed for the invariants: w_{0,P}(rho) =
+rho - 2 rho_P, where 2 rho_P is the sum of the positive roots of the Levi
+factor, the roots supported on S_P (Humphreys, Reflection Groups and
+Coxeter Groups, 1.6-1.8). The Levi is the product of its simple factors,
+conventions.simple_factors, and 2 rho_P and |R_P^+| are the sums of their
+closed forms, conventions.two_rho and conventions.positive_root_count
+(Bourbaki, Plates I-IX); w_{0,P}(rho) subtracts only the S_P columns of
+RootSystem.columns, and each FlagVariety caches what follows. dim G/P is
+|R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
+way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
+C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
+of w_{0,P} and the closure of R^+) hold them.
 """
 
 from functools import cached_property
 from types import MappingProxyType
 
-from .conventions import positive_root_count
+from .conventions import positive_root_count, simple_factors, two_rho
 from .errors import EngineError
-from .rootsys import Weight, _positive_roots
+from .rootsys import Weight
 from .value import Value, setfield
 from .weyl import _replay, check_parabolic
 
@@ -38,19 +40,21 @@ class FlagVariety(Value):
 
     @cached_property
     def _invariants(self):
-        """(dim G/P, BetaVector, -K weight), from the Levi's positive roots."""
+        """(dim G/P, BetaVector, -K weight), from the Levi's simple factors."""
         rs = self.rs
-        levi = _positive_roots(rs, [i - 1 for i in self.par.members])
+        family, cols = rs.spec.family, rs.columns
         # w_{0,P}(rho) = rho - 2 rho_P: each S_P column times its 2 rho_P coefficient
         img = [1] * rs.rank
-        for i, k in enumerate(map(sum, zip(*levi))):
-            if k:
-                for j, a in rs.columns[i]:
+        levi = 0  # |R_P^+|
+        for fam, m, nodes in simple_factors(family, rs.rank, self.par.members):
+            levi += positive_root_count(fam, m)
+            for i, k in zip(nodes, two_rho(fam, m)):
+                for j, a in cols[i - 1]:
                     img[j] -= k * a
         betas = BetaVector(
             MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
         )
-        dim = positive_root_count(rs.spec.family, rs.rank) - len(levi)
+        dim = positive_root_count(family, rs.rank) - levi
         return dim, betas, Weight(tuple(1 + x for x in img))  # rho + w_{0,P}(rho)
 
 

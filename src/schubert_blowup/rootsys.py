@@ -11,11 +11,12 @@ across systems. Two tables are built on first read and cached on it:
 columns, the sparse Cartan columns that every Weyl walk, the flag
 invariants and the closure read, and positive_roots (and highest_root),
 the closure of the simple roots under the height-raising simple
-reflections (_positive_roots). No query path reads the roots: dim G/P
-takes |R^+| from conventions.positive_root_count. Nothing is re-checked:
-selfcheck I1 compares the closure with the root-string closure, an
-independent second derivation that lives beside I1 in selfcheck, I2 holds
-the unique highest root and F2 the closed form of |R^+|.
+reflections (_positive_roots). No query path runs a closure or reads the
+roots: the flag invariants take |R^+|, |R_P^+| and 2 rho_P from the closed
+forms of conventions. Nothing is re-checked: selfcheck I1 compares the
+closure with the root-string closure, an independent second derivation
+that lives beside I1 in selfcheck, I2 holds the unique highest root and F2
+the closed forms.
 """
 
 from functools import cached_property
@@ -108,6 +109,8 @@ class Weight(_Coords):
     _sign_coherent = False
 
     def __add__(self, other):
+        if type(other) is not Weight:
+            raise EngineError("a Weight adds only to a Weight, not %s" % type(other).__name__)
         if self.rank != other.rank:
             raise EngineError("weight ranks %d vs %d" % (self.rank, other.rank))
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -135,7 +138,7 @@ class RootSystem(Value):
     def positive_roots(self):
         """R^+ from one reflection closure, sorted by height, so the last is
         the highest root (selfcheck I1 and I2 hold both)."""
-        roots = sorted(_positive_roots(self, range(self.rank)), key=lambda t: (sum(t), t))
+        roots = sorted(_positive_roots(self), key=lambda t: (sum(t), t))
         return tuple(Root(t) for t in roots)
 
     @cached_property
@@ -163,9 +166,9 @@ def _cartan_column(cartan, i):
     return [(j, row[i]) for j, row in enumerate(cartan) if row[i]]
 
 
-def _positive_roots(rs, nodes):
-    """Positive roots of the subsystem of rs spanned by the 0-based `nodes`,
-    in the coordinates of rs, by the reflection closure on rs.columns.
+def _positive_roots(rs):
+    """The positive roots of rs as coefficient tuples, by the reflection
+    closure on rs.columns.
 
     Every non-simple positive root gamma has some i with
     <gamma, alpha_i^vee> > 0, and s_i(gamma) is a positive root of lower
@@ -177,13 +180,12 @@ def _positive_roots(rs, nodes):
     """
     rank, cols = rs.rank, rs.columns
     frontier = [(tuple(int(j == i) for j in range(rank)), [row[i] for row in rs.cartan])
-                for i in nodes]
+                for i in range(rank)]
     roots = {beta for beta, _ in frontier}
     while frontier:
         new = []
         for beta, wt in frontier:
-            for i in nodes:
-                p = wt[i]
+            for i, p in enumerate(wt):
                 if p < 0:
                     up = list(beta)
                     up[i] -= p
@@ -217,6 +219,9 @@ def build_root_system(spec):
 
 def pairing(w, c):
     """<lambda, beta^vee> as a plain dot product of coordinates."""
+    if type(w) is not Weight or type(c) is not Coroot:
+        raise EngineError("pairing needs a Weight and a Coroot, not %s and %s"
+                          % (type(w).__name__, type(c).__name__))
     if w.rank != c.rank:
         raise EngineError("weight rank %d vs coroot rank %d" % (w.rank, c.rank))
     return sum(a * b for a, b in zip(w.coeffs, c.coeffs))
@@ -249,6 +254,8 @@ def coroot_of(r, rs):
 
 def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
+    if type(r) is not Root:
+        raise EngineError("root_as_weight needs a Root, not %s" % type(r).__name__)
     r.check_rank(rs)
     C = rs.cartan
     return Weight(

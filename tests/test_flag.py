@@ -14,10 +14,11 @@ from schubert_blowup import (
     schubert_codim,
 )
 from schubert_blowup import flag
-from schubert_blowup.conventions import RANK_CAP
+from schubert_blowup.conventions import RANK_CAP, simple_factors
 from schubert_blowup.errors import EngineError
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import (
+    all_parabolics,
     all_types,
     check_F1_anticanonical_in_picard,
     check_F2_closed_form_vs_weyl_word,
@@ -128,6 +129,16 @@ def support_filter_invariants(rs, members):
     return len(levi), [sum(col) for col in zip(*levi)] if levi else [0] * rs.rank
 
 
+def assert_matches_support_filter(rs, members):
+    fv = FlagVariety(rs, ParabolicSubset.of(members))
+    count, two_rho_p = support_filter_invariants(rs, members)
+    assert dimension(fv) == len(rs.positive_roots) - count
+    # w_{0,P}(rho) = rho - 2 rho_P in weight coordinates
+    img = [1 - sum(c * k for c, k in zip(row, two_rho_p)) for row in rs.cartan]
+    assert dict(beta_values(fv).values) == {a: img[a - 1] for a in picard_basis(fv)}
+    assert anticanonical_weight(fv) == Weight(tuple(1 + x for x in img))
+
+
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_levi_closure_matches_support_filter(spec):
     rs = build_root_system(spec)
@@ -137,25 +148,61 @@ def test_levi_closure_matches_support_filter(spec):
     subsets += [{i for i in range(1, n + 1) if rng.random() < 0.5} - {rng.randint(1, n)}
                 for _ in range(6)]
     for members in subsets:
-        fv = FlagVariety(rs, ParabolicSubset.of(members))
-        count, two_rho_p = support_filter_invariants(rs, members)
-        assert dimension(fv) == len(rs.positive_roots) - count
-        # w_{0,P}(rho) = rho - 2 rho_P in weight coordinates
-        img = [1 - sum(c * k for c, k in zip(row, two_rho_p)) for row in rs.cartan]
-        assert dict(beta_values(fv).values) == {a: img[a - 1] for a in picard_basis(fv)}
-        assert anticanonical_weight(fv) == Weight(tuple(1 + x for x in img))
+        assert_matches_support_filter(rs, members)
+
+
+# every proper S_P of every type to rank 8: 2,458 subsets
+@pytest.mark.parametrize("spec", all_types(8), ids=str)
+def test_levi_closed_form_on_every_parabolic(spec):
+    rs = build_root_system(spec)
+    for par in all_parabolics(rs.rank):
+        assert_matches_support_filter(rs, par.members)
+
+
+N = RANK_CAP
+
+
+@pytest.mark.parametrize("family, rank, members, factors", [
+    ("E", 8, range(1, 8), [("E", 7, (1, 2, 3, 4, 5, 6, 7))]),
+    ("E", 8, (2, 3, 4, 5), [("D", 4, (5, 4, 3, 2))]),
+    ("E", 7, (1, 2, 3, 4, 5), [("D", 5, (1, 3, 4, 5, 2))]),
+    ("E", 6, (2, 4, 5, 6), [("A", 4, (2, 4, 5, 6))]),
+    ("E", 6, (1, 2, 3, 4), [("A", 4, (1, 3, 4, 2))]),
+    ("F", 4, (2, 3, 4), [("C", 3, (4, 3, 2))]),
+    ("F", 4, (1, 2, 3), [("B", 3, (1, 2, 3))]),
+    ("F", 4, (2, 3), [("B", 2, (2, 3))]),
+    ("F", 4, (1, 2, 4), [("A", 2, (1, 2)), ("A", 1, (4,))]),
+    ("D", N, (N - 2, N - 1, N), [("D", 3, (N - 2, N - 1, N))]),
+    ("D", N, (N - 2, N), [("A", 2, (N - 2, N))]),
+    ("D", N, (N - 1, N), [("A", 1, (N - 1,)), ("A", 1, (N,))]),
+    ("D", 4, (1, 2, 4), [("A", 3, (1, 2, 4))]),
+    ("B", N, (N,), [("A", 1, (N,))]),
+    ("B", N, (1, N - 1, N), [("A", 1, (1,)), ("B", 2, (N - 1, N))]),
+    ("C", 5, (2, 3, 4, 5), [("C", 4, (2, 3, 4, 5))]),
+], ids=["E8-E7", "E8-D4", "E7-D5", "E6-A4-from-2", "E6-A4-to-2", "F4-C3", "F4-B3",
+        "F4-B2", "F4-A2xA1", "D-D3", "D-A2", "D-A1xA1", "D4-A3", "B-A1", "B-A1xB2", "C5-C4"])
+def test_levi_simple_factors(family, rank, members, factors):
+    assert simple_factors(family, rank, frozenset(members)) == factors
 
 
 def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):
-    # negative control: a Levi closure that drops a root breaks
-    # C_P 2 rho_P = (2, ..., 2), which F1 and F2 both catch
-    real = flag._positive_roots
-
-    def dropped(rs, nodes):
-        roots = real(rs, nodes)
-        return roots - {max(roots, key=sum)} if len(roots) > 1 else roots
-
-    monkeypatch.setattr(flag, "_positive_roots", dropped)
-    spec = TypeSpec("A", 4)
-    assert first_counterexample(check_F1_anticanonical_in_picard, spec) == ([1, 2], (1, 1, 3, 2))
-    assert first_counterexample(check_F2_closed_form_vs_weyl_word, spec) == ([1, 2],)
+    # negative controls: 2 rho_P must be the sum of the Levi's roots, i.e.
+    # C_P 2 rho_P = (2, ..., 2), which F1 and F2 both catch at the first S_P
+    # that reads a broken closed form
+    real_factors, real_two_rho = flag.simple_factors, flag.two_rho
+    with monkeypatch.context() as m:
+        # one Bourbaki coefficient: m(m+1)/2 + 1 on node m of C_m
+        m.setattr(flag, "two_rho", lambda f, r: real_two_rho(f, r)[:-1] + (
+            real_two_rho(f, r)[-1] + (f == "C"),))
+        spec = TypeSpec("C", 4)
+        assert first_counterexample(check_F1_anticanonical_in_picard, spec) == (
+            [3, 4], (2, 6, 2, -2))
+        assert first_counterexample(check_F2_closed_form_vs_weyl_word, spec) == ([3, 4],)
+    # F4's C3 {2, 3, 4} read as B3 from node 2
+    monkeypatch.setattr(flag, "simple_factors", lambda f, r, members: [
+        ("B", k, nodes[::-1]) if fam == "C" else (fam, k, nodes)
+        for fam, k, nodes in real_factors(f, r, members)])
+    spec = TypeSpec("F", 4)
+    assert first_counterexample(check_F1_anticanonical_in_picard, spec) == (
+        [2, 3, 4], (7, 0, 5, -8))
+    assert first_counterexample(check_F2_closed_form_vs_weyl_word, spec) == ([2, 3, 4],)

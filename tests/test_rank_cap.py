@@ -1,6 +1,6 @@
 """Ranks 9 to RANK_CAP of the classical families, against ground truth
-from family formulas that the engine does not use, and the one closed form
-it does use, |R^+|, against the closure on every type to RANK_CAP."""
+from family formulas that the engine does not use, and the closed forms it
+does use, |R^+| and 2 rho, against the closure on every type to RANK_CAP."""
 
 import pytest
 
@@ -36,6 +36,17 @@ def test_positive_root_count(spec):
     # the closed form that dim G/P reads, against the reflection closure
     assert (len(build_root_system(spec).positive_roots)
             == conventions.positive_root_count(spec.family, spec.rank))
+
+
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
+def test_two_rho(spec):
+    # the closed form of 2 rho that the Levi's factors read, against the
+    # sum of the closure; all of S is the one factor, the type itself
+    f, n = spec.family, spec.rank
+    nodes = tuple(range(1, n + 1))
+    assert conventions.simple_factors(f, n, frozenset(nodes)) == [(f, n, nodes)]
+    roots = build_root_system(spec).positive_roots
+    assert conventions.two_rho(f, n) == tuple(map(sum, zip(*(r.coeffs for r in roots))))
 
 
 @pytest.mark.parametrize("spec", HIGH, ids=str)

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import pytest
 
@@ -77,17 +78,19 @@ def test_g2_highest_root():
     assert height(rs.highest_root) == 5
 
 
-def no_closure(rs, nodes):
+def no_closure(rs):
     pytest.fail("the closure of R^+ ran")
 
 
-# flag binds _positive_roots itself for the Levi's closure, so patching
-# rootsys stops only the closure of all of R^+
 @pytest.mark.parametrize("family, rank, members", [
     ("B", 16, ()), ("E", 8, range(2, 9)),
 ], ids=["B16-full-flag", "E8-P1"])
 def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, rank, members):
-    monkeypatch.setattr(rootsys, "_positive_roots", no_closure)
+    # in every package module that binds the closure, so that no closure of
+    # any kind, for R^+ or for a Levi's roots, is left on a query path
+    for name, module in list(sys.modules.items()):
+        if name.startswith("schubert_blowup") and hasattr(module, "_positive_roots"):
+            monkeypatch.setattr(module, "_positive_roots", no_closure)
     fv = FlagVariety(build_root_system(TypeSpec(family, rank)), ParabolicSubset.of(members))
     assert classify(fv, 2).verdict == Verdict.FANO
     anticanonical_class(fv, 2)
@@ -99,6 +102,9 @@ def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, ran
     for command in ("classify", "cones"):
         for fmt in ("text", "json"):
             assert cli.main([command, *argv, "--format", fmt]) == 0
+    # the flag invariants of every type, maximal parabolics and full flags
+    table = ["table", "--families", "A,B,C,D,E,F,G", "--max-rank", str(RANK_CAP)]
+    assert cli.main(table) == cli.main([*table, "--full-flag"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -106,7 +112,7 @@ def test_positive_roots_are_built_once_on_first_read(monkeypatch):
     calls = []
     real = rootsys._positive_roots
     monkeypatch.setattr(rootsys, "_positive_roots",
-                        lambda rs, nodes: calls.append(rs) or real(rs, nodes))
+                        lambda rs: calls.append(rs) or real(rs))
     rs = build_root_system(TypeSpec("A", 3))
     assert calls == []
     roots = rs.positive_roots
@@ -289,7 +295,7 @@ test_simply_laced_coroot_coefficientwise.check_labels = (I5,)
 def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
     real = rootsys._positive_roots
     monkeypatch.setattr(rootsys, "_positive_roots",
-                        lambda rs, nodes: real(rs, nodes) - {(1,) * rs.rank})
+                        lambda rs: real(rs) - {(1,) * rs.rank})
     # the root-string closure still finds alpha_1 + alpha_2 + alpha_3
     found = first_counterexample(check_I1_closure_order_insensitive, TypeSpec("A", 3))
     assert found == ((0, 1, 2), (1, 1, 1))
@@ -297,7 +303,7 @@ def test_selfcheck_i1_detects_a_missing_root(monkeypatch):
 
 def test_selfcheck_i2_detects_a_second_highest_root(monkeypatch):
     real = rootsys._positive_roots
-    monkeypatch.setattr(rootsys, "_positive_roots", lambda rs, nodes: real(rs, nodes) | {(2, 3)})
+    monkeypatch.setattr(rootsys, "_positive_roots", lambda rs: real(rs) | {(2, 3)})
     # (2, 3) has the height of G2's highest root 3 alpha_1 + 2 alpha_2
     assert first_counterexample(check_I2_sign_coherence, TypeSpec("G", 2)) == ((2, 3), (3, 2))
 

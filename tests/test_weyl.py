@@ -137,8 +137,9 @@ _PARABOLIC_CALLS = {
 
 
 # input whose rank is not the system's, a plain tuple, a beta node that is
-# not an int, and a codimension or an S_P node that is not an int: each is
-# an EngineError with its own message, never a wrong answer
+# not an int, a coordinate vector in the wrong basis, and a codimension or
+# an S_P node that is not an int: each is an EngineError with its own
+# message, never a wrong answer
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs),
                  "weight rank 3 vs system rank 2", id="weight-3"),
@@ -156,6 +157,18 @@ _PARABOLIC_CALLS = {
                  "act needs a Weight, Root or Coroot, not tuple", id="tuple"),
     pytest.param(lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
                  "beta is defined only on S \\ S_P, not node '2'", id="beta-str-node"),
+    pytest.param(lambda rs: root_as_weight(Coroot((1, 0)), rs),
+                 "root_as_weight needs a Root, not Coroot", id="root-as-weight-coroot"),
+    pytest.param(lambda rs: root_as_weight(Weight((1, -1)), rs),
+                 "root_as_weight needs a Root, not Weight", id="root-as-weight-weight"),
+    pytest.param(lambda rs: Weight((1, 0)) + Root((1, 1)),
+                 "a Weight adds only to a Weight, not Root", id="weight-plus-root"),
+    pytest.param(lambda rs: Weight((1, 0)) + 3,
+                 "a Weight adds only to a Weight, not int", id="weight-plus-int"),
+    pytest.param(lambda rs: pairing(Root((1, 0)), Weight((1, 0))),
+                 "pairing needs a Weight and a Coroot, not Root and Weight", id="pairing-root-weight"),
+    pytest.param(lambda rs: pairing(Weight((1, 0)), Root((1, 0))),
+                 "pairing needs a Weight and a Coroot, not Weight and Root", id="pairing-weight-root"),
 ] + [
     pytest.param(lambda rs, law=law, c=c: law(rs, c), "codimension %r outside 2..3" % (c,),
                  id="codim-%s-%s" % (label, name))
