@@ -13,13 +13,20 @@ e, whose pairings decide is_nef and is_ample, and the anticanonical class is
 so -K is ample (nef) iff every margin beta_alpha - c + 2 is > 0 (>= 0),
 and Fano / weak-Fano follow since -K is big whenever all margins are
 nonnegative: the one ladder verdict_of, which classify and special share.
+
+A class checks at construction that it has one int per basis node and an
+int E_Z or e coefficient, and keeps its support, the positions of its
+nonzero coordinates; intersect sums over the shorter support and skips the
+E_Z term when its coefficient is 0, so a pairing costs O(nonzeros), not
+O(Picard rank): every generator but H - E_Z has at most one nonzero
+coordinate.
 """
 
 from enum import Enum
-from operator import mul
+from itertools import compress, count
 
 from .errors import EngineError
-from .flag import beta_values, dimension, picard_basis
+from .flag import beta_values, dimension, least_beta, picard_basis
 from .value import Value, setfield
 
 
@@ -39,22 +46,41 @@ def verdict_of(least_margin):
     return _FANO if least_margin > 0 else _WEAK if least_margin == 0 else _NOT_WEAK
 
 
+def _support(basis, coeffs, last):
+    """The one check of a class's coordinates, one int per basis node and an
+    int last coefficient (a bool counts, as in weyl._check_letters); returns
+    the support, the positions of the nonzero coordinates."""
+    try:
+        # a float or Fraction among ints makes the sum one too
+        ok = len(coeffs) == len(basis) and type(sum(coeffs, 0) + last) is int
+    except TypeError:  # a coefficient that does not add with an int, or no tuple
+        ok = False
+    if not ok:
+        raise EngineError("coefficients %r, %r over basis %r: need an int per node"
+                          " and an int E or e coefficient" % (coeffs, last, basis))
+    return tuple(compress(count(), coeffs))
+
+
 class DivisorClass(Value):
-    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff")
+    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff", "support")
+    _fields = __slots__[:3]
 
     def __init__(self, basis, pullback_coeffs, exceptional_coeff):
         setfield(self, "basis", basis)  # picard_basis indices, fixes coordinate order
         setfield(self, "pullback_coeffs", pullback_coeffs)  # over Bl*D_alpha
         setfield(self, "exceptional_coeff", exceptional_coeff)  # of E_Z
+        setfield(self, "support", _support(basis, pullback_coeffs, exceptional_coeff))
 
 
 class CurveClass(Value):
-    __slots__ = ("basis", "tilde_coeffs", "e_coeff")
+    __slots__ = ("basis", "tilde_coeffs", "e_coeff", "support")
+    _fields = __slots__[:3]
 
     def __init__(self, basis, tilde_coeffs, e_coeff):
         setfield(self, "basis", basis)
         setfield(self, "tilde_coeffs", tilde_coeffs)  # over tilde C_alpha
         setfield(self, "e_coeff", e_coeff)
+        setfield(self, "support", _support(basis, tilde_coeffs, e_coeff))
 
 
 class FanoReport(Value):
@@ -104,12 +130,18 @@ def _mori(basis):
 
 def intersect(d, k):
     """Bilinear pairing from Bl*D_alpha . Bl*C_beta = delta, Bl*D_alpha . e = 0,
-    E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e."""
-    if d.basis != k.basis:
+    E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e.
+    The Bl*D . tilde C part runs over the shorter support."""
+    if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
-    dot = sum(map(mul, d.pullback_coeffs, k.tilde_coeffs))
-    # E_Z . tilde C_alpha = 1, E_Z . e = -1
-    return dot + d.exceptional_coeff * (sum(k.tilde_coeffs) - k.e_coeff)
+    x, y = d.pullback_coeffs, k.tilde_coeffs
+    dot = 0
+    for i in d.support if len(d.support) <= len(k.support) else k.support:
+        dot += x[i] * y[i]
+    if d.exceptional_coeff:
+        # E_Z . tilde C_alpha = 1, E_Z . e = -1
+        dot += d.exceptional_coeff * (sum(y) - k.e_coeff)
+    return dot
 
 
 def anticanonical_class(fv, c):
@@ -139,4 +171,4 @@ def classify(fv, c):
     # keyed by the Picard basis, ascending
     margins = {a: b - c + 2 for a, b in betas.values.items()}
     # positional: keyword arguments cost about a microsecond more per call
-    return FanoReport(betas, margins, verdict_of(min(margins.values())))
+    return FanoReport(betas, margins, verdict_of(least_beta(fv) - c + 2))

@@ -141,7 +141,7 @@ def _table_rows(families, max_rank, policy):
             fv = flag.FlagVariety(rs, par)
             betas = flag.beta_values(fv)
             basis = flag.picard_basis(fv)
-            bmin = min(betas[a] for a in basis)
+            bmin = flag.least_beta(fv)
             rows.append({
                 "type": str(spec),
                 "crossed_nodes": list(basis),

@@ -9,7 +9,9 @@ Coxeter Groups, 1.6-1.8). The Levi is the product of its simple factors,
 conventions.simple_factors, and 2 rho_P and |R_P^+| are the sums of their
 closed forms, conventions.two_rho and conventions.positive_root_count
 (Bourbaki, Plates I-IX); w_{0,P}(rho) subtracts only the S_P columns of
-RootSystem.columns, and each FlagVariety caches what follows. dim G/P is
+RootSystem.columns, and each FlagVariety caches what follows, with its
+Picard basis (one tuple, shared by every class built on it) and its least
+beta (where classify reads the verdict). dim G/P is
 |R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
 way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
 C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
@@ -40,7 +42,8 @@ class FlagVariety(Value):
 
     @cached_property
     def _invariants(self):
-        """(dim G/P, BetaVector, -K weight), from the Levi's simple factors."""
+        """(dim G/P, BetaVector, -K weight, Picard basis, least beta), from the
+        Levi's simple factors."""
         rs = self.rs
         family, cols = rs.spec.family, rs.columns
         # w_{0,P}(rho) = rho - 2 rho_P: each S_P column times its 2 rho_P coefficient
@@ -51,11 +54,12 @@ class FlagVariety(Value):
             for i, k in zip(nodes, two_rho(fam, m)):
                 for j, a in cols[i - 1]:
                     img[j] -= k * a
-        betas = BetaVector(
-            MappingProxyType({a: img[a - 1] for a in picard_basis(self)})
-        )
+        basis = self.par.complement(rs.rank)
+        values = {a: img[a - 1] for a in basis}
         dim = positive_root_count(family, rs.rank) - levi
-        return dim, betas, Weight(tuple(1 + x for x in img))  # rho + w_{0,P}(rho)
+        # rho + w_{0,P}(rho) is the -K weight
+        return (dim, BetaVector(MappingProxyType(values)), Weight(tuple(1 + x for x in img)),
+                basis, min(values.values()))
 
 
 class BetaVector(Value):
@@ -87,13 +91,19 @@ def dimension(fv):
 
 
 def picard_basis(fv):
-    """Ascending indices of S \\ S_P; these label D_alpha and C_alpha."""
-    return fv.par.complement(fv.rs.rank)
+    """Ascending indices of S \\ S_P; these label D_alpha and C_alpha. One
+    tuple per FlagVariety, so the classes built on it share their basis."""
+    return fv._invariants[3]
 
 
 def beta_values(fv):
     """beta_alpha = <rho - 2 rho_P, alpha^vee> for alpha in S \\ S_P."""
     return fv._invariants[1]
+
+
+def least_beta(fv):
+    """min beta_alpha over S \\ S_P, where the least margin of -K sits."""
+    return fv._invariants[4]
 
 
 def anticanonical_weight(fv):

@@ -1,8 +1,9 @@
 """Immutable value types without `dataclasses`.
 
-Each value class lists its fields in `__slots__` (or, to keep a
-`__dict__` for cached properties, in `_fields`) and writes them once in an
-explicit `__init__` with `setfield`, past the frozen `__setattr__`.
+Each value class lists its fields in `__slots__`, or in `_fields` when the
+instance also keeps a `__dict__` for cached properties or a slot derived
+from the fields, and writes them once in an explicit `__init__` with
+`setfield`, past the frozen `__setattr__`.
 Importing `dataclasses` (and with it `inspect`) and generating the classes
 would cost more than the rest of the package's import, which every CLI
 call pays.
@@ -24,7 +25,8 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__dict__.get("__slots__") or cls._fields
+        own = cls.__dict__
+        cls._fields = own.get("_fields") or own.get("__slots__") or cls._fields
         # the tuple of the fields, or the one field itself
         cls._key = attrgetter(*cls._fields)
 

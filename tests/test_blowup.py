@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from schubert_blowup import (
     nef_generators,
     picard_basis,
 )
+from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
 from schubert_blowup.selfcheck import all_parabolics, all_types
 from test_flag import fv_of
@@ -79,6 +81,46 @@ def test_intersection_table():
 def test_intersect_basis_mismatch():
     with pytest.raises(EngineError, match=r"divisor basis \(1,\) vs curve basis \(2,\)"):
         intersect(DivisorClass((1,), (1,), 0), CurveClass((2,), (1,), 0))
+
+
+def dense_pairing(d, k):
+    """The pairing summed over every pair of coordinates, with the table
+    Bl*D_a . tilde C_b = delta_ab, Bl*D_a . e = 0, E_Z . tilde C_b = 1,
+    E_Z . e = -1."""
+    r = len(d.basis)
+    dc = d.pullback_coeffs + (d.exceptional_coeff,)
+    kc = k.tilde_coeffs + (k.e_coeff,)
+    table = [[int(i == j) for j in range(r)] + [0] for i in range(r)]
+    table.append([1] * r + [-1])
+    return sum(dc[i] * kc[j] * table[i][j] for i in range(r + 1) for j in range(r + 1))
+
+
+def _coeffs(rng, r, kind):
+    """Zero, one nonzero coordinate, or every coordinate drawn from -3..3."""
+    if kind == "zero":
+        return (0,) * r
+    if kind == "unit":
+        i = rng.randrange(r)
+        return (0,) * i + (rng.choice((-3, -2, -1, 1, 2, 3)),) + (0,) * (r - i - 1)
+    return tuple(rng.randint(-3, 3) for _ in range(r))
+
+
+@pytest.mark.parametrize("rank", range(1, RANK_CAP + 1))
+def test_intersect_matches_the_dense_formula(rank):
+    rng = random.Random("intersect:%d" % rank)
+    basis = tuple(sorted(rng.sample(range(1, RANK_CAP + 1), rank)))
+    equal = tuple(list(basis))  # an equal basis that is not the same object
+    assert equal == basis and equal is not basis
+    kinds = ("zero", "unit", "dense")
+    for dkind, kkind, kbasis in itertools.product(kinds, kinds, (basis, equal)):
+        for _ in range(10):
+            d = DivisorClass(basis, _coeffs(rng, rank, dkind), rng.randint(-3, 3))
+            k = CurveClass(kbasis, _coeffs(rng, rank, kkind), rng.randint(-3, 3))
+            assert intersect(d, k) == dense_pairing(d, k), (d, k)
+    # one node moved: the same length, a different basis
+    other = basis[:-1] + (basis[-1] + 1,)
+    with pytest.raises(EngineError, match="^divisor basis .* vs curve basis"):
+        intersect(d, CurveClass(other, k.tilde_coeffs, k.e_coeff))
 
 
 def test_anticanonical_full_flag_c2():

@@ -411,3 +411,18 @@ runpy.run_module("schubert_blowup.cli", run_name="__main__", alter_sys=True)
 """)
     assert proc.returncode == 1, proc.stderr
     assert non_pass_lines(proc.stdout)[1:] == CORRUPT_FAILS
+
+
+def test_class_check_survives_python_O():
+    proc = run_optimized("""
+from schubert_blowup import DivisorClass
+from schubert_blowup.errors import EngineError
+try:
+    print(DivisorClass((1, 2), (1, 0, 5), 0))
+except EngineError as exc:
+    print(exc)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "coefficients (1, 0, 5), 0 over basis (1, 2): need an int per node"
+        " and an int E or e coefficient"]

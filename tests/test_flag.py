@@ -136,6 +136,7 @@ def assert_matches_support_filter(rs, members):
     # w_{0,P}(rho) = rho - 2 rho_P in weight coordinates
     img = [1 - sum(c * k for c, k in zip(row, two_rho_p)) for row in rs.cartan]
     assert dict(beta_values(fv).values) == {a: img[a - 1] for a in picard_basis(fv)}
+    assert flag.least_beta(fv) == min(img[a - 1] for a in picard_basis(fv))
     assert anticanonical_weight(fv) == Weight(tuple(1 + x for x in img))
 
 

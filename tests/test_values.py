@@ -25,6 +25,9 @@ from schubert_blowup import (
     WeylWord,
     build_root_system,
     dimension,
+    mori_generators,
+    nef_generators,
+    picard_basis,
 )
 from schubert_blowup.errors import EngineError
 from test_cli import subprocess_env
@@ -97,6 +100,23 @@ def test_equality_needs_the_same_type(cls, fields):
     assert x != object()
 
 
+@pytest.mark.parametrize("cls", [DivisorClass, CurveClass], ids=["DivisorClass", "CurveClass"])
+def test_class_support_is_derived_not_a_field(cls):
+    # the support is computed from the coefficients and frozen with them; the
+    # three fields alone make equality, hash, repr and the pickle
+    x = cls((1, 2, 3), (0, 2, 0), -1)
+    assert x.support == (1,) and cls((1, 2, 3), (0, 0, 0), 0).support == ()
+    with pytest.raises(AttributeError):
+        x.support = ()
+    assert len(x._fields) == 3 and "support" not in x._fields
+    y = cls(tuple([1, 2, 3]), (0, 2, 0), -1)  # an equal basis, not the same tuple
+    assert x == y and hash(x) == hash(y)
+    assert x.__reduce__() == (cls, ((1, 2, 3), (0, 2, 0), -1))
+    assert "support" not in repr(x)
+    z = pickle.loads(pickle.dumps(x))
+    assert z == x and z.support == (1,)
+
+
 def test_coordinate_bases_never_compare_equal():
     root, coroot, weight = Root((1, 0)), Coroot((1, 0)), Weight((1, 0))
     assert root != weight and weight != root
@@ -121,6 +141,10 @@ def test_flag_variety_caches_invariants_and_stays_frozen():
     assert "_invariants" not in vars(fv)  # lazy: computed on first use
     assert dimension(fv) == 2
     assert "_invariants" in vars(fv)
+    # one basis tuple per FlagVariety, shared by every class built on it
+    assert picard_basis(fv) is picard_basis(fv)
+    assert all(x.basis is picard_basis(fv)
+               for x in nef_generators(fv, 2) + mori_generators(fv, 2))
     with pytest.raises(AttributeError):
         fv.rs = A2
     assert fv == FlagVariety(A2, ParabolicSubset.of({1}))

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from schubert_blowup import (
     Coroot,
+    CurveClass,
+    DivisorClass,
     FlagVariety,
     Root,
     TypeSpec,
@@ -137,8 +139,9 @@ _PARABOLIC_CALLS = {
 
 
 # input whose rank is not the system's, a plain tuple, a beta node that is
-# not an int, a coordinate vector in the wrong basis, and a codimension or
-# an S_P node that is not an int: each is an EngineError with its own
+# not an int, a coordinate vector in the wrong basis, a divisor or curve
+# class whose coefficients do not fit its basis, and a codimension or an
+# S_P node that is not an int: each is an EngineError with its own
 # message, never a wrong answer
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs),
@@ -169,6 +172,14 @@ _PARABOLIC_CALLS = {
                  "pairing needs a Weight and a Coroot, not Root and Weight", id="pairing-root-weight"),
     pytest.param(lambda rs: pairing(Weight((1, 0)), Root((1, 0))),
                  "pairing needs a Weight and a Coroot, not Weight and Root", id="pairing-weight-root"),
+] + [
+    pytest.param(lambda rs, cls=cls, coeffs=coeffs, last=last: cls((1, 2), coeffs, last),
+                 "coefficients %r, %r over basis (1, 2): need an int per node and an int E or e"
+                 " coefficient" % (coeffs, last), id="%s-%s" % (cls.__name__, label))
+    for cls in (DivisorClass, CurveClass)
+    for coeffs, last, label in [((1, 0, 5), 0, "length-3"), ((1,), 0, "length-1"),
+                                ((0.5, 1), 0, "float"), ((1, 0), 1.0, "float-last"),
+                                ((1, "2"), 0, "str"), ((1, 0), "1", "str-last")]
 ] + [
     pytest.param(lambda rs, law=law, c=c: law(rs, c), "codimension %r outside 2..3" % (c,),
                  id="codim-%s-%s" % (label, name))
