@@ -10,9 +10,12 @@ e, whose pairings decide is_nef and is_ample, and the anticanonical class is
     -K = sum (1 + beta_alpha) Bl*D_alpha - (c-1) E_Z
        = sum (beta_alpha + 2 - c) Bl*D_alpha + (c-1)(H - E_Z),
 
-so -K is ample (nef) iff every margin beta_alpha - c + 2 is > 0 (>= 0),
-and Fano / weak-Fano follow since -K is big whenever all margins are
-nonnegative: the one ladder verdict_of, which classify and special share.
+so -K is ample (nef) iff every margin beta_alpha - c + 2 is > 0 (>= 0):
+the one ladder verdict_of, which classify and special share. Weak-Fano
+assumes that -K is big whenever it is nef, an assumption that nothing
+computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
+a verdict assumes a centre that is not a union of fibres of some
+G/P -> G/Q.
 
 A class checks at construction that it has one int per basis node and an
 int E_Z or e coefficient, and keeps its support, the positions of its
@@ -47,17 +50,20 @@ def verdict_of(least_margin):
 
 
 def _support(basis, coeffs, last):
-    """The one check of a class's coordinates, one int per basis node and an
-    int last coefficient (a bool counts, as in weyl._check_letters); returns
-    the support, the positions of the nonzero coordinates."""
+    """The one check of a class's coordinates, a tuple basis, a tuple of one
+    int per basis node and an int last coefficient (a bool counts, as in
+    weyl._check_letters); returns the support, the positions of the nonzero
+    coordinates. A list would leave the class unhashable and unequal to the
+    same class built from tuples."""
     try:
         # a float or Fraction among ints makes the sum one too
-        ok = len(coeffs) == len(basis) and type(sum(coeffs, 0) + last) is int
-    except TypeError:  # a coefficient that does not add with an int, or no tuple
+        ok = (type(basis) is type(coeffs) is tuple and len(coeffs) == len(basis)
+              and type(sum(coeffs, 0) + last) is int)
+    except TypeError:  # a coefficient that does not add with an int
         ok = False
     if not ok:
-        raise EngineError("coefficients %r, %r over basis %r: need an int per node"
-                          " and an int E or e coefficient" % (coeffs, last, basis))
+        raise EngineError("coefficients %r, %r over basis %r: need a tuple basis, a tuple of"
+                          " an int per node and an int E or e coefficient" % (coeffs, last, basis))
     return tuple(compress(count(), coeffs))
 
 

@@ -69,7 +69,7 @@ def _classify_payload(fv, c):
                 "h_minus_e": basis2[-1],
             },
         },
-        # -K is big whenever it is nef; beyond that, bigness is not decided
+        # assumed, not computed: -K is big whenever it is nef; else undecided
         "anticanonical_big": (
             "unknown" if rep.verdict == blowup.Verdict.NOT_WEAK_FANO else "true"),
     }

@@ -2,21 +2,18 @@
 
 Node numbering
 --------------
-All simple roots are numbered 1..rank following Bourbaki (Plates I-IX):
-
-* A_n : chain 1 - 2 - ... - n.
-* B_n : chain 1 - ... - n, node n is the short root.
-* C_n : chain 1 - ... - n, node n is the long root.
-* D_n : chain 1 - ... - (n-2), with both (n-1) and n attached to (n-2).
-* E_n : chain 1 - 3 - 4 - 5 - ... - n, node 2 attached to node 4.
-* F_4 : chain 1 - 2 - 3 - 4; nodes 1, 2 long, nodes 3, 4 short.
-* G_2 : node 1 short, node 2 long (highest root 3*a1 + 2*a2).
+All simple roots are numbered 1..rank following Bourbaki (Plates I-IX).
+_diagram writes each Dynkin diagram once, as its chain of nodes, the node
+off the chain with its hub, and the multiple bond with its long and short
+ends; the Cartan columns, the symmetrizers and the Levi split of
+simple_factors are derived from it.
 
 Cartan matrix orientation
 -------------------------
 C[i][j] = <alpha_j, alpha_i^vee>, so column j of C is the simple root
 alpha_j written in fundamental-weight coordinates, and pairing a weight
 against a coroot is a plain dot product of coordinate vectors.
+cartan_columns gives only the nonzero entries of each column.
 
 Symmetrizers
 ------------
@@ -28,9 +25,9 @@ Closed forms
 ------------
 positive_root_count gives |R^+| and two_rho gives 2 rho over the simple
 roots of each simple type. simple_factors splits a set of nodes into the
-simple factors of its subsystem, read off the same diagrams as
-cartan_entries, so that the flag invariants take |R_P^+| and 2 rho_P of
-a Levi from these closed forms, with no root closure.
+simple factors of its subsystem, read off _diagram, so that the flag
+invariants take |R_P^+| and 2 rho_P of a Levi from these closed forms,
+with no root closure.
 """
 
 from .errors import EngineError
@@ -90,18 +87,41 @@ def two_rho(family, rank):
     return _TWO_RHO[family, rank]
 
 
+def _diagram(family, rank):
+    """The Dynkin diagram of a simple type (Bourbaki, Plates I-IX), the one
+    source of the Cartan columns, the symmetrizers and the Levi split:
+    (chain, extra, hub, bond). chain is the path of nodes, 1..n except in
+    E_n (1, 3, 4, ..., n); extra is the node off the chain (n in D_n, 2 in
+    E_n, else None) and hub its neighbour on the chain; bond is the multiple
+    bond as (long end, short end, multiplicity), else None."""
+    n = rank
+    chain, extra, hub, bond = range(1, n + 1), None, None, None
+    if family == "B":
+        bond = (n - 1, n, 2)
+    elif family == "C":
+        bond = (n, n - 1, 2)
+    elif family == "D":
+        chain, extra, hub = range(1, n), n, n - 2
+    elif family == "E":
+        chain, extra, hub = (1, *range(3, n + 1)), 2, 4
+    elif family == "F":
+        bond = (2, 3, 2)
+    elif family == "G":
+        bond = (2, 1, 3)
+    return chain, extra, hub, bond
+
+
 def simple_factors(family, rank, members):
     """The simple factors of the subsystem on the 1-based nodes `members`
     of a simple type, the Levi of S_P: a list of (family, rank, nodes), the
     nodes of each factor in its own Bourbaki order.
 
-    Each diagram is a chain with at most one extra node: node n of D_n
-    hangs on node n-2, and node 2 of E_n on node 4. A run of `members`
-    along the chain is one factor, and the extra node joins the run
-    through its hub.
-    - A run alone is A_m unless a double bond lies inside it: ending at
-      node n of B_n or C_n (m >= 2), it is B_m or C_m; in F_4, {2,3} is
-      B_2, {1,2,3} is B_3 and {2,3,4} is C_3, read from node 4.
+    A run of `members` along the chain of _diagram is one factor, and the
+    extra node joins the run through its hub.
+    - A run alone is A_m unless it holds both ends of the multiple bond.
+      Then it is turned so that the bond is at its end (a two-node run keeps
+      the chain's order), and it is B_m if it ends at the short node, else
+      C_m: F_4's {2,3,4} is C_3, read from node 4.
     - In D_n, the run through n-2 with node n is D_m if it holds n-1
       (D_3 = A_3), else a chain A_m.
     - In E_n, the run through 4 with node 2 has an arm of at most 2 nodes
@@ -112,12 +132,7 @@ def simple_factors(family, rank, members):
     n = rank
     if len(members) == n:  # all of S: the type itself
         return [(family, n, tuple(range(1, n + 1)))]
-    if family == "D":
-        chain, extra, hub = range(1, n), n, n - 2
-    elif family == "E":
-        chain, extra, hub = (1, *range(3, n + 1)), 2, 4
-    else:
-        chain, extra, hub = range(1, n + 1), None, None
+    chain, extra, hub, bond = _diagram(family, n)
     runs, run = [], []
     for i in (*chain, None):  # None ends the last run
         if i in members:
@@ -145,10 +160,10 @@ def simple_factors(family, rank, members):
                     fam, run = "D", run + [2]
                 else:
                     fam, run = "E", [1, 2] + run[1:]
-        elif family in "BC" and run[-1] == n and len(run) > 1:
-            fam = family
-        elif family == "F" and 2 in run and 3 in run:
-            fam, run = ("C", run[::-1]) if 4 in run else ("B", run)
+        elif bond and bond[0] in run and bond[1] in run:
+            if run[-1] not in bond:
+                run = run[::-1]
+            fam = "B" if run[-1] == bond[1] else "C"
         factors.append((fam, len(run), tuple(run)))
     return factors
 
@@ -168,58 +183,31 @@ def check_type(family, rank):
         )
 
 
-def cartan_entries(family, rank):
-    """rank x rank Cartan matrix as a tuple of row tuples (TypeSpec checks the type)."""
-    n = rank
-    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j, cij=-1, cji=-1):
-        # 0-based node indices
-        C[i][j] = cij
-        C[j][i] = cji
-
-    if family == "A":
-        for i in range(n - 1):
-            bond(i, i + 1)
-    elif family == "B":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        # node n short: <alpha_{n-1}, alpha_n^vee> = -2
-        bond(n - 2, n - 1, -1, -2)
-    elif family == "C":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        # node n long: <alpha_n, alpha_{n-1}^vee> = -2
-        bond(n - 2, n - 1, -2, -1)
-    elif family == "D":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 3, n - 1)
-    elif family == "E":
-        bond(0, 2)
-        bond(1, 3)
-        for i in range(2, n - 1):
-            bond(i, i + 1)
-    elif family == "F":
-        bond(0, 1)
-        # nodes 1,2 long, nodes 3,4 short: <alpha_2, alpha_3^vee> = -2
-        bond(1, 2, -1, -2)
-        bond(2, 3)
-    elif family == "G":
-        # node 1 short: <alpha_2, alpha_1^vee> = -3
-        bond(0, 1, -3, -1)
-    return tuple(tuple(row) for row in C)
+def cartan_columns(family, rank):
+    """Per node j (0-based), the nonzero (row, entry) pairs of Cartan column
+    j, rows ascending, built from the edges of the diagram in O(rank): 2 on
+    the diagonal, -1 at each edge, and <alpha_long, alpha_short^vee> = -m in
+    the long end's column at the short end's row of the m-fold bond
+    (TypeSpec checks the type)."""
+    chain, extra, hub, bond = _diagram(family, rank)
+    cols = [{j: 2} for j in range(rank)]
+    edges = list(zip(chain, chain[1:]))
+    if extra:
+        edges.append((hub, extra))
+    for i, j in edges:
+        cols[i - 1][j - 1] = cols[j - 1][i - 1] = -1
+    if bond:
+        long, short, m = bond
+        cols[long - 1][short - 1] = -m
+    return tuple(tuple(sorted(col.items())) for col in cols)
 
 
 def symmetrizer(family, rank):
-    """Diagonal d with diag(d) @ C symmetric, minimal positive integers."""
-    n = rank
-    if family == "B":
-        return tuple([2] * (n - 1) + [1])
-    if family == "C":
-        return tuple([1] * (n - 1) + [2])
-    if family == "F":
-        return (2, 2, 1, 1)
-    if family == "G":
-        return (1, 3)
-    return tuple([1] * n)
+    """Diagonal d with diag(d) @ C symmetric, minimal positive integers: the
+    multiplicity m of the bond on the long end's side of it, 1 elsewhere."""
+    bond = _diagram(family, rank)[3]
+    if bond is None:
+        return (1,) * rank
+    long, short, m = bond
+    long_side = range(1, long + 1) if long < short else range(long, rank + 1)
+    return tuple(m if i in long_side else 1 for i in range(1, rank + 1))

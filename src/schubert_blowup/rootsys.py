@@ -6,17 +6,19 @@ are deliberately kept distinct: simple roots (Root), simple coroots
 that holds their rank and checks. Conventions (Bourbaki node numbering,
 Cartan matrix orientation) are fixed in conventions.py.
 
-A RootSystem is its Cartan matrix and symmetrizers; nothing is memoised
-across systems. Two tables are built on first read and cached on it:
-columns, the sparse Cartan columns that every Weyl walk, the flag
-invariants and the closure read, and positive_roots (and highest_root),
-the closure of the simple roots under the height-raising simple
-reflections (_positive_roots). No query path runs a closure or reads the
-roots: the flag invariants take |R^+|, |R_P^+| and 2 rho_P from the closed
-forms of conventions. Nothing is re-checked: selfcheck I1 compares the
-closure with the root-string closure, an independent second derivation
-that lives beside I1 in selfcheck, I2 holds the unique highest root and F2
-the closed forms.
+A RootSystem is its sparse Cartan columns, derived in conventions from the
+Dynkin diagram, and its symmetrizers; nothing is memoised across systems.
+Every Weyl walk, the flag invariants and the closure read the columns. Two
+tables are built on first read and cached on it: cartan, the dense rows,
+which only the pairings of a Root read (act on a Root, coroot_of,
+root_as_weight, the closure and selfcheck), and positive_roots (and
+highest_root), the closure of the simple roots under the height-raising
+simple reflections (_positive_roots). No query path reads either: the flag
+invariants take |R^+|, |R_P^+| and 2 rho_P from the closed forms of
+conventions. Nothing is re-checked: selfcheck I1 compares the closure with
+the root-string closure, an independent second derivation that lives
+beside I1 in selfcheck, I2 holds the unique highest root and F2 the closed
+forms.
 """
 
 from functools import cached_property
@@ -117,12 +119,12 @@ class Weight(_Coords):
 
 
 class RootSystem(Value):
-    # no __slots__: the roots, built on first read, live in the instance __dict__
-    _fields = ("spec", "cartan", "symmetrizers")
+    # no __slots__: the tables built on first read live in the instance __dict__
+    _fields = ("spec", "columns", "symmetrizers")
 
-    def __init__(self, spec, cartan, symmetrizers):
+    def __init__(self, spec, columns, symmetrizers):
         setfield(self, "spec", spec)
-        setfield(self, "cartan", cartan)  # rows: C[i][j] = <alpha_j, alpha_i^vee>
+        setfield(self, "columns", columns)  # per node: nonzero (row, entry) of its column
         setfield(self, "symmetrizers", symmetrizers)
 
     @property
@@ -130,9 +132,14 @@ class RootSystem(Value):
         return self.spec.rank
 
     @cached_property
-    def columns(self):
-        """Per node (0-based), the nonzero (row, entry) pairs of its Cartan column."""
-        return tuple(_cartan_column(self.cartan, i) for i in range(self.rank))
+    def cartan(self):
+        """The dense rows, C[i][j] = <alpha_j, alpha_i^vee>: the transpose of
+        columns, which only pairings of a Root read."""
+        rows = [[0] * self.rank for _ in range(self.rank)]
+        for j, col in enumerate(self.columns):
+            for i, a in col:
+                rows[i][j] = a
+        return tuple(map(tuple, rows))
 
     @cached_property
     def positive_roots(self):
@@ -158,12 +165,6 @@ class RootSystem(Value):
             return False
         pos = r if r.is_positive() or not any(r.coeffs) else -r
         return pos in self.positive_roots
-
-
-def _cartan_column(cartan, i):
-    """Nonzero (row, entry) pairs of Cartan column i (0-based), i.e. of
-    alpha_i in weight coordinates: s_i(lambda) = lambda - lambda_i alpha_i."""
-    return [(j, row[i]) for j, row in enumerate(cartan) if row[i]]
 
 
 def _positive_roots(rs):
@@ -206,13 +207,13 @@ def height(r):
 
 
 def build_root_system(spec):
-    """The root-system datum of a simple type: its Cartan matrix and
+    """The root-system datum of a simple type: its sparse Cartan columns and
     symmetrizers. Not memoised, so that the cost of a query does not depend
-    on which types earlier queries in the same process built; columns and
-    the positive roots are built on their first read and cached there."""
+    on which types earlier queries in the same process built; the dense rows
+    and the positive roots are built on their first read and cached there."""
     return RootSystem(
         spec=spec,
-        cartan=conventions.cartan_entries(spec.family, spec.rank),
+        columns=conventions.cartan_columns(spec.family, spec.rank),
         symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
     )
 

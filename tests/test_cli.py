@@ -15,7 +15,7 @@ import schubert_blowup
 from schubert_blowup import cli, selfcheck
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.selfcheck import all_types
-from test_rootsys import CORRUPT_A2_ROWS, corrupt_a2_cartan
+from test_rootsys import CORRUPT_A2_COLUMNS, corrupt_a2_cartan
 
 
 def run(argv):
@@ -375,10 +375,10 @@ def test_cli_fuzz(argv):
 CORRUPT_A2 = """
 import sys
 from schubert_blowup import conventions
-real = conventions.cartan_entries
-conventions.cartan_entries = lambda f, r: %r if (f, r) == ("A", 2) else real(f, r)
+real = conventions.cartan_columns
+conventions.cartan_columns = lambda f, r: %r if (f, r) == ("A", 2) else real(f, r)
 print("optimize", sys.flags.optimize)
-""" % (CORRUPT_A2_ROWS,)
+""" % (CORRUPT_A2_COLUMNS,)
 
 
 def run_optimized(code):
@@ -424,5 +424,5 @@ except EngineError as exc:
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1:] == [
-        "coefficients (1, 0, 5), 0 over basis (1, 2): need an int per node"
-        " and an int E or e coefficient"]
+        "coefficients (1, 0, 5), 0 over basis (1, 2): need a tuple basis, a tuple of"
+        " an int per node and an int E or e coefficient"]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -184,6 +186,18 @@ N = RANK_CAP
         "F4-B2", "F4-A2xA1", "D-D3", "D-A2", "D-A1xA1", "D4-A3", "B-A1", "B-A1xB2", "C5-C4"])
 def test_levi_simple_factors(family, rank, members, factors):
     assert simple_factors(family, rank, frozenset(members)) == factors
+
+
+# SHA-256 of repr of the splits of every subset of S, by size, of every type
+# to rank 8 (2,490 of them), recorded from the earlier split that wrote each
+# diagram out itself, so that the split read off conventions._diagram keeps
+# every factor, its family and its node order
+def test_levi_simple_factors_pinned():
+    splits = [simple_factors(s.family, s.rank, frozenset(sub)) for s in all_types(8)
+              for m in range(s.rank + 1) for sub in itertools.combinations(range(1, s.rank + 1), m)]
+    assert len(splits) == 2490
+    assert hashlib.sha256(repr(splits).encode()).hexdigest() == (
+        "5c5f59b84855b2b7a4a7dfacf8fa86683e5bd5aacb27106e963208d23f867bc6")
 
 
 def test_levi_roots_must_sum_to_two_rho_p(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 import sys
@@ -9,6 +10,7 @@ from schubert_blowup import (
     FlagVariety,
     ParabolicSubset,
     Root,
+    RootSystem,
     TypeSpec,
     Verdict,
     Weight,
@@ -82,6 +84,10 @@ def no_closure(rs):
     pytest.fail("the closure of R^+ ran")
 
 
+def no_dense_rows(rs):
+    pytest.fail("the dense Cartan rows were read")
+
+
 @pytest.mark.parametrize("family, rank, members", [
     ("B", 16, ()), ("E", 8, range(2, 9)),
 ], ids=["B16-full-flag", "E8-P1"])
@@ -91,6 +97,8 @@ def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, ran
     for name, module in list(sys.modules.items()):
         if name.startswith("schubert_blowup") and hasattr(module, "_positive_roots"):
             monkeypatch.setattr(module, "_positive_roots", no_closure)
+    # nor the dense Cartan rows, which only the pairings of a Root read
+    monkeypatch.setattr(RootSystem, "cartan", property(no_dense_rows))
     fv = FlagVariety(build_root_system(TypeSpec(family, rank)), ParabolicSubset.of(members))
     assert classify(fv, 2).verdict == Verdict.FANO
     anticanonical_class(fv, 2)
@@ -125,27 +133,37 @@ def test_columns_are_the_nonzero_entries_of_each_cartan_column(spec):
     rs = build_root_system(spec)
     n = rs.rank
     assert rs.columns == tuple(
-        [(j, rs.cartan[j][i]) for j in range(n) if rs.cartan[j][i] != 0] for i in range(n))
+        tuple((j, rs.cartan[j][i]) for j in range(n) if rs.cartan[j][i] != 0) for i in range(n))
 
 
-def test_columns_are_built_once_on_first_read(monkeypatch):
-    calls = []
-    real = rootsys._cartan_column
-    monkeypatch.setattr(rootsys, "_cartan_column",
-                        lambda cartan, i: calls.append(i) or real(cartan, i))
+# SHA-256 of repr of the dense rows, the columns (as tuples) and the
+# symmetrizers of every type to RANK_CAP, recorded from the earlier tables,
+# which wrote each family's rows and symmetrizers out by hand, so that the
+# tables derived from conventions._diagram keep every entry
+def test_cartan_tables_pinned():
+    tables = [(rs.cartan, tuple(map(tuple, rs.columns)), rs.symmetrizers)
+              for rs in map(build_root_system, all_types(RANK_CAP))]
+    assert len(tables) == 64
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "78382d3bcd517e010ae9a78cd8b71e943722e30c86de8bd2d4296802f3822073")
+
+
+def test_dense_rows_are_built_once_on_first_read(monkeypatch):
     monkeypatch.setattr(rootsys, "_positive_roots", no_closure)
     rs = build_root_system(TypeSpec("E", 8))
-    assert calls == []
-    cols = rs.columns
-    assert rs.columns is cols and calls == list(range(8))
-    # every walk and the flag invariants read the one table
+    # every walk and the flag invariants read the sparse columns alone
     fv = FlagVariety(rs, ParabolicSubset.of(range(2, 9)))
     reps = enumerate_coset_reps(fv.par, rs, dimension(fv))
     assert [schubert_codim(fv, w).codim for w in reps[:3]] == [78, 77, 76]
     w0 = longest_element(fv.par, rs)
     assert length(w0, rs) == 42
     assert rho(rs) + act(w0, rho(rs), rs) == anticanonical_weight(fv)
-    assert calls == list(range(8))
+    assert act(w0, rs.simple_coroot(1), rs).rank == 8 and "cartan" not in vars(rs)
+    rows = rs.cartan
+    assert rs.cartan is rows and vars(rs)["cartan"] is rows
+    # w_{0,P} is an involution; acting on a Root reads the cached rows
+    assert act(w0, act(w0, rs.simple_root(1), rs), rs) == rs.simple_root(1)
+    assert rs.cartan is rows
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 9), ("F", 5), ("G", 3), ("H", 2), ("A", 17)])
@@ -308,14 +326,17 @@ def test_selfcheck_i2_detects_a_second_highest_root(monkeypatch):
     assert first_counterexample(check_I2_sign_coherence, TypeSpec("G", 2)) == ((2, 3), (3, 2))
 
 
-# the negative control of the `check` tests: A2 with C[0][1] = -2
+# the negative control of the `check` tests: A2 with C[0][1] = -2, patched
+# in as the sparse columns of conventions.cartan_columns
 CORRUPT_A2_ROWS = ((2, -2), (-1, 2))
+CORRUPT_A2_COLUMNS = tuple(tuple((i, row[j]) for i, row in enumerate(CORRUPT_A2_ROWS) if row[j])
+                           for j in range(2))
 
 
 def corrupt_a2_cartan(monkeypatch):
-    real = conventions.cartan_entries
-    monkeypatch.setattr(conventions, "cartan_entries", lambda f, r: (
-        CORRUPT_A2_ROWS if (f, r) == ("A", 2) else real(f, r)))
+    real = conventions.cartan_columns
+    monkeypatch.setattr(conventions, "cartan_columns", lambda f, r: (
+        CORRUPT_A2_COLUMNS if (f, r) == ("A", 2) else real(f, r)))
 
 
 def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):

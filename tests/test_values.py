@@ -40,7 +40,7 @@ SAMPLES = [
     (Root, dict(coeffs=(1, 0))),
     (Coroot, dict(coeffs=(0, -1))),
     (Weight, dict(coeffs=(1, -2))),
-    (RootSystem, dict(spec=A2.spec, cartan=A2.cartan, symmetrizers=A2.symmetrizers)),
+    (RootSystem, dict(spec=A2.spec, columns=A2.columns, symmetrizers=A2.symmetrizers)),
     (WeylWord, dict(letters=(1, 2, 1))),
     (ParabolicSubset, dict(members=frozenset({1}))),
     (FlagVariety, dict(rs=A2, par=ParabolicSubset.of({1}))),

@@ -173,13 +173,16 @@ _PARABOLIC_CALLS = {
     pytest.param(lambda rs: pairing(Weight((1, 0)), Root((1, 0))),
                  "pairing needs a Weight and a Coroot, not Weight and Root", id="pairing-weight-root"),
 ] + [
-    pytest.param(lambda rs, cls=cls, coeffs=coeffs, last=last: cls((1, 2), coeffs, last),
-                 "coefficients %r, %r over basis (1, 2): need an int per node and an int E or e"
-                 " coefficient" % (coeffs, last), id="%s-%s" % (cls.__name__, label))
+    pytest.param(lambda rs, cls=cls, basis=basis, coeffs=coeffs, last=last: cls(basis, coeffs, last),
+                 "coefficients %r, %r over basis %r: need a tuple basis, a tuple of an int per node"
+                 " and an int E or e coefficient" % (coeffs, last, basis),
+                 id="%s-%s" % (cls.__name__, label))
     for cls in (DivisorClass, CurveClass)
-    for coeffs, last, label in [((1, 0, 5), 0, "length-3"), ((1,), 0, "length-1"),
-                                ((0.5, 1), 0, "float"), ((1, 0), 1.0, "float-last"),
-                                ((1, "2"), 0, "str"), ((1, 0), "1", "str-last")]
+    for basis, coeffs, last, label in [
+        ((1, 2), (1, 0, 5), 0, "length-3"), ((1, 2), (1,), 0, "length-1"),
+        ((1, 2), (0.5, 1), 0, "float"), ((1, 2), (1, 0), 1.0, "float-last"),
+        ((1, 2), (1, "2"), 0, "str"), ((1, 2), (1, 0), "1", "str-last"),
+        ((1, 2), [1, 0], 0, "list"), ([1, 2], (1, 0), 0, "list-basis")]
 ] + [
     pytest.param(lambda rs, law=law, c=c: law(rs, c), "codimension %r outside 2..3" % (c,),
                  id="codim-%s-%s" % (label, name))
