@@ -45,6 +45,14 @@ from .blowup import (
     is_ample,
     classify,
 )
-from . import special
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["special"]
+
+
+def __getattr__(name):
+    # no CLI query reads the closed-form laws, so `special` is imported on
+    # first access
+    if name == "special":
+        from importlib import import_module
+        return import_module(".special", __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

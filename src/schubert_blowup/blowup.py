@@ -17,12 +17,12 @@ computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some
 G/P -> G/Q.
 
-A class checks at construction that it has one int per basis node and an
-int E_Z or e coefficient, and keeps its support, the positions of its
-nonzero coordinates; intersect sums over the shorter support and skips the
-E_Z term when its coefficient is 0, so a pairing costs O(nonzeros), not
-O(Picard rank): every generator but H - E_Z has at most one nonzero
-coordinate.
+DivisorClass(...) and CurveClass(...) check their coefficients; the
+generators and -K, whose tuples the engine builds itself, skip the check,
+and selfchecks B1 (the nef-by-Mori matrix is the identity) and B5 (the
+pairings of -K) hold them. A class keeps its support, the positions of its
+nonzero coordinates: intersect pairs Bl*D . tilde C over the shorter one,
+in O(nonzeros), but a nonzero E_Z coefficient sums the curve's coordinates.
 """
 
 from enum import Enum
@@ -89,6 +89,21 @@ class CurveClass(Value):
         setfield(self, "support", _support(basis, tilde_coeffs, e_coeff))
 
 
+def _unchecked(cls):
+    """cls built from the engine's own tuples, unchecked, by its slots' setters:
+    they write a class in two thirds of setfield's time."""
+    new, (b, x, last, s) = object.__new__, [getattr(cls, f).__set__ for f in cls.__slots__]
+
+    def build(basis, coeffs, e, support):
+        v = new(cls)
+        b(v, basis), x(v, coeffs), last(v, e), s(v, support)
+        return v
+    return build
+
+
+_divisor, _curve = _unchecked(DivisorClass), _unchecked(CurveClass)
+
+
 class FanoReport(Value):
     __slots__ = ("betas", "margins", "verdict")
 
@@ -107,19 +122,18 @@ def check_codim(c, d):
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
-def _units(n):
-    """The n unit vectors of length n, sliced from one zero tuple."""
-    zero = (0,) * n
-    return [zero[:k] + (1,) + zero[k + 1:] for k in range(n)]
+def _units(build, basis):
+    """build's classes of the unit vectors over basis, sliced from one zero tuple."""
+    zero = (0,) * len(basis)
+    return [build(basis, zero[:k] + (1,) + zero[k + 1:], 0, (k,)) for k in range(len(basis))]
 
 
 def nef_generators(fv, c):
     """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha."""
     check_codim(c, dimension(fv))
     basis = picard_basis(fv)
-    gens = [DivisorClass(basis, u, 0) for u in _units(len(basis))]
-    gens.append(DivisorClass(basis, (1,) * len(basis), -1))
-    return gens
+    n = len(basis)
+    return _units(_divisor, basis) + [_divisor(basis, (1,) * n, -1, tuple(range(n)))]
 
 
 def mori_generators(fv, c):
@@ -129,9 +143,7 @@ def mori_generators(fv, c):
 
 
 def _mori(basis):
-    gens = [CurveClass(basis, u, 0) for u in _units(len(basis))]
-    gens.append(CurveClass(basis, (0,) * len(basis), 1))
-    return gens
+    return _units(_curve, basis) + [_curve(basis, (0,) * len(basis), 1, ())]
 
 
 def intersect(d, k):
@@ -155,7 +167,8 @@ def anticanonical_class(fv, c):
     check_codim(c, dimension(fv))
     basis = picard_basis(fv)
     betas = beta_values(fv).values.values()  # in Picard-basis order
-    d = DivisorClass(basis, tuple(1 + b for b in betas), -(c - 1))
+    coeffs = tuple(1 + b for b in betas)
+    d = _divisor(basis, coeffs, 1 - c, tuple(compress(count(), coeffs)))
     basis2 = tuple(b + 2 - c for b in betas) + (c - 1,)
     return d, basis2
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from schubert_blowup import (
     CurveClass,
     DivisorClass,
     FlagVariety,
+    ParabolicSubset,
     Verdict,
     anticanonical_class,
     build_root_system,
     classify,
+    dimension,
     intersect,
     is_ample,
     is_nef,
@@ -121,6 +124,25 @@ def test_intersect_matches_the_dense_formula(rank):
     other = basis[:-1] + (basis[-1] + 1,)
     with pytest.raises(EngineError, match="^divisor basis .* vs curve basis"):
         intersect(d, CurveClass(other, k.tilde_coeffs, k.e_coeff))
+
+
+@pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
+def test_engine_built_classes_match_the_checked_constructors(spec):
+    # the generators and -K skip the constructors' check: each must equal,
+    # hash like and hold the same support as the checked class of the same
+    # fields, also after a pickle round trip
+    rs = build_root_system(spec)
+    nodes = set(range(1, spec.rank + 1))
+    for members in [()] + [nodes - {a} for a in sorted(nodes)]:
+        fv = FlagVariety(rs, ParabolicSubset.of(members))
+        if dimension(fv) < 2:  # A1: no centre of codimension >= 2
+            continue
+        built = nef_generators(fv, 2) + mori_generators(fv, 2) + [anticanonical_class(fv, 2)[0]]
+        for x in built:
+            assert x.basis is picard_basis(fv)
+            for y in (type(x)(*(getattr(x, f) for f in x._fields)), pickle.loads(pickle.dumps(x))):
+                assert y == x and hash(y) == hash(x), x
+                assert [getattr(y, a) for a in x.__slots__] == [getattr(x, a) for a in x.__slots__]
 
 
 def test_anticanonical_full_flag_c2():

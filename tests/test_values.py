@@ -162,3 +162,18 @@ def test_package_import_needs_no_dataclasses():
                           timeout=120, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_special_is_imported_on_first_access():
+    # no CLI query reads the closed-form laws, but the package attribute stays
+    code = (
+        "import sys\n"
+        "import schubert_blowup as sb\n"
+        "print('schubert_blowup.special' in sys.modules, hasattr(sb, 'no_such_name'))\n"
+        "print(sb.special.full_flag_classify.__name__, 'special' in sb.__all__)\n"
+        "print('schubert_blowup.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\nfull_flag_classify True\nTrue\n"
