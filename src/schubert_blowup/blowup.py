@@ -20,7 +20,9 @@ G/P -> G/Q.
 DivisorClass(...) and CurveClass(...) check their coefficients; the
 generators and -K, whose tuples the engine builds itself, skip the check,
 and selfchecks B1 (the nef-by-Mori matrix is the identity) and B5 (the
-pairings of -K) hold them. A class keeps its support, the positions of its
+pairings of -K) hold them. Each FlagVariety builds its generators once;
+nef_generators and mori_generators return new lists of those shared
+classes. A class keeps its support, the positions of its
 nonzero coordinates: intersect pairs Bl*D . tilde C over the shorter one,
 in O(nonzeros), but a nonzero E_Z coefficient sums the curve's coordinates.
 """
@@ -122,28 +124,41 @@ def check_codim(c, d):
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
-def _units(build, basis):
-    """build's classes of the unit vectors over basis, sliced from one zero tuple."""
-    zero = (0,) * len(basis)
-    return [build(basis, zero[:k] + (1,) + zero[k + 1:], 0, (k,)) for k in range(len(basis))]
+def _generators(basis):
+    """The nef and Mori generator tuples over basis, in one pass: unit k is the
+    one slice of a zero tuple around a 1, shared by Bl*D_k and tilde C_k."""
+    n = len(basis)
+    w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    nef, mori = [], []
+    for k in range(n):
+        unit, s = w[n - 1 - k:2 * n - 1 - k], (k,)
+        nef.append(_divisor(basis, unit, 0, s))
+        mori.append(_curve(basis, unit, 0, s))
+    nef.append(_divisor(basis, (1,) * n, -1, tuple(range(n))))
+    mori.append(_curve(basis, (0,) * n, 1, ()))
+    return tuple(nef), tuple(mori)
+
+
+def _cones(fv):
+    """fv's generator tuples, built on first use and kept in its __dict__
+    beside its invariants."""
+    cones = fv.__dict__.get("_cones")
+    if cones is None:
+        cones = fv.__dict__["_cones"] = _generators(picard_basis(fv))
+    return cones
 
 
 def nef_generators(fv, c):
-    """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha."""
+    """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha: a new list of
+    fv's shared classes."""
     check_codim(c, dimension(fv))
-    basis = picard_basis(fv)
-    n = len(basis)
-    return _units(_divisor, basis) + [_divisor(basis, (1,) * n, -1, tuple(range(n)))]
+    return list(_cones(fv)[0])
 
 
 def mori_generators(fv, c):
-    """{tilde C_alpha} plus e."""
+    """{tilde C_alpha} plus e: a new list of fv's shared classes."""
     check_codim(c, dimension(fv))
-    return _mori(picard_basis(fv))
-
-
-def _mori(basis):
-    return _units(_curve, basis) + [_curve(basis, (0,) * len(basis), 1, ())]
+    return list(_cones(fv)[1])
 
 
 def intersect(d, k):
@@ -174,11 +189,11 @@ def anticanonical_class(fv, c):
 
 
 def is_nef(d):
-    return all(intersect(d, k) >= 0 for k in _mori(d.basis))
+    return all(intersect(d, k) >= 0 for k in _generators(d.basis)[1])
 
 
 def is_ample(d):
-    return all(intersect(d, k) > 0 for k in _mori(d.basis))
+    return all(intersect(d, k) > 0 for k in _generators(d.basis)[1])
 
 
 def classify(fv, c):

@@ -11,7 +11,8 @@ closed forms, conventions.two_rho and conventions.positive_root_count
 (Bourbaki, Plates I-IX); w_{0,P}(rho) subtracts only the S_P columns of
 RootSystem.columns, and each FlagVariety caches what follows, with its
 Picard basis (one tuple, shared by every class built on it) and its least
-beta (where classify reads the verdict). dim G/P is
+beta (where classify reads the verdict); a kept root system hands out one
+FlagVariety per S_P, so a repeated query finds them cached. dim G/P is
 |R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
 way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
 C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
@@ -21,7 +22,7 @@ of w_{0,P} and the closure of R^+) hold them.
 from functools import cached_property
 from types import MappingProxyType
 
-from .conventions import positive_root_count, simple_factors, two_rho
+from .conventions import FLAGS_PER_SYSTEM, positive_root_count, simple_factors, two_rho
 from .errors import EngineError
 from .rootsys import Weight
 from .value import Value, setfield
@@ -29,16 +30,30 @@ from .weyl import _replay, check_parabolic
 
 
 class FlagVariety(Value):
-    # no __slots__: the cached invariants live in the instance __dict__,
-    # which is also the fastest place to read them from
+    # no __slots__: the cached invariants (and blowup's cone generators) live
+    # in the instance __dict__, which is also the fastest place to read them from
     _fields = ("rs", "par")  # par: ParabolicSubset S_P
 
-    def __init__(self, rs, par):
+    def __new__(cls, rs, par):
+        """On a kept root system (rootsys.build_root_system), the one instance
+        per S_P, with what it has cached, up to FLAGS_PER_SYSTEM; else a new one."""
         check_parabolic(par, rs.rank)
         if len(par.members) == rs.rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
-        setfield(self, "rs", rs)
-        setfield(self, "par", par)
+        kept = rs._varieties
+        if kept is not None:
+            try:
+                fv = kept.get(par.members)
+            except TypeError:  # members in a list or set: built, not kept
+                fv = kept = None
+            if fv is not None:
+                return fv
+        fv = object.__new__(cls)
+        setfield(fv, "rs", rs)
+        setfield(fv, "par", par)
+        if kept is not None and len(kept) < FLAGS_PER_SYSTEM:
+            kept[par.members] = fv
+        return fv
 
     @cached_property
     def _invariants(self):

@@ -7,7 +7,10 @@ that holds their rank and checks. Conventions (Bourbaki node numbering,
 Cartan matrix orientation) are fixed in conventions.py.
 
 A RootSystem is its sparse Cartan columns, derived in conventions from the
-Dynkin diagram, and its symmetrizers; nothing is memoised across systems.
+Dynkin diagram, and its symmetrizers. build_root_system keeps a type's
+system from that type's second build in the process on (a type built once,
+as by a sweep, is never kept), and a kept system keeps the FlagVariety of
+each S_P asked of it, up to conventions.FLAGS_PER_SYSTEM.
 Every Weyl walk, the flag invariants and the closure read the columns. Two
 tables are built on first read and cached on it: cartan, the dense rows,
 which only the pairings of a Root read (act on a Root, coroot_of,
@@ -121,6 +124,8 @@ class Weight(_Coords):
 class RootSystem(Value):
     # no __slots__: the tables built on first read live in the instance __dict__
     _fields = ("spec", "columns", "symmetrizers")
+    # S_P members -> FlagVariety on a kept system (build_root_system), else None
+    _varieties = None
 
     def __init__(self, spec, columns, symmetrizers):
         setfield(self, "spec", spec)
@@ -206,16 +211,31 @@ def height(r):
     return sum(r.coeffs)
 
 
+# (family, rank) -> None after the type's first build, its kept RootSystem
+# from the second on; at most the 64 types up to RANK_CAP
+_systems = {}
+
+
 def build_root_system(spec):
     """The root-system datum of a simple type: its sparse Cartan columns and
-    symmetrizers. Not memoised, so that the cost of a query does not depend
-    on which types earlier queries in the same process built; the dense rows
-    and the positive roots are built on their first read and cached there."""
-    return RootSystem(
-        spec=spec,
-        columns=conventions.cartan_columns(spec.family, spec.rank),
-        symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
-    )
+    symmetrizers; the dense rows and the positive roots are built on their
+    first read and cached there. A type's first build is only noted, so a
+    caller that builds each type once keeps nothing; from its second build
+    on, the one kept system is returned, with the flag varieties built on it."""
+    key = (spec.family, spec.rank)
+    rs = _systems.get(key)
+    if rs is None:
+        rs = RootSystem(
+            spec=spec,
+            columns=conventions.cartan_columns(spec.family, spec.rank),
+            symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
+        )
+        if key in _systems:
+            setfield(rs, "_varieties", {})
+            _systems[key] = rs
+        else:
+            _systems[key] = None
+    return rs
 
 
 def pairing(w, c):

@@ -3,7 +3,8 @@
 Each value class lists its fields in `__slots__`, or in `_fields` when the
 instance also keeps a `__dict__` for cached properties or a slot derived
 from the fields, and writes them once in an explicit `__init__` with
-`setfield`, past the frozen `__setattr__`.
+`setfield`, past the frozen `__setattr__` (FlagVariety in `__new__`, which
+returns the one instance a kept root system holds).
 Importing `dataclasses` (and with it `inspect`) and generating the classes
 would cost more than the rest of the package's import, which every CLI
 call pays.

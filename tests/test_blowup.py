@@ -145,6 +145,21 @@ def test_engine_built_classes_match_the_checked_constructors(spec):
                 assert [getattr(y, a) for a in x.__slots__] == [getattr(x, a) for a in x.__slots__]
 
 
+def test_generator_lists_are_fresh_lists_of_shared_classes():
+    fv = fv_of("D", 5, {2, 4})
+    nef, mori = nef_generators(fv, 2), mori_generators(fv, 3)
+    assert len(nef) == len(mori) == 4
+    # one unit tuple per node, shared by Bl*D_k and tilde C_k
+    assert all(d.pullback_coeffs is k.tilde_coeffs for d, k in zip(nef[:3], mori[:3]))
+    nef.clear()
+    mori[0] = None
+    again = nef_generators(fv, 3), mori_generators(fv, 2)
+    assert [len(x) for x in again] == [4, 4] and None not in again[1]
+    assert again[0] is not nef_generators(fv, 3)
+    assert all(a is b for a, b in zip(again[0] + again[1],
+                                       nef_generators(fv, 4) + mori_generators(fv, 4)))
+
+
 def test_anticanonical_full_flag_c2():
     fv = fv_of("A", 2, ())
     dc, basis2 = anticanonical_class(fv, 2)

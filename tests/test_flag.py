@@ -6,6 +6,7 @@ import pytest
 
 from schubert_blowup import (
     FlagVariety,
+    RootSystem,
     TypeSpec,
     Weight,
     anticanonical_weight,
@@ -16,7 +17,7 @@ from schubert_blowup import (
     schubert_codim,
 )
 from schubert_blowup import flag
-from schubert_blowup.conventions import RANK_CAP, simple_factors
+from schubert_blowup.conventions import FLAGS_PER_SYSTEM, RANK_CAP, simple_factors
 from schubert_blowup.errors import EngineError
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import (
@@ -42,6 +43,37 @@ def test_degenerate_parabolic_rejected():
     rs = build_root_system(TypeSpec("A", 2))
     with pytest.raises(EngineError):
         FlagVariety(rs, ParabolicSubset.of({1, 2}))
+
+
+def test_a_kept_system_keeps_one_flag_variety_per_parabolic():
+    build_root_system(TypeSpec("B", 4))
+    rs = build_root_system(TypeSpec("B", 4))
+    fv = FlagVariety(rs, ParabolicSubset.of({2, 3}))
+    assert FlagVariety(rs, ParabolicSubset.of([3, 2])) is fv
+    assert FlagVariety(build_root_system(TypeSpec("B", 4)), ParabolicSubset.of({2, 3})) is fv
+    fresh = FlagVariety(RootSystem(rs.spec, rs.columns, rs.symmetrizers),
+                        ParabolicSubset.of({2, 3}))
+    assert fresh is not fv and fresh == fv and hash(fresh) == hash(fv)
+    assert (beta_values(fresh), dimension(fresh)) == (beta_values(fv), dimension(fv))
+    # members in a list are unhashable: built each time, not kept
+    listed = FlagVariety(rs, ParabolicSubset([2, 3]))
+    assert listed.par.members == [2, 3] and beta_values(listed) == beta_values(fv)
+    assert FlagVariety(rs, ParabolicSubset([2, 3])) is not listed
+    assert list(rs._varieties) == [frozenset({2, 3})]
+
+
+def test_a_kept_system_holds_at_most_flags_per_system_varieties():
+    build_root_system(TypeSpec("A", 7))
+    rs = build_root_system(TypeSpec("A", 7))
+    proper = [ParabolicSubset.of(m) for k in range(7)
+              for m in itertools.combinations(range(1, 8), k)]
+    first = [FlagVariety(rs, par) for par in proper]
+    again = [FlagVariety(rs, par) for par in proper]
+    assert len(proper) == 127 and len(rs._varieties) == FLAGS_PER_SYSTEM
+    # the first FLAGS_PER_SYSTEM asked for are kept, the rest built each time
+    assert [a is b for a, b in zip(first, again)] == (
+        [True] * FLAGS_PER_SYSTEM + [False] * (127 - FLAGS_PER_SYSTEM))
+    assert first == again
 
 
 def test_full_flag_dimension_a2():

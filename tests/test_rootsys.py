@@ -128,6 +128,21 @@ def test_positive_roots_are_built_once_on_first_read(monkeypatch):
     assert calls == [rs]
 
 
+def test_a_type_is_kept_from_its_second_build_on():
+    first = build_root_system(TypeSpec("A", 3))
+    assert first._varieties is None
+    second = build_root_system(TypeSpec("A", 3))
+    assert second is not first and second == first and second._varieties == {}
+    assert build_root_system(TypeSpec("A", 3)) is second
+    assert build_root_system(TypeSpec("A", 4))._varieties is None
+
+
+def test_a_sweep_keeps_nothing(capsys):
+    # table builds each type once, so every type is noted and none is kept
+    assert cli.main(["table", "--families", "A,B,C,D,E,F,G", "--max-rank", str(RANK_CAP)]) == 0
+    assert len(rootsys._systems) == 64 and set(rootsys._systems.values()) == {None}
+
+
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_columns_are_the_nonzero_entries_of_each_cartan_column(spec):
     rs = build_root_system(spec)

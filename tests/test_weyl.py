@@ -130,6 +130,15 @@ _CODIM_LAWS = {
     "full-flag": lambda rs, c: special.full_flag_classify(rs, c),
 }
 
+
+def _kept(rs):
+    """The kept system of rs's type, from its second build in the process."""
+    build_root_system(rs.spec)
+    kept = build_root_system(rs.spec)
+    assert kept._varieties is not None
+    return kept
+
+
 # every call that takes S_P, each on A2
 _PARABOLIC_CALLS = {
     "flag": FlagVariety,
@@ -194,6 +203,21 @@ _PARABOLIC_CALLS = {
     for nodes, shown, label in [([1.5], "[1.5]", "float"), ([1.0], "[1.0]", "int-valued-float"),
                                 ({"a"}, "['a']", "str"), ({1, "a"}, "[1, 'a']", "mixed")]
     for name, f in _PARABOLIC_CALLS.items()
+] + [
+    # S_P is checked before a kept system looks it up: members in a list are
+    # unhashable, and a bool node equals an int one
+    pytest.param(lambda rs, system=system, members=members:
+                 FlagVariety(system(rs), ParabolicSubset(members)),
+                 message, id="flag-%s-%s" % (label, kind))
+    for members, message, label in [
+        ([0], "parabolic indices [0] outside 1..2", "list-0"),
+        ([1.5], "parabolic indices [1.5] outside 1..2", "list-float"),
+        ([True, 0], "parabolic indices [0, True] outside 1..2", "list-bool-0"),
+        (frozenset({False}), "parabolic indices [False] outside 1..2", "bool"),
+        ([2, 1], "S_P = S gives the degenerate variety G/G", "list-all"),
+        ({1, 2}, "S_P = S gives the degenerate variety G/G", "set-all"),
+        (frozenset({1, 2}), "S_P = S gives the degenerate variety G/G", "all")]
+    for kind, system in [("unkept", lambda rs: rs), ("kept", _kept)]
 ])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
