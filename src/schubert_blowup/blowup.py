@@ -17,14 +17,13 @@ computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some
 G/P -> G/Q.
 
-DivisorClass(...) and CurveClass(...) check their coefficients; the
-generators and -K, whose tuples the engine builds itself, skip the check,
-and selfchecks B1 (the nef-by-Mori matrix is the identity) and B5 (the
-pairings of -K) hold them. Each FlagVariety builds its generators once;
-nef_generators and mori_generators return new lists of those shared
-classes. A class keeps its support, the positions of its
-nonzero coordinates: intersect pairs Bl*D . tilde C over the shorter one,
-in O(nonzeros), but a nonzero E_Z coefficient sums the curve's coordinates.
+DivisorClass(...) and CurveClass(...) check their coefficients, and every
+class, the generators and -K among them, is built by its constructor. Each
+FlagVariety builds its generators once; nef_generators and mori_generators
+return new lists of those shared classes. A curve class keeps its support,
+the positions of its nonzero coordinates, and intersect pairs
+Bl*D . tilde C over it: O(1) against a Mori generator, which has at most
+one. A nonzero E_Z coefficient adds a sum over the curve's coordinates.
 """
 
 from enum import Enum
@@ -51,12 +50,11 @@ def verdict_of(least_margin):
     return _FANO if least_margin > 0 else _WEAK if least_margin == 0 else _NOT_WEAK
 
 
-def _support(basis, coeffs, last):
-    """The one check of a class's coordinates, a tuple basis, a tuple of one
+def _check_coeffs(basis, coeffs, last):
+    """The one check of a class's coordinates: a tuple basis, a tuple of one
     int per basis node and an int last coefficient (a bool counts, as in
-    weyl._check_letters); returns the support, the positions of the nonzero
-    coordinates. A list would leave the class unhashable and unequal to the
-    same class built from tuples."""
+    weyl._check_letters). A list would leave the class unhashable and unequal
+    to the same class built from tuples."""
     try:
         # a float or Fraction among ints makes the sum one too
         ok = (type(basis) is type(coeffs) is tuple and len(coeffs) == len(basis)
@@ -66,18 +64,16 @@ def _support(basis, coeffs, last):
     if not ok:
         raise EngineError("coefficients %r, %r over basis %r: need a tuple basis, a tuple of"
                           " an int per node and an int E or e coefficient" % (coeffs, last, basis))
-    return tuple(compress(count(), coeffs))
 
 
 class DivisorClass(Value):
-    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff", "support")
-    _fields = __slots__[:3]
+    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff")
 
     def __init__(self, basis, pullback_coeffs, exceptional_coeff):
+        _check_coeffs(basis, pullback_coeffs, exceptional_coeff)
         setfield(self, "basis", basis)  # picard_basis indices, fixes coordinate order
         setfield(self, "pullback_coeffs", pullback_coeffs)  # over Bl*D_alpha
         setfield(self, "exceptional_coeff", exceptional_coeff)  # of E_Z
-        setfield(self, "support", _support(basis, pullback_coeffs, exceptional_coeff))
 
 
 class CurveClass(Value):
@@ -85,25 +81,12 @@ class CurveClass(Value):
     _fields = __slots__[:3]
 
     def __init__(self, basis, tilde_coeffs, e_coeff):
+        _check_coeffs(basis, tilde_coeffs, e_coeff)
         setfield(self, "basis", basis)
         setfield(self, "tilde_coeffs", tilde_coeffs)  # over tilde C_alpha
         setfield(self, "e_coeff", e_coeff)
-        setfield(self, "support", _support(basis, tilde_coeffs, e_coeff))
-
-
-def _unchecked(cls):
-    """cls built from the engine's own tuples, unchecked, by its slots' setters:
-    they write a class in two thirds of setfield's time."""
-    new, (b, x, last, s) = object.__new__, [getattr(cls, f).__set__ for f in cls.__slots__]
-
-    def build(basis, coeffs, e, support):
-        v = new(cls)
-        b(v, basis), x(v, coeffs), last(v, e), s(v, support)
-        return v
-    return build
-
-
-_divisor, _curve = _unchecked(DivisorClass), _unchecked(CurveClass)
+        # the positions of the nonzero tilde coefficients, which intersect walks
+        setfield(self, "support", tuple(compress(count(), tilde_coeffs)))
 
 
 class FanoReport(Value):
@@ -131,11 +114,11 @@ def _generators(basis):
     w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
     nef, mori = [], []
     for k in range(n):
-        unit, s = w[n - 1 - k:2 * n - 1 - k], (k,)
-        nef.append(_divisor(basis, unit, 0, s))
-        mori.append(_curve(basis, unit, 0, s))
-    nef.append(_divisor(basis, (1,) * n, -1, tuple(range(n))))
-    mori.append(_curve(basis, (0,) * n, 1, ()))
+        unit = w[n - 1 - k:2 * n - 1 - k]
+        nef.append(DivisorClass(basis, unit, 0))
+        mori.append(CurveClass(basis, unit, 0))
+    nef.append(DivisorClass(basis, (1,) * n, -1))
+    mori.append(CurveClass(basis, (0,) * n, 1))
     return tuple(nef), tuple(mori)
 
 
@@ -164,12 +147,12 @@ def mori_generators(fv, c):
 def intersect(d, k):
     """Bilinear pairing from Bl*D_alpha . Bl*C_beta = delta, Bl*D_alpha . e = 0,
     E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e.
-    The Bl*D . tilde C part runs over the shorter support."""
+    The Bl*D . tilde C part runs over the curve's support."""
     if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
     x, y = d.pullback_coeffs, k.tilde_coeffs
     dot = 0
-    for i in d.support if len(d.support) <= len(k.support) else k.support:
+    for i in k.support:
         dot += x[i] * y[i]
     if d.exceptional_coeff:
         # E_Z . tilde C_alpha = 1, E_Z . e = -1
@@ -182,8 +165,7 @@ def anticanonical_class(fv, c):
     check_codim(c, dimension(fv))
     basis = picard_basis(fv)
     betas = beta_values(fv).values.values()  # in Picard-basis order
-    coeffs = tuple(1 + b for b in betas)
-    d = _divisor(basis, coeffs, 1 - c, tuple(compress(count(), coeffs)))
+    d = DivisorClass(basis, tuple(1 + b for b in betas), 1 - c)
     basis2 = tuple(b + 2 - c for b in betas) + (c - 1,)
     return d, basis2
 

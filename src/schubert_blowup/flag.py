@@ -42,10 +42,7 @@ class FlagVariety(Value):
             raise EngineError("S_P = S gives the degenerate variety G/G")
         kept = rs._varieties
         if kept is not None:
-            try:
-                fv = kept.get(par.members)
-            except TypeError:  # members in a list or set: built, not kept
-                fv = kept = None
+            fv = kept.get(par.members)
             if fv is not None:
                 return fv
         fv = object.__new__(cls)

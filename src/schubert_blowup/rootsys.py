@@ -157,10 +157,6 @@ class RootSystem(Value):
     def highest_root(self):
         return self.positive_roots[-1]
 
-    def simple_root(self, i):
-        """alpha_i, 1-based."""
-        return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
-
     def simple_coroot(self, i):
         """alpha_i^vee, 1-based."""
         return Coroot(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))

@@ -28,16 +28,21 @@ class WeylWord(Value):
 
 
 class ParabolicSubset(Value):
-    """The subset S_P of simple-root indices whose reflections lie in W_P."""
+    """The subset S_P of simple-root indices whose reflections lie in W_P,
+    kept as a frozenset, so a repeated node counts once."""
 
     __slots__ = ("members",)
 
     def __init__(self, members):
+        try:
+            members = frozenset(members)
+        except TypeError:  # not iterable, or a node that is unhashable
+            raise EngineError("parabolic indices %r are not a set of nodes" % (members,)) from None
         setfield(self, "members", members)
 
     @staticmethod
     def of(indices):
-        return ParabolicSubset(frozenset(indices))
+        return ParabolicSubset(indices)
 
     def complement(self, rank):
         return tuple(i for i in range(1, rank + 1) if i not in self.members)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -126,29 +127,68 @@ def test_intersect_matches_the_dense_formula(rank):
         intersect(d, CurveClass(other, k.tilde_coeffs, k.e_coeff))
 
 
+def _cases(specs):
+    """(spec, S_P, FlagVariety) for each type of specs, on the full flag and
+    on each maximal parabolic."""
+    for spec in specs:
+        rs = build_root_system(spec)
+        nodes = set(range(1, spec.rank + 1))
+        for members in [()] + [nodes - {a} for a in sorted(nodes)]:
+            yield spec, sorted(members), FlagVariety(rs, ParabolicSubset.of(members))
+
+
+def _fields(x):
+    return tuple(getattr(x, f) for f in x._fields)
+
+
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_engine_built_classes_match_the_checked_constructors(spec):
-    # the generators and -K skip the constructors' check: each must equal,
-    # hash like and hold the same support as the checked class of the same
-    # fields, also after a pickle round trip
-    rs = build_root_system(spec)
-    nodes = set(range(1, spec.rank + 1))
-    for members in [()] + [nodes - {a} for a in sorted(nodes)]:
-        fv = FlagVariety(rs, ParabolicSubset.of(members))
+    # the generators and -K are built by the checked constructors: each
+    # equals, hashes like and holds the same slots as the class rebuilt from
+    # its fields, also after a pickle round trip
+    for _, _, fv in _cases([spec]):
         if dimension(fv) < 2:  # A1: no centre of codimension >= 2
             continue
         built = nef_generators(fv, 2) + mori_generators(fv, 2) + [anticanonical_class(fv, 2)[0]]
         for x in built:
-            assert x.basis is picard_basis(fv)
-            for y in (type(x)(*(getattr(x, f) for f in x._fields)), pickle.loads(pickle.dumps(x))):
+            for y in (type(x)(*_fields(x)), pickle.loads(pickle.dumps(x))):
                 assert y == x and hash(y) == hash(x), x
                 assert [getattr(y, a) for a in x.__slots__] == [getattr(x, a) for a in x.__slots__]
+
+
+def _outputs():
+    """One line per case of every type up to RANK_CAP, at c = 2 and 3: the
+    nef and Mori generators, the pairings of the nef generators and -K with
+    the Mori generators, both bases of -K and the verdict, or the error."""
+    for spec, members, fv in _cases(all_types(RANK_CAP)):
+        for c in (2, 3):
+            try:
+                nef, mori = nef_generators(fv, c), mori_generators(fv, c)
+                k, basis2 = anticanonical_class(fv, c)
+                verdict = classify(fv, c).verdict.value
+            except EngineError as e:
+                yield repr((str(spec), members, c, str(e)))
+                continue
+            yield repr((str(spec), members, c, [_fields(x) for x in nef + mori],
+                        [[intersect(d, m) for m in mori] for d in nef + [k]],
+                        _fields(k), basis2, verdict))
+
+
+def test_blowup_outputs_are_pinned():
+    # one digest of the class layer's outputs over the whole domain: a change
+    # to how classes are built or paired must keep every byte
+    lines = list(_outputs())
+    assert len(lines) == 1254
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "79585599953fc5564b8dc479ca5e75ce35dffb4945a04f35ccfd80d544fd5602"
 
 
 def test_generator_lists_are_fresh_lists_of_shared_classes():
     fv = fv_of("D", 5, {2, 4})
     nef, mori = nef_generators(fv, 2), mori_generators(fv, 3)
     assert len(nef) == len(mori) == 4
+    # every class built on fv shares its one Picard basis tuple
+    assert all(x.basis is picard_basis(fv) for x in nef + mori + [anticanonical_class(fv, 2)[0]])
     # one unit tuple per node, shared by Bl*D_k and tilde C_k
     assert all(d.pullback_coeffs is k.tilde_coeffs for d, k in zip(nef[:3], mori[:3]))
     nef.clear()

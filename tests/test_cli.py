@@ -297,13 +297,16 @@ def test_every_public_engine_name_has_a_caller():
     # but __init__, cli and selfcheck) must be named by another module of the
     # package or by perfbench: API that nothing uses is deleted. __init__'s
     # re-export counts for a class, which its own module constructs, but not
-    # for a function, which it would leave without a caller
+    # for a function, which it would leave without a caller. A public method
+    # or property of an engine class must be named by some module of the
+    # package, its own included, or by perfbench; tests do not count
     package = pathlib.Path(schubert_blowup.__file__).parent
     bench = package.parents[1] / "perfbench"
     assert bench.is_dir(), bench
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     bench_names = {n for path in bench.glob("*.py") for n in _named(ast.parse(path.read_text()))}
     exported = set(_named(trees["__init__"]))
+    anywhere = bench_names.union(*(_named(t) for s, t in trees.items() if s != "__init__"))
     unused = []
     for stem, tree in trees.items():
         if stem in ("__init__", "cli", "selfcheck"):
@@ -314,6 +317,10 @@ def test_every_public_engine_name_has_a_caller():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                    and not node.name.startswith("_") and node.name not in called
                    and not (isinstance(node, ast.ClassDef) and node.name in exported)]
+        unused += ["%s.%s.%s" % (stem, cls.name, node.name)
+                   for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_") and node.name not in anywhere]
     assert unused == []
 
 

@@ -45,6 +45,14 @@ def test_degenerate_parabolic_rejected():
         FlagVariety(rs, ParabolicSubset.of({1, 2}))
 
 
+def test_repeated_nodes_count_once():
+    # S_P = {1, 2} on A3, not S: the repeat must not count towards S_P = S
+    rs = build_root_system(TypeSpec("A", 3))
+    fv = FlagVariety(rs, ParabolicSubset([1, 1, 2]))
+    assert fv.par == ParabolicSubset.of({1, 2}) and picard_basis(fv) == (3,)
+    assert beta_values(fv) == beta_values(FlagVariety(rs, ParabolicSubset.of({1, 2})))
+
+
 def test_a_kept_system_keeps_one_flag_variety_per_parabolic():
     build_root_system(TypeSpec("B", 4))
     rs = build_root_system(TypeSpec("B", 4))
@@ -55,10 +63,9 @@ def test_a_kept_system_keeps_one_flag_variety_per_parabolic():
                         ParabolicSubset.of({2, 3}))
     assert fresh is not fv and fresh == fv and hash(fresh) == hash(fv)
     assert (beta_values(fresh), dimension(fresh)) == (beta_values(fv), dimension(fv))
-    # members in a list are unhashable: built each time, not kept
+    # members given in a list are kept as a frozenset, so they find the kept one
     listed = FlagVariety(rs, ParabolicSubset([2, 3]))
-    assert listed.par.members == [2, 3] and beta_values(listed) == beta_values(fv)
-    assert FlagVariety(rs, ParabolicSubset([2, 3])) is not listed
+    assert listed is fv and listed.par.members == frozenset({2, 3})
     assert list(rs._varieties) == [frozenset({2, 3})]
 
 

@@ -36,6 +36,7 @@ from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import _in_levi, all_types
+from test_rootsys import simple_root
 from test_selfcheck import check_test
 
 
@@ -90,11 +91,11 @@ def test_reflect_weight_involution(coeffs, i):
 
 def test_reflect_root_negates_own_root(a2):
     for i in (1, 2):
-        assert act(WeylWord((i,)), a2.simple_root(i), a2) == -a2.simple_root(i)
+        assert act(WeylWord((i,)), simple_root(a2, i), a2) == -simple_root(a2, i)
 
 
 def test_reflect_root_a2(a2):
-    assert act(WeylWord((1,)), a2.simple_root(2), a2) == Root((1, 1))
+    assert act(WeylWord((1,)), simple_root(a2, 2), a2) == Root((1, 1))
 
 
 def test_reflect_coroot_b2_matches_oracle_orbit(b2):
@@ -204,8 +205,8 @@ _PARABOLIC_CALLS = {
                                 ({"a"}, "['a']", "str"), ({1, "a"}, "[1, 'a']", "mixed")]
     for name, f in _PARABOLIC_CALLS.items()
 ] + [
-    # S_P is checked before a kept system looks it up: members in a list are
-    # unhashable, and a bool node equals an int one
+    # S_P is checked before a kept system looks it up: a bool node equals an
+    # int one
     pytest.param(lambda rs, system=system, members=members:
                  FlagVariety(system(rs), ParabolicSubset(members)),
                  message, id="flag-%s-%s" % (label, kind))
@@ -218,6 +219,12 @@ _PARABOLIC_CALLS = {
         ({1, 2}, "S_P = S gives the degenerate variety G/G", "set-all"),
         (frozenset({1, 2}), "S_P = S gives the degenerate variety G/G", "all")]
     for kind, system in [("unkept", lambda rs: rs), ("kept", _kept)]
+] + [
+    # S_P is kept as a frozenset: an unhashable node, or members that are not
+    # iterable, cannot make one
+    pytest.param(lambda rs, members=members: ParabolicSubset(members),
+                 "parabolic indices %r are not a set of nodes" % (members,), id="par-" + label)
+    for members, label in [([[1]], "unhashable"), ([1, {2}], "unhashable-set"), (1, "int")]
 ])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
@@ -312,7 +319,7 @@ def test_longest_element_a2_full(a2):
     w0 = longest_element(ParabolicSubset.of({1, 2}), a2)
     assert len(w0.letters) == 3
     for i in (1, 2):
-        assert not act(w0, a2.simple_root(i), a2).is_positive()
+        assert not act(w0, simple_root(a2, i), a2).is_positive()
 
 
 def test_longest_element_b2_full(b2):
@@ -412,7 +419,7 @@ def _replay_length(word, rs):
 
 
 def _replay_minimal(word, par, rs):
-    return all(act(word, rs.simple_root(i), rs).is_positive() for i in par.members)
+    return all(act(word, simple_root(rs, i), rs).is_positive() for i in par.members)
 
 
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
