@@ -19,11 +19,14 @@ G/P -> G/Q.
 
 DivisorClass(...) and CurveClass(...) check their coefficients, and every
 class, the generators and -K among them, is built by its constructor. Each
-FlagVariety builds its generators once; nef_generators and mori_generators
-return new lists of those shared classes. A curve class keeps its support,
-the positions of its nonzero coordinates, and intersect pairs
-Bl*D . tilde C over it: O(1) against a Mori generator, which has at most
-one. A nonzero E_Z coefficient adds a sum over the curve's coordinates.
+FlagVariety builds its generators once, in _cones, the one builder of
+generator classes; nef_generators and mori_generators return new lists of
+those shared classes, and is_nef(fv, d) and is_ample(fv, d) pair d with
+fv's Mori tuple. A curve class keeps its support, the positions of its
+nonzero coordinates, and intersect pairs Bl*D . tilde C over it: O(1)
+against a Mori generator, which has at most one. A nonzero E_Z coefficient
+adds a sum over the curve's coordinates. intersect of anything but a
+divisor and a curve is an EngineError.
 """
 
 from enum import Enum
@@ -53,7 +56,7 @@ def verdict_of(least_margin):
 def _check_coeffs(basis, coeffs, last):
     """The one check of a class's coordinates: a tuple basis, a tuple of one
     int per basis node and an int last coefficient (a bool counts, as in
-    weyl._check_letters). A list would leave the class unhashable and unequal
+    weyl._letters). A list would leave the class unhashable and unequal
     to the same class built from tuples."""
     try:
         # a float or Fraction among ints makes the sum one too
@@ -107,27 +110,24 @@ def check_codim(c, d):
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
-def _generators(basis):
-    """The nef and Mori generator tuples over basis, in one pass: unit k is the
-    one slice of a zero tuple around a 1, shared by Bl*D_k and tilde C_k."""
-    n = len(basis)
-    w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-    nef, mori = [], []
-    for k in range(n):
-        unit = w[n - 1 - k:2 * n - 1 - k]
-        nef.append(DivisorClass(basis, unit, 0))
-        mori.append(CurveClass(basis, unit, 0))
-    nef.append(DivisorClass(basis, (1,) * n, -1))
-    mori.append(CurveClass(basis, (0,) * n, 1))
-    return tuple(nef), tuple(mori)
-
-
 def _cones(fv):
-    """fv's generator tuples, built on first use and kept in its __dict__
-    beside its invariants."""
+    """fv's nef and Mori generator tuples, the one builder of generator
+    classes: built on first use and kept in fv's __dict__ beside its
+    invariants. Unit k is the one slice of a zero tuple around a 1, shared by
+    Bl*D_k and tilde C_k."""
     cones = fv.__dict__.get("_cones")
     if cones is None:
-        cones = fv.__dict__["_cones"] = _generators(picard_basis(fv))
+        basis = picard_basis(fv)
+        n = len(basis)
+        w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+        nef, mori = [], []
+        for k in range(n):
+            unit = w[n - 1 - k:2 * n - 1 - k]
+            nef.append(DivisorClass(basis, unit, 0))
+            mori.append(CurveClass(basis, unit, 0))
+        nef.append(DivisorClass(basis, (1,) * n, -1))
+        mori.append(CurveClass(basis, (0,) * n, 1))
+        cones = fv.__dict__["_cones"] = tuple(nef), tuple(mori)
     return cones
 
 
@@ -148,11 +148,15 @@ def intersect(d, k):
     """Bilinear pairing from Bl*D_alpha . Bl*C_beta = delta, Bl*D_alpha . e = 0,
     E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e.
     The Bl*D . tilde C part runs over the curve's support."""
+    try:
+        x, y, support = d.pullback_coeffs, k.tilde_coeffs, k.support
+    except AttributeError:  # a try costs nothing until it raises
+        raise EngineError("intersect needs a DivisorClass and a CurveClass, not %s and %s"
+                          % (type(d).__name__, type(k).__name__)) from None
     if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
-    x, y = d.pullback_coeffs, k.tilde_coeffs
     dot = 0
-    for i in k.support:
+    for i in support:
         dot += x[i] * y[i]
     if d.exceptional_coeff:
         # E_Z . tilde C_alpha = 1, E_Z . e = -1
@@ -170,12 +174,12 @@ def anticanonical_class(fv, c):
     return d, basis2
 
 
-def is_nef(d):
-    return all(intersect(d, k) >= 0 for k in _generators(d.basis)[1])
+def is_nef(fv, d):
+    return all(intersect(d, k) >= 0 for k in _cones(fv)[1])
 
 
-def is_ample(d):
-    return all(intersect(d, k) > 0 for k in _generators(d.basis)[1])
+def is_ample(fv, d):
+    return all(intersect(d, k) > 0 for k in _cones(fv)[1])
 
 
 def classify(fv, c):

@@ -11,8 +11,9 @@ closed forms, conventions.two_rho and conventions.positive_root_count
 (Bourbaki, Plates I-IX); w_{0,P}(rho) subtracts only the S_P columns of
 RootSystem.columns, and each FlagVariety caches what follows, with its
 Picard basis (one tuple, shared by every class built on it) and its least
-beta (where classify reads the verdict); a kept root system hands out one
-FlagVariety per S_P, so a repeated query finds them cached. dim G/P is
+beta (where classify reads the verdict); FlagVariety asks
+rootsys.kept_varieties for the one FlagVariety per S_P of a kept root
+system, so a repeated query finds them cached. dim G/P is
 |R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
 way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
 C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
@@ -24,7 +25,7 @@ from types import MappingProxyType
 
 from .conventions import FLAGS_PER_SYSTEM, positive_root_count, simple_factors, two_rho
 from .errors import EngineError
-from .rootsys import Weight
+from .rootsys import Weight, kept_varieties
 from .value import Value, setfield
 from .weyl import _replay, check_parabolic
 
@@ -40,7 +41,7 @@ class FlagVariety(Value):
         check_parabolic(par, rs.rank)
         if len(par.members) == rs.rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
-        kept = rs._varieties
+        kept = kept_varieties(rs)
         if kept is not None:
             fv = kept.get(par.members)
             if fv is not None:

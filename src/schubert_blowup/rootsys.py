@@ -9,8 +9,10 @@ Cartan matrix orientation) are fixed in conventions.py.
 A RootSystem is its sparse Cartan columns, derived in conventions from the
 Dynkin diagram, and its symmetrizers. build_root_system keeps a type's
 system from that type's second build in the process on (a type built once,
-as by a sweep, is never kept), and a kept system keeps the FlagVariety of
-each S_P asked of it, up to conventions.FLAGS_PER_SYSTEM.
+as by a sweep, is never kept), in the register _systems, the one record of
+what is kept: a kept type's entry also holds the FlagVariety of each S_P
+asked of it, up to conventions.FLAGS_PER_SYSTEM, and kept_varieties gives
+that dict only to the registered system itself.
 Every Weyl walk, the flag invariants and the closure read the columns. Two
 tables are built on first read and cached on it: cartan, the dense rows,
 which only the pairings of a Root read (act on a Root, coroot_of,
@@ -124,8 +126,6 @@ class Weight(_Coords):
 class RootSystem(Value):
     # no __slots__: the tables built on first read live in the instance __dict__
     _fields = ("spec", "columns", "symmetrizers")
-    # S_P members -> FlagVariety on a kept system (build_root_system), else None
-    _varieties = None
 
     def __init__(self, spec, columns, symmetrizers):
         setfield(self, "spec", spec)
@@ -207,8 +207,8 @@ def height(r):
     return sum(r.coeffs)
 
 
-# (family, rank) -> None after the type's first build, its kept RootSystem
-# from the second on; at most the 64 types up to RANK_CAP
+# (family, rank) -> None after the type's first build, from the second on
+# (kept system, {S_P members: FlagVariety}); at most the 64 types to RANK_CAP
 _systems = {}
 
 
@@ -219,19 +219,23 @@ def build_root_system(spec):
     caller that builds each type once keeps nothing; from its second build
     on, the one kept system is returned, with the flag varieties built on it."""
     key = (spec.family, spec.rank)
-    rs = _systems.get(key)
-    if rs is None:
-        rs = RootSystem(
-            spec=spec,
-            columns=conventions.cartan_columns(spec.family, spec.rank),
-            symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
-        )
-        if key in _systems:
-            setfield(rs, "_varieties", {})
-            _systems[key] = rs
-        else:
-            _systems[key] = None
+    kept = _systems.get(key)
+    if kept is not None:
+        return kept[0]
+    rs = RootSystem(
+        spec=spec,
+        columns=conventions.cartan_columns(spec.family, spec.rank),
+        symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
+    )
+    _systems[key] = (rs, {}) if key in _systems else None
     return rs
+
+
+def kept_varieties(rs):
+    """The S_P members -> FlagVariety dict of rs if rs itself is its type's
+    kept system, else None: an equal system built apart keeps nothing."""
+    kept = _systems.get((rs.spec.family, rs.spec.rank))
+    return kept[1] if kept is not None and kept[0] is rs else None
 
 
 def pairing(w, c):

@@ -287,9 +287,9 @@ def check_B3_classifier_matches_cone_test(rs):
         dc, _ = blowup.anticanonical_class(fv, c)
         expected = (
             blowup.Verdict.FANO
-            if blowup.is_ample(dc)
+            if blowup.is_ample(fv, dc)
             else blowup.Verdict.WEAK_FANO_NOT_FANO
-            if blowup.is_nef(dc)
+            if blowup.is_nef(fv, dc)
             else blowup.Verdict.NOT_WEAK_FANO
         )
         if blowup.classify(fv, c).verdict != expected:

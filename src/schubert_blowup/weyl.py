@@ -48,18 +48,22 @@ class ParabolicSubset(Value):
         return tuple(i for i in range(1, rank + 1) if i not in self.members)
 
 
-def _check_letters(letters, rank):
-    """The one letter check, once per word; names the first letter that is not
-    an int in 1..rank (a bool counts, as in check_parabolic)."""
+def _letters(word, rank):
+    """The letters of a WeylWord, checked once per word; names the first letter
+    that is not an int in 1..rank (a bool counts, as in check_parabolic)."""
     try:
+        letters = word.letters
         # a float or Fraction among ints makes the sum one too
         ok = not letters or (1 <= min(letters) and max(letters) <= rank
                              and type(sum(letters)) is int)
+    except AttributeError:  # not a WeylWord; a try costs nothing until it raises
+        raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__) from None
     except TypeError:  # a letter that neither compares nor adds with an int
         ok = False
     if not ok:
         bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
         raise EngineError("reflection index %r outside 1..%d" % (bad, rank))
+    return letters
 
 
 def check_parabolic(par, rank):
@@ -76,8 +80,7 @@ def act(word, x, rs):
     if kind not in (Weight, Root, Coroot):
         raise EngineError("act needs a Weight, Root or Coroot, not %s" % kind.__name__)
     x.check_rank(rs)
-    _check_letters(word.letters, rs.rank)
-    letters, cols, v = reversed(word.letters), rs.columns, list(x.coeffs)
+    letters, cols, v = reversed(_letters(word, rs.rank)), rs.columns, list(x.coeffs)
     if kind is Weight:
         # s_i(lambda) = lambda - lambda_i alpha_i, alpha_i being Cartan column i
         for i in letters:
@@ -104,10 +107,9 @@ def _replay(word, rs):
     and Coxeter Groups, 1.6-1.7), so l is exact on non-reduced words too.
     """
     cols = rs.columns
-    _check_letters(word.letters, len(cols))
     v = [1] * len(cols)
     l = 0
-    for i in word.letters:
+    for i in _letters(word, len(cols)):
         c = v[i - 1]
         l += 1 if c > 0 else -1
         for j, a in cols[i - 1]:

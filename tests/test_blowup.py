@@ -10,6 +10,7 @@ from schubert_blowup import (
     DivisorClass,
     FlagVariety,
     ParabolicSubset,
+    TypeSpec,
     Verdict,
     anticanonical_class,
     build_root_system,
@@ -22,9 +23,17 @@ from schubert_blowup import (
     nef_generators,
     picard_basis,
 )
+from schubert_blowup import blowup
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
-from schubert_blowup.selfcheck import all_parabolics, all_types
+from schubert_blowup.selfcheck import (
+    all_parabolics,
+    all_types,
+    check_B1_cone_duality,
+    check_B3_classifier_matches_cone_test,
+    check_B5_margin_certificates,
+    first_counterexample,
+)
 from test_flag import fv_of
 from test_selfcheck import check_test
 
@@ -220,17 +229,18 @@ def test_anticanonical_gr25_point_on_nef_boundary():
     fv = fv_of("A", 4, {1, 3, 4})
     dc, basis2 = anticanonical_class(fv, 6)
     assert basis2 == (0, 5)
-    assert is_nef(dc) and not is_ample(dc)
+    assert is_nef(fv, dc) and not is_ample(fv, dc)
 
 
 def test_nef_ample_gg_tests():
+    fv = fv_of("A", 2, ())
     basis = (1, 2)
     e_z = DivisorClass(basis, (0, 0), 1)
-    assert not is_nef(e_z)
+    assert not is_nef(fv, e_z)
     zero = DivisorClass(basis, (0, 0), 0)
-    assert is_nef(zero) and not is_ample(zero)
+    assert is_nef(fv, zero) and not is_ample(fv, zero)
     ample = DivisorClass(basis, (2, 2), -1)  # sum Bl*D + (H - E)
-    assert is_ample(ample)
+    assert is_ample(fv, ample)
 
 
 @pytest.mark.parametrize("spec", all_types(3), ids=str)
@@ -240,12 +250,13 @@ def test_nef_and_ample_match_the_nef_basis_closed_form(spec):
     # with coefficients in -3..3, on every S_P
     rs = build_root_system(spec)
     for par in all_parabolics(spec.rank):
-        basis = picard_basis(FlagVariety(rs, par))
+        fv = FlagVariety(rs, par)
+        basis = picard_basis(fv)
         for *a, b in itertools.product(range(-3, 4), repeat=len(basis) + 1):
             coords = [x + b for x in a] + [-b]
             d = DivisorClass(basis, tuple(a), b)
-            assert is_nef(d) == all(x >= 0 for x in coords), d
-            assert is_ample(d) == all(x > 0 for x in coords), d
+            assert is_nef(fv, d) == all(x >= 0 for x in coords), d
+            assert is_ample(fv, d) == all(x > 0 for x in coords), d
 
 
 def test_classify_full_flag():
@@ -277,3 +288,26 @@ test_b1_cone_duality = check_test("B1 cone duality")
 test_b2_b3_round_trip_and_cone_agreement = check_test("B3 classifier vs cone test")
 # exhaustive despite its name: every S_P and c of every type up to rank 6
 test_b5_margin_certificates_random_sample = check_test("B5 margin certificates", per_type=False)
+
+
+def test_blowup_checks_catch_a_broken_class_layer(monkeypatch):
+    # negative controls: one mutation per row, each caught at the first
+    # blow-up of A2 that it changes
+    a2 = TypeSpec("A", 2)
+    real_intersect, real_anticanonical = blowup.intersect, blowup.anticanonical_class
+    with monkeypatch.context() as m:
+        # E_Z . e = +1: H - E_Z pairs with e to -1
+        m.setattr(blowup, "intersect", lambda d, k: (
+            real_intersect(d, k) + 2 * d.exceptional_coeff * k.e_coeff))
+        assert first_counterexample(check_B1_cone_duality, a2) == ([], 2)
+    with monkeypatch.context() as m:
+        # >= for >: -K on the nef boundary (A2/B at c = 3) reads as ample
+        m.setattr(blowup, "is_ample", blowup.is_nef)
+        assert first_counterexample(check_B3_classifier_matches_cone_test, a2) == ([], 3)
+
+    def minus_c(fv, c):  # -c for 1 - c as the E_Z coefficient of -K
+        d, basis2 = real_anticanonical(fv, c)
+        return DivisorClass(d.basis, d.pullback_coeffs, -c), basis2
+
+    monkeypatch.setattr(blowup, "anticanonical_class", minus_c)
+    assert first_counterexample(check_B5_margin_certificates, a2) == ([], 2)

@@ -19,6 +19,7 @@ from schubert_blowup import (
 from schubert_blowup import flag
 from schubert_blowup.conventions import FLAGS_PER_SYSTEM, RANK_CAP, simple_factors
 from schubert_blowup.errors import EngineError
+from schubert_blowup.rootsys import kept_varieties
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import (
     all_parabolics,
@@ -66,7 +67,7 @@ def test_a_kept_system_keeps_one_flag_variety_per_parabolic():
     # members given in a list are kept as a frozenset, so they find the kept one
     listed = FlagVariety(rs, ParabolicSubset([2, 3]))
     assert listed is fv and listed.par.members == frozenset({2, 3})
-    assert list(rs._varieties) == [frozenset({2, 3})]
+    assert list(kept_varieties(rs)) == [frozenset({2, 3})]
 
 
 def test_a_kept_system_holds_at_most_flags_per_system_varieties():
@@ -76,7 +77,7 @@ def test_a_kept_system_holds_at_most_flags_per_system_varieties():
               for m in itertools.combinations(range(1, 8), k)]
     first = [FlagVariety(rs, par) for par in proper]
     again = [FlagVariety(rs, par) for par in proper]
-    assert len(proper) == 127 and len(rs._varieties) == FLAGS_PER_SYSTEM
+    assert len(proper) == 127 and len(kept_varieties(rs)) == FLAGS_PER_SYSTEM
     # the first FLAGS_PER_SYSTEM asked for are kept, the rest built each time
     assert [a is b for a, b in zip(first, again)] == (
         [True] * FLAGS_PER_SYSTEM + [False] * (127 - FLAGS_PER_SYSTEM))

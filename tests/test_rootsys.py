@@ -135,11 +135,14 @@ def test_positive_roots_are_built_once_on_first_read(monkeypatch):
 
 def test_a_type_is_kept_from_its_second_build_on():
     first = build_root_system(TypeSpec("A", 3))
-    assert first._varieties is None
+    assert rootsys.kept_varieties(first) is None
     second = build_root_system(TypeSpec("A", 3))
-    assert second is not first and second == first and second._varieties == {}
+    assert second is not first and second == first and rootsys.kept_varieties(second) == {}
     assert build_root_system(TypeSpec("A", 3)) is second
-    assert build_root_system(TypeSpec("A", 4))._varieties is None
+    assert rootsys.kept_varieties(build_root_system(TypeSpec("A", 4))) is None
+    # the register is the one record: once cleared, a system still held is not kept
+    rootsys._systems.clear()
+    assert rootsys.kept_varieties(second) is None
 
 
 def test_a_sweep_keeps_nothing(capsys):
@@ -268,6 +271,9 @@ def test_coroot_of_rejects_non_roots():
     rs = build_root_system(TypeSpec("A", 2))
     with pytest.raises(EngineError, match=r"\(2, 0\) is not a root of A2"):
         coroot_of(Root((2, 0)), rs)
+    # a root of another rank is no root of rs
+    with pytest.raises(EngineError, match=r"\(1, 0, 0\) is not a root of A2"):
+        coroot_of(Root((1, 0, 0)), rs)
 
 
 def test_root_as_weight_reads_cartan_columns():

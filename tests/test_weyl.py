@@ -22,6 +22,8 @@ from schubert_blowup import (
     classify,
     coroot_of,
     enumerate_coset_reps,
+    intersect,
+    is_nef,
     length,
     longest_element,
     mori_generators,
@@ -34,6 +36,7 @@ from schubert_blowup import (
 )
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
+from schubert_blowup.rootsys import kept_varieties
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import _in_levi, all_types
 from test_rootsys import simple_root
@@ -136,7 +139,7 @@ def _kept(rs):
     """The kept system of rs's type, from its second build in the process."""
     build_root_system(rs.spec)
     kept = build_root_system(rs.spec)
-    assert kept._varieties is not None
+    assert kept_varieties(kept) is not None
     return kept
 
 
@@ -149,10 +152,11 @@ _PARABOLIC_CALLS = {
 
 
 # input whose rank is not the system's, a plain tuple, a beta node that is
-# not an int, a coordinate vector in the wrong basis, a divisor or curve
-# class whose coefficients do not fit its basis, and a codimension or an
-# S_P node that is not an int: each is an EngineError with its own
-# message, never a wrong answer
+# not an int, a coordinate vector in the wrong basis, a curve where a
+# divisor goes or the reverse, a divisor or curve class whose coefficients
+# do not fit its basis, and a codimension or an S_P node that is not an int:
+# each is an EngineError with its own message, never a wrong answer or an
+# AttributeError
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs),
                  "weight rank 3 vs system rank 2", id="weight-3"),
@@ -182,6 +186,28 @@ _PARABOLIC_CALLS = {
                  "pairing needs a Weight and a Coroot, not Root and Weight", id="pairing-root-weight"),
     pytest.param(lambda rs: pairing(Weight((1, 0)), Root((1, 0))),
                  "pairing needs a Weight and a Coroot, not Weight and Root", id="pairing-weight-root"),
+    pytest.param(lambda rs: Weight((1, 0)) + Weight((1, 0, 0)),
+                 "weight ranks 2 vs 3", id="weight-plus-weight-3"),
+] + [
+    pytest.param(lambda rs, call=call: call(rs, (1,)),
+                 "a word must be a WeylWord, not tuple", id="tuple-word-" + label)
+    for label, call in [
+        ("length", lambda rs, w: length(w, rs)),
+        ("schubert-codim", lambda rs, w: schubert_codim(_full_flag(rs), w)),
+        ("act", lambda rs, w: act(w, rho(rs), rs))]
+] + [
+    pytest.param(lambda rs, call=call: call(_full_flag(rs)),
+                 "intersect needs a DivisorClass and a CurveClass, not %s" % kinds,
+                 id="wrong-kind-" + label)
+    for label, kinds, call in [
+        ("divisor-divisor", "DivisorClass and DivisorClass",
+         lambda fv: intersect(nef_generators(fv, 2)[0], nef_generators(fv, 2)[1])),
+        ("curve-curve", "CurveClass and CurveClass",
+         lambda fv: intersect(mori_generators(fv, 2)[0], mori_generators(fv, 2)[1])),
+        ("curve-divisor", "CurveClass and DivisorClass",
+         lambda fv: intersect(mori_generators(fv, 2)[0], nef_generators(fv, 2)[0])),
+        ("is-nef-curve", "CurveClass and CurveClass",
+         lambda fv: is_nef(fv, mori_generators(fv, 2)[0]))]
 ] + [
     pytest.param(lambda rs, cls=cls, basis=basis, coeffs=coeffs, last=last: cls(basis, coeffs, last),
                  "coefficients %r, %r over basis %r: need a tuple basis, a tuple of an int per node"
