@@ -2,12 +2,15 @@
 
 Subcommands: classify, cones, table, check. Exit codes: 0 success,
 1 self-check failure, 2 usage/validation error (one stderr line), 3 a
-self-check crashed (an ERROR line, which takes precedence over FAIL). All
+self-check crashed (an ERROR line, which takes precedence over FAIL),
+141 stdout closed by its reader before the output was written, as by
+`| head` (the code of a process that SIGPIPE ends; stderr stays empty). All
 numeric output is exact integers; --format json emits a machine-readable
 report. The CLI only parses: the library validates what it is given.
 """
 
 import argparse
+import os
 import sys
 
 from . import blowup, flag
@@ -222,10 +225,16 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except EngineError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -15,9 +15,8 @@ beta (where classify reads the verdict); FlagVariety asks
 rootsys.kept_varieties for the one FlagVariety per S_P of a kept root
 system, so a repeated query finds them cached. dim G/P is
 |R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
-way: selfcheck F1 (the -K weight vanishes on S_P, i.e.
-C_P 2 rho_P = (2, ..., 2)) and F2 (the closed forms against the Weyl word
-of w_{0,P} and the closure of R^+) hold them.
+way: selfcheck F2 (the closed forms against the Weyl word of w_{0,P}
+and the closure of R^+) holds them.
 """
 
 from functools import cached_property

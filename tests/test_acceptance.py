@@ -127,12 +127,13 @@ def test_criterion_7_weyl_oracle_equivalence():
     for fam, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
                       ("C", 3), ("G", 2)]:
         spec = TypeSpec(fam, rank)
-        # W1 (w_{0,P} squares to id), W2 (its length is the number of Levi
-        # roots) and W4 (|W^P| |W_P| = |W|, both orders from weyl_order)
+        # W3 (w_{0,P} sends exactly the Levi roots negative), W4
+        # (|W^P| |W_P| = |W|, both orders from weyl_order) and W5 (length
+        # counts the inversions)
         ok = ok and all(counterexample(label, spec) is None for label in (
-            "W1 longest element squares to id",
-            "W2 longest element length",
+            "W3 longest element root permutation",
             "W4 coset rep counts",
+            "W5 reducedness",
         ))
         rs = build_root_system(spec)
         group = brute_force_group(rs)

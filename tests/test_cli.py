@@ -144,14 +144,10 @@ PASS I2 sign coherence
 PASS I3 rho/highest-coroot pairing
 PASS I4 root_as_weight injective
 PASS I5 simply-laced coroot identity
-PASS W1 longest element squares to id
-PASS W2 longest element length
 PASS W3 longest element root permutation
 PASS W4 coset rep counts
 PASS W5 reducedness
-PASS F1 anticanonical weight in X*(P)
 PASS F2 closed forms vs Weyl word
-PASS F3 beta word-independence
 PASS F4 Grassmannian dimension
 PASS B1 cone duality
 PASS B3 classifier vs cone test
@@ -160,7 +156,7 @@ PASS S1 Grassmannian two-path
 PASS S3 cominuscule two-path
 PASS S4 full-flag two-path
 PASS S5 Kannan-Saha coroot identity
-21/21 checks passed
+17/17 checks passed
 """
 
 # the checks that the corrupted A2 Cartan fails, and the last line of `check`;
@@ -168,7 +164,7 @@ PASS S5 Kannan-Saha coroot identity
 # corrupted closure's 4 roots against the closed form's 3
 CORRUPT_FAILS = ["FAIL I3 rho/highest-coroot pairing", "FAIL I5 simply-laced coroot identity",
                  "FAIL F2 closed forms vs Weyl word", "FAIL S3 cominuscule two-path",
-                 "FAIL S5 Kannan-Saha coroot identity", "16/21 checks passed"]
+                 "FAIL S5 Kannan-Saha coroot identity", "12/17 checks passed"]
 
 
 def non_pass_lines(out):
@@ -237,6 +233,21 @@ def test_table_below_rank_one_exits_2(capsys, max_rank):
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err == "error: max rank must be at least 1, got %s\n" % max_rank
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_the_pipe_sees_no_traceback(fmt):
+    # as `| head -1`: the reader takes one line and closes the pipe. The JSON
+    # table (109 kB) overflows the pipe, so a later write fails; the text
+    # table (45 kB) may fit in it before the reader closes
+    with subprocess.Popen([sys.executable, "-m", "schubert_blowup.cli", "table", "--families",
+                           "A,B,C,D,E,F,G", "--max-rank", "16", "--format", fmt],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env()) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert err == b""
+    assert proc.returncode in ((141,) if fmt == "json" else (0, 141))
 
 
 @pytest.mark.parametrize("argv, message", [
