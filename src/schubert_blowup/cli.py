@@ -7,44 +7,60 @@ self-check crashed (an ERROR line, which takes precedence over FAIL),
 `| head` (the code of a process that SIGPIPE ends; stderr stays empty). All
 numeric output is exact integers; --format json emits a machine-readable
 report. The CLI only parses: the library validates what it is given.
+
+`COMMANDS` is the one table of commands and their options, and `parse` the
+one loop that reads argv against it. An option is `--name value` or
+`--name=value`, and may be shortened to a unique prefix of its name; the
+last of a repeated option wins; `-h`/`--help` prints `USAGE` to stdout
+and exits 0. Everything else that argparse rejected is rejected too,
+with argparse's message. `_json` writes the JSON reports with the bytes of
+`json.dumps(report, indent=2, sort_keys=True)`. So a call imports neither
+argparse (with gettext and locale) nor json: in a fresh interpreter they
+cost more start-up than the query itself.
 """
 
-import argparse
 import os
 import sys
 
 from . import blowup, flag
 from .conventions import RANK_BOUNDS
-from .errors import EngineError
+from .errors import EngineError, InvariantViolation
 from .rootsys import TypeSpec, all_types, build_root_system
 from .weyl import ParabolicSubset
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise EngineError, so that main reports them as one
-    line with exit 2; the subparsers inherit this class."""
-
-    def error(self, message):
-        # argparse echoes unrecognized arguments verbatim
-        raise EngineError(" ".join(message.splitlines()))
-
-
 def _parse_parabolic(text):
     try:
-        return ParabolicSubset.of(int(t) for t in text.split(",") if t.strip())
+        return ParabolicSubset(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise EngineError("parabolic list must be comma-separated integers: %r"
                           % text.strip())
 
 
 def _flag_variety(args):
-    rs = build_root_system(TypeSpec(args.type, args.rank))
-    return flag.FlagVariety(rs, _parse_parabolic(args.parabolic))
+    rs = build_root_system(TypeSpec(args["type"], args["rank"]))
+    return flag.FlagVariety(rs, _parse_parabolic(args["parabolic"]))
 
 
-def _dump_json(obj):
-    import json  # here: only --format json needs it, and text calls start faster
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _json(obj, indent="\n"):
+    """`json.dumps(obj, indent=2, sort_keys=True)` for a report: dicts with
+    str keys, lists, ints and strs that JSON spells without an escape. Any
+    other value raises InvariantViolation, so no invalid JSON is printed."""
+    if type(obj) is int:  # not a bool, which JSON spells true/false
+        return repr(obj)
+    if type(obj) is str and obj.isascii() and obj.isprintable() and not ('"' in obj or "\\" in obj):
+        return '"%s"' % obj
+    inner = indent + "  "
+    if type(obj) is list:
+        brackets, parts = "[]", [_json(v, inner) for v in obj]
+    elif type(obj) is dict and all(type(k) is str for k in obj):
+        brackets = "{}"
+        parts = ["%s: %s" % (_json(k, inner), _json(obj[k], inner)) for k in sorted(obj)]
+    else:
+        raise InvariantViolation("the JSON report writer cannot spell %r" % (obj,))
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + indent + brackets[1]
 
 
 def _input(fv, c):
@@ -80,16 +96,16 @@ def _classify_payload(fv, c):
 
 def cmd_classify(args):
     fv = _flag_variety(args)
-    rep, payload = _classify_payload(fv, args.codim)
-    if args.format == "json":
-        _dump_json(payload)
+    rep, payload = _classify_payload(fv, args["codim"])
+    if args["format"] == "json":
+        print(_json(payload))
         return 0
     basis = flag.picard_basis(fv)
     print("type        : %s" % payload["input"]["type"])
     print("S_P         : %s" % (sorted(fv.par.members) or "{}"))
     print("S \\ S_P     : %s" % list(basis))
     print("dim X       : %d" % flag.dimension(fv))
-    print("codim c     : %d" % args.codim)
+    print("codim c     : %d" % args["codim"])
     for a in basis:
         print("beta_%-2d     : %d   margin beta-c+2 = %d" % (a, rep.betas[a], rep.margins[a]))
     b1 = payload["anticanonical"]["basis1"]
@@ -101,32 +117,34 @@ def cmd_classify(args):
     return 0
 
 
+def _cones_payload(fv, c):
+    nef = blowup.nef_generators(fv, c)
+    mori = blowup.mori_generators(fv, c)
+    return {
+        "input": _input(fv, c),
+        "nef_generators": [
+            {"pullback": list(d.pullback_coeffs), "exceptional": d.exceptional_coeff}
+            for d in nef
+        ],
+        "mori_generators": [{"tilde": list(k.tilde_coeffs), "e": k.e_coeff} for k in mori],
+        "intersection_matrix": [[blowup.intersect(d, k) for k in mori] for d in nef],
+    }
+
+
 def cmd_cones(args):
     fv = _flag_variety(args)
-    nef = blowup.nef_generators(fv, args.codim)
-    mori = blowup.mori_generators(fv, args.codim)
-    matrix = [[blowup.intersect(d, k) for k in mori] for d in nef]
-    if args.format == "json":
-        _dump_json({
-            "input": _input(fv, args.codim),
-            "nef_generators": [
-                {"pullback": list(d.pullback_coeffs), "exceptional": d.exceptional_coeff}
-                for d in nef
-            ],
-            "mori_generators": [
-                {"tilde": list(k.tilde_coeffs), "e": k.e_coeff} for k in mori
-            ],
-            "intersection_matrix": matrix,
-        })
+    payload = _cones_payload(fv, args["codim"])
+    if args["format"] == "json":
+        print(_json(payload))
         return 0
     basis = flag.picard_basis(fv)
     labels = ["Bl*D_%d" % a for a in basis] + ["H-E_Z"]
     clabels = ["C~_%d" % a for a in basis] + ["e"]
-    print("type %s, S_P %s, codim %d" % (fv.rs.spec, sorted(fv.par.members) or "{}", args.codim))
+    print("type %s, S_P %s, codim %d" % (fv.rs.spec, sorted(fv.par.members) or "{}", args["codim"]))
     print("nef generators : " + ", ".join(labels))
     print("Mori generators: " + ", ".join(clabels))
     print("intersection matrix:")
-    for lab, row in zip(labels, matrix):
+    for lab, row in zip(labels, payload["intersection_matrix"]):
         print("  %-10s %s" % (lab, " ".join("%2d" % v for v in row)))
     return 0
 
@@ -137,9 +155,9 @@ def _table_rows(families, max_rank, policy):
         rs = build_root_system(spec)
         nodes = range(1, rs.rank + 1)
         if policy == "full-flag":
-            pars = [ParabolicSubset.of(())]
+            pars = [ParabolicSubset(())]
         else:
-            pars = [ParabolicSubset.of(set(nodes) - {node}) for node in nodes]
+            pars = [ParabolicSubset(set(nodes) - {node}) for node in nodes]
         for par in pars:
             fv = flag.FlagVariety(rs, par)
             betas = flag.beta_values(fv)
@@ -157,11 +175,11 @@ def _table_rows(families, max_rank, policy):
 
 
 def cmd_table(args):
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    policy = "full-flag" if args.full_flag else "maximal-parabolics"
-    rows = _table_rows(families, args.max_rank, policy)
-    if args.format == "json":
-        _dump_json({"policy": policy, "rows": rows})
+    families = [f.strip() for f in args["families"].split(",") if f.strip()]
+    policy = "full-flag" if args["full-flag"] else "maximal-parabolics"
+    rows = _table_rows(families, args["max-rank"], policy)
+    if args["format"] == "json":
+        print(_json({"policy": policy, "rows": rows}))
         return 0
     print("%-5s %-14s %5s %-20s %-28s" % ("type", "crossed", "dimX", "betas", "Fano range"))
     for r in rows:
@@ -185,51 +203,135 @@ def cmd_check(args):
     return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
 
 
-def build_parser():
-    p = _Parser(
-        prog="schubert-blowup",
-        description="Fano / weak-Fano classification of blow-ups of flag "
-                    "varieties along smooth Schubert varieties",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+_FORMAT = ("format", ("text", "json"), "text")
+_QUERY = (("type", tuple(RANK_BOUNDS), None), ("rank", int, None), ("parabolic", str, ""),
+          ("codim", int, None), _FORMAT)
 
-    def common(sp):
-        sp.add_argument("--type", required=True, choices=list(RANK_BOUNDS))
-        sp.add_argument("--rank", required=True, type=int)
-        sp.add_argument("--parabolic", default="",
-                        help="comma-separated S_P node indices (what P contains)")
-        sp.add_argument("--codim", required=True, type=int)
-        sp.add_argument("--format", default="text", choices=["text", "json"])
+# command -> (function, options); an option is (name, kind, default): kind is
+# int, str, a tuple of choices or bool for a flag, and a default of None
+# makes the option required. A function takes {name: value}.
+COMMANDS = {
+    "classify": (cmd_classify, _QUERY),
+    "cones": (cmd_cones, _QUERY),
+    "table": (cmd_table, (("families", str, None), ("max-rank", int, 4),
+                          ("full-flag", bool, False), _FORMAT)),
+    "check": (cmd_check, ()),
+}
 
-    sp = sub.add_parser("classify", help="Fano report for Bl_Z(G/P)")
-    common(sp)
-    sp.set_defaults(fn=cmd_classify)
+USAGE = """\
+usage: schubert-blowup COMMAND [OPTIONS]
 
-    sp = sub.add_parser("cones", help="nef/Mori cone generators and pairing")
-    common(sp)
-    sp.set_defaults(fn=cmd_cones)
+Fano / weak-Fano classification of blow-ups of flag varieties along
+smooth Schubert varieties.
 
-    sp = sub.add_parser("table", help="sweep table of beta values and boundaries")
-    sp.add_argument("--families", required=True, help="comma-separated, e.g. A,B,G")
-    sp.add_argument("--max-rank", type=int, default=4)
-    sp.add_argument("--full-flag", action="store_true")
-    sp.add_argument("--format", default="text", choices=["text", "json"])
-    sp.set_defaults(fn=cmd_table)
+  classify --type {A,B,C,D,E,F,G} --rank RANK [--parabolic S_P] --codim C
+           [--format {text,json}]
+      the Fano report of Bl_Z(G/P), Z of codimension C
+  cones    with the options of classify
+      nef and Mori cone generators and their intersection matrix
+  table    --families FAMILIES [--max-rank RANK] [--full-flag]
+           [--format {text,json}]
+      beta values and Fano boundaries of the maximal parabolics, or of
+      the full flag, of every type to RANK (1 to 16, default 4)
+  check
+      run the invariant self-checks
 
-    sp = sub.add_parser("check", help="run the invariant self-check suites")
-    sp.set_defaults(fn=cmd_check)
+--parabolic lists the nodes of S_P (what P contains), comma-separated,
+and --families the families, e.g. A,B,G. An option is --name value or
+--name=value, and may be shortened to a unique prefix of its name; the
+last of a repeated option wins. Exit codes: 0 success, 1 a self-check
+failed, 2 bad input, 3 a self-check crashed, 141 stdout closed early."""
 
-    return p
+
+def print_usage(_):
+    print(USAGE)
+    return 0
+
+
+def _option(word, kinds):
+    """How argparse reads a word: (name, `=value` or None) for an option of
+    `kinds` given in full or by a unique prefix, ("", None) for another word
+    that starts with '-' (not '-' alone, a negative number or a word with a
+    space), and (None, None) for a positional word."""
+    if word[:2] == "-h":  # -hVALUE, as argparse reads a short option
+        return "help", word[2:] or None
+    if word[:2] == "--" and word != "--":
+        key, eq, value = word[2:].partition("=")
+        hits = [key] if key in kinds else [n for n in kinds if n.startswith(key)]
+        if len(hits) > 1:
+            raise EngineError("ambiguous option: %s could match %s"
+                              % (word, ", ".join("--" + n for n in hits)))
+        if hits:
+            return hits[0], (value if eq else None)
+    # argparse's pattern -\d+$|-\d*\.\d+$, whose $ also matches before a final newline
+    head, dot, tail = word[1:].removesuffix("\n").partition(".")
+    number = (tail if dot else head).isdecimal() and (not head or head.isdecimal())
+    return ("" if word[:1] == "-" and len(word) > 1 and not number and " " not in word
+            else None), None
+
+
+def parse(argv):
+    """(function, argument) for argv: a command's function and its options
+    by name, or print_usage when argv asks for help. A bad argv raises
+    EngineError with argparse's message."""
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)  # no option from -- on
+    fn, kinds, values, extras, i = None, {"help": bool}, {}, [], 0
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        name, value = _option(word, kinds) if i <= end else (None, None)
+        if name is None and fn is None:  # the command: the first positional word
+            if word not in COMMANDS:
+                raise EngineError("argument command: invalid choice: %r (choose from %s)"
+                                  % (word, ", ".join(map(repr, COMMANDS))))
+            fn, options = COMMANDS[word]
+            kinds.update((name, kind) for name, kind, _ in options)
+            values = {name: default for name, _, default in options}
+            for later in argv[i:end]:
+                _option(later, kinds)  # as in argparse, an ambiguous option fails first
+        elif not name:
+            extras.append(word)
+        elif kinds[name] is bool:
+            if value is not None:
+                raise EngineError("argument %s: ignored explicit argument %r"
+                                  % ("-h/--help" if name == "help" else "--" + name, value))
+            if name == "help":
+                return print_usage, None
+            values[name] = True
+        else:
+            if value is None:
+                if i == len(argv) or _option(argv[i], kinds)[0] is not None:
+                    raise EngineError("argument --%s: expected one argument" % name)
+                value, i = argv[i], i + 1
+            kind = kinds[name]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise EngineError("argument --%s: invalid int value: %r"
+                                      % (name, value)) from None
+            elif type(kind) is tuple and value not in kind:
+                raise EngineError("argument --%s: invalid choice: %r (choose from %s)"
+                                  % (name, value, ", ".join(map(repr, kind))))
+            values[name] = value
+    missing = ["--" + name for name, value in values.items() if value is None]
+    if fn is None or missing:
+        raise EngineError("the following arguments are required: "
+                          + (", ".join(missing) if fn else "command"))
+    if extras:
+        raise EngineError("unrecognized arguments: " + " ".join(extras))
+    return fn, values
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        code = args.fn(args)
+        fn, arg = parse(sys.argv[1:] if argv is None else argv)
+        code = fn(arg)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return code
     except EngineError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # one line, whatever argv or the message holds
+        print("error: %s" % " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
     except BrokenPipeError:
         # what is still buffered goes to devnull, so the flush at exit cannot fail

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubert_blowup
-from schubert_blowup import cli, selfcheck
+from schubert_blowup import build_root_system, cli, flag, selfcheck
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
+from schubert_blowup.errors import InvariantViolation
 from schubert_blowup.selfcheck import all_types
+from schubert_blowup.weyl import ParabolicSubset
 from test_rootsys import CORRUPT_A2_COLUMNS, corrupt_a2_cartan
 
 
@@ -275,6 +277,121 @@ def test_bad_argv_exits_2_with_one_error_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message is None or err == "error: %s\n" % message
+
+
+GR24 = ["classify", "--type", "A", "--rank", "3", "--parabolic", "1,3", "--codim", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "--type=A", "--rank=3", "--parabolic=1,3", "--codim=4"], id="equals"),
+    pytest.param(["classify", "--ty", "A", "--ra=3", "--pa", "1,3", "--cod", "4", "--fo", "text"],
+                 id="prefixes"),
+    pytest.param(["classify", "--type", "B", "--type", "A", "--rank", "3", "--parabolic", "1,x",
+                  "--parabolic", "1,3", "--codim", "4"], id="last-wins"),
+])
+def test_option_spellings_give_the_same_report(argv):
+    assert run(argv) == run(GR24)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["classify", "--type", "A", "--rank", "2", "--parabolic", "1", "--parabolic",
+                  "1,x", "--codim", "2"],
+                 "parabolic list must be comma-separated integers: '1,x'", id="last-wins"),
+    pytest.param(["table", "--f", "A"],
+                 "ambiguous option: --f could match --families, --full-flag, --format",
+                 id="ambiguous-prefix"),
+    pytest.param(["table", "--families", "A", "--full-flag=x"],
+                 "argument --full-flag: ignored explicit argument 'x'", id="flag-with-value"),
+    pytest.param(["classify", "--type", "A", "--rank", "2", "--parabolic", "--codim", "2"],
+                 "argument --parabolic: expected one argument", id="option-as-value"),
+    pytest.param(["classify", "--type", "A", "--rank", "2", "--codim", "2", "--", "-h"],
+                 "unrecognized arguments: -- -h", id="double-dash"),
+])
+def test_usage_errors_name_the_option(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["classify", "-h"],
+                                  ["cones", "--help"], ["table", "--families", "H", "--h"],
+                                  ["check", "-h"]], ids=" ".join)
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (cli.USAGE + "\n", "")
+
+
+def test_usage_names_every_command_and_option():
+    words = cli.USAGE.replace("[", " ").replace("]", " ").split()
+    for command, (_, options) in cli.COMMANDS.items():
+        assert command in words
+        for name, kind, _ in options:
+            assert "--" + name in words
+            assert type(kind) is not tuple or "{%s}" % ",".join(kind) in words
+
+
+def test_main_reads_sys_argv_without_argv(monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["schubert-blowup"] + GR24)
+    assert run(None) == run(GR24)
+
+
+# imports a cold call must not make: argparse loads gettext and locale
+COLD_FREE = {"argparse", "gettext", "json", "locale"}
+
+COLD_CALLS = """
+import runpy, sys
+for argv in %r:
+    sys.argv = ["schubert-blowup"] + argv
+    try:
+        runpy.run_module("schubert_blowup.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print(" ".join(sys.modules))
+""" % ([GR24 + ["--format", "json"],
+        ["cones", "--type", "B", "--rank", "4", "--parabolic", "2", "--codim", "3"],
+        ["table", "--families", "A,G", "--max-rank", "3", "--format", "json"]],)
+
+
+def test_cold_calls_import_neither_argparse_nor_json():
+    bare, calls = (subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=subprocess_env(), check=True).stdout.splitlines()[-1].split()
+                   for code in ("import sys; print(' '.join(sys.modules))", COLD_CALLS))
+    assert "schubert_blowup.blowup" in calls
+    assert COLD_FREE & set(calls) - set(bare) == set()
+
+
+def _reports(spec):
+    """Every classify and cones report of spec's full flag and maximal
+    parabolics at c = 2 and 3."""
+    rs, n = build_root_system(spec), spec.rank
+    for members in [()] + [set(range(1, n + 1)) - {node} for node in range(1, n + 1)]:
+        fv = flag.FlagVariety(rs, ParabolicSubset(members))
+        for c in range(2, min(3, flag.dimension(fv)) + 1):
+            yield cli._classify_payload(fv, c)[1]
+            yield cli._cones_payload(fv, c)
+
+
+@pytest.mark.parametrize("family", list(RANK_BOUNDS))
+def test_json_writer_matches_json_dumps_on_every_report(family):
+    for spec in all_types(RANK_CAP, [family]):
+        for report in _reports(spec):
+            assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("policy", ["maximal-parabolics", "full-flag"])
+def test_json_writer_matches_json_dumps_on_the_table(policy):
+    report = {"policy": policy, "rows": cli._table_rows(list(RANK_BOUNDS), RANK_CAP, policy)}
+    assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
+    empty = {"b": [], "a": {}, "c": [-1, 0, "x y"]}
+    assert cli._json(empty) == json.dumps(empty, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", ['a "quoted" name', "back\\slash", "line\nbreak", "\u00e9",
+                                   True, 1.5, None, (1,), {1: 2}])
+def test_json_writer_refuses_what_it_cannot_spell(value):
+    with pytest.raises(InvariantViolation):
+        cli._json({"rows": [{"type": value}]})
 
 
 def test_the_library_raises_only_engine_errors():
