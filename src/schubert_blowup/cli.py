@@ -9,11 +9,18 @@ numeric output is exact integers; --format json emits a machine-readable
 report. The CLI only parses: the library validates what it is given.
 
 `COMMANDS` is the one table of commands and their options, and `parse` the
-one loop that reads argv against it. An option is `--name value` or
-`--name=value`, and may be shortened to a unique prefix of its name; the
-last of a repeated option wins; `-h`/`--help` prints `USAGE` to stdout
-and exits 0. Everything else that argparse rejected is rejected too,
-with argparse's message. `_json` writes the JSON reports with the bytes of
+one loop that reads argv against it, by this grammar alone:
+- words from the first `--` on are never options;
+- `-h`, or `--` and a prefix of `help`, asks for help: `main` prints
+  `USAGE` to stdout and exits 0;
+- an option is `--name`, `--name=value` or a unique prefix of a name of
+  the command; an ambiguous prefix fails where it stands, and the last of
+  a repeated option wins;
+- a value option without `=` takes the next word, unless there is none
+  or it is `-h` or starts with `--`;
+- before the command, the first word that does not start with `-` is the
+  command; every other word that is not an option is unrecognized.
+`_json` writes the JSON reports with the bytes of
 `json.dumps(report, indent=2, sort_keys=True)`. So a call imports neither
 argparse (with gettext and locale) nor json: in a fresh interpreter they
 cost more start-up than the query itself.
@@ -243,67 +250,34 @@ last of a repeated option wins. Exit codes: 0 success, 1 a self-check
 failed, 2 bad input, 3 a self-check crashed, 141 stdout closed early."""
 
 
-def print_usage(_):
-    print(USAGE)
-    return 0
-
-
-def _option(word, kinds):
-    """How argparse reads a word: (name, `=value` or None) for an option of
-    `kinds` given in full or by a unique prefix, ("", None) for another word
-    that starts with '-' (not '-' alone, a negative number or a word with a
-    space), and (None, None) for a positional word."""
-    if word[:2] == "-h":  # -hVALUE, as argparse reads a short option
-        return "help", word[2:] or None
-    if word[:2] == "--" and word != "--":
-        key, eq, value = word[2:].partition("=")
-        hits = [key] if key in kinds else [n for n in kinds if n.startswith(key)]
-        if len(hits) > 1:
-            raise EngineError("ambiguous option: %s could match %s"
-                              % (word, ", ".join("--" + n for n in hits)))
-        if hits:
-            return hits[0], (value if eq else None)
-    # argparse's pattern -\d+$|-\d*\.\d+$, whose $ also matches before a final newline
-    head, dot, tail = word[1:].removesuffix("\n").partition(".")
-    number = (tail if dot else head).isdecimal() and (not head or head.isdecimal())
-    return ("" if word[:1] == "-" and len(word) > 1 and not number and " " not in word
-            else None), None
-
-
 def parse(argv):
-    """(function, argument) for argv: a command's function and its options
-    by name, or print_usage when argv asks for help. A bad argv raises
-    EngineError with argparse's message."""
+    """(function, {name: value}) for argv, read by the grammar in the module
+    docstring, or (None, None) when argv asks for help. A bad argv raises
+    EngineError."""
     argv = list(argv)
     end = argv.index("--") if "--" in argv else len(argv)  # no option from -- on
-    fn, kinds, values, extras, i = None, {"help": bool}, {}, [], 0
+    fn, kinds, values, extras, i = None, {}, {}, [], 0
     while i < len(argv):
         word, i = argv[i], i + 1
-        name, value = _option(word, kinds) if i <= end else (None, None)
-        if name is None and fn is None:  # the command: the first positional word
-            if word not in COMMANDS:
-                raise EngineError("argument command: invalid choice: %r (choose from %s)"
-                                  % (word, ", ".join(map(repr, COMMANDS))))
-            fn, options = COMMANDS[word]
-            kinds.update((name, kind) for name, kind, _ in options)
-            values = {name: default for name, _, default in options}
-            for later in argv[i:end]:
-                _option(later, kinds)  # as in argparse, an ambiguous option fails first
-        elif not name:
-            extras.append(word)
-        elif kinds[name] is bool:
-            if value is not None:
-                raise EngineError("argument %s: ignored explicit argument %r"
-                                  % ("-h/--help" if name == "help" else "--" + name, value))
-            if name == "help":
-                return print_usage, None
-            values[name] = True
-        else:
-            if value is None:
-                if i == len(argv) or _option(argv[i], kinds)[0] is not None:
+        option = i <= end and word[:2] == "--"
+        if i <= end and (word == "-h" or word[2:] and "--help".startswith(word)):
+            return None, None
+        key, eq, value = word[2:].partition("=")
+        hits = [name for name in kinds if name.startswith(key)] if option else []
+        if len(hits) > 1:
+            raise EngineError("ambiguous option: %s could match %s"
+                              % (word, ", ".join("--" + name for name in hits)))
+        if hits:
+            name = hits[0]
+            kind = kinds[name]
+            if kind is bool:
+                if eq:
+                    raise EngineError("argument --%s: ignored explicit argument %r" % (name, value))
+                value = True
+            elif not eq:
+                if i == len(argv) or argv[i] == "-h" or argv[i][:2] == "--":
                     raise EngineError("argument --%s: expected one argument" % name)
                 value, i = argv[i], i + 1
-            kind = kinds[name]
             if kind is int:
                 try:
                     value = int(value)
@@ -314,6 +288,15 @@ def parse(argv):
                 raise EngineError("argument --%s: invalid choice: %r (choose from %s)"
                                   % (name, value, ", ".join(map(repr, kind))))
             values[name] = value
+        elif fn or word[:1] == "-":
+            extras.append(word)
+        elif word in COMMANDS:
+            fn, options = COMMANDS[word]
+            kinds = {name: kind for name, kind, _ in options}
+            values = {name: default for name, _, default in options}
+        else:
+            raise EngineError("argument command: invalid choice: %r (choose from %s)"
+                              % (word, ", ".join(map(repr, COMMANDS))))
     missing = ["--" + name for name, value in values.items() if value is None]
     if fn is None or missing:
         raise EngineError("the following arguments are required: "
@@ -326,7 +309,11 @@ def parse(argv):
 def main(argv=None):
     try:
         fn, arg = parse(sys.argv[1:] if argv is None else argv)
-        code = fn(arg)
+        if fn is None:  # argv asks for help
+            print(USAGE)
+            code = 0
+        else:
+            code = fn(arg)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return code
     except EngineError as exc:

@@ -35,12 +35,12 @@ def all_parabolics(rank, proper=True):
     subs = []
     for k in range(rank + 1 if not proper else rank):
         for combo in itertools.combinations(nodes, k):
-            subs.append(ParabolicSubset.of(combo))
+            subs.append(ParabolicSubset(combo))
     return subs
 
 
 def _maximal(rs, node):
-    return flag.FlagVariety(rs, ParabolicSubset.of(set(range(1, rs.rank + 1)) - {node}))
+    return flag.FlagVariety(rs, ParabolicSubset(set(range(1, rs.rank + 1)) - {node}))
 
 
 def _blowups(rs):
@@ -306,7 +306,7 @@ def check_S3_cominuscule_two_path(rs):
 
 
 def check_S4_full_flag_two_path(rs):
-    fv = flag.FlagVariety(rs, ParabolicSubset.of(()))
+    fv = flag.FlagVariety(rs, ParabolicSubset(()))
     for c in range(2, flag.dimension(fv) + 1):
         if special.full_flag_classify(rs, c) != blowup.classify(fv, c).verdict:
             yield (c,)

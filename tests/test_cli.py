@@ -304,6 +304,8 @@ def test_option_spellings_give_the_same_report(argv):
                  "argument --full-flag: ignored explicit argument 'x'", id="flag-with-value"),
     pytest.param(["classify", "--type", "A", "--rank", "2", "--parabolic", "--codim", "2"],
                  "argument --parabolic: expected one argument", id="option-as-value"),
+    pytest.param(["classify", "--type", "A", "--rank", "2", "--parabolic", "-x", "--codim", "2"],
+                 "parabolic list must be comma-separated integers: '-x'", id="single-dash-value"),
     pytest.param(["classify", "--type", "A", "--rank", "2", "--codim", "2", "--", "-h"],
                  "unrecognized arguments: -- -h", id="double-dash"),
 ])
@@ -456,7 +458,7 @@ def _no_float(token):
     raise AssertionError("JSON number %s is not an integer" % token)
 
 
-_JUNK = st.sampled_from(["x", "", "2.5", "-1", "99", "H", "1,x", "one\ntwo"])
+_JUNK = st.sampled_from(["x", "", "2.5", "-1", "99", "H", "1,x", "one\ntwo", "-x", "-hX"])
 
 
 @st.composite
