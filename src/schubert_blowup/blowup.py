@@ -32,7 +32,7 @@ divisor and a curve is an EngineError.
 from enum import Enum
 from itertools import compress, count
 
-from .errors import EngineError
+from .errors import EngineError, wrong_kind
 from .flag import beta_values, dimension, least_beta, picard_basis
 from .value import Value, setfield
 
@@ -151,8 +151,8 @@ def intersect(d, k):
     try:
         x, y, support = d.pullback_coeffs, k.tilde_coeffs, k.support
     except AttributeError:  # a try costs nothing until it raises
-        raise EngineError("intersect needs a DivisorClass and a CurveClass, not %s and %s"
-                          % (type(d).__name__, type(k).__name__)) from None
+        raise EngineError(wrong_kind("intersect", "a DivisorClass and a CurveClass", d,
+                                     k)) from None
     if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
     dot = 0
@@ -174,19 +174,31 @@ def anticanonical_class(fv, c):
     return d, basis2
 
 
+def _mori(fv, d, call):
+    """fv's Mori tuple, for is_nef and is_ample to pair d with."""
+    try:
+        return _cones(fv)[1]
+    except AttributeError:
+        raise EngineError(wrong_kind(call, "a FlagVariety and a DivisorClass", fv, d)) from None
+
+
 def is_nef(fv, d):
-    return all(intersect(d, k) >= 0 for k in _cones(fv)[1])
+    return all(intersect(d, k) >= 0 for k in _mori(fv, d, "is_nef"))
 
 
 def is_ample(fv, d):
-    return all(intersect(d, k) > 0 for k in _cones(fv)[1])
+    return all(intersect(d, k) > 0 for k in _mori(fv, d, "is_ample"))
 
 
 def classify(fv, c):
     """Fano / weak-Fano verdict for Bl_Z(G/P) with Z a smooth Schubert
     variety of codimension c (existence and smoothness are the caller's
     assertion)."""
-    check_codim(c, dimension(fv))
+    try:
+        dim = dimension(fv)
+    except AttributeError:
+        raise EngineError(wrong_kind("classify", "a FlagVariety", fv)) from None
+    check_codim(c, dim)
     betas = beta_values(fv)
     # keyed by the Picard basis, ascending
     margins = {a: b - c + 2 for a, b in betas.values.items()}

@@ -302,7 +302,9 @@ def parse(argv):
         raise EngineError("the following arguments are required: "
                           + (", ".join(missing) if fn else "command"))
     if extras:
-        raise EngineError("unrecognized arguments: " + " ".join(extras))
+        # a word that is empty or holds whitespace is quoted, so the message shows it
+        raise EngineError("unrecognized arguments: "
+                          + " ".join(w if w.split() == [w] else repr(w) for w in extras))
     return fn, values
 
 

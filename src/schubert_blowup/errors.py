@@ -1,5 +1,6 @@
 """The two exception types: EngineError for bad input, InvariantViolation
-for a broken engine. The CLI reports either as one line with exit 2."""
+for a broken engine. The CLI reports either as one line with exit 2.
+wrong_kind writes the one message for an argument of the wrong kind."""
 
 
 class EngineError(ValueError):
@@ -9,3 +10,9 @@ class EngineError(ValueError):
 class InvariantViolation(EngineError):
     """An internal invariant failed: the conventions or the engine are wrong,
     not the input. Raised explicitly so that it survives python -O."""
+
+
+def wrong_kind(call, needs, *args):
+    """The message of the EngineError for arguments of the wrong kind: `call`
+    needs `needs`, not the types of args."""
+    return "%s needs %s, not %s" % (call, needs, " and ".join(type(a).__name__ for a in args))

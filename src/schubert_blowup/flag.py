@@ -17,16 +17,24 @@ system, so a repeated query finds them cached. dim G/P is
 |R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
 way: selfcheck F2 (the closed forms against the Weyl word of w_{0,P}
 and the closure of R^+) holds them.
+
+schubert_codim walks a word on the W^P index map that
+weyl.enumerate_coset_reps keeps on the root system, when that map is of
+the variety's S_P: a word whose every step raises is a reduced word of an
+element of W^P (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5),
+so its length is the dimension. Any other word, or no map, falls back to
+one replay of the word on rho (weyl._replay), the path of a single query
+and the reference that selfcheck W6 compares the walk with.
 """
 
 from functools import cached_property
 from types import MappingProxyType
 
 from .conventions import FLAGS_PER_SYSTEM, positive_root_count, simple_factors, two_rho
-from .errors import EngineError
+from .errors import EngineError, wrong_kind
 from .rootsys import Weight, kept_varieties
 from .value import Value, setfield
-from .weyl import _replay, check_parabolic
+from .weyl import _letters, _replay, check_parabolic
 
 
 class FlagVariety(Value):
@@ -37,7 +45,11 @@ class FlagVariety(Value):
     def __new__(cls, rs, par):
         """On a kept root system (rootsys.build_root_system), the one instance
         per S_P, with what it has cached, up to FLAGS_PER_SYSTEM; else a new one."""
-        check_parabolic(par, rs.rank)
+        try:
+            check_parabolic(par, rs.spec.rank)
+        except AttributeError:
+            raise EngineError(wrong_kind("FlagVariety", "a RootSystem and a ParabolicSubset",
+                                         rs, par)) from None
         if len(par.members) == rs.rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
         kept = kept_varieties(rs)
@@ -124,9 +136,24 @@ def anticanonical_weight(fv):
 
 
 def schubert_codim(fv, word):
-    """dim X_{wP} = l(w) and its codimension; one replay tests w in W^P."""
-    v, d = _replay(word, fv.rs)
-    if not all(v[i - 1] > 0 for i in fv.par.members):
+    """dim X_{wP} = l(w) and its codimension, for w in W^P: walked on the
+    orbit's index map when it is of fv's S_P, else read from one replay."""
+    try:
+        rs, members = fv.rs, fv.par.members
+    except AttributeError:
+        raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
+    orbit = rs.__dict__.get("_orbit")
+    if orbit is not None and orbit[0] == members:
+        letters, steps, p = _letters(word, rs.rank), orbit[1], 0
+        for i in reversed(letters):
+            p = steps[p][i]
+            if p is None:  # no raising step there: the replay decides
+                break
+        else:
+            d = len(letters)
+            return SchubertDatum(d, dimension(fv) - d)
+    v, d = _replay(word, rs)
+    if not all(v[i - 1] > 0 for i in members):
         raise EngineError("word %r is not a minimal coset representative"
                           % (word.letters,))
     return SchubertDatum(d, dimension(fv) - d)

@@ -20,7 +20,8 @@ root_as_weight, the closure and selfcheck), and positive_roots (and
 highest_root), the closure of the simple roots under the height-raising
 simple reflections (_positive_roots). No query path reads either: the flag
 invariants take |R^+|, |R_P^+| and 2 rho_P from the closed forms of
-conventions. Nothing is re-checked: selfcheck I1 compares the closure with
+conventions. One slot, _orbit, holds the W^P index map of the last
+weyl.enumerate_coset_reps on the system, which flag.schubert_codim walks. Nothing is re-checked: selfcheck I1 compares the closure with
 the root-string closure, an independent second derivation that lives
 beside I1 in selfcheck, I2 holds the unique highest root and F2 the closed
 forms.
@@ -29,7 +30,7 @@ forms.
 from functools import cached_property
 
 from . import conventions
-from .errors import EngineError, InvariantViolation
+from .errors import EngineError, InvariantViolation, wrong_kind
 from .value import Value, setfield
 
 
@@ -218,7 +219,10 @@ def build_root_system(spec):
     first read and cached there. A type's first build is only noted, so a
     caller that builds each type once keeps nothing; from its second build
     on, the one kept system is returned, with the flag varieties built on it."""
-    key = (spec.family, spec.rank)
+    try:
+        key = (spec.family, spec.rank)
+    except AttributeError:
+        raise EngineError(wrong_kind("build_root_system", "a TypeSpec", spec)) from None
     kept = _systems.get(key)
     if kept is not None:
         return kept[0]
@@ -241,8 +245,7 @@ def kept_varieties(rs):
 def pairing(w, c):
     """<lambda, beta^vee> as a plain dot product of coordinates."""
     if type(w) is not Weight or type(c) is not Coroot:
-        raise EngineError("pairing needs a Weight and a Coroot, not %s and %s"
-                          % (type(w).__name__, type(c).__name__))
+        raise EngineError(wrong_kind("pairing", "a Weight and a Coroot", w, c))
     if w.rank != c.rank:
         raise EngineError("weight rank %d vs coroot rank %d" % (w.rank, c.rank))
     return sum(a * b for a, b in zip(w.coeffs, c.coeffs))
@@ -276,7 +279,7 @@ def coroot_of(r, rs):
 def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
     if type(r) is not Root:
-        raise EngineError("root_as_weight needs a Root, not %s" % type(r).__name__)
+        raise EngineError(wrong_kind("root_as_weight", "a Root", r))
     r.check_rank(rs)
     C = rs.cartan
     return Weight(

@@ -12,7 +12,7 @@ invariants are verified: rootsys and flag re-check none of them at run
 time. The second derivations that only a check uses live here beside it:
 I1's root-string closure and S5's Kannan-Saha coroot identity.
 
-The rows are I1-I5 (root system), W3-W5 (Weyl words), F2 and F4 (flag
+The rows are I1-I5 (root system), W3-W6 (Weyl words), F2 and F4 (flag
 invariants), B1, B3 and B5 (blow-up classes) and S1, S3-S5 (the laws of
 special). Each has one entry in NEGATIVE_CONTROLS in
 tests/test_selfcheck.py, a mutation under which it fails; a row that no
@@ -207,6 +207,27 @@ def check_W5_reducedness(rs):
                 yield x.letters, inversions
 
 
+def check_W6_walk_vs_replay(rs):
+    """schubert_codim walked on the W^P index map that enumerate_coset_reps
+    has just kept against the replay's length and W^P test, on every W^P
+    word and on each with a letter of S_P appended, which is never minimal:
+    the same (dim, codim), or both not minimal (an EngineError)."""
+    for par in all_parabolics(rs.rank):
+        fv = flag.FlagVariety(rs, par)
+        dim = flag.dimension(fv)
+        for w in weyl.enumerate_coset_reps(par, rs, len(rs.positive_roots)):
+            for x in [w] + [WeylWord(w.letters + (j,)) for j in sorted(par.members)]:
+                v, l = weyl._replay(x, rs)
+                want = (l, dim - l) if all(v[i - 1] > 0 for i in par.members) else None
+                try:
+                    datum = flag.schubert_codim(fv, x)
+                    got = datum.dim, datum.codim
+                except EngineError:
+                    got = None
+                if got != want:
+                    yield sorted(par.members), x.letters, got
+
+
 # ---- flag invariants ----------------------------------------------------
 
 def closed_form_mismatch(rs, pars):
@@ -336,6 +357,7 @@ CHECKS = [
     ("W3 longest element root permutation", check_W3_longest_element_permutes, 3, 5),
     ("W4 coset rep counts", check_W4_coset_rep_count, 3, 5),
     ("W5 reducedness", check_W5_reducedness, 3, 4),
+    ("W6 W^P walk vs replay", check_W6_walk_vs_replay, 3, 4),
     ("F2 closed forms vs Weyl word", check_F2_closed_form_vs_weyl_word, 5, 6),
     ("F4 Grassmannian dimension", check_F4_grassmannian_dimension, 6, RANK_CAP),
     ("B1 cone duality", check_B1_cone_duality, 4, 6),

@@ -7,15 +7,18 @@ signs a Root or Coroot checks once. Every walk reads RootSystem.columns
 and checks a word's letters once, up front.
 longest_element and enumerate_coset_reps walk weight orbits on integer
 lists instead of replaying words. length reads one replay of the word on
-rho, whose signed count of steps is the length; flag.schubert_codim reads
-W^P membership from the same replay.
+rho, whose signed count of steps is the length. enumerate_coset_reps keeps
+the index map of the W^P orbit it walked on the RootSystem, in one slot
+that the next enumeration on that system replaces; flag.schubert_codim
+walks a word on that map when it is the map of the variety's S_P, and
+reads W^P membership from the replay otherwise.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}.
 """
 
 from operator import mul
 
-from .errors import EngineError
+from .errors import EngineError, wrong_kind
 from .rootsys import Coroot, Root, Weight
 from .value import Value, setfield
 
@@ -78,9 +81,13 @@ def act(word, x, rs):
     """Apply the word right to left to a Weight, Root or Coroot."""
     kind = type(x)
     if kind not in (Weight, Root, Coroot):
-        raise EngineError("act needs a Weight, Root or Coroot, not %s" % kind.__name__)
+        raise EngineError(wrong_kind("act", "a Weight, Root or Coroot", x))
+    try:
+        cols = rs.columns
+    except AttributeError:
+        raise EngineError(wrong_kind("act", "a RootSystem", rs)) from None
     x.check_rank(rs)
-    letters, cols, v = reversed(_letters(word, rs.rank)), rs.columns, list(x.coeffs)
+    letters, v = reversed(_letters(word, rs.rank)), list(x.coeffs)
     if kind is Weight:
         # s_i(lambda) = lambda - lambda_i alpha_i, alpha_i being Cartan column i
         for i in letters:
@@ -119,7 +126,10 @@ def _replay(word, rs):
 
 def length(word, rs):
     """Bruhat length: number of positive roots sent negative."""
-    return _replay(word, rs)[1]
+    try:
+        return _replay(word, rs)[1]
+    except AttributeError:  # the word's own check raises an EngineError
+        raise EngineError(wrong_kind("length", "a RootSystem", rs)) from None
 
 
 def longest_element(par, rs):
@@ -129,8 +139,12 @@ def longest_element(par, rs):
     positive, i.e. with v_i > 0 for v = w^{-1}(rho) (see _replay), and map
     v to s_i(v); it ends with all of them negative, at length |R_P^+|.
     """
-    check_parabolic(par, rs.rank)
-    cols = rs.columns
+    try:
+        cols = rs.columns
+        check_parabolic(par, rs.rank)
+    except AttributeError:
+        raise EngineError(wrong_kind("longest_element", "a ParabolicSubset and a RootSystem",
+                                     par, rs)) from None
     members = sorted(i - 1 for i in par.members)
     letters = []
     v = [1] * rs.rank
@@ -157,26 +171,48 @@ def enumerate_coset_reps(par, rs, max_length):
     Each keeps the first word found, its reduced word that is least when
     compared from the last letter; output sorted by (length, lexicographic
     word).
+
+    The walk also records the orbit's index map: steps[k][i] is the index
+    of s_i(point k) where that step raises, else None (point 0 is lambda_P;
+    a point at the length bound has no steps). It is kept on rs as its one
+    slot _orbit = (S_P members, steps), which the next enumeration on rs
+    replaces, for flag.schubert_codim to walk.
     """
-    check_parabolic(par, rs.rank)
-    cols = rs.columns
-    start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
-    words = {start: ()}  # orbit point -> the first word that reached it
+    try:
+        cols = rs.columns
+        check_parabolic(par, rs.rank)
+    except AttributeError:
+        raise EngineError(wrong_kind("enumerate_coset_reps", "a ParabolicSubset and a RootSystem",
+                                     par, rs)) from None
+    rank = rs.rank
+    start = tuple(0 if i in par.members else 1 for i in range(1, rank + 1))
+    index = {start: 0}  # orbit point -> its place in words and steps
+    words = [()]  # the first word that reached each point
+    steps = []
     level = [start]
     depth = 0
     while level and depth < max_length:
         nxt = []
         for img in level:
-            for i, c in enumerate(img):
+            # points are walked in the order they were found: this is point len(steps)
+            word = words[len(steps)]
+            up = [None] * (rank + 1)
+            for i, c in enumerate(img, 1):
                 if c > 0:
                     # left multiplication by s_i: prepend the letter
                     img2 = list(img)
-                    for j, a in cols[i]:
+                    for j, a in cols[i - 1]:
                         img2[j] -= c * a
                     img2 = tuple(img2)
-                    if img2 not in words:
-                        words[img2] = (i + 1,) + words[img]
+                    k = index.get(img2)
+                    if k is None:
+                        k = index[img2] = len(words)
+                        words.append((i,) + word)
                         nxt.append(img2)
+                    up[i] = k
+            steps.append(up)
         level = nxt
         depth += 1
-    return [WeylWord(w) for w in sorted(words.values(), key=lambda w: (len(w), w))]
+    steps += [[None] * (rank + 1)] * (len(words) - len(steps))
+    rs.__dict__["_orbit"] = par.members, steps
+    return [WeylWord(w) for w in sorted(words, key=lambda w: (len(w), w))]

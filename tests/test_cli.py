@@ -149,6 +149,7 @@ PASS I5 simply-laced coroot identity
 PASS W3 longest element root permutation
 PASS W4 coset rep counts
 PASS W5 reducedness
+PASS W6 W^P walk vs replay
 PASS F2 closed forms vs Weyl word
 PASS F4 Grassmannian dimension
 PASS B1 cone duality
@@ -158,7 +159,7 @@ PASS S1 Grassmannian two-path
 PASS S3 cominuscule two-path
 PASS S4 full-flag two-path
 PASS S5 Kannan-Saha coroot identity
-17/17 checks passed
+18/18 checks passed
 """
 
 # the checks that the corrupted A2 Cartan fails, and the last line of `check`;
@@ -166,7 +167,7 @@ PASS S5 Kannan-Saha coroot identity
 # corrupted closure's 4 roots against the closed form's 3
 CORRUPT_FAILS = ["FAIL I3 rho/highest-coroot pairing", "FAIL I5 simply-laced coroot identity",
                  "FAIL F2 closed forms vs Weyl word", "FAIL S3 cominuscule two-path",
-                 "FAIL S5 Kannan-Saha coroot identity", "12/17 checks passed"]
+                 "FAIL S5 Kannan-Saha coroot identity", "13/18 checks passed"]
 
 
 def non_pass_lines(out):
@@ -308,6 +309,9 @@ def test_option_spellings_give_the_same_report(argv):
                  "parabolic list must be comma-separated integers: '-x'", id="single-dash-value"),
     pytest.param(["classify", "--type", "A", "--rank", "2", "--codim", "2", "--", "-h"],
                  "unrecognized arguments: -- -h", id="double-dash"),
+    pytest.param(["check", " "], "unrecognized arguments: ' '", id="blank-word"),
+    pytest.param(["cones", "--type", "G", "--rank", "2", "--parabolic", "-hX", "", "--codim", "4"],
+                 "unrecognized arguments: ''", id="empty-word"),
 ])
 def test_usage_errors_name_the_option(capsys, argv, message):
     assert cli.main(argv) == 2

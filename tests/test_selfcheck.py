@@ -105,6 +105,11 @@ NEGATIVE_CONTROLS = [
     # act reads its word left to right
     ("W5", "A2", weyl, "act", lambda real: lambda w, x, rs: real(WeylWord(w.letters[::-1]), x, rs),
      ((1, 2), (-2, 1)), {"W5"}),
+    # schubert_codim reads its word left to right, walk and replay alike: with
+    # S_P = {1}, (2, 1) is no W^P word of A2, but (1, 2) is
+    ("W6", "A2", flag, "schubert_codim",
+     lambda real: lambda fv, w: real(fv, WeylWord(w.letters[::-1])), ([1], (2, 1), (2, 0)),
+     {"W6"}),
     # one more on the last Bourbaki coefficient of 2 rho on C_m
     ("F2", "C3", flag, "two_rho",
      lambda real: lambda f, r: real(f, r)[:-1] + (real(f, r)[-1] + (f == "C"),),

@@ -13,6 +13,7 @@ from schubert_blowup import (
     DivisorClass,
     FlagVariety,
     Root,
+    SchubertDatum,
     TypeSpec,
     Weight,
     act,
@@ -23,6 +24,7 @@ from schubert_blowup import (
     coroot_of,
     enumerate_coset_reps,
     intersect,
+    is_ample,
     is_nef,
     length,
     longest_element,
@@ -257,6 +259,34 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
         call(a2)
 
 
+# an argument of the wrong kind is an EngineError that names what the call
+# needs and the types it got, never an AttributeError
+@pytest.mark.parametrize("call, message", [
+    (lambda rs, fv: classify(rs, 2), "classify needs a FlagVariety, not RootSystem"),
+    (lambda rs, fv: is_nef(anticanonical_class(fv, 2)[0], fv),
+     "is_nef needs a FlagVariety and a DivisorClass, not DivisorClass and FlagVariety"),
+    (lambda rs, fv: is_ample(rs, anticanonical_class(fv, 2)[0]),
+     "is_ample needs a FlagVariety and a DivisorClass, not RootSystem and DivisorClass"),
+    (lambda rs, fv: FlagVariety(TypeSpec("A", 2), fv.par),
+     "FlagVariety needs a RootSystem and a ParabolicSubset, not TypeSpec and ParabolicSubset"),
+    (lambda rs, fv: FlagVariety(rs, (1,)),
+     "FlagVariety needs a RootSystem and a ParabolicSubset, not RootSystem and tuple"),
+    (lambda rs, fv: longest_element((1,), rs),
+     "longest_element needs a ParabolicSubset and a RootSystem, not tuple and RootSystem"),
+    (lambda rs, fv: length(WeylWord((1,)), fv), "length needs a RootSystem, not FlagVariety"),
+    (lambda rs, fv: act(WeylWord((1,)), rho(rs), fv), "act needs a RootSystem, not FlagVariety"),
+    (lambda rs, fv: enumerate_coset_reps(fv.par, fv, 2), "enumerate_coset_reps needs a"
+     " ParabolicSubset and a RootSystem, not ParabolicSubset and FlagVariety"),
+    (lambda rs, fv: build_root_system(("A", 2)), "build_root_system needs a TypeSpec, not tuple"),
+    (lambda rs, fv: schubert_codim(rs, WeylWord(())),
+     "schubert_codim needs a FlagVariety, not RootSystem"),
+], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
+        "act", "enumerate-coset-reps", "build-root-system", "schubert-codim"])
+def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
+    with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
+        call(a2, FlagVariety(a2, ParabolicSubset({1})))
+
+
 # the letters are checked once, up front: the error names the first bad
 # letter wherever it stands, also before valid letters or beside a second
 # one, and a letter that is not an int is bad even inside 1..rank; N stands
@@ -400,6 +430,26 @@ def test_brute_force_group_orders():
 test_w1_longest_element_squares_to_identity = check_test("W3 longest element root permutation")
 test_w4_coset_rep_cardinality = check_test("W4 coset rep counts")
 test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test("W5 reducedness")
+test_w6_walk_vs_replay = check_test("W6 W^P walk vs replay")
+
+
+# the orbit slot of a system holds the map of its last enumeration, to its
+# length bound: a word of another S_P, or past the bound, is replayed
+def test_a_second_enumeration_replaces_the_orbit_slot():
+    rs = build_root_system(TypeSpec("A", 3))
+    enumerate_coset_reps(ParabolicSubset({1}), rs, 6)
+    enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
+    members, steps = vars(rs)["_orbit"]
+    assert (members, len(steps)) == ({2, 3}, 2)
+    on_1, on_23 = (FlagVariety(rs, ParabolicSubset(m)) for m in ({1}, {2, 3}))
+    assert schubert_codim(on_1, WeylWord((1, 2, 3))) == SchubertDatum(3, 2)
+    assert schubert_codim(on_23, WeylWord((3, 2, 1))) == SchubertDatum(3, 0)
+
+
+def test_schubert_codim_builds_no_orbit():
+    rs = build_root_system(TypeSpec("A", 3))
+    assert schubert_codim(FlagVariety(rs, ParabolicSubset({1})), WeylWord((1, 2, 3))).dim == 3
+    assert "_orbit" not in vars(rs)
 
 
 # the greedy words of the original replay-based search, frozen
