@@ -104,7 +104,8 @@ class BetaVector(Value):
     __slots__ = ("values",)  # MappingProxyType, keys ascending
 
     def __init__(self, values):
-        setfield(self, "values", values)
+        (set_values,) = self._set
+        set_values(self, values)
 
     def __getitem__(self, alpha):
         if alpha not in self.values:
@@ -116,8 +117,9 @@ class SchubertDatum(Value):
     __slots__ = ("dim", "codim")
 
     def __init__(self, dim, codim):
-        setfield(self, "dim", dim)
-        setfield(self, "codim", codim)
+        set_dim, set_codim = self._set
+        set_dim(self, dim)
+        set_codim(self, codim)
 
 
 def dimension(fv):

@@ -39,8 +39,9 @@ class TypeSpec(Value):
 
     def __init__(self, family, rank):
         conventions.check_type(family, rank)
-        setfield(self, "family", family)
-        setfield(self, "rank", rank)
+        set_family, set_rank = self._set
+        set_family(self, family)
+        set_rank(self, rank)
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)
@@ -78,7 +79,8 @@ class _Coords(Value):
         if self._sign_coherent and coeffs and min(coeffs) < 0 < max(coeffs):
             raise EngineError("mixed-sign %s coordinates %r"
                               % (type(self).__name__.lower(), coeffs))
-        setfield(self, "coeffs", coeffs)
+        (set_coeffs,) = self._set
+        set_coeffs(self, coeffs)
 
     @property
     def rank(self):
@@ -287,7 +289,10 @@ def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
     if type(r) is not Root:
         raise EngineError(wrong_kind("root_as_weight", "a Root", r))
-    r.check_rank(rs)
+    try:
+        r.check_rank(rs)
+    except AttributeError:
+        raise EngineError(wrong_kind("root_as_weight", "a Root and a RootSystem", r, rs)) from None
     C = rs.cartan
     return Weight(
         tuple(sum(C[i][j] * r.coeffs[j] for j in range(rs.rank)) for i in range(rs.rank))

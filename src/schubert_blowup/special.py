@@ -6,10 +6,12 @@ pure arithmetic, and the cominuscule law reads only the root system (the
 highest root, its coroot and the positive roots). What stays independent
 of blowup.classify is each law's closed-form boundary; both map the least
 margin through the one ladder blowup.verdict_of, which selfcheck B3 checks.
+A law that reads a root system makes an argument that is not a RootSystem
+an EngineError, through errors.wrong_kind, at its first read of it.
 """
 
 from .blowup import check_codim, verdict_of
-from .errors import EngineError
+from .errors import EngineError, wrong_kind
 from .rootsys import coroot_of
 
 
@@ -26,10 +28,19 @@ def grassmannian_classify(r, n, c):
     return verdict_of(n + 1 - c)
 
 
+def _highest_root(rs, call):
+    """rs's highest root: the first read of rs in each law that needs it, where
+    an argument that is not a RootSystem becomes an EngineError naming call."""
+    try:
+        return rs.highest_root
+    except AttributeError:
+        raise EngineError(wrong_kind(call, "a RootSystem", rs)) from None
+
+
 def cominuscule_nodes(rs):
     """Simple roots occurring with coefficient 1 in the highest root."""
     return frozenset(
-        i + 1 for i, k in enumerate(rs.highest_root.coeffs) if k == 1
+        i + 1 for i, k in enumerate(_highest_root(rs, "cominuscule_nodes").coeffs) if k == 1
     )
 
 
@@ -42,7 +53,7 @@ def dual_height(rs):
     """Coefficient sum of the highest coroot, i.e. <rho, alpha_0^vee>
     (dual Coxeter number minus one). Equals ht(alpha_0) exactly in the
     simply-laced types."""
-    return sum(coroot_of(rs.highest_root, rs).coeffs)
+    return sum(coroot_of(_highest_root(rs, "dual_height"), rs).coeffs)
 
 
 def cominuscule_classify(rs, node, c):
@@ -53,6 +64,7 @@ def cominuscule_classify(rs, node, c):
     selfcheck S5) gives beta_node = <rho, alpha_0^vee>; this is the
     coefficient sum of the highest coroot, which collapses to
     ht(alpha_0) only when all roots have the same length."""
+    _highest_root(rs, "cominuscule_classify")
     if node not in cominuscule_nodes(rs):
         raise EngineError("node %d is not cominuscule in %s" % (node, rs.spec))
     check_codim(c, _dim_maximal(rs, node))
@@ -61,5 +73,9 @@ def cominuscule_classify(rs, node, c):
 
 def full_flag_classify(rs, c):
     """Fano law for blow-ups of G/B: Fano iff c = 2, boundary at c = 3."""
-    check_codim(c, len(rs.positive_roots))
+    try:
+        dim = len(rs.positive_roots)
+    except AttributeError:
+        raise EngineError(wrong_kind("full_flag_classify", "a RootSystem", rs)) from None
+    check_codim(c, dim)
     return verdict_of(3 - c)

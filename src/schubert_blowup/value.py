@@ -2,9 +2,16 @@
 
 Each value class lists its fields in `__slots__`, or in `_fields` when the
 instance also keeps a `__dict__` for cached properties or a slot derived
-from the fields, and writes them once in an explicit `__init__` with
-`setfield`, past the frozen `__setattr__` (FlagVariety in `__new__`, which
-returns the one instance a kept root system holds).
+from the fields, and writes them once in an explicit `__init__`, past the
+frozen `__setattr__`. A class that declares non-empty `__slots__` gets
+`_set`, the `__set__` of each of its slot descriptors in `__slots__` order,
+and its `__init__` unpacks `self._set` and writes each slot through its
+setter: about 60 ns a field on Python 3.11, the unpack included, against
+about 100 ns for `object.__setattr__(self, name, v)`, which looks the name
+up on the type (a FanoReport is built in 360 ns, not 480).
+`setfield` is left to the two classes whose fields live in the instance
+`__dict__`, RootSystem and FlagVariety (in `__new__`, which returns the
+one instance a kept root system holds).
 Importing `dataclasses` (and with it `inspect`) and generating the classes
 would cost more than the rest of the package's import, which every CLI
 call pays.
@@ -12,7 +19,8 @@ call pays.
 
 from operator import attrgetter
 
-# writes a field in __init__; every later assignment raises
+# writes a field of RootSystem or FlagVariety, whose fields live in the
+# instance __dict__; every later assignment raises
 setfield = object.__setattr__
 
 
@@ -30,6 +38,10 @@ class Value:
         cls._fields = own.get("_fields") or own.get("__slots__") or cls._fields
         # the tuple of the fields, or the one field itself
         cls._key = attrgetter(*cls._fields)
+        # the setters that the class's __init__ writes its own slots through
+        slots = own.get("__slots__")
+        if slots:
+            cls._set = tuple(own[name].__set__ for name in slots)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

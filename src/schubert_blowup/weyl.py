@@ -21,14 +21,15 @@ from operator import mul
 from .conventions import RANK_CAP
 from .errors import EngineError, wrong_kind
 from .rootsys import Coroot, Root, Weight
-from .value import Value, setfield
+from .value import Value
 
 
 class WeylWord(Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters):
-        setfield(self, "letters", letters)
+        (set_letters,) = self._set
+        set_letters(self, letters)
 
 
 class ParabolicSubset(Value):
@@ -42,7 +43,8 @@ class ParabolicSubset(Value):
             members = frozenset(members)
         except TypeError:  # not iterable, or a node that is unhashable
             raise EngineError("parabolic indices %r are not a set of nodes" % (members,)) from None
-        setfield(self, "members", members)
+        (set_members,) = self._set
+        set_members(self, members)
 
     @staticmethod
     def of(indices):

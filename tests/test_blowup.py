@@ -15,6 +15,7 @@ from schubert_blowup import (
     ParabolicSubset,
     Verdict,
     anticanonical_class,
+    beta_values,
     build_root_system,
     classify,
     dimension,
@@ -283,6 +284,36 @@ def test_reports_share_read_only_betas():
         first.betas.values[2] = 99
     assert classify(fv, 6) == first
     assert classify(fv, 6).betas[2] == 4 == classify(fv_of("A", 4, {1, 3, 4}), 6).betas[2]
+
+
+def test_every_report_gets_its_own_margins():
+    # classify copies the shared betas and shifts the copy: changing one
+    # report's margins leaves the betas and the next report alone
+    fv = fv_of("A", 4, {1, 3})
+    betas = list(beta_values(fv).values.items())
+    first = classify(fv, 3)
+    margins = list(first.margins.items())
+    first.margins[2] += 99
+    first.margins[5] = 0
+    second = classify(fv, 3)
+    assert list(beta_values(fv).values.items()) == betas
+    assert list(second.margins.items()) == margins and second.margins is not first.margins
+    assert second.betas is first.betas
+
+
+def test_margins_are_the_shifted_betas_in_picard_order():
+    # every parabolic of every type to rank 4, at every c: a dict of ints
+    # beta_alpha - c + 2, keyed by the Picard basis in its order
+    for spec in all_types(4):
+        rs = build_root_system(spec)
+        for par in all_parabolics(spec.rank):
+            fv = FlagVariety(rs, par)
+            betas = beta_values(fv).values
+            for c in range(2, dimension(fv) + 1):
+                margins = classify(fv, c).margins
+                assert type(margins) is dict and list(margins) == list(picard_basis(fv))
+                assert list(margins.items()) == [(a, b - c + 2) for a, b in betas.items()]
+                assert all(type(m) is int for m in margins.values())
 
 
 test_b1_cone_duality = check_test("B1 cone duality")

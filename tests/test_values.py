@@ -30,6 +30,7 @@ from schubert_blowup import (
     picard_basis,
 )
 from schubert_blowup.errors import EngineError
+from schubert_blowup.value import Value
 from test_cli import subprocess_env
 
 A2 = build_root_system(TypeSpec("A", 2))
@@ -55,6 +56,17 @@ IDS = [cls.__name__ for cls, _ in SAMPLES]
 # the read-only betas (a mapping proxy) among the fields: neither hashable nor
 # picklable, as with the dataclasses before
 UNHASHABLE = {BetaVector, FanoReport}
+
+
+def test_every_value_class_has_a_sample():
+    # so the tests below cover a value class added later; a private base such
+    # as _Coords is covered through its public subclasses
+    found, todo = set(), [Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        todo += subclasses
+        found.update(cls for cls in subclasses if not cls.__name__.startswith("_"))
+    assert found == {cls for cls, _ in SAMPLES}
 
 
 @pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)

@@ -291,6 +291,15 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     (lambda rs, fv: coroot_of(Weight((1, 0)), rs),
      "coroot_of needs a Root and a RootSystem, not Weight and RootSystem"),
     (lambda rs, fv: rho(fv), "rho needs a RootSystem, not FlagVariety"),
+    (lambda rs, fv: root_as_weight(Root((1, 0)), fv),
+     "root_as_weight needs a Root and a RootSystem, not Root and FlagVariety"),
+    (lambda rs, fv: special.full_flag_classify(fv, 2),
+     "full_flag_classify needs a RootSystem, not FlagVariety"),
+    (lambda rs, fv: special.cominuscule_classify(fv, 1, 2),
+     "cominuscule_classify needs a RootSystem, not FlagVariety"),
+    (lambda rs, fv: special.cominuscule_nodes(fv),
+     "cominuscule_nodes needs a RootSystem, not FlagVariety"),
+    (lambda rs, fv: special.dual_height(fv), "dual_height needs a RootSystem, not FlagVariety"),
 ] + [
     (lambda rs, fv, f=f: f(rs, 2), "%s needs a FlagVariety, not RootSystem" % f.__name__)
     for f in (anticanonical_class, nef_generators, mori_generators)
@@ -299,9 +308,10 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     for f in (dimension, picard_basis, beta_values, flag.least_beta, anticanonical_weight)
 ], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
         "act", "enumerate-coset-reps", "build-root-system", "schubert-codim", "height",
-        "coroot-of-spec", "coroot-of-weight", "rho", "anticanonical-class", "nef-generators",
-        "mori-generators", "dimension", "picard-basis", "beta-values", "least-beta",
-        "anticanonical-weight"])
+        "coroot-of-spec", "coroot-of-weight", "rho", "root-as-weight-flag", "full-flag-classify",
+        "cominuscule-classify", "cominuscule-nodes", "dual-height", "anticanonical-class",
+        "nef-generators", "mori-generators", "dimension", "picard-basis", "beta-values",
+        "least-beta", "anticanonical-weight"])
 def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
@@ -446,8 +456,8 @@ def test_brute_force_group_orders():
 
 
 # w_{0,P}^2 = 1 follows from W3, and the length of w_{0,P} from W3 and W5:
-# the names of those two tests keep their ids on the rows that cover them
-test_w1_longest_element_squares_to_identity = check_test("W3 longest element root permutation")
+# the name of the old length test keeps its ids on W5
+test_w3_longest_element_root_permutation = check_test("W3 longest element root permutation")
 test_w4_coset_rep_cardinality = check_test("W4 coset rep counts")
 test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test("W5 reducedness")
 test_w6_walk_vs_replay = check_test("W6 W^P walk vs replay")
