@@ -133,10 +133,11 @@ def test_anticanonical_weight_b2():
     assert anticanonical_weight(fv) == Weight((0, 4))
 
 
-# the reversed word of w_{0,P} names the same involution, so its betas are
-# F2's: the name of that test keeps its ids on F2
-test_f2_closed_forms_match_weyl_word = test_f3_beta_word_independence = check_test(
-    "F2 closed forms vs Weyl word")
+# the -K weight vanishes on S_P by F2 and W3, and the reversed word of
+# w_{0,P} names the same involution, so its betas are F2's: the names of
+# those two tests keep their ids on F2
+test_f1_anticanonical_weight_in_picard_group = test_f2_closed_forms_match_weyl_word = \
+    test_f3_beta_word_independence = check_test("F2 closed forms vs Weyl word")
 
 
 def test_schubert_codim_point_and_curve():
