@@ -1,5 +1,11 @@
 """Exact-arithmetic Fano / weak-Fano classification of blow-ups of
-generalized flag varieties along smooth Schubert varieties."""
+generalized flag varieties along smooth Schubert varieties.
+
+Importing the package loads only what a classify or cones query runs.
+The names in _LAZY, which no such query reads, stay public and in
+__all__, and their module is imported on first access: the closed-form
+laws of special, the reference layer (the root closure, coroots,
+pairings and the Weyl action) and table's list of types."""
 
 from .rootsys import (
     TypeSpec,
@@ -8,16 +14,10 @@ from .rootsys import (
     Weight,
     RootSystem,
     build_root_system,
-    height,
-    pairing,
-    coroot_of,
-    root_as_weight,
-    rho,
 )
 from .weyl import (
     WeylWord,
     ParabolicSubset,
-    act,
     length,
     longest_element,
     enumerate_coset_reps,
@@ -46,13 +46,17 @@ from .blowup import (
     classify,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["special"]
+# name -> the module that holds it, or that is it
+_LAZY = dict.fromkeys(("height", "pairing", "coroot_of", "root_as_weight", "rho", "act"),
+                      "reference")
+_LAZY.update(all_types="table", special="special")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
 
 
 def __getattr__(name):
-    # no CLI query reads the closed-form laws, so `special` is imported on
-    # first access
-    if name == "special":
-        from importlib import import_module
-        return import_module(".special", __name__)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    module = import_module("." + _LAZY[name], __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

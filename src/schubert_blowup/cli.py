@@ -23,7 +23,9 @@ one loop that reads argv against it, by this grammar alone:
 `_json` writes the JSON reports with the bytes of
 `json.dumps(report, indent=2, sort_keys=True)`. So a call imports neither
 argparse (with gettext and locale) nor json: in a fresh interpreter they
-cost more start-up than the query itself.
+cost more start-up than the query itself. For the same reason `table` and
+`check` import their modules, table and selfcheck, only when they run: a
+classify or cones call compiles neither.
 """
 
 import os
@@ -32,7 +34,7 @@ import sys
 from . import blowup, flag
 from .conventions import RANK_BOUNDS
 from .errors import EngineError, InvariantViolation
-from .rootsys import TypeSpec, all_types, build_root_system
+from .rootsys import TypeSpec, build_root_system
 from .weyl import ParabolicSubset
 
 
@@ -156,46 +158,11 @@ def cmd_cones(args):
     return 0
 
 
-def _table_rows(families, max_rank, policy):
-    rows = []
-    for spec in all_types(max_rank, families):
-        rs = build_root_system(spec)
-        nodes = range(1, rs.rank + 1)
-        if policy == "full-flag":
-            pars = [ParabolicSubset(())]
-        else:
-            pars = [ParabolicSubset(set(nodes) - {node}) for node in nodes]
-        for par in pars:
-            fv = flag.FlagVariety(rs, par)
-            betas = flag.beta_values(fv)
-            basis = flag.picard_basis(fv)
-            bmin = flag.least_beta(fv)
-            rows.append({
-                "type": str(spec),
-                "crossed_nodes": list(basis),
-                "dim": flag.dimension(fv),
-                "betas": {str(a): betas[a] for a in basis},
-                "fano_max_c": bmin + 1,
-                "weak_fano_boundary_c": bmin + 2,
-            })
-    return rows
-
-
 def cmd_table(args):
-    families = [f.strip() for f in args["families"].split(",") if f.strip()]
-    policy = "full-flag" if args["full-flag"] else "maximal-parabolics"
-    rows = _table_rows(families, args["max-rank"], policy)
-    if args["format"] == "json":
-        print(_json({"policy": policy, "rows": rows}))
-        return 0
-    print("%-5s %-14s %5s %-20s %-28s" % ("type", "crossed", "dimX", "betas", "Fano range"))
-    for r in rows:
-        betas = ",".join("%s:%d" % kv for kv in r["betas"].items())
-        print("%-5s %-14s %5d %-20s Fano for 2<=c<=%d, boundary c=%d" % (
-            r["type"], ",".join(map(str, r["crossed_nodes"])), r["dim"], betas,
-            r["fano_max_c"], r["weak_fano_boundary_c"],
-        ))
-    return 0
+    # imported here, as selfcheck in cmd_check: only `table` runs it
+    from . import table
+
+    return table.run(args, _json)
 
 
 def cmd_check(args):

@@ -173,9 +173,10 @@ def simple_factors(family, rank, members):
 
 
 def rank_bounds(family):
-    if family not in RANK_BOUNDS:
-        raise EngineError("unknown family %r" % (family,))
-    return RANK_BOUNDS[family]
+    try:
+        return RANK_BOUNDS[family]
+    except (KeyError, TypeError):  # no family, or unhashable, as a list is
+        raise EngineError("unknown family %r" % (family,)) from None
 
 
 def check_type(family, rank):

@@ -15,22 +15,24 @@ asked of it, up to conventions.FLAGS_PER_SYSTEM, and kept_varieties gives
 that dict only to the registered system itself.
 Every Weyl walk, the flag invariants and the closure read the columns. Two
 tables are built on first read and cached on it: cartan, the dense rows,
-which only the pairings of a Root read (act on a Root, coroot_of,
-root_as_weight, the closure and selfcheck), and positive_roots (and
-highest_root), the closure of the simple roots under the height-raising
-simple reflections (_positive_roots). No query path reads either: the flag
-invariants take |R^+|, |R_P^+| and 2 rho_P from the closed forms of
-conventions. One slot, _orbit, holds the W^P index map of the last
-weyl.enumerate_coset_reps on the system, which flag.schubert_codim walks. Nothing is re-checked: selfcheck I1 compares the closure with
-the root-string closure, an independent second derivation that lives
-beside I1 in selfcheck, I2 holds the unique highest root and F2 the closed
-forms.
+which only the pairings of a Root read (in reference and selfcheck), and
+positive_roots (and highest_root), from the reflection closure
+reference._positive_roots, which positive_roots imports on that first
+read. No classify or cones call reads either: the flag invariants take
+|R^+|, |R_P^+| and 2 rho_P from the closed forms of conventions. So this
+module holds only what such a call runs, and the closure, heights,
+pairings, coroots and rho live in reference. One slot, _orbit, holds the
+W^P index map of the last weyl.enumerate_coset_reps on the system, which
+flag.schubert_codim walks. Nothing is re-checked: selfcheck I1 compares
+the closure with the root-string closure, an independent second
+derivation that lives beside I1 in selfcheck, I2 holds the unique highest
+root and F2 the closed forms.
 """
 
 from functools import cached_property
 
 from . import conventions
-from .errors import EngineError, InvariantViolation, wrong_kind
+from .errors import EngineError, wrong_kind
 from .value import Value, setfield
 
 
@@ -45,27 +47,6 @@ class TypeSpec(Value):
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)
-
-
-def all_types(max_rank, families=conventions.RANK_BOUNDS):
-    """Every TypeSpec of rank at most max_rank, family by family in the
-    order of `families`, each by ascending rank. An empty `families`, a
-    max_rank outside 1..RANK_CAP and a family given twice are errors."""
-    if not families:
-        raise EngineError("empty family list")
-    if max_rank < 1:
-        raise EngineError("max rank must be at least 1, got %d" % max_rank)
-    if max_rank > conventions.RANK_CAP:
-        raise EngineError("max rank capped at %d for sweeps" % conventions.RANK_CAP)
-    out, seen = [], set()
-    for fam in families:
-        lo, hi = conventions.rank_bounds(fam)
-        if fam in seen:
-            raise EngineError("family %r given more than once" % (fam,))
-        seen.add(fam)
-        for r in range(lo, min(hi, max_rank) + 1):
-            out.append(TypeSpec(fam, r))
-    return out
 
 
 class _Coords(Value):
@@ -152,7 +133,10 @@ class RootSystem(Value):
     @cached_property
     def positive_roots(self):
         """R^+ from one reflection closure, sorted by height, so the last is
-        the highest root (selfcheck I1 and I2 hold both)."""
+        the highest root (selfcheck I1 and I2 hold both). No query reads
+        it, so the closure's module is imported here, on the first read."""
+        from .reference import _positive_roots
+
         roots = sorted(_positive_roots(self), key=lambda t: (sum(t), t))
         return tuple(Root(t) for t in roots)
 
@@ -169,48 +153,6 @@ class RootSystem(Value):
             return False
         pos = r if r.is_positive() or not any(r.coeffs) else -r
         return pos in self.positive_roots
-
-
-def _positive_roots(rs):
-    """The positive roots of rs as coefficient tuples, by the reflection
-    closure on rs.columns.
-
-    Every non-simple positive root gamma has some i with
-    <gamma, alpha_i^vee> > 0, and s_i(gamma) is a positive root of lower
-    height (Humphreys, Introduction to Lie Algebras and Representation
-    Theory, 10.2). So R^+ is the closure of the simple roots under
-    beta -> s_i(beta) = beta - p*alpha_i, taken where
-    p = <beta, alpha_i^vee> < 0. Each root carries its weight coordinates
-    (p for every i at once); a step changes them by -p times column i.
-    """
-    rank, cols = rs.rank, rs.columns
-    frontier = [(tuple(int(j == i) for j in range(rank)), [row[i] for row in rs.cartan])
-                for i in range(rank)]
-    roots = {beta for beta, _ in frontier}
-    while frontier:
-        new = []
-        for beta, wt in frontier:
-            for i, p in enumerate(wt):
-                if p < 0:
-                    up = list(beta)
-                    up[i] -= p
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        wt2 = wt[:]
-                        for j, c in cols[i]:
-                            wt2[j] -= p * c
-                        new.append((t, wt2))
-        frontier = new
-    return roots
-
-
-def height(r):
-    """Sum of simple-root coefficients (negative for negative roots)."""
-    try:
-        return sum(r.coeffs)
-    except AttributeError:
-        raise EngineError(wrong_kind("height", "a Root", r)) from None
 
 
 # (family, rank) -> None after the type's first build, from the second on
@@ -245,63 +187,3 @@ def kept_varieties(rs):
     kept system, else None: an equal system built apart keeps nothing."""
     kept = _systems.get((rs.spec.family, rs.spec.rank))
     return kept[1] if kept is not None and kept[0] is rs else None
-
-
-def pairing(w, c):
-    """<lambda, beta^vee> as a plain dot product of coordinates."""
-    if type(w) is not Weight or type(c) is not Coroot:
-        raise EngineError(wrong_kind("pairing", "a Weight and a Coroot", w, c))
-    if w.rank != c.rank:
-        raise EngineError("weight rank %d vs coroot rank %d" % (w.rank, c.rank))
-    return sum(a * b for a, b in zip(w.coeffs, c.coeffs))
-
-
-def coroot_of(r, rs):
-    """The coroot 2*beta/(beta,beta) in simple-coroot coordinates.
-
-    c_i = k_i * (alpha_i, alpha_i) / (beta, beta); always integral for
-    roots of a crystallographic system.
-    """
-    try:
-        known = rs.contains(r)
-    except AttributeError:
-        raise EngineError(wrong_kind("coroot_of", "a Root and a RootSystem", r, rs)) from None
-    if not known:
-        raise EngineError("%r is not a root of %s" % (r.coeffs, rs.spec))
-    d = rs.symmetrizers
-    C = rs.cartan
-    k = r.coeffs
-    norm = sum(
-        k[i] * k[j] * d[i] * C[i][j] for i in range(rs.rank) for j in range(rs.rank)
-    )
-    coeffs = []
-    for i in range(rs.rank):
-        c, rem = divmod(2 * k[i] * d[i], norm)
-        if rem:
-            raise InvariantViolation(
-                "non-integral coroot coefficient of %r in %s" % (k, rs.spec)
-            )
-        coeffs.append(c)
-    return Coroot(tuple(coeffs))
-
-
-def root_as_weight(r, rs):
-    """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
-    if type(r) is not Root:
-        raise EngineError(wrong_kind("root_as_weight", "a Root", r))
-    try:
-        r.check_rank(rs)
-    except AttributeError:
-        raise EngineError(wrong_kind("root_as_weight", "a Root and a RootSystem", r, rs)) from None
-    C = rs.cartan
-    return Weight(
-        tuple(sum(C[i][j] * r.coeffs[j] for j in range(rs.rank)) for i in range(rs.rank))
-    )
-
-
-def rho(rs):
-    """Half-sum of positive roots: the all-ones weight vector."""
-    try:
-        return Weight((1,) * rs.rank)
-    except AttributeError:
-        raise EngineError(wrong_kind("rho", "a RootSystem", rs)) from None

@@ -23,11 +23,13 @@ import collections
 import itertools
 import random
 
-from . import blowup, flag, rootsys, special, weyl
+from . import blowup, flag, reference, special, weyl
 from .conventions import RANK_CAP
 from .errors import EngineError
-from .rootsys import all_types, build_root_system, coroot_of, height, pairing, rho
-from .weyl import ParabolicSubset, WeylWord, act, length, longest_element
+from .reference import act, coroot_of, height, pairing, rho
+from .rootsys import build_root_system
+from .table import all_types
+from .weyl import ParabolicSubset, WeylWord, length, longest_element
 
 
 def all_parabolics(rank, proper=True):
@@ -139,7 +141,7 @@ def check_I3_rho_pairing_highest_coroot(rs):
 def check_I4_root_as_weight_injective(rs):
     seen = {}
     for r in rs.positive_roots:
-        other = seen.setdefault(rootsys.root_as_weight(r, rs).coeffs, r)
+        other = seen.setdefault(reference.root_as_weight(r, rs).coeffs, r)
         if other is not r:
             yield other.coeffs, r.coeffs
 

@@ -12,7 +12,7 @@ an EngineError, through errors.wrong_kind, at its first read of it.
 
 from .blowup import check_codim, verdict_of
 from .errors import EngineError, wrong_kind
-from .rootsys import coroot_of
+from .reference import coroot_of
 
 
 def grassmannian_classify(r, n, c):

@@ -1,10 +1,9 @@
-"""Weyl group words and their exact action on the three coordinate bases.
+"""Weyl group words, their lengths, parabolic longest elements and
+minimal coset representatives.
 
 Words are sequences of 1-based simple-reflection indices applied right to
-left: act([i1, ..., ik], x) = s_{i1}(s_{i2}(...s_{ik}(x))). act checks its
-input once, walks one list of its coordinates and builds one value, whose
-signs a Root or Coroot checks once. Every walk reads RootSystem.columns
-and checks a word's letters once, up front.
+left. Every walk reads RootSystem.columns and checks a word's letters once,
+up front (_letters).
 longest_element and enumerate_coset_reps walk weight orbits on integer
 lists instead of replaying words. length reads one replay of the word on
 rho, whose signed count of steps is the length. enumerate_coset_reps keeps
@@ -13,14 +12,13 @@ that the next enumeration on that system replaces; flag.schubert_codim
 walks a word on that map when it is the map of the variety's S_P, and
 reads W^P membership from the replay otherwise.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
-selfcheck F2 compares with the action of w_{0,P}.
+selfcheck F2 compares with the action of w_{0,P}. That action, act on a
+Weight, Root or Coroot, lives in reference, since no classify or cones
+call runs it.
 """
-
-from operator import mul
 
 from .conventions import RANK_CAP
 from .errors import EngineError, wrong_kind
-from .rootsys import Coroot, Root, Weight
 from .value import Value
 
 
@@ -81,34 +79,6 @@ def check_parabolic(par, rank):
         # ints in order, then any other node by its repr: mixed types never compare
         nodes = sorted(par.members, key=lambda i: (0, i) if isinstance(i, int) else (1, repr(i)))
         raise EngineError("parabolic indices %r outside 1..%d" % (nodes, rank))
-
-
-def act(word, x, rs):
-    """Apply the word right to left to a Weight, Root or Coroot."""
-    kind = type(x)
-    if kind not in (Weight, Root, Coroot):
-        raise EngineError(wrong_kind("act", "a Weight, Root or Coroot", x))
-    try:
-        cols = rs.columns
-    except AttributeError:
-        raise EngineError(wrong_kind("act", "a RootSystem", rs)) from None
-    x.check_rank(rs)
-    letters, v = reversed(_letters(word, rs.rank)), list(x.coeffs)
-    if kind is Weight:
-        # s_i(lambda) = lambda - lambda_i alpha_i, alpha_i being Cartan column i
-        for i in letters:
-            c = v[i - 1]
-            for j, a in cols[i - 1]:
-                v[j] -= c * a
-    elif kind is Root:
-        # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, the pairing from Cartan row i
-        for i in letters:
-            v[i - 1] -= sum(map(mul, rs.cartan[i - 1], v))
-    else:
-        # s_i(beta^vee) = beta^vee - <alpha_i, beta^vee> alpha_i^vee, alpha_i being column i
-        for i in letters:
-            v[i - 1] -= sum(a * v[j] for j, a in cols[i - 1])
-    return kind(tuple(v))
 
 
 def _replay(word, rs):

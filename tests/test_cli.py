@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubert_blowup
-from schubert_blowup import build_root_system, cli, flag, selfcheck
+from schubert_blowup import build_root_system, cli, flag, selfcheck, table
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import InvariantViolation
 from schubert_blowup.selfcheck import all_types
@@ -367,6 +367,51 @@ def test_cold_calls_import_neither_argparse_nor_json():
     assert COLD_FREE & set(calls) - set(bare) == set()
 
 
+# modules that a bare import and a classify or cones call must not load
+QUERY_FREE = {"schubert_blowup." + name for name in ("reference", "table", "selfcheck", "special")}
+
+# runs argv, if any, as the CLI does, else imports the package; then prints
+# the package's loaded modules, and the functions of reference and table
+# that a loaded module defines too (by name)
+QUERY_IMPORTS = """
+import runpy, sys
+argv = %r
+if argv:
+    sys.argv = ["schubert-blowup"] + argv
+    try:
+        runpy.run_module("schubert_blowup.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+else:
+    import schubert_blowup
+loaded = sorted(k for k in sys.modules if k.startswith("schubert_blowup"))
+
+def defined(name):
+    module = sys.modules[name]
+    return {f for f, v in vars(module).items() if getattr(v, "__module__", None) == name}
+
+query = set().union(*map(defined, loaded))
+from schubert_blowup import reference, table
+print(" ".join(loaded))
+print(" ".join(sorted(query & (defined(reference.__name__) | defined(table.__name__)))))
+"""
+
+
+@pytest.mark.parametrize("argv", [[]] + [
+    [command] + GR24[1:] + fmt for command in ("classify", "cones")
+    for fmt in ([], ["--format", "json"])], ids=["import", "classify-text", "classify-json",
+                                                 "cones-text", "cones-json"])
+def test_cold_queries_load_no_reference_code(argv):
+    proc = subprocess.run([sys.executable, "-c", QUERY_IMPORTS % (argv,)], capture_output=True,
+                          text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded, shared = proc.stdout.splitlines()[-2:]
+    assert "schubert_blowup.blowup" in loaded.split()
+    assert QUERY_FREE & set(loaded.split()) == set()
+    assert shared == ""
+
+
 def _reports(spec):
     """Every classify and cones report of spec's full flag and maximal
     parabolics at c = 2 and 3."""
@@ -387,7 +432,7 @@ def test_json_writer_matches_json_dumps_on_every_report(family):
 
 @pytest.mark.parametrize("policy", ["maximal-parabolics", "full-flag"])
 def test_json_writer_matches_json_dumps_on_the_table(policy):
-    report = {"policy": policy, "rows": cli._table_rows(list(RANK_BOUNDS), RANK_CAP, policy)}
+    report = {"policy": policy, "rows": table.rows(list(RANK_BOUNDS), RANK_CAP, policy)}
     assert cli._json(report) == json.dumps(report, indent=2, sort_keys=True)
     empty = {"b": [], "a": {}, "c": [-1, 0, "x y"]}
     assert cli._json(empty) == json.dumps(empty, indent=2, sort_keys=True)

@@ -7,7 +7,7 @@ import pytest
 from schubert_blowup import (
     FlagVariety, TypeSpec, beta_values, build_root_system, conventions, dimension)
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
-from schubert_blowup.rootsys import all_types
+from schubert_blowup.table import all_types
 from schubert_blowup.selfcheck import _maximal, closed_form_mismatch
 from schubert_blowup.special import cominuscule_nodes
 from schubert_blowup.weyl import ParabolicSubset

@@ -33,7 +33,7 @@ from schubert_blowup import (
     root_as_weight,
     schubert_codim,
 )
-from schubert_blowup import cli, conventions, rootsys
+from schubert_blowup import cli, conventions, reference, rootsys
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import all_types
@@ -118,8 +118,8 @@ def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, ran
 
 def test_positive_roots_are_built_once_on_first_read(monkeypatch):
     calls = []
-    real = rootsys._positive_roots
-    monkeypatch.setattr(rootsys, "_positive_roots",
+    real = reference._positive_roots
+    monkeypatch.setattr(reference, "_positive_roots",
                         lambda rs: calls.append(rs) or real(rs))
     rs = build_root_system(TypeSpec("A", 3))
     assert calls == []
@@ -167,7 +167,7 @@ def test_cartan_tables_pinned():
 
 
 def test_dense_rows_are_built_once_on_first_read(monkeypatch):
-    monkeypatch.setattr(rootsys, "_positive_roots", no_closure)
+    monkeypatch.setattr(reference, "_positive_roots", no_closure)
     rs = build_root_system(TypeSpec("E", 8))
     # every walk and the flag invariants read the sparse columns alone
     fv = FlagVariety(rs, ParabolicSubset.of(range(2, 9)))

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from schubert_blowup import blowup, conventions, flag, rootsys, special, weyl
+from schubert_blowup import blowup, conventions, flag, reference, special, weyl
 from schubert_blowup.rootsys import Coroot, Root, TypeSpec, Weight
 from schubert_blowup.selfcheck import CHECKS, all_types, fails, first_counterexample
 from schubert_blowup.weyl import WeylWord
@@ -81,20 +81,20 @@ def test_every_check_runs_in_a_layer_test():
 # to a broken stand-in, which replaces it wherever the package imported it
 NEGATIVE_CONTROLS = [
     # alpha_1 + alpha_2 + alpha_3 left out of the reflection closure
-    ("I1", "A3", rootsys, "_positive_roots", lambda real: lambda rs: real(rs) - {(1, 1, 1)},
+    ("I1", "A3", reference, "_positive_roots", lambda real: lambda rs: real(rs) - {(1, 1, 1)},
      ((0, 1, 2), (1, 1, 1)), {"I1", "I2", "I3", "W4", "W5", "F2", "S3", "S4", "S5"}),
     # 2 alpha_1 + 3 alpha_2, of the height of G2's highest root, let in
-    ("I2", "G2", rootsys, "_positive_roots", lambda real: lambda rs: real(rs) | {(2, 3)},
+    ("I2", "G2", reference, "_positive_roots", lambda real: lambda rs: real(rs) | {(2, 3)},
      ((2, 3), (3, 2)), {"I1", "I2", "W3", "W4", "W5", "F2"}),
     # the symmetrizers of G2 swapped: the highest coroot changes
     ("I3", "G2", conventions, "symmetrizer", lambda real: lambda f, r: real(f, r)[::-1],
      (11, 3, 5), {"I3"}),
     # <beta, alpha_1^vee> dropped from the weight of a root
-    ("I4", "B2", rootsys, "root_as_weight",
+    ("I4", "B2", reference, "root_as_weight",
      lambda real: lambda r, rs: Weight((0,) + real(r, rs).coeffs[1:]),
      ((0, 1), (1, 2)), {"I4"}),
     # a coroot read in reverse node order
-    ("I5", "A3", rootsys, "coroot_of", lambda real: lambda r, rs: Coroot(real(r, rs).coeffs[::-1]),
+    ("I5", "A3", reference, "coroot_of", lambda real: lambda r, rs: Coroot(real(r, rs).coeffs[::-1]),
      ((0, 0, 1),), {"I5"}),
     # one letter short of w_{0,P}
     ("W3", "A2", weyl, "longest_element", lambda real: lambda par, rs: WeylWord(
@@ -103,7 +103,7 @@ NEGATIVE_CONTROLS = [
     ("W4", "A2", weyl, "enumerate_coset_reps",
      lambda real: lambda par, rs, n: real(par, rs, n)[:-1], ([], 5, 1), {"W4"}),
     # act reads its word left to right
-    ("W5", "A2", weyl, "act", lambda real: lambda w, x, rs: real(WeylWord(w.letters[::-1]), x, rs),
+    ("W5", "A2", reference, "act", lambda real: lambda w, x, rs: real(WeylWord(w.letters[::-1]), x, rs),
      ((1, 2), (-2, 1)), {"W5"}),
     # schubert_codim reads its word left to right, walk and replay alike: with
     # S_P = {1}, (2, 1) is no W^P word of A2, but (1, 2) is
@@ -136,7 +136,7 @@ NEGATIVE_CONTROLS = [
     ("S4", "A2", special, "full_flag_classify",
      lambda real: lambda rs, c: blowup.verdict_of(4 - c), (3,), {"S4"}),
     # a coroot moved by the root formula, which reads the Cartan rows
-    ("S5", "B3", weyl, "act", lambda real: lambda w, x, rs: Coroot(real(
+    ("S5", "B3", reference, "act", lambda real: lambda w, x, rs: Coroot(real(
         w, Root(x.coeffs), rs).coeffs) if type(x) is Coroot else real(w, x, rs), (1,), {"S5"}),
 ]
 

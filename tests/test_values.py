@@ -193,3 +193,26 @@ def test_special_is_imported_on_first_access():
                           timeout=120, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False\nfull_flag_classify True\nTrue\n"
+
+
+def test_reference_names_are_imported_on_first_access():
+    # no CLI query runs them, but each stays a package attribute in __all__
+    lazy = dict.fromkeys(["height", "pairing", "coroot_of", "root_as_weight", "rho", "act"],
+                         "reference")
+    lazy["all_types"] = "table"
+    code = (
+        "import sys\n"
+        "import schubert_blowup as sb\n"
+        "held = ['schubert_blowup.reference', 'schubert_blowup.table']\n"
+        "print([m for m in held if m in sys.modules])\n"
+        "for name in %r:\n"
+        "    fn = getattr(sb, name)\n"
+        "    print(fn.__module__, fn.__name__ == name, name in sb.__all__)\n"
+        "print([m for m in held if m in sys.modules])\n" % list(lazy)
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(
+        ["[]\n"] + ["schubert_blowup.%s True True\n" % module for module in lazy.values()]
+        + ["['schubert_blowup.reference', 'schubert_blowup.table']\n"])

@@ -258,6 +258,12 @@ _PARABOLIC_CALLS = {
     pytest.param(lambda rs, members=members: ParabolicSubset(members),
                  "parabolic indices %r are not a set of nodes" % (members,), id="par-" + label)
     for members, label in [([[1]], "unhashable"), ([1, {2}], "unhashable-set"), (1, "int")]
+] + [
+    # a family that is unhashable, and a max rank that is a str: each was a
+    # TypeError from a lookup or a comparison
+    pytest.param(lambda rs: TypeSpec(["A"], 3), "unknown family ['A']", id="type-list-family"),
+    pytest.param(lambda rs: all_types("3"), "max rank must be at least 1, got '3'",
+                 id="all-types-str-rank"),
 ])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
