@@ -17,15 +17,16 @@ computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some
 G/P -> G/Q.
 
-classify, anticanonical_class and the cone readers read
-FlagVariety._invariants once, by flag's names for its layout, not through
-the flag readers, inside the try that makes a wrong-kind argument an
-EngineError, and check c with check_codim, the one check and message of a
-codimension. classify, the hot path, calls it only when c is not an int in
-2..dim: a bool or an int subclass goes to it too. Its margins are a copy of
-the betas, a new dict in Picard-basis order, each value shifted in place
-by c - 2: no comprehension, which on Python 3.11 makes and calls a function
-on every call.
+anticanonical_class and the cone readers read FlagVariety._invariants
+once, through flag._invariants_of, the one reader that makes a wrong-kind
+argument an EngineError, and index it by flag's names for its layout;
+classify, the hot path, unpacks it inline in its own try. Each checks c
+with check_codim, the one check and message of a codimension; classify
+calls it only when c is not an int in 2..dim: a bool or an int subclass
+goes to it too. Its margins are a copy of the betas, a new dict in
+Picard-basis order, each value shifted in place by c - 2: no
+comprehension, which on Python 3.11 makes and calls a function on every
+call.
 
 DivisorClass(...) and CurveClass(...) check their coefficients, and every
 class, the generators and -K among them, is built by its constructor. Each
@@ -33,9 +34,10 @@ FlagVariety builds its generators once, in _cones, the one builder of
 generator classes; nef_generators and mori_generators return new lists of
 those shared classes, and is_nef(fv, d) and is_ample(fv, d) pair d with
 fv's Mori tuple. A curve class keeps its support, the positions of its
-nonzero coordinates, and intersect pairs Bl*D . tilde C over it: O(1)
-against a Mori generator, which has at most one. A nonzero E_Z coefficient
-adds a sum over the curve's coordinates. intersect of anything but a
+nonzero coordinates, in a slot derived from its fields (value's one
+storage rule), and intersect pairs Bl*D . tilde C over it: O(1) against a
+Mori generator, which has at most one. A nonzero E_Z coefficient adds a
+sum over the curve's coordinates. intersect of anything but a
 divisor and a curve is an EngineError.
 """
 
@@ -43,7 +45,7 @@ from enum import Enum
 from itertools import compress, count
 
 from .errors import EngineError, wrong_kind
-from .flag import BASIS, BETAS, DIM
+from .flag import BASIS, BETAS, DIM, _invariants_of
 from .value import Value
 
 
@@ -125,9 +127,9 @@ def check_codim(c, d):
 
 def _cones(fv):
     """fv's nef and Mori generator tuples, the one builder of generator
-    classes: built on first use and kept in fv's __dict__ beside its
-    invariants. Unit k is the one slice of a zero tuple around a 1, shared by
-    Bl*D_k and tilde C_k."""
+    classes: built on first use and kept beside its invariants, in fv's
+    "__dict__" slot. Unit k is the one slice of a zero tuple around a 1,
+    shared by Bl*D_k and tilde C_k."""
     cones = fv.__dict__.get("_cones")
     if cones is None:
         basis = fv._invariants[BASIS]
@@ -146,10 +148,7 @@ def _cones(fv):
 
 def _read(fv, c, call):
     """fv's invariants, read once, with c checked against its dimension."""
-    try:
-        inv = fv._invariants
-    except AttributeError:  # a try costs nothing until it raises
-        raise EngineError(wrong_kind(call, "a FlagVariety", fv)) from None
+    inv = _invariants_of(fv, call)
     check_codim(c, inv[DIM])
     return inv
 

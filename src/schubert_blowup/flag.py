@@ -18,10 +18,11 @@ system, so a repeated query finds them cached. dim G/P is
 way: selfcheck F2 (the closed forms against the Weyl word of w_{0,P}
 and the closure of R^+) holds them. FlagVariety._invariants keeps all of
 it as one plain tuple, whose layout DIM, BETAS, WEIGHT, BASIS and LEAST
-name. The readers dimension, picard_basis, beta_values, least_beta and
-anticanonical_weight index it by those names, and make an argument that is
-not a FlagVariety an EngineError; blowup reads it once per query, by those
-names too, and classify unpacks it in that order.
+name, in its "__dict__" slot. The readers dimension, picard_basis,
+beta_values, least_beta and anticanonical_weight, and blowup once per
+query, index it through _invariants_of, the one read that makes an
+argument that is not a FlagVariety an EngineError; classify unpacks it
+inline, and schubert_codim reads DIM in its own try.
 
 schubert_codim walks a word on the W^P index map that
 weyl.enumerate_coset_reps keeps on the root system, when that map is of
@@ -38,7 +39,7 @@ from types import MappingProxyType
 from .conventions import FLAGS_PER_SYSTEM, positive_root_count, simple_factors, two_rho
 from .errors import EngineError, wrong_kind
 from .rootsys import Weight, kept_varieties
-from .value import Value, setfield
+from .value import Value
 from .weyl import _letters, _replay, check_parabolic
 
 # the layout of FlagVariety._invariants: dim G/P, the BetaVector, the -K
@@ -49,9 +50,9 @@ DIM, BETAS, WEIGHT, BASIS, LEAST = range(5)
 
 
 class FlagVariety(Value):
-    # no __slots__: the cached invariants (and blowup's cone generators) live
-    # in the instance __dict__, which is also the fastest place to read them from
-    _fields = ("rs", "par")  # par: ParabolicSubset S_P
+    # par: ParabolicSubset S_P; the cached invariants (and blowup's cone
+    # generators) live in the "__dict__" slot
+    __slots__ = ("rs", "par", "__dict__")
 
     def __new__(cls, rs, par):
         """On a kept root system (rootsys.build_root_system), the one instance
@@ -69,8 +70,9 @@ class FlagVariety(Value):
             if fv is not None:
                 return fv
         fv = object.__new__(cls)
-        setfield(fv, "rs", rs)
-        setfield(fv, "par", par)
+        set_rs, set_par = cls._set
+        set_rs(fv, rs)
+        set_par(fv, par)
         if kept is not None and len(kept) < FLAGS_PER_SYSTEM:
             kept[par.members] = fv
         return fv
@@ -122,52 +124,46 @@ class SchubertDatum(Value):
         set_codim(self, codim)
 
 
+def _invariants_of(fv, call):
+    """fv._invariants: the one read of a FlagVariety argument, where anything
+    else becomes an EngineError naming call."""
+    try:
+        return fv._invariants
+    except AttributeError:  # a try costs nothing until it raises
+        raise EngineError(wrong_kind(call, "a FlagVariety", fv)) from None
+
+
 def dimension(fv):
     """dim G/P = |R^+| - |R_P^+|, with |R^+| in closed form."""
-    try:
-        return fv._invariants[DIM]
-    except AttributeError:
-        raise EngineError(wrong_kind("dimension", "a FlagVariety", fv)) from None
+    return _invariants_of(fv, "dimension")[DIM]
 
 
 def picard_basis(fv):
     """Ascending indices of S \\ S_P; these label D_alpha and C_alpha. One
     tuple per FlagVariety, so the classes built on it share their basis."""
-    try:
-        return fv._invariants[BASIS]
-    except AttributeError:
-        raise EngineError(wrong_kind("picard_basis", "a FlagVariety", fv)) from None
+    return _invariants_of(fv, "picard_basis")[BASIS]
 
 
 def beta_values(fv):
     """beta_alpha = <rho - 2 rho_P, alpha^vee> for alpha in S \\ S_P."""
-    try:
-        return fv._invariants[BETAS]
-    except AttributeError:
-        raise EngineError(wrong_kind("beta_values", "a FlagVariety", fv)) from None
+    return _invariants_of(fv, "beta_values")[BETAS]
 
 
 def least_beta(fv):
     """min beta_alpha over S \\ S_P, where the least margin of -K sits."""
-    try:
-        return fv._invariants[LEAST]
-    except AttributeError:
-        raise EngineError(wrong_kind("least_beta", "a FlagVariety", fv)) from None
+    return _invariants_of(fv, "least_beta")[LEAST]
 
 
 def anticanonical_weight(fv):
     """rho + w_{0,P}(rho) = 2 rho - 2 rho_P; lies in X^*(P)."""
-    try:
-        return fv._invariants[WEIGHT]
-    except AttributeError:
-        raise EngineError(wrong_kind("anticanonical_weight", "a FlagVariety", fv)) from None
+    return _invariants_of(fv, "anticanonical_weight")[WEIGHT]
 
 
 def schubert_codim(fv, word):
     """dim X_{wP} = l(w) and its codimension, for w in W^P: walked on the
     orbit's index map when it is of fv's S_P, else read from one replay."""
     try:
-        rs, members = fv.rs, fv.par.members
+        rs, members, dim = fv.rs, fv.par.members, fv._invariants[DIM]
     except AttributeError:
         raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
     orbit = rs.__dict__.get("_orbit")
@@ -179,9 +175,9 @@ def schubert_codim(fv, word):
                 break
         else:
             d = len(letters)
-            return SchubertDatum(d, dimension(fv) - d)
+            return SchubertDatum(d, dim - d)
     v, d = _replay(word, rs)
     if not all(v[i - 1] > 0 for i in members):
         raise EngineError("word %r is not a minimal coset representative"
                           % (word.letters,))
-    return SchubertDatum(d, dimension(fv) - d)
+    return SchubertDatum(d, dim - d)

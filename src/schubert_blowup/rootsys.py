@@ -6,25 +6,25 @@ are deliberately kept distinct: simple roots (Root), simple coroots
 that holds their rank and checks. Conventions (Bourbaki node numbering,
 Cartan matrix orientation) are fixed in conventions.py.
 
-A RootSystem is its sparse Cartan columns, derived in conventions from the
-Dynkin diagram, and its symmetrizers. build_root_system keeps a type's
-system from that type's second build in the process on (a type built once,
-as by a sweep, is never kept), in the register _systems, the one record of
-what is kept: a kept type's entry also holds the FlagVariety of each S_P
-asked of it, up to conventions.FLAGS_PER_SYSTEM, and kept_varieties gives
-that dict only to the registered system itself.
-Every Weyl walk, the flag invariants and the closure read the columns. Two
-tables are built on first read and cached on it: cartan, the dense rows,
-which only the pairings of a Root read (in reference and selfcheck), and
-positive_roots (and highest_root), from the reflection closure
-reference._positive_roots, which positive_roots imports on that first
-read. No classify or cones call reads either: the flag invariants take
-|R^+|, |R_P^+| and 2 rho_P from the closed forms of conventions. So this
-module holds only what such a call runs, and the closure, heights,
-pairings, coroots and rho live in reference. One slot, _orbit, holds the
-W^P index map of the last weyl.enumerate_coset_reps on the system, which
-flag.schubert_codim walks. Nothing is re-checked: selfcheck I1 compares
-the closure with the root-string closure, an independent second
+A RootSystem is its TypeSpec: spec is its one field, so equality, hash,
+repr and pickle follow the type. Its constructor derives the sparse Cartan
+columns, which every Weyl walk, the flag invariants and the closure read.
+The rest is built on first read and cached in its "__dict__" slot:
+symmetrizers (read only by reference.coroot_of), cartan, the dense rows
+(only by the pairings of a Root), and positive_roots and highest_root,
+from the reflection closure reference._positive_roots, imported on that
+first read. No classify or cones call reads any of them: the flag
+invariants take |R^+|, |R_P^+| and 2 rho_P from conventions' closed forms,
+so the closure, heights, pairings, coroots and rho live in reference. The
+same slot keeps _orbit, the W^P index map of the last
+weyl.enumerate_coset_reps on the system, which flag.schubert_codim walks.
+build_root_system keeps a type's system from its second build in the
+process on (a type built once, as by a sweep, is never kept), in the
+register _systems, the one record of what is kept: a kept type's entry
+also holds the FlagVariety of each S_P asked of it, up to
+conventions.FLAGS_PER_SYSTEM, and kept_varieties gives that dict only to
+the registered system itself. Nothing is re-checked: selfcheck I1
+compares the closure with the root-string closure, an independent second
 derivation that lives beside I1 in selfcheck, I2 holds the unique highest
 root and F2 the closed forms.
 """
@@ -33,7 +33,7 @@ from functools import cached_property
 
 from . import conventions
 from .errors import EngineError, wrong_kind
-from .value import Value, setfield
+from .value import Value
 
 
 class TypeSpec(Value):
@@ -108,17 +108,22 @@ class Weight(_Coords):
 
 
 class RootSystem(Value):
-    # no __slots__: the tables built on first read live in the instance __dict__
-    _fields = ("spec", "columns", "symmetrizers")
+    __slots__ = ("spec", "columns", "__dict__")
+    _fields = ("spec",)
 
-    def __init__(self, spec, columns, symmetrizers):
-        setfield(self, "spec", spec)
-        setfield(self, "columns", columns)  # per node: nonzero (row, entry) of its column
-        setfield(self, "symmetrizers", symmetrizers)
+    def __init__(self, spec):
+        set_spec, set_columns = self._set
+        set_spec(self, spec)
+        # per node: nonzero (row, entry) of its column
+        set_columns(self, conventions.cartan_columns(spec.family, spec.rank))
 
     @property
     def rank(self):
         return self.spec.rank
+
+    @cached_property
+    def symmetrizers(self):
+        return conventions.symmetrizer(self.spec.family, self.spec.rank)
 
     @cached_property
     def cartan(self):
@@ -161,11 +166,10 @@ _systems = {}
 
 
 def build_root_system(spec):
-    """The root-system datum of a simple type: its sparse Cartan columns and
-    symmetrizers; the dense rows and the positive roots are built on their
-    first read and cached there. A type's first build is only noted, so a
-    caller that builds each type once keeps nothing; from its second build
-    on, the one kept system is returned, with the flag varieties built on it."""
+    """RootSystem(spec), the root-system datum of a simple type. A type's
+    first build is only noted, so a caller that builds each type once keeps
+    nothing; from its second build on, the one kept system is returned, with
+    the flag varieties built on it."""
     try:
         key = (spec.family, spec.rank)
     except AttributeError:
@@ -173,11 +177,7 @@ def build_root_system(spec):
     kept = _systems.get(key)
     if kept is not None:
         return kept[0]
-    rs = RootSystem(
-        spec=spec,
-        columns=conventions.cartan_columns(spec.family, spec.rank),
-        symmetrizers=conventions.symmetrizer(spec.family, spec.rank),
-    )
+    rs = RootSystem(spec)
     _systems[key] = (rs, {}) if key in _systems else None
     return rs
 

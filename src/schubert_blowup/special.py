@@ -7,7 +7,7 @@ highest root, its coroot and the positive roots). What stays independent
 of blowup.classify is each law's closed-form boundary; both map the least
 margin through the one ladder blowup.verdict_of, which selfcheck B3 checks.
 A law that reads a root system makes an argument that is not a RootSystem
-an EngineError, through errors.wrong_kind, at its first read of it.
+an EngineError at its first read of it, through one reader, _highest_root.
 """
 
 from .blowup import check_codim, verdict_of
@@ -29,7 +29,7 @@ def grassmannian_classify(r, n, c):
 
 
 def _highest_root(rs, call):
-    """rs's highest root: the first read of rs in each law that needs it, where
+    """rs's highest root: the first read of rs in each law that reads it, where
     an argument that is not a RootSystem becomes an EngineError naming call."""
     try:
         return rs.highest_root
@@ -66,16 +66,13 @@ def cominuscule_classify(rs, node, c):
     ht(alpha_0) only when all roots have the same length."""
     _highest_root(rs, "cominuscule_classify")
     if node not in cominuscule_nodes(rs):
-        raise EngineError("node %d is not cominuscule in %s" % (node, rs.spec))
+        raise EngineError("node %r is not cominuscule in %s" % (node, rs.spec))
     check_codim(c, _dim_maximal(rs, node))
     return verdict_of(dual_height(rs) + 2 - c)
 
 
 def full_flag_classify(rs, c):
     """Fano law for blow-ups of G/B: Fano iff c = 2, boundary at c = 3."""
-    try:
-        dim = len(rs.positive_roots)
-    except AttributeError:
-        raise EngineError(wrong_kind("full_flag_classify", "a RootSystem", rs)) from None
-    check_codim(c, dim)
+    _highest_root(rs, "full_flag_classify")
+    check_codim(c, len(rs.positive_roots))
     return verdict_of(3 - c)

@@ -1,27 +1,20 @@
 """Immutable value types without `dataclasses`.
 
-Each value class lists its fields in `__slots__`, or in `_fields` when the
-instance also keeps a `__dict__` for cached properties or a slot derived
-from the fields, and writes them once in an explicit `__init__`, past the
-frozen `__setattr__`. A class that declares non-empty `__slots__` gets
-`_set`, the `__set__` of each of its slot descriptors in `__slots__` order,
-and its `__init__` unpacks `self._set` and writes each slot through its
-setter: about 60 ns a field on Python 3.11, the unpack included, against
-about 100 ns for `object.__setattr__(self, name, v)`, which looks the name
-up on the type (a FanoReport is built in 360 ns, not 480).
-`setfield` is left to the two classes whose fields live in the instance
-`__dict__`, RootSystem and FlagVariety (in `__new__`, which returns the
-one instance a kept root system holds).
-Importing `dataclasses` (and with it `inspect`) and generating the classes
-would cost more than the rest of the package's import, which every CLI
-call pays.
+Every value class keeps one storage rule. It declares its fields in
+`__slots__` and writes each once, in an explicit `__init__`, past the
+frozen `__setattr__`: a class that declares non-empty `__slots__` gets
+`_set`, the `__set__` of each of its slot descriptors in `__slots__`
+order, and its `__init__` unpacks `self._set` and writes each slot through
+its setter. A class with cached facts (RootSystem, FlagVariety) adds a
+"__dict__" slot for them, which is no field and has no setter; a class
+with a slot derived from its fields (CurveClass's support, RootSystem's
+columns) names its fields in `_fields`, and equality, hash, repr and
+pickle read those alone. Importing `dataclasses` (and with it `inspect`)
+and generating the classes would cost more than the rest of the
+package's import, which every CLI call pays.
 """
 
 from operator import attrgetter
-
-# writes a field of RootSystem or FlagVariety, whose fields live in the
-# instance __dict__; every later assignment raises
-setfield = object.__setattr__
 
 
 class Value:
@@ -35,11 +28,12 @@ class Value:
 
     def __init_subclass__(cls):
         own = cls.__dict__
-        cls._fields = own.get("_fields") or own.get("__slots__") or cls._fields
+        # a "__dict__" slot holds cached facts: neither a field nor set
+        slots = tuple(name for name in own.get("__slots__", ()) if name != "__dict__")
+        cls._fields = own.get("_fields") or slots or cls._fields
         # the tuple of the fields, or the one field itself
         cls._key = attrgetter(*cls._fields)
         # the setters that the class's __init__ writes its own slots through
-        slots = own.get("__slots__")
         if slots:
             cls._set = tuple(own[name].__set__ for name in slots)
 

@@ -4,13 +4,14 @@ minimal coset representatives.
 Words are sequences of 1-based simple-reflection indices applied right to
 left. Every walk reads RootSystem.columns and checks a word's letters once,
 up front (_letters).
-longest_element and enumerate_coset_reps walk weight orbits on integer
+longest_element and enumerate_coset_reps read their (S_P, root system)
+arguments through one reader, _columns, and walk weight orbits on integer
 lists instead of replaying words. length reads one replay of the word on
 rho, whose signed count of steps is the length. enumerate_coset_reps keeps
-the index map of the W^P orbit it walked on the RootSystem, in one slot
-that the next enumeration on that system replaces; flag.schubert_codim
-walks a word on that map when it is the map of the variety's S_P, and
-reads W^P membership from the replay otherwise.
+the index map of the W^P orbit it walked on the RootSystem, as the entry
+_orbit of its "__dict__" slot, which the next enumeration on that system
+replaces; flag.schubert_codim walks a word on that map when it is the map
+of the variety's S_P, and reads W^P membership from the replay otherwise.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. That action, act on a
 Weight, Root or Coroot, lives in reference, since no classify or cones
@@ -68,7 +69,10 @@ def _letters(word, rank):
     except TypeError:  # an unhashable letter, or one that does not add with an int
         ok = False
     if not ok:
-        bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
+        try:
+            bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
+        except TypeError:  # letters that are not iterable
+            raise EngineError("word letters %r are not a sequence of nodes" % (letters,)) from None
         raise EngineError("reflection index %r outside 1..%d" % (bad, rank))
     return letters
 
@@ -108,6 +112,16 @@ def length(word, rs):
         raise EngineError(wrong_kind("length", "a RootSystem", rs)) from None
 
 
+def _columns(par, rs, call):
+    """rs.columns, with S_P checked: the one read of a (par, rs) pair."""
+    try:
+        cols = rs.columns
+        check_parabolic(par, rs.rank)
+    except AttributeError:
+        raise EngineError(wrong_kind(call, "a ParabolicSubset and a RootSystem", par, rs)) from None
+    return cols
+
+
 def longest_element(par, rs):
     """Longest element w_{0,P} of the parabolic subgroup W_P.
 
@@ -115,12 +129,7 @@ def longest_element(par, rs):
     positive, i.e. with v_i > 0 for v = w^{-1}(rho) (see _replay), and map
     v to s_i(v); it ends with all of them negative, at length |R_P^+|.
     """
-    try:
-        cols = rs.columns
-        check_parabolic(par, rs.rank)
-    except AttributeError:
-        raise EngineError(wrong_kind("longest_element", "a ParabolicSubset and a RootSystem",
-                                     par, rs)) from None
+    cols = _columns(par, rs, "longest_element")
     members = sorted(i - 1 for i in par.members)
     letters = []
     v = [1] * rs.rank
@@ -150,16 +159,11 @@ def enumerate_coset_reps(par, rs, max_length):
 
     The walk also records the orbit's index map: steps[k][i] is the index
     of s_i(point k) where that step raises, else None (point 0 is lambda_P;
-    a point at the length bound has no steps). It is kept on rs as its one
-    slot _orbit = (S_P members, steps), which the next enumeration on rs
-    replaces, for flag.schubert_codim to walk.
+    a point at the length bound has no steps). It is kept on rs as
+    _orbit = (S_P members, steps), in its "__dict__" slot, which the next
+    enumeration on rs replaces, for flag.schubert_codim to walk.
     """
-    try:
-        cols = rs.columns
-        check_parabolic(par, rs.rank)
-    except AttributeError:
-        raise EngineError(wrong_kind("enumerate_coset_reps", "a ParabolicSubset and a RootSystem",
-                                     par, rs)) from None
+    cols = _columns(par, rs, "enumerate_coset_reps")
     rank = rs.rank
     start = tuple(0 if i in par.members else 1 for i in range(1, rank + 1))
     index = {start: 0}  # orbit point -> its place in words and steps

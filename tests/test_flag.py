@@ -54,8 +54,7 @@ def test_a_kept_system_keeps_one_flag_variety_per_parabolic():
     fv = FlagVariety(rs, ParabolicSubset.of({2, 3}))
     assert FlagVariety(rs, ParabolicSubset.of([3, 2])) is fv
     assert FlagVariety(build_root_system(TypeSpec("B", 4)), ParabolicSubset.of({2, 3})) is fv
-    fresh = FlagVariety(RootSystem(rs.spec, rs.columns, rs.symmetrizers),
-                        ParabolicSubset.of({2, 3}))
+    fresh = FlagVariety(RootSystem(rs.spec), ParabolicSubset.of({2, 3}))
     assert fresh is not fv and fresh == fv and hash(fresh) == hash(fv)
     assert (beta_values(fresh), dimension(fresh)) == (beta_values(fv), dimension(fv))
     # members given in a list are kept as a frozenset, so they find the kept one

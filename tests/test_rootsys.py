@@ -88,6 +88,10 @@ def no_dense_rows(rs):
     pytest.fail("the dense Cartan rows were read")
 
 
+def no_symmetrizers(family, rank):
+    pytest.fail("the symmetrizers were computed")
+
+
 @pytest.mark.parametrize("family, rank, members", [
     ("B", 16, ()), ("E", 8, range(2, 9)),
 ], ids=["B16-full-flag", "E8-P1"])
@@ -99,6 +103,8 @@ def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, ran
             monkeypatch.setattr(module, "_positive_roots", no_closure)
     # nor the dense Cartan rows, which only the pairings of a Root read
     monkeypatch.setattr(RootSystem, "cartan", property(no_dense_rows))
+    # nor the symmetrizers, which only reference.coroot_of reads
+    monkeypatch.setattr(conventions, "symmetrizer", no_symmetrizers)
     fv = FlagVariety(build_root_system(TypeSpec(family, rank)), ParabolicSubset.of(members))
     assert classify(fv, 2).verdict == Verdict.FANO
     anticanonical_class(fv, 2)

@@ -41,7 +41,7 @@ SAMPLES = [
     (Root, dict(coeffs=(1, 0))),
     (Coroot, dict(coeffs=(0, -1))),
     (Weight, dict(coeffs=(1, -2))),
-    (RootSystem, dict(spec=A2.spec, columns=A2.columns, symmetrizers=A2.symmetrizers)),
+    (RootSystem, dict(spec=A2.spec)),
     (WeylWord, dict(letters=(1, 2, 1))),
     (ParabolicSubset, dict(members=frozenset({1}))),
     (FlagVariety, dict(rs=A2, par=ParabolicSubset.of({1}))),
@@ -58,15 +58,45 @@ IDS = [cls.__name__ for cls, _ in SAMPLES]
 UNHASHABLE = {BetaVector, FanoReport}
 
 
-def test_every_value_class_has_a_sample():
-    # so the tests below cover a value class added later; a private base such
-    # as _Coords is covered through its public subclasses
+def value_classes():
+    """Every subclass of Value, private bases such as _Coords included."""
     found, todo = set(), [Value]
     while todo:
         subclasses = todo.pop().__subclasses__()
         todo += subclasses
-        found.update(cls for cls in subclasses if not cls.__name__.startswith("_"))
+        found.update(subclasses)
+    return found
+
+
+def slots(cls):
+    """The slots that cls and its bases declare."""
+    return {name for base in cls.__mro__ for name in vars(base).get("__slots__", ())}
+
+
+def test_every_value_class_has_a_sample():
+    # so the tests below cover a value class added later; a private base such
+    # as _Coords is covered through its public subclasses
+    found = {cls for cls in value_classes() if not cls.__name__.startswith("_")}
     assert found == {cls for cls, _ in SAMPLES}
+
+
+def test_every_value_keeps_its_fields_in_slots():
+    # one storage rule: the fields are slots, and an instance has a __dict__
+    # only where its class declares one for its cached facts
+    for cls in value_classes():
+        assert set(cls._fields) <= slots(cls) - {"__dict__"}, cls.__name__
+    for cls, fields in SAMPLES:
+        x = cls(**fields)
+        assert hasattr(x, "__dict__") == ("__dict__" in slots(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("G", 2), TypeSpec("E", 8)], ids=str)
+def test_a_root_system_is_its_type(spec):
+    # the columns are derived from the type, so a system built apart is the
+    # built one in every respect a value has
+    rs, built = RootSystem(spec), build_root_system(spec)
+    assert rs == built and hash(rs) == hash(built) and rs.columns == built.columns
+    assert pickle.loads(pickle.dumps(built)) == rs and repr(rs) == "RootSystem(spec=%r)" % (spec,)
 
 
 @pytest.mark.parametrize("cls, fields", SAMPLES, ids=IDS)

@@ -264,6 +264,20 @@ _PARABOLIC_CALLS = {
     pytest.param(lambda rs: TypeSpec(["A"], 3), "unknown family ['A']", id="type-list-family"),
     pytest.param(lambda rs: all_types("3"), "max rank must be at least 1, got '3'",
                  id="all-types-str-rank"),
+] + [
+    # letters that are not iterable, and a node that is a str: each was a
+    # TypeError from a second pass over the letters or from %d
+    pytest.param(lambda rs, call=call, letters=letters: call(rs, WeylWord(letters)),
+                 "word letters %r are not a sequence of nodes" % (letters,),
+                 id="letters-%r-%s" % (letters, label))
+    for letters in (None, 3)
+    for label, call in [
+        ("length", lambda rs, w: length(w, rs)),
+        ("schubert-codim", lambda rs, w: schubert_codim(_full_flag(rs), w)),
+        ("act", lambda rs, w: act(w, rho(rs), rs))]
+] + [
+    pytest.param(lambda rs: special.cominuscule_classify(rs, "1", 3),
+                 "node '1' is not cominuscule in A2", id="cominuscule-str-node"),
 ])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
@@ -462,10 +476,9 @@ def test_brute_force_group_orders():
 
 
 # w_{0,P}^2 = 1 follows from W3, and the length of w_{0,P} from W3 and W5:
-# the name of the old length test keeps its ids on W5
 test_w3_longest_element_root_permutation = check_test("W3 longest element root permutation")
 test_w4_coset_rep_cardinality = check_test("W4 coset rep counts")
-test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test("W5 reducedness")
+test_w5_outputs_are_reduced = check_test("W5 reducedness")
 test_w6_walk_vs_replay = check_test("W6 W^P walk vs replay")
 
 
