@@ -476,9 +476,10 @@ def test_brute_force_group_orders():
 
 
 # w_{0,P}^2 = 1 follows from W3, and the length of w_{0,P} from W3 and W5:
+# the name of the old length test keeps its ids on W5
 test_w3_longest_element_root_permutation = check_test("W3 longest element root permutation")
 test_w4_coset_rep_cardinality = check_test("W4 coset rep counts")
-test_w5_outputs_are_reduced = check_test("W5 reducedness")
+test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test("W5 reducedness")
 test_w6_walk_vs_replay = check_test("W6 W^P walk vs replay")
 
 
