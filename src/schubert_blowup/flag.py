@@ -28,9 +28,12 @@ schubert_codim walks a word on the W^P index map that
 weyl.enumerate_coset_reps keeps on the root system, when that map is of
 the variety's S_P: a word whose every step raises is a reduced word of an
 element of W^P (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5),
-so its length is the dimension. Any other word, or no map, falls back to
-one replay of the word on rho (weyl._replay), the path of a single query
-and the reference that selfcheck W6 compares the walk with.
+so its length is the dimension. The walk is the word's only check on that
+path: letters that are not a tuple or a list, and a letter that is not a
+node, stop it. Any word it cannot finish, or no map, falls back to one
+replay of the word on rho (weyl._replay), whose weyl._letters writes every
+bad word's message: the path of a single query and the reference that
+selfcheck W6 compares the walk with.
 """
 
 from functools import cached_property
@@ -40,7 +43,7 @@ from .conventions import FLAGS_PER_SYSTEM, positive_root_count, simple_factors, 
 from .errors import EngineError, wrong_kind
 from .rootsys import Weight, kept_varieties
 from .value import Value
-from .weyl import _letters, _replay, check_parabolic
+from .weyl import _replay, check_parabolic
 
 # the layout of FlagVariety._invariants: dim G/P, the BetaVector, the -K
 # weight, the Picard basis and the least beta. A plain tuple: blowup.classify
@@ -167,15 +170,23 @@ def schubert_codim(fv, word):
     except AttributeError:
         raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
     orbit = rs.__dict__.get("_orbit")
-    if orbit is not None and orbit[0] == members:
-        letters, steps, p = _letters(word, rs.rank), orbit[1], 0
-        for i in reversed(letters):
-            p = steps[p][i]
-            if p is None:  # no raising step there: the replay decides
-                break
-        else:
-            d = len(letters)
-            return SchubertDatum(d, dim - d)
+    if orbit is not None and (orbit[0] is members or orbit[0] == members):
+        # the walk is the word's check: a word it cannot finish goes to the replay
+        steps, p = orbit[1], 0
+        try:
+            letters = word.letters
+            if type(letters) is tuple or type(letters) is list:
+                for i in reversed(letters):
+                    if i < 1:  # a negative index would read its row from the end
+                        break
+                    p = steps[p][i]
+                    if p is None:  # no raising step there: the replay decides
+                        break
+                else:
+                    d = len(letters)
+                    return SchubertDatum(d, dim - d)
+        except (AttributeError, IndexError, TypeError):
+            pass  # not a WeylWord, a letter above the rank, or one that is not an int
     v, d = _replay(word, rs)
     if not all(v[i - 1] > 0 for i in members):
         raise EngineError("word %r is not a minimal coset representative"

@@ -57,6 +57,14 @@ class _Coords(Value):
     _sign_coherent = True
 
     def __init__(self, coeffs):
+        try:
+            # a float or a Fraction coordinate makes the sum one too
+            ok = type(coeffs) is tuple and type(sum(coeffs)) is int
+        except TypeError:  # a coordinate that does not add with an int
+            ok = False
+        if not ok:
+            raise EngineError("%s coordinates %r are not a tuple of ints"
+                              % (type(self).__name__.lower(), coeffs))
         if self._sign_coherent and coeffs and min(coeffs) < 0 < max(coeffs):
             raise EngineError("mixed-sign %s coordinates %r"
                               % (type(self).__name__.lower(), coeffs))
@@ -112,10 +120,14 @@ class RootSystem(Value):
     _fields = ("spec",)
 
     def __init__(self, spec):
+        try:
+            family, rank = spec.family, spec.rank
+        except AttributeError:
+            raise EngineError(wrong_kind("RootSystem", "a TypeSpec", spec)) from None
         set_spec, set_columns = self._set
         set_spec(self, spec)
         # per node: nonzero (row, entry) of its column
-        set_columns(self, conventions.cartan_columns(spec.family, spec.rank))
+        set_columns(self, conventions.cartan_columns(family, rank))
 
     @property
     def rank(self):

@@ -22,8 +22,8 @@ def grassmannian_classify(r, n, c):
     A point center has c = r(n-r): the blow-up is Fano exactly for the
     projective spaces and Gr(2,4), and weak-Fano-not-Fano exactly for
     Gr(2,5) and Gr(3,5), which are the same variety."""
-    if not (1 <= r <= n - 1):
-        raise EngineError("need 1 <= r <= n-1, got r=%d, n=%d" % (r, n))
+    if not (isinstance(r, int) and isinstance(n, int) and 1 <= r <= n - 1):
+        raise EngineError("need 1 <= r <= n-1, got r=%r, n=%r" % (r, n))
     check_codim(c, r * (n - r))
     return verdict_of(n + 1 - c)
 

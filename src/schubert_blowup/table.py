@@ -17,9 +17,13 @@ from .weyl import ParabolicSubset
 
 def all_types(max_rank, families=RANK_BOUNDS):
     """Every TypeSpec of rank at most max_rank, family by family in the
-    order of `families`, each by ascending rank. An empty `families`, a
-    max_rank that is not an int in 1..RANK_CAP and a family given twice are
-    errors."""
+    order of `families`, each by ascending rank. Families that are not
+    iterable or are empty, a max_rank that is not an int in 1..RANK_CAP and
+    a family given twice are errors."""
+    try:
+        families = tuple(families)
+    except TypeError:
+        raise EngineError("families %r are not a sequence of family names" % (families,)) from None
     if not families:
         raise EngineError("empty family list")
     if not isinstance(max_rank, int) or max_rank < 1:

@@ -1,9 +1,11 @@
 """Weyl group words, their lengths, parabolic longest elements and
 minimal coset representatives.
 
-Words are sequences of 1-based simple-reflection indices applied right to
-left. Every walk reads RootSystem.columns and checks a word's letters once,
-up front (_letters).
+Words are tuples or lists of 1-based simple-reflection indices applied
+right to left. Every walk reads RootSystem.columns. A replay checks a
+word's letters once, up front (_letters, the one writer of a bad word's
+message); flag.schubert_codim's walk on the W^P index map checks them by
+stepping on them, and leaves any word it cannot finish to the replay.
 longest_element and enumerate_coset_reps read their (S_P, root system)
 arguments through one reader, _columns, and walk weight orbits on integer
 lists instead of replaying words. length reads one replay of the word on
@@ -58,21 +60,23 @@ _NODES = tuple(frozenset(range(1, rank + 1)) for rank in range(RANK_CAP + 1))
 
 
 def _letters(word, rank):
-    """The letters of a WeylWord, checked once per word; names the first letter
-    that is not an int in 1..rank (a bool counts, as in check_parabolic)."""
+    """The letters of a WeylWord, checked once per replay: a tuple or a list
+    (a set has no order, and a one-shot iterator would be spent by the
+    check), each an int in 1..rank (a bool counts, as in check_parabolic).
+    The one writer of a bad word's message, which names the first bad letter."""
     try:
         letters = word.letters
-        # a float or Fraction equal to a node is in the set, but makes the sum one too
-        ok = _NODES[rank].issuperset(letters) and type(sum(letters)) is int
     except AttributeError:  # not a WeylWord; a try costs nothing until it raises
         raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__) from None
+    if type(letters) is not tuple and type(letters) is not list:
+        raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
+    try:
+        # a float or Fraction equal to a node is in the set, but makes the sum one too
+        ok = _NODES[rank].issuperset(letters) and type(sum(letters)) is int
     except TypeError:  # an unhashable letter, or one that does not add with an int
         ok = False
     if not ok:
-        try:
-            bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
-        except TypeError:  # letters that are not iterable
-            raise EngineError("word letters %r are not a sequence of nodes" % (letters,)) from None
+        bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
         raise EngineError("reflection index %r outside 1..%d" % (bad, rank))
     return letters
 
@@ -155,7 +159,7 @@ def enumerate_coset_reps(par, rs, max_length):
     those steps are taken and every point reached is a new representative.
     Each keeps the first word found, its reduced word that is least when
     compared from the last letter; output sorted by (length, lexicographic
-    word).
+    word). A length bound that is not an int is an EngineError.
 
     The walk also records the orbit's index map: steps[k][i] is the index
     of s_i(point k) where that step raises, else None (point 0 is lambda_P;
@@ -164,15 +168,18 @@ def enumerate_coset_reps(par, rs, max_length):
     enumeration on rs replaces, for flag.schubert_codim to walk.
     """
     cols = _columns(par, rs, "enumerate_coset_reps")
+    if not isinstance(max_length, int):
+        raise EngineError("length bound %r is not an int" % (max_length,))
     rank = rs.rank
     start = tuple(0 if i in par.members else 1 for i in range(1, rank + 1))
     index = {start: 0}  # orbit point -> its place in words and steps
     words = [()]  # the first word that reached each point
     steps = []
+    reps = [()]  # the words in (length, word) order
     level = [start]
     depth = 0
     while level and depth < max_length:
-        nxt = []
+        nxt, found = [], len(words)
         for img in level:
             # points are walked in the order they were found: this is point len(steps)
             word = words[len(steps)]
@@ -193,6 +200,9 @@ def enumerate_coset_reps(par, rs, max_length):
             steps.append(up)
         level = nxt
         depth += 1
+        # the words found on one level have one length: their own sort, with
+        # no key, puts them in (length, word) order
+        reps += sorted(words[found:])
     steps += [[None] * (rank + 1)] * (len(words) - len(steps))
     rs.__dict__["_orbit"] = par.members, steps
-    return [WeylWord(w) for w in sorted(words, key=lambda w: (len(w), w))]
+    return [WeylWord(w) for w in reps]

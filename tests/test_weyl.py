@@ -13,6 +13,7 @@ from schubert_blowup import (
     DivisorClass,
     FlagVariety,
     Root,
+    RootSystem,
     SchubertDatum,
     TypeSpec,
     Weight,
@@ -278,6 +279,24 @@ _PARABOLIC_CALLS = {
 ] + [
     pytest.param(lambda rs: special.cominuscule_classify(rs, "1", 3),
                  "node '1' is not cominuscule in A2", id="cominuscule-str-node"),
+] + [
+    # a tuple for a TypeSpec, a length bound, coordinates, families and a
+    # Grassmannian's r that are not ints or not iterable: each was a
+    # TypeError or an AttributeError, and a bound of 2.5 was read as 3
+    pytest.param(lambda rs: RootSystem(("A", 2)), "RootSystem needs a TypeSpec, not tuple",
+                 id="root-system-tuple"),
+    pytest.param(lambda rs: enumerate_coset_reps(ParabolicSubset(()), rs, "3"),
+                 "length bound '3' is not an int", id="cosets-str-bound"),
+    pytest.param(lambda rs: enumerate_coset_reps(ParabolicSubset(()), rs, 2.5),
+                 "length bound 2.5 is not an int", id="cosets-float-bound"),
+    pytest.param(lambda rs: Root("ab"), "root coordinates 'ab' are not a tuple of ints",
+                 id="root-str"),
+    pytest.param(lambda rs: Weight((1,)) + Weight(None),
+                 "weight coordinates None are not a tuple of ints", id="weight-plus-none"),
+    pytest.param(lambda rs: all_types(3, 5), "families 5 are not a sequence of family names",
+                 id="all-types-int-families"),
+    pytest.param(lambda rs: special.grassmannian_classify("2", 4, 3),
+                 "need 1 <= r <= n-1, got r='2', n=4", id="grassmannian-str-r"),
 ])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
@@ -337,30 +356,57 @@ def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
 
 
-# the letters are checked once, up front: the error names the first bad
-# letter wherever it stands, also before valid letters or beside a second
-# one, and a letter that is not an int is bad even inside 1..rank; N stands
-# for rank + 1
+# a bad word gives one message on every path. length, act and
+# schubert_codim's replay check the letters up front (weyl._letters), and
+# schubert_codim's walk on a kept orbit is its own check: it falls through
+# to the replay at the first letter it cannot step on. The message names the
+# first bad letter wherever it stands, also before valid letters or beside a
+# second one, and a letter that is not an int is bad even inside 1..rank.
+# Letters in a set, a generator or a range are no sequence (the walk could
+# step on a range's ints), and a bool letter counts as its int on both
+# paths. N stands for rank + 1, SEQ for "not a sequence"
 N = "rank+1"
+SEQ = "not a sequence"
 
 
 @pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("E", 8)], ids=str)
 @pytest.mark.parametrize("letters,first", [
     ((0, 1, 2), 0), ((N, 2, 1, 2), N), ((0, N, 1), 0), ((N, 0), N), ((1, 2, 0, N), 0),
     ((1.0,), 1.0), ((1, 2.0), 2.0), (("a",), "a"), ((1, [2]), [2]),
+    ((-1,), -1), ({1, 2}, SEQ), (frozenset({1, 2}), SEQ), ((i for i in (1, 2)), SEQ),
+    (range(1, 3), SEQ), ((True, 2), None),
 ], ids=["0-first", "N-first", "0-then-N", "N-then-0", "0-after-valid",
-        "float", "int-then-float", "str", "unhashable"])
-def test_letters_are_checked_before_the_walk(spec, letters, first):
-    rs = build_root_system(spec)
+        "float", "int-then-float", "str", "unhashable",
+        "negative", "set", "frozenset", "generator", "range", "bool"])
+def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
+    # an unkept system: no orbit is kept on it until this test walks one
+    rs = RootSystem(spec)
     n = rs.rank
-    word = WeylWord(tuple(n + 1 if i == N else i for i in letters))
-    bad = r"^reflection index %s outside 1\.\.%d$" % (
-        re.escape(repr(n + 1 if first == N else first)), n)
+    if type(letters) is tuple:
+        letters = tuple(n + 1 if i == N else i for i in letters)
+    word = WeylWord(letters)
     fv = FlagVariety(rs, ParabolicSubset.of(()))
-    for call in (lambda: length(word, rs), lambda: schubert_codim(fv, word),
-                 lambda: act(word, rho(rs), rs)):
+    codim = lambda: schubert_codim(fv, word)
+    if first is None:
+        datum = SchubertDatum(2, dimension(fv) - 2)
+        assert length(word, rs) == 2 and codim() == datum
+        enumerate_coset_reps(fv.par, rs, 2)
+        # the walk alone gives the datum
+        monkeypatch.setattr(flag, "_replay", None)
+        assert codim() == datum
+        return
+    if first == SEQ:
+        bad = r"^word letters %s are not a sequence of nodes$" % re.escape(repr(letters))
+    else:
+        bad = r"^reflection index %s outside 1\.\.%d$" % (
+            re.escape(repr(n + 1 if first == N else first)), n)
+    for call in (lambda: length(word, rs), codim, lambda: act(word, rho(rs), rs)):
         with pytest.raises(EngineError, match=bad):
             call()
+    # the same word walked on the orbit of its S_P
+    enumerate_coset_reps(fv.par, rs, 2)
+    with pytest.raises(EngineError, match=bad):
+        codim()
 
 
 def test_act_empty_word_is_identity(a2):
