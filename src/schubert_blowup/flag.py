@@ -24,16 +24,16 @@ query, index it through _invariants_of, the one read that makes an
 argument that is not a FlagVariety an EngineError; classify unpacks it
 inline, and schubert_codim reads DIM in its own try.
 
-schubert_codim walks a word on the W^P index map that
-weyl.enumerate_coset_reps keeps on the root system, when that map is of
-the variety's S_P: a word whose every step raises is a reduced word of an
-element of W^P (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4-2.5),
-so its length is the dimension. The walk is the word's only check on that
-path: letters that are not a tuple or a list, and a letter that is not a
-node, stop it. Any word it cannot finish, or no map, falls back to one
-replay of the word on rho (weyl._replay), whose weyl._letters writes every
-bad word's message: the path of a single query and the reference that
-selfcheck W6 compares the walk with.
+schubert_codim looks a word up in the set of W^P words that
+weyl.enumerate_coset_reps keeps on the root system, when that set is of
+the variety's S_P: the enumeration built each of them as a reduced word of
+an element of W^P (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+2.4-2.5), so its length is the dimension. The lookup is the word's only
+check on that path: it takes a tuple of letters equal to a kept word whose
+sum is an int. Any other word, or no set, falls back to one replay of the
+word on rho (weyl._replay), whose weyl._letters writes every bad word's
+message: the path of a single query and the reference that selfcheck W6
+compares the lookup with.
 """
 
 from functools import cached_property
@@ -163,30 +163,24 @@ def anticanonical_weight(fv):
 
 
 def schubert_codim(fv, word):
-    """dim X_{wP} = l(w) and its codimension, for w in W^P: walked on the
-    orbit's index map when it is of fv's S_P, else read from one replay."""
+    """dim X_{wP} = l(w) and its codimension, for w in W^P: looked up in the
+    words of the last enumeration when it is of fv's S_P, else read from one
+    replay."""
     try:
         rs, members, dim = fv.rs, fv.par.members, fv._invariants[DIM]
     except AttributeError:
         raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
     orbit = rs.__dict__.get("_orbit")
     if orbit is not None and (orbit[0] is members or orbit[0] == members):
-        # the walk is the word's check: a word it cannot finish goes to the replay
-        steps, p = orbit[1], 0
+        # a list is unhashable and a tuple subclass may override ==; a float or
+        # Fraction equal to a node hashes like it, but makes the sum one too
         try:
             letters = word.letters
-            if type(letters) is tuple or type(letters) is list:
-                for i in reversed(letters):
-                    if i < 1:  # a negative index would read its row from the end
-                        break
-                    p = steps[p][i]
-                    if p is None:  # no raising step there: the replay decides
-                        break
-                else:
-                    d = len(letters)
-                    return SchubertDatum(d, dim - d)
-        except (AttributeError, IndexError, TypeError):
-            pass  # not a WeylWord, a letter above the rank, or one that is not an int
+            if type(letters) is tuple and letters in orbit[1] and type(sum(letters)) is int:
+                d = len(letters)
+                return SchubertDatum(d, dim - d)
+        except (AttributeError, TypeError):
+            pass  # not a WeylWord, or an unhashable letter: the replay writes the message
     v, d = _replay(word, rs)
     if not all(v[i - 1] > 0 for i in members):
         raise EngineError("word %r is not a minimal coset representative"

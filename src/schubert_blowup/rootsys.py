@@ -16,8 +16,9 @@ from the reflection closure reference._positive_roots, imported on that
 first read. No classify or cones call reads any of them: the flag
 invariants take |R^+|, |R_P^+| and 2 rho_P from conventions' closed forms,
 so the closure, heights, pairings, coroots and rho live in reference. The
-same slot keeps _orbit, the W^P index map of the last
-weyl.enumerate_coset_reps on the system, which flag.schubert_codim walks.
+same slot keeps _orbit, the W^P words of the last
+weyl.enumerate_coset_reps on the system, in which flag.schubert_codim
+looks a word up.
 build_root_system keeps a type's system from its second build in the
 process on (a type built once, as by a sweep, is never kept), in the
 register _systems, the one record of what is kept: a kept type's entry

@@ -210,10 +210,11 @@ def check_W5_reducedness(rs):
 
 
 def check_W6_walk_vs_replay(rs):
-    """schubert_codim walked on the W^P index map that enumerate_coset_reps
+    """schubert_codim's lookup in the W^P words that enumerate_coset_reps
     has just kept against the replay's length and W^P test, on every W^P
-    word and on each with a letter of S_P appended, which is never minimal:
-    the same (dim, codim), or both not minimal (an EngineError)."""
+    word and on each with a letter of S_P appended, which is never minimal
+    and never kept, so it is replayed: the same (dim, codim), or both not
+    minimal (an EngineError)."""
     for par in all_parabolics(rs.rank):
         fv = flag.FlagVariety(rs, par)
         dim = flag.dimension(fv)

@@ -4,16 +4,15 @@ minimal coset representatives.
 Words are tuples or lists of 1-based simple-reflection indices applied
 right to left. Every walk reads RootSystem.columns. A replay checks a
 word's letters once, up front (_letters, the one writer of a bad word's
-message); flag.schubert_codim's walk on the W^P index map checks them by
-stepping on them, and leaves any word it cannot finish to the replay.
-longest_element and enumerate_coset_reps read their (S_P, root system)
-arguments through one reader, _columns, and walk weight orbits on integer
-lists instead of replaying words. length reads one replay of the word on
-rho, whose signed count of steps is the length. enumerate_coset_reps keeps
-the index map of the W^P orbit it walked on the RootSystem, as the entry
-_orbit of its "__dict__" slot, which the next enumeration on that system
-replaces; flag.schubert_codim walks a word on that map when it is the map
-of the variety's S_P, and reads W^P membership from the replay otherwise.
+message). longest_element and enumerate_coset_reps read their (S_P, root
+system) arguments through one reader, _columns, and walk weight orbits on
+integer lists instead of replaying words. length reads one replay of the
+word on rho, whose signed count of steps is the length.
+enumerate_coset_reps keeps the set of the W^P words it returned on the
+RootSystem, as the entry _orbit of its "__dict__" slot, which the next
+enumeration on that system replaces; flag.schubert_codim looks a word up
+in that set when it is of the variety's S_P, and reads W^P membership
+from the replay otherwise.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. That action, act on a
 Weight, Root or Coroot, lives in reference, since no classify or cones
@@ -159,31 +158,26 @@ def enumerate_coset_reps(par, rs, max_length):
     those steps are taken and every point reached is a new representative.
     Each keeps the first word found, its reduced word that is least when
     compared from the last letter; output sorted by (length, lexicographic
-    word). A length bound that is not an int is an EngineError.
+    word). A length bound that is not an int is an EngineError; a bool
+    reads as its int, as a bool letter does, and a negative bound gives no
+    word.
 
-    The walk also records the orbit's index map: steps[k][i] is the index
-    of s_i(point k) where that step raises, else None (point 0 is lambda_P;
-    a point at the length bound has no steps). It is kept on rs as
-    _orbit = (S_P members, steps), in its "__dict__" slot, which the next
-    enumeration on rs replaces, for flag.schubert_codim to walk.
+    The words returned are kept on rs as _orbit = (S_P members, frozenset of
+    their letter tuples), in its "__dict__" slot, which the next enumeration
+    on rs replaces: flag.schubert_codim reads a kept word's W^P membership
+    there by one lookup.
     """
     cols = _columns(par, rs, "enumerate_coset_reps")
     if not isinstance(max_length, int):
         raise EngineError("length bound %r is not an int" % (max_length,))
-    rank = rs.rank
-    start = tuple(0 if i in par.members else 1 for i in range(1, rank + 1))
-    index = {start: 0}  # orbit point -> its place in words and steps
-    words = [()]  # the first word that reached each point
-    steps = []
-    reps = [()]  # the words in (length, word) order
-    level = [start]
+    start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
+    seen = {start}
+    reps = [()] if max_length >= 0 else []  # the words in (length, word) order
+    level = [(start, ())]  # each point of the last level with the first word that reached it
     depth = 0
     while level and depth < max_length:
-        nxt, found = [], len(words)
-        for img in level:
-            # points are walked in the order they were found: this is point len(steps)
-            word = words[len(steps)]
-            up = [None] * (rank + 1)
+        nxt = []
+        for img, word in level:
             for i, c in enumerate(img, 1):
                 if c > 0:
                     # left multiplication by s_i: prepend the letter
@@ -191,18 +185,13 @@ def enumerate_coset_reps(par, rs, max_length):
                     for j, a in cols[i - 1]:
                         img2[j] -= c * a
                     img2 = tuple(img2)
-                    k = index.get(img2)
-                    if k is None:
-                        k = index[img2] = len(words)
-                        words.append((i,) + word)
-                        nxt.append(img2)
-                    up[i] = k
-            steps.append(up)
+                    if img2 not in seen:
+                        seen.add(img2)
+                        nxt.append((img2, (i,) + word))
         level = nxt
         depth += 1
         # the words found on one level have one length: their own sort, with
         # no key, puts them in (length, word) order
-        reps += sorted(words[found:])
-    steps += [[None] * (rank + 1)] * (len(words) - len(steps))
-    rs.__dict__["_orbit"] = par.members, steps
+        reps += sorted([w for _, w in nxt])
+    rs.__dict__["_orbit"] = par.members, frozenset(reps)
     return [WeylWord(w) for w in reps]

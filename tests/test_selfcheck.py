@@ -105,7 +105,7 @@ NEGATIVE_CONTROLS = [
     # act reads its word left to right
     ("W5", "A2", reference, "act", lambda real: lambda w, x, rs: real(WeylWord(w.letters[::-1]), x, rs),
      ((1, 2), (-2, 1)), {"W5"}),
-    # schubert_codim reads its word left to right, walk and replay alike: with
+    # schubert_codim reads its word left to right, lookup and replay alike: with
     # S_P = {1}, (2, 1) is no W^P word of A2, but (1, 2) is
     ("W6", "A2", flag, "schubert_codim",
      lambda real: lambda fv, w: real(fv, WeylWord(w.letters[::-1])), ([1], (2, 1), (2, 0)),

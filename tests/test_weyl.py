@@ -358,15 +358,20 @@ def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
 
 # a bad word gives one message on every path. length, act and
 # schubert_codim's replay check the letters up front (weyl._letters), and
-# schubert_codim's walk on a kept orbit is its own check: it falls through
-# to the replay at the first letter it cannot step on. The message names the
-# first bad letter wherever it stands, also before valid letters or beside a
-# second one, and a letter that is not an int is bad even inside 1..rank.
-# Letters in a set, a generator or a range are no sequence (the walk could
-# step on a range's ints), and a bool letter counts as its int on both
-# paths. N stands for rank + 1, SEQ for "not a sequence"
+# schubert_codim's lookup in a kept orbit's words takes only a tuple that
+# equals a kept word and sums to an int: any other word, a bad one included,
+# goes to the replay. The message names the first bad letter wherever it
+# stands, also before valid letters or beside a second one, and a letter
+# that is not an int is bad even inside 1..rank. Letters in a set, a
+# generator, a range or a tuple subclass (which may override ==) are no
+# sequence, and a bool letter counts as its int on both paths. N stands for
+# rank + 1, SEQ for "not a sequence"
 N = "rank+1"
 SEQ = "not a sequence"
+
+
+class _TupleSubclass(tuple):
+    pass
 
 
 @pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("E", 8)], ids=str)
@@ -374,10 +379,10 @@ SEQ = "not a sequence"
     ((0, 1, 2), 0), ((N, 2, 1, 2), N), ((0, N, 1), 0), ((N, 0), N), ((1, 2, 0, N), 0),
     ((1.0,), 1.0), ((1, 2.0), 2.0), (("a",), "a"), ((1, [2]), [2]),
     ((-1,), -1), ({1, 2}, SEQ), (frozenset({1, 2}), SEQ), ((i for i in (1, 2)), SEQ),
-    (range(1, 3), SEQ), ((True, 2), None),
+    (range(1, 3), SEQ), ((2, True), None), (_TupleSubclass((2, 1)), SEQ),
 ], ids=["0-first", "N-first", "0-then-N", "N-then-0", "0-after-valid",
         "float", "int-then-float", "str", "unhashable",
-        "negative", "set", "frozenset", "generator", "range", "bool"])
+        "negative", "set", "frozenset", "generator", "range", "bool", "tuple-subclass"])
 def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
     # an unkept system: no orbit is kept on it until this test walks one
     rs = RootSystem(spec)
@@ -391,7 +396,10 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
         datum = SchubertDatum(2, dimension(fv) - 2)
         assert length(word, rs) == 2 and codim() == datum
         enumerate_coset_reps(fv.par, rs, 2)
-        # the walk alone gives the datum
+        # on E8 s1 s2 = s2 s1 and the orbit keeps (2, 1) alone: the word it
+        # did not keep is replayed, to the same datum
+        assert schubert_codim(fv, WeylWord((1, 2))) == datum
+        # the lookup alone gives the datum
         monkeypatch.setattr(flag, "_replay", None)
         assert codim() == datum
         return
@@ -403,7 +411,7 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
     for call in (lambda: length(word, rs), codim, lambda: act(word, rho(rs), rs)):
         with pytest.raises(EngineError, match=bad):
             call()
-    # the same word walked on the orbit of its S_P
+    # the same word, with the orbit of its S_P kept
     enumerate_coset_reps(fv.par, rs, 2)
     with pytest.raises(EngineError, match=bad):
         codim()
@@ -499,6 +507,12 @@ def test_minimal_coset_rep_rejects_nodes_outside_the_diagram(a2, node):
 def test_enumerate_coset_reps_zero_length(a2):
     reps = enumerate_coset_reps(ParabolicSubset.of({1}), a2, 0)
     assert [w.letters for w in reps] == [()]
+    # a bool bound reads as its int
+    assert enumerate_coset_reps(ParabolicSubset.of({1}), a2, True) == enumerate_coset_reps(
+        ParabolicSubset.of({1}), a2, 1)
+    # no word has length at most -1, and the slot holds that empty orbit
+    assert enumerate_coset_reps(ParabolicSubset.of({2}), a2, -1) == []
+    assert vars(a2)["_orbit"] == ({2}, frozenset())
 
 
 def test_enumerate_coset_reps_a2(a2):
@@ -529,14 +543,14 @@ test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test
 test_w6_walk_vs_replay = check_test("W6 W^P walk vs replay")
 
 
-# the orbit slot of a system holds the map of its last enumeration, to its
+# the orbit slot of a system holds the words of its last enumeration, to its
 # length bound: a word of another S_P, or past the bound, is replayed
 def test_a_second_enumeration_replaces_the_orbit_slot():
     rs = build_root_system(TypeSpec("A", 3))
     enumerate_coset_reps(ParabolicSubset({1}), rs, 6)
-    enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
-    members, steps = vars(rs)["_orbit"]
-    assert (members, len(steps)) == ({2, 3}, 2)
+    reps = enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
+    members, words = vars(rs)["_orbit"]
+    assert (members, words) == ({2, 3}, {w.letters for w in reps})
     on_1, on_23 = (FlagVariety(rs, ParabolicSubset(m)) for m in ({1}, {2, 3}))
     assert schubert_codim(on_1, WeylWord((1, 2, 3))) == SchubertDatum(3, 2)
     assert schubert_codim(on_23, WeylWord((3, 2, 1))) == SchubertDatum(3, 0)
