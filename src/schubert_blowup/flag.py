@@ -24,16 +24,12 @@ query, index it through _invariants_of, the one read that makes an
 argument that is not a FlagVariety an EngineError; classify unpacks it
 inline, and schubert_codim reads DIM in its own try.
 
-schubert_codim looks a word up in the set of W^P words that
-weyl.enumerate_coset_reps keeps on the root system, when that set is of
-the variety's S_P: the enumeration built each of them as a reduced word of
-an element of W^P (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-2.4-2.5), so its length is the dimension. The lookup is the word's only
-check on that path: it takes a tuple of letters equal to a kept word whose
-sum is an int. Any other word, or no set, falls back to one replay of the
-word on rho (weyl._replay), whose weyl._letters writes every bad word's
-message: the path of a single query and the reference that selfcheck W6
-compares the lookup with.
+schubert_codim reads a word's length from the W^P words that
+weyl.enumerate_coset_reps keeps on the root system (the format is in weyl)
+when the word is one of them itself, and from one replay of the word on
+rho (weyl._replay) otherwise, whose weyl._letters writes every bad word's
+message: the replay is the path of a single query and the reference that
+selfcheck W6 compares the lookup with.
 """
 
 from functools import cached_property
@@ -113,9 +109,10 @@ class BetaVector(Value):
         set_values(self, values)
 
     def __getitem__(self, alpha):
-        if alpha not in self.values:
-            raise EngineError("beta is defined only on S \\ S_P, not node %r" % (alpha,))
-        return self.values[alpha]
+        try:
+            return self.values[alpha]
+        except (KeyError, TypeError):  # another node, or an unhashable one
+            raise EngineError("beta is defined only on S \\ S_P, not node %r" % (alpha,)) from None
 
 
 class SchubertDatum(Value):
@@ -163,24 +160,22 @@ def anticanonical_weight(fv):
 
 
 def schubert_codim(fv, word):
-    """dim X_{wP} = l(w) and its codimension, for w in W^P: looked up in the
-    words of the last enumeration when it is of fv's S_P, else read from one
-    replay."""
+    """dim X_{wP} = l(w) and its codimension, for w in W^P: looked up when w
+    is one of the words of the last enumeration of fv's S_P, else read from
+    one replay."""
     try:
         rs, members, dim = fv.rs, fv.par.members, fv._invariants[DIM]
     except AttributeError:
         raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
     orbit = rs.__dict__.get("_orbit")
     if orbit is not None and (orbit[0] is members or orbit[0] == members):
-        # a list is unhashable and a tuple subclass may override ==; a float or
-        # Fraction equal to a node hashes like it, but makes the sum one too
         try:
             letters = word.letters
-            if type(letters) is tuple and letters in orbit[1] and type(sum(letters)) is int:
+            if orbit[1].get(letters) is letters:  # one of the enumeration's own words
                 d = len(letters)
                 return SchubertDatum(d, dim - d)
         except (AttributeError, TypeError):
-            pass  # not a WeylWord, or an unhashable letter: the replay writes the message
+            pass  # not a WeylWord, or unhashable letters: the replay writes the message
     v, d = _replay(word, rs)
     if not all(v[i - 1] > 0 for i in members):
         raise EngineError("word %r is not a minimal coset representative"

@@ -24,7 +24,7 @@ rows, RootSystem.cartan, as do coroot_of, root_as_weight and the closure.
 from operator import mul
 
 from .errors import EngineError, InvariantViolation, wrong_kind
-from .rootsys import Coroot, Root, Weight
+from .rootsys import Coroot, Root, RootSystem, Weight
 from .weyl import _letters
 
 
@@ -64,10 +64,9 @@ def _positive_roots(rs):
 
 def height(r):
     """Sum of simple-root coefficients (negative for negative roots)."""
-    try:
-        return sum(r.coeffs)
-    except AttributeError:
-        raise EngineError(wrong_kind("height", "a Root", r)) from None
+    if type(r) is not Root:
+        raise EngineError(wrong_kind("height", "a Root", r))
+    return sum(r.coeffs)
 
 
 def pairing(w, c):
@@ -85,11 +84,9 @@ def coroot_of(r, rs):
     c_i = k_i * (alpha_i, alpha_i) / (beta, beta); always integral for
     roots of a crystallographic system.
     """
-    try:
-        known = rs.contains(r)
-    except AttributeError:
-        raise EngineError(wrong_kind("coroot_of", "a Root and a RootSystem", r, rs)) from None
-    if not known:
+    if type(r) is not Root or type(rs) is not RootSystem:
+        raise EngineError(wrong_kind("coroot_of", "a Root and a RootSystem", r, rs))
+    if not rs.contains(r):
         raise EngineError("%r is not a root of %s" % (r.coeffs, rs.spec))
     d = rs.symmetrizers
     C = rs.cartan
@@ -112,10 +109,9 @@ def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
     if type(r) is not Root:
         raise EngineError(wrong_kind("root_as_weight", "a Root", r))
-    try:
-        r.check_rank(rs)
-    except AttributeError:
-        raise EngineError(wrong_kind("root_as_weight", "a Root and a RootSystem", r, rs)) from None
+    if type(rs) is not RootSystem:
+        raise EngineError(wrong_kind("root_as_weight", "a Root and a RootSystem", r, rs))
+    r.check_rank(rs)
     C = rs.cartan
     return Weight(
         tuple(sum(C[i][j] * r.coeffs[j] for j in range(rs.rank)) for i in range(rs.rank))
@@ -124,10 +120,9 @@ def root_as_weight(r, rs):
 
 def rho(rs):
     """Half-sum of positive roots: the all-ones weight vector."""
-    try:
-        return Weight((1,) * rs.rank)
-    except AttributeError:
-        raise EngineError(wrong_kind("rho", "a RootSystem", rs)) from None
+    if type(rs) is not RootSystem:
+        raise EngineError(wrong_kind("rho", "a RootSystem", rs))
+    return Weight((1,) * rs.rank)
 
 
 def act(word, x, rs):

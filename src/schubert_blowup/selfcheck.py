@@ -209,12 +209,13 @@ def check_W5_reducedness(rs):
                 yield x.letters, inversions
 
 
-def check_W6_walk_vs_replay(rs):
-    """schubert_codim's lookup in the W^P words that enumerate_coset_reps
-    has just kept against the replay's length and W^P test, on every W^P
-    word and on each with a letter of S_P appended, which is never minimal
-    and never kept, so it is replayed: the same (dim, codim), or both not
-    minimal (an EngineError)."""
+def check_W6_lookup_vs_replay(rs):
+    """schubert_codim's lookup, which serves the very words that
+    enumerate_coset_reps has just returned and kept (in the format that weyl
+    gives), against the replay's length and W^P test, on every W^P word and
+    on each with a letter of S_P appended, which is never minimal and never
+    kept, so it is replayed: the same (dim, codim), or both not minimal (an
+    EngineError)."""
     for par in all_parabolics(rs.rank):
         fv = flag.FlagVariety(rs, par)
         dim = flag.dimension(fv)
@@ -360,7 +361,7 @@ CHECKS = [
     ("W3 longest element root permutation", check_W3_longest_element_permutes, 3, 5),
     ("W4 coset rep counts", check_W4_coset_rep_count, 3, 5),
     ("W5 reducedness", check_W5_reducedness, 3, 4),
-    ("W6 W^P walk vs replay", check_W6_walk_vs_replay, 3, 4),
+    ("W6 W^P lookup vs replay", check_W6_lookup_vs_replay, 3, 4),
     ("F2 closed forms vs Weyl word", check_F2_closed_form_vs_weyl_word, 5, 6),
     ("F4 Grassmannian dimension", check_F4_grassmannian_dimension, 6, RANK_CAP),
     ("B1 cone duality", check_B1_cone_duality, 4, 6),

@@ -65,7 +65,7 @@ def cominuscule_classify(rs, node, c):
     coefficient sum of the highest coroot, which collapses to
     ht(alpha_0) only when all roots have the same length."""
     _highest_root(rs, "cominuscule_classify")
-    if node not in cominuscule_nodes(rs):
+    if not isinstance(node, int) or node not in cominuscule_nodes(rs):
         raise EngineError("node %r is not cominuscule in %s" % (node, rs.spec))
     check_codim(c, _dim_maximal(rs, node))
     return verdict_of(dual_height(rs) + 2 - c)

@@ -8,18 +8,19 @@ message). longest_element and enumerate_coset_reps read their (S_P, root
 system) arguments through one reader, _columns, and walk weight orbits on
 integer lists instead of replaying words. length reads one replay of the
 word on rho, whose signed count of steps is the length.
-enumerate_coset_reps keeps the set of the W^P words it returned on the
-RootSystem, as the entry _orbit of its "__dict__" slot, which the next
-enumeration on that system replaces; flag.schubert_codim looks a word up
-in that set when it is of the variety's S_P, and reads W^P membership
-from the replay otherwise.
+enumerate_coset_reps keeps the W^P words it returned on the RootSystem,
+as the entry _orbit of its "__dict__" slot, which the next enumeration on
+that system replaces: (S_P members, {letters: letters}), each returned
+tuple mapped to itself. flag.schubert_codim reads a word's length there
+only when the word's letters are one of those tuples itself, each a
+reduced word of an element of W^P by construction, and replays every
+other word.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. That action, act on a
 Weight, Root or Coroot, lives in reference, since no classify or cones
 call runs it.
 """
 
-from .conventions import RANK_CAP
 from .errors import EngineError, wrong_kind
 from .value import Value
 
@@ -54,29 +55,21 @@ class ParabolicSubset(Value):
         return tuple(i for i in range(1, rank + 1) if i not in self.members)
 
 
-# the nodes 1..rank of each rank, which a word's letters must lie in
-_NODES = tuple(frozenset(range(1, rank + 1)) for rank in range(RANK_CAP + 1))
-
-
 def _letters(word, rank):
-    """The letters of a WeylWord, checked once per replay: a tuple or a list
-    (a set has no order, and a one-shot iterator would be spent by the
-    check), each an int in 1..rank (a bool counts, as in check_parabolic).
-    The one writer of a bad word's message, which names the first bad letter."""
+    """The letters of a WeylWord, checked in one pass per replay: a tuple or
+    a list (a set has no order, and a one-shot iterator would be spent by
+    the check), each an int in 1..rank (a bool counts, as in
+    check_parabolic). The one writer of a bad word's message, which names
+    the first bad letter."""
     try:
         letters = word.letters
     except AttributeError:  # not a WeylWord; a try costs nothing until it raises
         raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__) from None
     if type(letters) is not tuple and type(letters) is not list:
         raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
-    try:
-        # a float or Fraction equal to a node is in the set, but makes the sum one too
-        ok = _NODES[rank].issuperset(letters) and type(sum(letters)) is int
-    except TypeError:  # an unhashable letter, or one that does not add with an int
-        ok = False
-    if not ok:
-        bad = next(i for i in letters if not (isinstance(i, int) and 1 <= i <= rank))
-        raise EngineError("reflection index %r outside 1..%d" % (bad, rank))
+    for i in letters:
+        if not (isinstance(i, int) and 1 <= i <= rank):
+            raise EngineError("reflection index %r outside 1..%d" % (i, rank))
     return letters
 
 
@@ -162,10 +155,12 @@ def enumerate_coset_reps(par, rs, max_length):
     reads as its int, as a bool letter does, and a negative bound gives no
     word.
 
-    The words returned are kept on rs as _orbit = (S_P members, frozenset of
-    their letter tuples), in its "__dict__" slot, which the next enumeration
-    on rs replaces: flag.schubert_codim reads a kept word's W^P membership
-    there by one lookup.
+    The words returned are kept on rs as _orbit = (S_P members, {letters:
+    letters}), each returned tuple mapped to itself, in its "__dict__"
+    slot, which the next enumeration on rs replaces. flag.schubert_codim
+    takes a word's length there when its letters are one of these tuples
+    itself, an identity test, so a tuple equal to one but built apart is
+    replayed.
     """
     cols = _columns(par, rs, "enumerate_coset_reps")
     if not isinstance(max_length, int):
@@ -193,5 +188,5 @@ def enumerate_coset_reps(par, rs, max_length):
         # the words found on one level have one length: their own sort, with
         # no key, puts them in (length, word) order
         reps += sorted([w for _, w in nxt])
-    rs.__dict__["_orbit"] = par.members, frozenset(reps)
+    rs.__dict__["_orbit"] = par.members, {t: t for t in reps}
     return [WeylWord(w) for w in reps]

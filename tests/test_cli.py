@@ -149,7 +149,7 @@ PASS I5 simply-laced coroot identity
 PASS W3 longest element root permutation
 PASS W4 coset rep counts
 PASS W5 reducedness
-PASS W6 W^P walk vs replay
+PASS W6 W^P lookup vs replay
 PASS F2 closed forms vs Weyl word
 PASS F4 Grassmannian dimension
 PASS B1 cone duality

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -297,6 +298,16 @@ _PARABOLIC_CALLS = {
                  id="all-types-int-families"),
     pytest.param(lambda rs: special.grassmannian_classify("2", 4, 3),
                  "need 1 <= r <= n-1, got r='2', n=4", id="grassmannian-str-r"),
+] + [
+    # a cominuscule node or a beta node that is a list or a Fraction: each
+    # was a TypeError from a lookup or an index
+    pytest.param(lambda rs: special.cominuscule_classify(RootSystem(TypeSpec("A", 3)), [1], 3),
+                 "node [1] is not cominuscule in A3", id="cominuscule-list-node"),
+    pytest.param(lambda rs: special.cominuscule_classify(RootSystem(TypeSpec("A", 3)),
+                                                         Fraction(1), 3),
+                 "node Fraction(1, 1) is not cominuscule in A3", id="cominuscule-fraction-node"),
+    pytest.param(lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))[[2]],
+                 "beta is defined only on S \\ S_P, not node [2]", id="beta-list-node"),
 ])
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
@@ -345,12 +356,22 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
 ] + [
     (lambda rs, fv, f=f: f(rs), "%s needs a FlagVariety, not RootSystem" % f.__name__)
     for f in (dimension, picard_basis, beta_values, flag.least_beta, anticanonical_weight)
+] + [
+    # an argument of another kind that has the attribute first read: each was
+    # an AttributeError or a wrong answer
+    (lambda rs, fv: root_as_weight(Root((1, 0)), Weight((1, -1))),
+     "root_as_weight needs a Root and a RootSystem, not Root and Weight"),
+    (lambda rs, fv: coroot_of(rs, RootSystem(TypeSpec("B", 3))),
+     "coroot_of needs a Root and a RootSystem, not RootSystem and RootSystem"),
+    (lambda rs, fv: rho(Weight((1, 0))), "rho needs a RootSystem, not Weight"),
+    (lambda rs, fv: height(Weight((1, 0))), "height needs a Root, not Weight"),
 ], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
         "act", "enumerate-coset-reps", "build-root-system", "schubert-codim", "height",
         "coroot-of-spec", "coroot-of-weight", "rho", "root-as-weight-flag", "full-flag-classify",
         "cominuscule-classify", "cominuscule-nodes", "dual-height", "anticanonical-class",
         "nef-generators", "mori-generators", "dimension", "picard-basis", "beta-values",
-        "least-beta", "anticanonical-weight"])
+        "least-beta", "anticanonical-weight", "root-as-weight-on-weight", "coroot-of-systems",
+        "rho-weight", "height-weight"])
 def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
@@ -358,9 +379,9 @@ def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
 
 # a bad word gives one message on every path. length, act and
 # schubert_codim's replay check the letters up front (weyl._letters), and
-# schubert_codim's lookup in a kept orbit's words takes only a tuple that
-# equals a kept word and sums to an int: any other word, a bad one included,
-# goes to the replay. The message names the first bad letter wherever it
+# schubert_codim's lookup takes only a word whose letters are one of the
+# enumeration's own tuples (the kept format is in weyl): any other word, a
+# bad one included, goes to the replay. The message names the first bad letter wherever it
 # stands, also before valid letters or beside a second one, and a letter
 # that is not an int is bad even inside 1..rank. Letters in a set, a
 # generator, a range or a tuple subclass (which may override ==) are no
@@ -395,13 +416,19 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
     if first is None:
         datum = SchubertDatum(2, dimension(fv) - 2)
         assert length(word, rs) == 2 and codim() == datum
-        enumerate_coset_reps(fv.par, rs, 2)
-        # on E8 s1 s2 = s2 s1 and the orbit keeps (2, 1) alone: the word it
-        # did not keep is replayed, to the same datum
-        assert schubert_codim(fv, WeylWord((1, 2))) == datum
-        # the lookup alone gives the datum
+        (own,) = [w for w in enumerate_coset_reps(fv.par, rs, 2) if w.letters == (2, 1)]
+        replays, real = [], flag._replay
+        monkeypatch.setattr(flag, "_replay", lambda w, rs: replays.append(w) or real(w, rs))
+        # a word the enumeration did not return is replayed, to the same
+        # datum: the bool word, (1, 2) (on E8 s1 s2 = s2 s1 and the
+        # enumeration returns (2, 1) alone) and a tuple equal to (2, 1) but
+        # built apart
+        for w in (word, WeylWord((1, 2)), WeylWord(tuple(list(own.letters)))):
+            replays.clear()
+            assert schubert_codim(fv, w) == datum and replays == [w]
+        # the lookup alone serves the enumeration's own word
         monkeypatch.setattr(flag, "_replay", None)
-        assert codim() == datum
+        assert schubert_codim(fv, own) == datum
         return
     if first == SEQ:
         bad = r"^word letters %s are not a sequence of nodes$" % re.escape(repr(letters))
@@ -512,7 +539,7 @@ def test_enumerate_coset_reps_zero_length(a2):
         ParabolicSubset.of({1}), a2, 1)
     # no word has length at most -1, and the slot holds that empty orbit
     assert enumerate_coset_reps(ParabolicSubset.of({2}), a2, -1) == []
-    assert vars(a2)["_orbit"] == ({2}, frozenset())
+    assert vars(a2)["_orbit"] == ({2}, {})
 
 
 def test_enumerate_coset_reps_a2(a2):
@@ -540,7 +567,7 @@ def test_brute_force_group_orders():
 test_w3_longest_element_root_permutation = check_test("W3 longest element root permutation")
 test_w4_coset_rep_cardinality = check_test("W4 coset rep counts")
 test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test("W5 reducedness")
-test_w6_walk_vs_replay = check_test("W6 W^P walk vs replay")
+test_w6_walk_vs_replay = check_test("W6 W^P lookup vs replay")
 
 
 # the orbit slot of a system holds the words of its last enumeration, to its
@@ -550,7 +577,9 @@ def test_a_second_enumeration_replaces_the_orbit_slot():
     enumerate_coset_reps(ParabolicSubset({1}), rs, 6)
     reps = enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
     members, words = vars(rs)["_orbit"]
-    assert (members, words) == ({2, 3}, {w.letters for w in reps})
+    # the keys are the returned tuples, each mapped to itself
+    assert members == {2, 3} and len(words) == len(reps)
+    assert all(k is v is w.letters for (k, v), w in zip(words.items(), reps))
     on_1, on_23 = (FlagVariety(rs, ParabolicSubset(m)) for m in ({1}, {2, 3}))
     assert schubert_codim(on_1, WeylWord((1, 2, 3))) == SchubertDatum(3, 2)
     assert schubert_codim(on_23, WeylWord((3, 2, 1))) == SchubertDatum(3, 0)
