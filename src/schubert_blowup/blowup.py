@@ -216,7 +216,7 @@ def classify(fv, c):
     variety of codimension c (existence and smoothness are the caller's
     assertion)."""
     try:
-        dim, betas, _, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
+        dim, betas, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
     except AttributeError:
         raise EngineError(wrong_kind("classify", "a FlagVariety", fv)) from None
     if not (type(c) is int and 2 <= c <= dim):  # any c this lets by, check_codim passes

@@ -34,10 +34,6 @@ from .errors import EngineError
 
 RANK_CAP = 16
 
-# how many flag varieties a kept root system holds (rootsys.build_root_system):
-# a working set of a few dozen (type, S_P) queries fits
-FLAGS_PER_SYSTEM = 64
-
 # (min rank, max rank) per family; E is the exceptional list {6,7,8}. Its
 # keys, in this order, are the one list of families.
 RANK_BOUNDS = {

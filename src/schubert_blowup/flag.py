@@ -9,43 +9,42 @@ Coxeter Groups, 1.6-1.8). The Levi is the product of its simple factors,
 conventions.simple_factors, and 2 rho_P and |R_P^+| are the sums of their
 closed forms, conventions.two_rho and conventions.positive_root_count
 (Bourbaki, Plates I-IX); w_{0,P}(rho) subtracts only the S_P columns of
-RootSystem.columns, and each FlagVariety caches what follows, with its
-Picard basis (one tuple, shared by every class built on it) and its least
-beta (where classify reads the verdict); FlagVariety asks
-rootsys.kept_varieties for the one FlagVariety per S_P of a kept root
-system, so a repeated query finds them cached. dim G/P is
-|R^+|, the same closed form, less |R_P^+|. Nothing is re-checked on the
-way: selfcheck F2 (the closed forms against the Weyl word of w_{0,P}
-and the closure of R^+) holds them. FlagVariety._invariants keeps all of
-it as one plain tuple, whose layout DIM, BETAS, WEIGHT, BASIS and LEAST
-name, in its "__dict__" slot. The readers dimension, picard_basis,
-beta_values, least_beta and anticanonical_weight, and blowup once per
-query, index it through _invariants_of, the one read that makes an
-argument that is not a FlagVariety an EngineError; classify unpacks it
-inline, and schubert_codim reads DIM in its own try.
-
-schubert_codim reads a word's length from the W^P words that
-weyl.enumerate_coset_reps keeps on the root system (the format is in weyl)
-when the word is one of them itself, and from one replay of the word on
-rho (weyl._replay) otherwise, whose weyl._letters writes every bad word's
-message: the replay is the path of a single query and the reference that
-selfcheck W6 compares the lookup with.
+RootSystem.columns. Each FlagVariety caches the betas, with its Picard
+basis (one tuple, shared by every class built on it), its least beta
+(where classify reads the verdict) and dim G/P, |R^+| by the same closed
+form less |R_P^+|; FlagVariety asks rootsys.kept_varieties for the one
+FlagVariety per S_P of a kept root system, up to FLAGS_PER_SYSTEM, so a
+repeated query finds them cached. Nothing is re-checked on the way:
+selfcheck F2 (the closed forms against the Weyl word of w_{0,P} and the
+closure of R^+) holds them. FlagVariety._invariants keeps them as one
+plain tuple, whose layout DIM, BETAS, BASIS and LEAST name, in its
+"__dict__" slot. The readers dimension, picard_basis, beta_values,
+least_beta and anticanonical_weight, and blowup once per query, index it
+through _invariants_of, the one read that makes an argument that is not a
+FlagVariety an EngineError; classify unpacks it inline, and
+schubert_codim reads DIM in its own try and takes a word's W^P test and
+length from weyl._coset_length. No query reads the -K weight, so
+anticanonical_weight builds it anew from the closed form on each call.
 """
 
 from functools import cached_property
 from types import MappingProxyType
 
-from .conventions import FLAGS_PER_SYSTEM, positive_root_count, simple_factors, two_rho
+from .conventions import positive_root_count, simple_factors, two_rho
 from .errors import EngineError, wrong_kind
 from .rootsys import Weight, kept_varieties
 from .value import Value
-from .weyl import _replay, check_parabolic
+from .weyl import _coset_length, check_parabolic
 
-# the layout of FlagVariety._invariants: dim G/P, the BetaVector, the -K
-# weight, the Picard basis and the least beta. A plain tuple: blowup.classify
-# unpacks it on every call, and over a sweep pass a namedtuple's unpack
-# costs it about 4.5% more time
-DIM, BETAS, WEIGHT, BASIS, LEAST = range(5)
+# how many flag varieties a kept root system holds (rootsys.build_root_system):
+# a working set of a few dozen (type, S_P) queries fits
+FLAGS_PER_SYSTEM = 64
+
+# the layout of FlagVariety._invariants: dim G/P, the BetaVector, the Picard
+# basis and the least beta. A plain tuple: blowup.classify unpacks it on
+# every call, and over a sweep pass a namedtuple's unpack costs it about
+# 4.5% more time
+DIM, BETAS, BASIS, LEAST = range(4)
 
 
 class FlagVariety(Value):
@@ -76,26 +75,29 @@ class FlagVariety(Value):
             kept[par.members] = fv
         return fv
 
-    @cached_property
-    def _invariants(self):
-        """(dim G/P, BetaVector, -K weight, Picard basis, least beta), from the
-        Levi's simple factors, in the order of DIM..LEAST."""
-        rs = self.rs
-        family, cols = rs.spec.family, rs.columns
+    def _closed_form(self):
+        """(w_{0,P}(rho) as a list, |R_P^+|), from the Levi's simple factors."""
+        rs, cols = self.rs, self.rs.columns
         # w_{0,P}(rho) = rho - 2 rho_P: each S_P column times its 2 rho_P coefficient
         img = [1] * rs.rank
         levi = 0  # |R_P^+|
-        for fam, m, nodes in simple_factors(family, rs.rank, self.par.members):
+        for fam, m, nodes in simple_factors(rs.spec.family, rs.rank, self.par.members):
             levi += positive_root_count(fam, m)
             for i, k in zip(nodes, two_rho(fam, m)):
                 for j, a in cols[i - 1]:
                     img[j] -= k * a
+        return img, levi
+
+    @cached_property
+    def _invariants(self):
+        """(dim G/P, BetaVector, Picard basis, least beta), in the order of
+        DIM..LEAST."""
+        rs = self.rs
+        img, levi = self._closed_form()
         basis = self.par.complement(rs.rank)
         values = {a: img[a - 1] for a in basis}
-        dim = positive_root_count(family, rs.rank) - levi
-        # rho + w_{0,P}(rho) is the -K weight
-        return (dim, BetaVector(MappingProxyType(values)), Weight(tuple(1 + x for x in img)),
-                basis, min(values.values()))
+        dim = positive_root_count(rs.spec.family, rs.rank) - levi
+        return dim, BetaVector(MappingProxyType(values)), basis, min(values.values())
 
 
 class BetaVector(Value):
@@ -156,28 +158,15 @@ def least_beta(fv):
 
 def anticanonical_weight(fv):
     """rho + w_{0,P}(rho) = 2 rho - 2 rho_P; lies in X^*(P)."""
-    return _invariants_of(fv, "anticanonical_weight")[WEIGHT]
+    _invariants_of(fv, "anticanonical_weight")  # the one check of the argument
+    return Weight(tuple(1 + x for x in fv._closed_form()[0]))
 
 
 def schubert_codim(fv, word):
-    """dim X_{wP} = l(w) and its codimension, for w in W^P: looked up when w
-    is one of the words of the last enumeration of fv's S_P, else read from
-    one replay."""
+    """dim X_{wP} = l(w) and its codimension, for w in W^P (weyl._coset_length)."""
     try:
         rs, members, dim = fv.rs, fv.par.members, fv._invariants[DIM]
     except AttributeError:
         raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
-    orbit = rs.__dict__.get("_orbit")
-    if orbit is not None and (orbit[0] is members or orbit[0] == members):
-        try:
-            letters = word.letters
-            if orbit[1].get(letters) is letters:  # one of the enumeration's own words
-                d = len(letters)
-                return SchubertDatum(d, dim - d)
-        except (AttributeError, TypeError):
-            pass  # not a WeylWord, or unhashable letters: the replay writes the message
-    v, d = _replay(word, rs)
-    if not all(v[i - 1] > 0 for i in members):
-        raise EngineError("word %r is not a minimal coset representative"
-                          % (word.letters,))
+    d = _coset_length(word, members, rs)
     return SchubertDatum(d, dim - d)

@@ -16,13 +16,12 @@ from the reflection closure reference._positive_roots, imported on that
 first read. No classify or cones call reads any of them: the flag
 invariants take |R^+|, |R_P^+| and 2 rho_P from conventions' closed forms,
 so the closure, heights, pairings, coroots and rho live in reference. The
-same slot keeps _orbit, the W^P words of the last
-weyl.enumerate_coset_reps on the system, in the format that weyl gives.
+same slot keeps _orbit, which weyl writes, reads and describes.
 build_root_system keeps a type's system from its second build in the
 process on (a type built once, as by a sweep, is never kept), in the
 register _systems, the one record of what is kept: a kept type's entry
 also holds the FlagVariety of each S_P asked of it, up to
-conventions.FLAGS_PER_SYSTEM, and kept_varieties gives that dict only to
+flag.FLAGS_PER_SYSTEM, and kept_varieties gives that dict only to
 the registered system itself. Nothing is re-checked: selfcheck I1
 compares the closure with the root-string closure, an independent second
 derivation that lives beside I1 in selfcheck, I2 holds the unique highest

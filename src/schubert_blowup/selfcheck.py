@@ -210,12 +210,11 @@ def check_W5_reducedness(rs):
 
 
 def check_W6_lookup_vs_replay(rs):
-    """schubert_codim's lookup, which serves the very words that
-    enumerate_coset_reps has just returned and kept (in the format that weyl
-    gives), against the replay's length and W^P test, on every W^P word and
-    on each with a letter of S_P appended, which is never minimal and never
-    kept, so it is replayed: the same (dim, codim), or both not minimal (an
-    EngineError)."""
+    """schubert_codim's lookup (weyl._coset_length), which serves the very
+    words that enumerate_coset_reps has just returned and kept, against the
+    replay's length and W^P test, on every W^P word and on each with a
+    letter of S_P appended, which is never minimal and never kept, so it is
+    replayed: the same (dim, codim), or both not minimal (an EngineError)."""
     for par in all_parabolics(rs.rank):
         fv = flag.FlagVariety(rs, par)
         dim = flag.dimension(fv)

@@ -11,10 +11,10 @@ word on rho, whose signed count of steps is the length.
 enumerate_coset_reps keeps the W^P words it returned on the RootSystem,
 as the entry _orbit of its "__dict__" slot, which the next enumeration on
 that system replaces: (S_P members, {letters: letters}), each returned
-tuple mapped to itself. flag.schubert_codim reads a word's length there
-only when the word's letters are one of those tuples itself, each a
-reduced word of an element of W^P by construction, and replays every
-other word.
+tuple mapped to itself. _coset_length, the one reader of that entry, gives
+flag.schubert_codim a word's length there only when its letters are one of
+those tuples itself, each a reduced word of an element of W^P by
+construction, and replays and tests every other word.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. That action, act on a
 Weight, Root or Coroot, lives in reference, since no classify or cones
@@ -42,7 +42,7 @@ class ParabolicSubset(Value):
     def __init__(self, members):
         try:
             members = frozenset(members)
-        except TypeError:  # not iterable, or a node that is unhashable
+        except Exception:  # not iterable, or a node whose __hash__ raises any error
             raise EngineError("parabolic indices %r are not a set of nodes" % (members,)) from None
         (set_members,) = self._set
         set_members(self, members)
@@ -100,6 +100,25 @@ def _replay(word, rs):
     return v, l
 
 
+def _coset_length(word, members, rs):
+    """l(w) for w in W^P, S_P = members, else an EngineError. One of the
+    tuples kept in _orbit for members, that tuple itself, has its size as
+    its length; every other word is replayed, and lies in W^P iff v_i > 0
+    for v = w^{-1}(rho), i.e. w(alpha_i) > 0, on each i in S_P."""
+    orbit = rs.__dict__.get("_orbit")
+    if orbit is not None and (orbit[0] is members or orbit[0] == members):
+        try:
+            letters = word.letters
+            if orbit[1].get(letters) is letters:  # one of the enumeration's own words
+                return len(letters)
+        except Exception:  # not a WeylWord, or letters whose __hash__ raises any error
+            pass  # the replay writes the message
+    v, l = _replay(word, rs)
+    if not all(v[i - 1] > 0 for i in members):
+        raise EngineError("word %r is not a minimal coset representative" % (word.letters,))
+    return l
+
+
 def length(word, rs):
     """Bruhat length: number of positive roots sent negative."""
     try:
@@ -155,12 +174,8 @@ def enumerate_coset_reps(par, rs, max_length):
     reads as its int, as a bool letter does, and a negative bound gives no
     word.
 
-    The words returned are kept on rs as _orbit = (S_P members, {letters:
-    letters}), each returned tuple mapped to itself, in its "__dict__"
-    slot, which the next enumeration on rs replaces. flag.schubert_codim
-    takes a word's length there when its letters are one of these tuples
-    itself, an identity test, so a tuple equal to one but built apart is
-    replayed.
+    The words returned are kept on rs for _coset_length, in the format that
+    this module's docstring gives.
     """
     cols = _columns(par, rs, "enumerate_coset_reps")
     if not isinstance(max_length, int):

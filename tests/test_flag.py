@@ -17,7 +17,8 @@ from schubert_blowup import (
     schubert_codim,
 )
 from schubert_blowup import flag
-from schubert_blowup.conventions import FLAGS_PER_SYSTEM, RANK_CAP, simple_factors
+from schubert_blowup.conventions import RANK_CAP, simple_factors
+from schubert_blowup.flag import FLAGS_PER_SYSTEM
 from schubert_blowup.errors import EngineError
 from schubert_blowup.rootsys import kept_varieties
 from schubert_blowup.weyl import ParabolicSubset, WeylWord

@@ -42,6 +42,7 @@ from schubert_blowup import (
     root_as_weight,
     schubert_codim,
     special,
+    weyl,
 )
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
@@ -142,6 +143,24 @@ _CODIM_LAWS = {
         build_root_system(TypeSpec("A", 3)), 1, c),
     "full-flag": lambda rs, c: special.full_flag_classify(rs, c),
 }
+
+
+class _TupleHashRaises(tuple):
+    def __hash__(self):
+        raise RuntimeError("no hash")
+
+
+class _IntHashRaises(int):
+    __hash__ = _TupleHashRaises.__hash__
+
+
+def _codim_apart(rs, word, bound):
+    """schubert_codim on the full flag of a system of rs's type built apart,
+    with the full flag's W^P words to the bound kept on it, or none."""
+    fv = _full_flag(RootSystem(rs.spec))
+    if bound is not None:
+        enumerate_coset_reps(fv.par, fv.rs, bound)
+    return schubert_codim(fv, word)
 
 
 def _kept(rs):
@@ -278,6 +297,16 @@ _PARABOLIC_CALLS = {
         ("schubert-codim", lambda rs, w: schubert_codim(_full_flag(rs), w)),
         ("act", lambda rs, w: act(w, rho(rs), rs))]
 ] + [
+    # letters, and a node, whose hash raises an error that is not a TypeError:
+    # each escaped as that error, the letters once an orbit of the variety's
+    # S_P was kept
+    pytest.param(lambda rs, b=b: _codim_apart(rs, WeylWord(_TupleHashRaises((2,))), b),
+                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-" + label)
+    for b, label in [(None, "unkept"), (3, "kept")]
+] + [
+    pytest.param(lambda rs: ParabolicSubset([_IntHashRaises(1)]),
+                 "parabolic indices [1] are not a set of nodes", id="par-hash-raises"),
+] + [
     pytest.param(lambda rs: special.cominuscule_classify(rs, "1", 3),
                  "node '1' is not cominuscule in A2", id="cominuscule-str-node"),
 ] + [
@@ -379,14 +408,13 @@ def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
 
 # a bad word gives one message on every path. length, act and
 # schubert_codim's replay check the letters up front (weyl._letters), and
-# schubert_codim's lookup takes only a word whose letters are one of the
-# enumeration's own tuples (the kept format is in weyl): any other word, a
-# bad one included, goes to the replay. The message names the first bad letter wherever it
-# stands, also before valid letters or beside a second one, and a letter
-# that is not an int is bad even inside 1..rank. Letters in a set, a
-# generator, a range or a tuple subclass (which may override ==) are no
-# sequence, and a bool letter counts as its int on both paths. N stands for
-# rank + 1, SEQ for "not a sequence"
+# the lookup of weyl._coset_length replays every word that is not one of
+# the enumeration's own, a bad one included. The message names the first
+# bad letter wherever it stands, also before valid letters or beside a
+# second one, and a letter that is not an int is bad even inside 1..rank.
+# Letters in a set, a generator, a range or a tuple subclass (which may
+# override ==) are no sequence, and a bool letter counts as its int on both
+# paths. N stands for rank + 1, SEQ for "not a sequence"
 N = "rank+1"
 SEQ = "not a sequence"
 
@@ -417,8 +445,8 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
         datum = SchubertDatum(2, dimension(fv) - 2)
         assert length(word, rs) == 2 and codim() == datum
         (own,) = [w for w in enumerate_coset_reps(fv.par, rs, 2) if w.letters == (2, 1)]
-        replays, real = [], flag._replay
-        monkeypatch.setattr(flag, "_replay", lambda w, rs: replays.append(w) or real(w, rs))
+        replays, real = [], weyl._replay
+        monkeypatch.setattr(weyl, "_replay", lambda w, rs: replays.append(w) or real(w, rs))
         # a word the enumeration did not return is replayed, to the same
         # datum: the bool word, (1, 2) (on E8 s1 s2 = s2 s1 and the
         # enumeration returns (2, 1) alone) and a tuple equal to (2, 1) but
@@ -427,8 +455,10 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
             replays.clear()
             assert schubert_codim(fv, w) == datum and replays == [w]
         # the lookup alone serves the enumeration's own word
-        monkeypatch.setattr(flag, "_replay", None)
+        monkeypatch.setattr(weyl, "_replay", None)
         assert schubert_codim(fv, own) == datum
+        # weyl alone decides W^P membership
+        assert not hasattr(flag, "_replay")
         return
     if first == SEQ:
         bad = r"^word letters %s are not a sequence of nodes$" % re.escape(repr(letters))
