@@ -18,9 +18,8 @@ a verdict assumes a centre that is not a union of fibres of some
 G/P -> G/Q.
 
 anticanonical_class and the cone readers read FlagVariety._invariants
-once, through flag._invariants_of, the one reader that makes a wrong-kind
-argument an EngineError, and index it by flag's names for its layout;
-classify, the hot path, unpacks it inline in its own try. Each checks c
+once, through flag._invariants_of, and index it by flag's names for its
+layout; classify, the hot path, unpacks it inline. Each checks c
 with check_codim, the one check and message of a codimension; classify
 calls it only when c is not an int in 2..dim: a bool or an int subclass
 goes to it too. Its margins are a copy of the betas, a new dict in
@@ -37,15 +36,14 @@ fv's Mori tuple. A curve class keeps its support, the positions of its
 nonzero coordinates, in a slot derived from its fields (value's one
 storage rule), and intersect pairs Bl*D . tilde C over it: O(1) against a
 Mori generator, which has at most one. A nonzero E_Z coefficient adds a
-sum over the curve's coordinates. intersect of anything but a
-divisor and a curve is an EngineError.
+sum over the curve's coordinates.
 """
 
 from enum import Enum
 from itertools import compress, count
 
 from .errors import EngineError, wrong_kind
-from .flag import BASIS, BETAS, DIM, _invariants_of
+from .flag import BASIS, BETAS, DIM, FlagVariety, _invariants_of
 from .value import Value
 
 
@@ -53,6 +51,10 @@ class Verdict(str, Enum):
     FANO = "FANO"
     WEAK_FANO_NOT_FANO = "WEAK_FANO_NOT_FANO"
     NOT_WEAK_FANO = "NOT_WEAK_FANO"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise EngineError("unknown verdict %r" % (value,))
 
 
 # bound once: reading Verdict.FANO goes through the Enum metaclass, 8x slower
@@ -172,7 +174,7 @@ def intersect(d, k):
     The Bl*D . tilde C part runs over the curve's support."""
     try:
         x, y, support = d.pullback_coeffs, k.tilde_coeffs, k.support
-    except AttributeError:  # a try costs nothing until it raises
+    except AttributeError:
         raise EngineError(wrong_kind("intersect", "a DivisorClass and a CurveClass", d,
                                      k)) from None
     if d.basis is not k.basis and d.basis != k.basis:
@@ -197,10 +199,9 @@ def anticanonical_class(fv, c):
 
 def _mori(fv, d, call):
     """fv's Mori tuple, for is_nef and is_ample to pair d with."""
-    try:
-        return _cones(fv)[1]
-    except AttributeError:
-        raise EngineError(wrong_kind(call, "a FlagVariety and a DivisorClass", fv, d)) from None
+    if type(fv) is not FlagVariety:
+        raise EngineError(wrong_kind(call, "a FlagVariety and a DivisorClass", fv, d))
+    return _cones(fv)[1]
 
 
 def is_nef(fv, d):

@@ -20,10 +20,9 @@ closure of R^+) holds them. FlagVariety._invariants keeps them as one
 plain tuple, whose layout DIM, BETAS, BASIS and LEAST name, in its
 "__dict__" slot. The readers dimension, picard_basis, beta_values,
 least_beta and anticanonical_weight, and blowup once per query, index it
-through _invariants_of, the one read that makes an argument that is not a
-FlagVariety an EngineError; classify unpacks it inline, and
-schubert_codim reads DIM in its own try and takes a word's W^P test and
-length from weyl._coset_length. No query reads the -K weight, so
+through _invariants_of; classify unpacks it inline, and schubert_codim
+reads DIM and takes a word's W^P test and length from
+weyl._coset_length. No query reads the -K weight, so
 anticanonical_weight builds it anew from the closed form on each call.
 """
 
@@ -32,9 +31,9 @@ from types import MappingProxyType
 
 from .conventions import positive_root_count, simple_factors, two_rho
 from .errors import EngineError, wrong_kind
-from .rootsys import Weight, kept_varieties
+from .rootsys import RootSystem, Weight, kept_varieties
 from .value import Value
-from .weyl import _coset_length, check_parabolic
+from .weyl import ParabolicSubset, _coset_length, check_parabolic
 
 # how many flag varieties a kept root system holds (rootsys.build_root_system):
 # a working set of a few dozen (type, S_P) queries fits
@@ -55,11 +54,10 @@ class FlagVariety(Value):
     def __new__(cls, rs, par):
         """On a kept root system (rootsys.build_root_system), the one instance
         per S_P, with what it has cached, up to FLAGS_PER_SYSTEM; else a new one."""
-        try:
-            check_parabolic(par, rs.spec.rank)
-        except AttributeError:
+        if type(rs) is not RootSystem or type(par) is not ParabolicSubset:
             raise EngineError(wrong_kind("FlagVariety", "a RootSystem and a ParabolicSubset",
-                                         rs, par)) from None
+                                         rs, par))
+        check_parabolic(par, rs.rank)
         if len(par.members) == rs.rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
         kept = kept_varieties(rs)
@@ -127,12 +125,10 @@ class SchubertDatum(Value):
 
 
 def _invariants_of(fv, call):
-    """fv._invariants: the one read of a FlagVariety argument, where anything
-    else becomes an EngineError naming call."""
-    try:
-        return fv._invariants
-    except AttributeError:  # a try costs nothing until it raises
-        raise EngineError(wrong_kind(call, "a FlagVariety", fv)) from None
+    """fv._invariants; call names the reader in the wrong-kind message."""
+    if type(fv) is not FlagVariety:
+        raise EngineError(wrong_kind(call, "a FlagVariety", fv))
+    return fv._invariants
 
 
 def dimension(fv):

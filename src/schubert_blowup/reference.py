@@ -130,10 +130,9 @@ def act(word, x, rs):
     kind = type(x)
     if kind not in (Weight, Root, Coroot):
         raise EngineError(wrong_kind("act", "a Weight, Root or Coroot", x))
-    try:
-        cols = rs.columns
-    except AttributeError:
-        raise EngineError(wrong_kind("act", "a RootSystem", rs)) from None
+    if type(rs) is not RootSystem:
+        raise EngineError(wrong_kind("act", "a RootSystem", rs))
+    cols = rs.columns
     x.check_rank(rs)
     letters, v = reversed(_letters(word, rs.rank)), list(x.coeffs)
     if kind is Weight:

@@ -119,14 +119,12 @@ class RootSystem(Value):
     _fields = ("spec",)
 
     def __init__(self, spec):
-        try:
-            family, rank = spec.family, spec.rank
-        except AttributeError:
-            raise EngineError(wrong_kind("RootSystem", "a TypeSpec", spec)) from None
+        if type(spec) is not TypeSpec:
+            raise EngineError(wrong_kind("RootSystem", "a TypeSpec", spec))
         set_spec, set_columns = self._set
         set_spec(self, spec)
         # per node: nonzero (row, entry) of its column
-        set_columns(self, conventions.cartan_columns(family, rank))
+        set_columns(self, conventions.cartan_columns(spec.family, spec.rank))
 
     @property
     def rank(self):
@@ -181,10 +179,9 @@ def build_root_system(spec):
     first build is only noted, so a caller that builds each type once keeps
     nothing; from its second build on, the one kept system is returned, with
     the flag varieties built on it."""
-    try:
-        key = (spec.family, spec.rank)
-    except AttributeError:
-        raise EngineError(wrong_kind("build_root_system", "a TypeSpec", spec)) from None
+    if type(spec) is not TypeSpec:
+        raise EngineError(wrong_kind("build_root_system", "a TypeSpec", spec))
+    key = (spec.family, spec.rank)
     kept = _systems.get(key)
     if kept is not None:
         return kept[0]

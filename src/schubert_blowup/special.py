@@ -6,13 +6,12 @@ pure arithmetic, and the cominuscule law reads only the root system (the
 highest root, its coroot and the positive roots). What stays independent
 of blowup.classify is each law's closed-form boundary; both map the least
 margin through the one ladder blowup.verdict_of, which selfcheck B3 checks.
-A law that reads a root system makes an argument that is not a RootSystem
-an EngineError at its first read of it, through one reader, _highest_root.
 """
 
 from .blowup import check_codim, verdict_of
 from .errors import EngineError, wrong_kind
 from .reference import coroot_of
+from .rootsys import RootSystem
 
 
 def grassmannian_classify(r, n, c):
@@ -29,12 +28,10 @@ def grassmannian_classify(r, n, c):
 
 
 def _highest_root(rs, call):
-    """rs's highest root: the first read of rs in each law that reads it, where
-    an argument that is not a RootSystem becomes an EngineError naming call."""
-    try:
-        return rs.highest_root
-    except AttributeError:
-        raise EngineError(wrong_kind(call, "a RootSystem", rs)) from None
+    """rs.highest_root; call names the law in the wrong-kind message."""
+    if type(rs) is not RootSystem:
+        raise EngineError(wrong_kind(call, "a RootSystem", rs))
+    return rs.highest_root
 
 
 def cominuscule_nodes(rs):

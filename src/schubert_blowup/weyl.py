@@ -4,8 +4,7 @@ minimal coset representatives.
 Words are tuples or lists of 1-based simple-reflection indices applied
 right to left. Every walk reads RootSystem.columns. A replay checks a
 word's letters once, up front (_letters, the one writer of a bad word's
-message). longest_element and enumerate_coset_reps read their (S_P, root
-system) arguments through one reader, _columns, and walk weight orbits on
+message). longest_element and enumerate_coset_reps walk weight orbits on
 integer lists instead of replaying words. length reads one replay of the
 word on rho, whose signed count of steps is the length.
 enumerate_coset_reps keeps the W^P words it returned on the RootSystem,
@@ -22,6 +21,7 @@ call runs it.
 """
 
 from .errors import EngineError, wrong_kind
+from .rootsys import RootSystem
 from .value import Value
 
 
@@ -61,10 +61,9 @@ def _letters(word, rank):
     the check), each an int in 1..rank (a bool counts, as in
     check_parabolic). The one writer of a bad word's message, which names
     the first bad letter."""
-    try:
-        letters = word.letters
-    except AttributeError:  # not a WeylWord; a try costs nothing until it raises
-        raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__) from None
+    if type(word) is not WeylWord:
+        raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__)
+    letters = word.letters
     if type(letters) is not tuple and type(letters) is not list:
         raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
     for i in letters:
@@ -121,20 +120,17 @@ def _coset_length(word, members, rs):
 
 def length(word, rs):
     """Bruhat length: number of positive roots sent negative."""
-    try:
-        return _replay(word, rs)[1]
-    except AttributeError:  # the word's own check raises an EngineError
-        raise EngineError(wrong_kind("length", "a RootSystem", rs)) from None
+    if type(rs) is not RootSystem:
+        raise EngineError(wrong_kind("length", "a RootSystem", rs))
+    return _replay(word, rs)[1]
 
 
 def _columns(par, rs, call):
-    """rs.columns, with S_P checked: the one read of a (par, rs) pair."""
-    try:
-        cols = rs.columns
-        check_parabolic(par, rs.rank)
-    except AttributeError:
-        raise EngineError(wrong_kind(call, "a ParabolicSubset and a RootSystem", par, rs)) from None
-    return cols
+    """rs.columns, with the kinds of par and rs and the nodes of S_P checked."""
+    if type(par) is not ParabolicSubset or type(rs) is not RootSystem:
+        raise EngineError(wrong_kind(call, "a ParabolicSubset and a RootSystem", par, rs))
+    check_parabolic(par, rs.rank)
+    return rs.columns
 
 
 def longest_element(par, rs):

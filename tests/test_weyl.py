@@ -4,6 +4,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -343,6 +344,11 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
         call(a2)
 
 
+def _like(value, *names):
+    """A look-alike of value: a SimpleNamespace with its attributes names."""
+    return SimpleNamespace(**{name: getattr(value, name) for name in names})
+
+
 # an argument of the wrong kind is an EngineError that names what the call
 # needs and the types it got, never an AttributeError
 @pytest.mark.parametrize("call, message", [
@@ -394,13 +400,44 @@ def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
      "coroot_of needs a Root and a RootSystem, not RootSystem and RootSystem"),
     (lambda rs, fv: rho(Weight((1, 0))), "rho needs a RootSystem, not Weight"),
     (lambda rs, fv: height(Weight((1, 0))), "height needs a Root, not Weight"),
+] + [
+    # a look-alike of each kind, with the attributes that the call reads:
+    # each was taken for that kind, and built a system of A40, Z2 or E9 or
+    # returned a value
+    (lambda rs, fv, f=f, spec=spec: f(SimpleNamespace(family=spec[0], rank=spec[1])),
+     "%s needs a TypeSpec, not SimpleNamespace" % f.__name__)
+    for f in (build_root_system, RootSystem) for spec in (("A", 40), ("Z", 2), ("E", 9))
+] + [
+    (lambda rs, fv: FlagVariety(rs, _like(fv.par, "members")), "FlagVariety needs a RootSystem"
+     " and a ParabolicSubset, not RootSystem and SimpleNamespace"),
+    (lambda rs, fv: longest_element(_like(fv.par, "members"), rs), "longest_element needs a"
+     " ParabolicSubset and a RootSystem, not SimpleNamespace and RootSystem"),
+    (lambda rs, fv: enumerate_coset_reps(_like(fv.par, "members"), rs, 2), "enumerate_coset_reps"
+     " needs a ParabolicSubset and a RootSystem, not SimpleNamespace and RootSystem"),
+    (lambda rs, fv: length(_like(WeylWord((1,)), "letters"), rs),
+     "a word must be a WeylWord, not SimpleNamespace"),
+    (lambda rs, fv: act(WeylWord((1,)), rho(rs), _like(rs, "spec", "rank", "columns")),
+     "act needs a RootSystem, not SimpleNamespace"),
+    (lambda rs, fv: longest_element(fv.par, _like(rs, "spec", "rank", "columns")),
+     "longest_element needs a ParabolicSubset and a RootSystem, not ParabolicSubset and"
+     " SimpleNamespace"),
+    (lambda rs, fv: special.cominuscule_nodes(_like(rs, "highest_root")),
+     "cominuscule_nodes needs a RootSystem, not SimpleNamespace"),
+    (lambda rs, fv: dimension(_like(fv, "_invariants")),
+     "dimension needs a FlagVariety, not SimpleNamespace"),
+    (lambda rs, fv: is_nef(SimpleNamespace(_cones=((), ())), anticanonical_class(fv, 2)[0]),
+     "is_nef needs a FlagVariety and a DivisorClass, not SimpleNamespace and DivisorClass"),
 ], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
         "act", "enumerate-coset-reps", "build-root-system", "schubert-codim", "height",
         "coroot-of-spec", "coroot-of-weight", "rho", "root-as-weight-flag", "full-flag-classify",
         "cominuscule-classify", "cominuscule-nodes", "dual-height", "anticanonical-class",
         "nef-generators", "mori-generators", "dimension", "picard-basis", "beta-values",
         "least-beta", "anticanonical-weight", "root-as-weight-on-weight", "coroot-of-systems",
-        "rho-weight", "height-weight"])
+        "rho-weight", "height-weight", "build-root-system-A40-like", "build-root-system-Z2-like",
+        "build-root-system-E9-like", "root-system-A40-like", "root-system-Z2-like",
+        "root-system-E9-like", "flag-par-like", "longest-element-par-like",
+        "enumerate-coset-reps-par-like", "length-word-like", "act-rs-like",
+        "longest-element-rs-like", "cominuscule-nodes-like", "dimension-like", "is-nef-like"])
 def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
