@@ -172,11 +172,9 @@ def intersect(d, k):
     """Bilinear pairing from Bl*D_alpha . Bl*C_beta = delta, Bl*D_alpha . e = 0,
     E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e.
     The Bl*D . tilde C part runs over the curve's support."""
-    try:
-        x, y, support = d.pullback_coeffs, k.tilde_coeffs, k.support
-    except AttributeError:
-        raise EngineError(wrong_kind("intersect", "a DivisorClass and a CurveClass", d,
-                                     k)) from None
+    if type(d) is not DivisorClass or type(k) is not CurveClass:
+        raise EngineError(wrong_kind("intersect", "a DivisorClass and a CurveClass", d, k))
+    x, y, support = d.pullback_coeffs, k.tilde_coeffs, k.support
     if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
     dot = 0
@@ -216,10 +214,9 @@ def classify(fv, c):
     """Fano / weak-Fano verdict for Bl_Z(G/P) with Z a smooth Schubert
     variety of codimension c (existence and smoothness are the caller's
     assertion)."""
-    try:
-        dim, betas, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
-    except AttributeError:
-        raise EngineError(wrong_kind("classify", "a FlagVariety", fv)) from None
+    if type(fv) is not FlagVariety:
+        raise EngineError(wrong_kind("classify", "a FlagVariety", fv))
+    dim, betas, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
     if not (type(c) is int and 2 <= c <= dim):  # any c this lets by, check_codim passes
         check_codim(c, dim)
     # a new dict keyed by the Picard basis, ascending

@@ -4,11 +4,7 @@ wrong_kind writes the one message for an argument of the wrong kind.
 
 A call recognises each argument by its type, with a `type(x) is K` test
 at its entry, so a look-alike that carries K's attributes is of the wrong
-kind. The exceptions are three calls on the hot path, where the test would
-add to every call: classify, intersect and schubert_codim catch the
-AttributeError of their first read, of an attribute that no other kind of
-the package has (FlagVariety._invariants, DivisorClass.pullback_coeffs
-with CurveClass.tilde_coeffs, and FlagVariety.rs).
+kind.
 """
 
 

@@ -160,9 +160,6 @@ def anticanonical_weight(fv):
 
 def schubert_codim(fv, word):
     """dim X_{wP} = l(w) and its codimension, for w in W^P (weyl._coset_length)."""
-    try:
-        rs, members, dim = fv.rs, fv.par.members, fv._invariants[DIM]
-    except AttributeError:
-        raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv)) from None
-    d = _coset_length(word, members, rs)
+    dim = _invariants_of(fv, "schubert_codim")[DIM]
+    d = _coset_length(word, fv.par.members, fv.rs)
     return SchubertDatum(d, dim - d)

@@ -105,12 +105,12 @@ def _coset_length(word, members, rs):
     its length; every other word is replayed, and lies in W^P iff v_i > 0
     for v = w^{-1}(rho), i.e. w(alpha_i) > 0, on each i in S_P."""
     orbit = rs.__dict__.get("_orbit")
-    if orbit is not None and (orbit[0] is members or orbit[0] == members):
+    if type(word) is WeylWord and orbit is not None and (orbit[0] is members or orbit[0] == members):
+        letters = word.letters
         try:
-            letters = word.letters
             if orbit[1].get(letters) is letters:  # one of the enumeration's own words
                 return len(letters)
-        except Exception:  # not a WeylWord, or letters whose __hash__ raises any error
+        except Exception:  # letters whose __hash__ raises any error
             pass  # the replay writes the message
     v, l = _replay(word, rs)
     if not all(v[i - 1] > 0 for i in members):

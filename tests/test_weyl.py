@@ -427,6 +427,18 @@ def _like(value, *names):
      "dimension needs a FlagVariety, not SimpleNamespace"),
     (lambda rs, fv: is_nef(SimpleNamespace(_cones=((), ())), anticanonical_class(fv, 2)[0]),
      "is_nef needs a FlagVariety and a DivisorClass, not SimpleNamespace and DivisorClass"),
+    (lambda rs, fv: classify(_like(fv, "_invariants"), 2),
+     "classify needs a FlagVariety, not SimpleNamespace"),
+    (lambda rs, fv: schubert_codim(_like(fv, "rs", "par", "_invariants"), WeylWord(())),
+     "schubert_codim needs a FlagVariety, not SimpleNamespace"),
+    (lambda rs, fv: schubert_codim(fv, _like(enumerate_coset_reps(fv.par, rs, 1)[1], "letters")),
+     "a word must be a WeylWord, not SimpleNamespace"),
+    (lambda rs, fv: intersect(_like(anticanonical_class(fv, 2)[0], "basis", "pullback_coeffs",
+                                    "exceptional_coeff"), mori_generators(fv, 2)[0]),
+     "intersect needs a DivisorClass and a CurveClass, not SimpleNamespace and CurveClass"),
+    (lambda rs, fv: intersect(anticanonical_class(fv, 2)[0], _like(
+        mori_generators(fv, 2)[0], "basis", "tilde_coeffs", "e_coeff", "support")),
+     "intersect needs a DivisorClass and a CurveClass, not DivisorClass and SimpleNamespace"),
 ], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
         "act", "enumerate-coset-reps", "build-root-system", "schubert-codim", "height",
         "coroot-of-spec", "coroot-of-weight", "rho", "root-as-weight-flag", "full-flag-classify",
@@ -437,7 +449,9 @@ def _like(value, *names):
         "build-root-system-E9-like", "root-system-A40-like", "root-system-Z2-like",
         "root-system-E9-like", "flag-par-like", "longest-element-par-like",
         "enumerate-coset-reps-par-like", "length-word-like", "act-rs-like",
-        "longest-element-rs-like", "cominuscule-nodes-like", "dimension-like", "is-nef-like"])
+        "longest-element-rs-like", "cominuscule-nodes-like", "dimension-like", "is-nef-like",
+        "classify-like", "schubert-codim-like", "schubert-codim-kept-word-like",
+        "intersect-divisor-like", "intersect-curve-like"])
 def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
