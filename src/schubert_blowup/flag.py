@@ -160,6 +160,7 @@ def anticanonical_weight(fv):
 
 def schubert_codim(fv, word):
     """dim X_{wP} = l(w) and its codimension, for w in W^P (weyl._coset_length)."""
-    dim = _invariants_of(fv, "schubert_codim")[DIM]
+    if type(fv) is not FlagVariety:  # not _invariants_of: a call more per census op
+        raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv))
     d = _coset_length(word, fv.par.members, fv.rs)
-    return SchubertDatum(d, dim - d)
+    return SchubertDatum(d, fv._invariants[DIM] - d)
