@@ -468,9 +468,8 @@ def test_the_library_raises_only_engine_errors():
 
 def test_no_call_probes_an_argument_for_an_attribute():
     # a call tests an argument's kind by its type (the rule of errors'
-    # docstring): no handler that an AttributeError reaches guards a read of
-    # an attribute of an argument
-    broad = {"AttributeError", "Exception", "BaseException"}
+    # docstring): no handler catches AttributeError by name, and none for
+    # Exception or BaseException guards a read of an argument's attribute
     probes = []
     for path in sorted(pathlib.Path(schubert_blowup.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -478,13 +477,15 @@ def test_no_call_probes_an_argument_for_an_attribute():
                 continue
             params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
             for node in ast.walk(fn):
-                if not isinstance(node, ast.Try) or params.isdisjoint(
-                        n.value.id for stmt in node.body for n in ast.walk(stmt)
-                        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)):
+                if not isinstance(node, ast.Try):
                     continue
+                reads = {n.value.id for stmt in node.body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
                 for handler in node.handlers:
-                    caught = handler.type or ast.Name("BaseException")  # a bare except
-                    if broad & {n.id for n in ast.walk(caught) if isinstance(n, ast.Name)}:
+                    caught = {n.id for n in ast.walk(handler.type or ast.Name("BaseException"))
+                              if isinstance(n, ast.Name)}
+                    if "AttributeError" in caught or (
+                            caught & {"Exception", "BaseException"} and reads & params):
                         probes.append((path.name, fn.name, handler.lineno))
     assert probes == []
 
