@@ -4,14 +4,12 @@ generalized flag varieties along smooth Schubert varieties.
 Importing the package loads only what a classify or cones query runs.
 The names in _LAZY, which no such query reads, stay public and in
 __all__, and their module is imported on first access: the closed-form
-laws of special, the reference layer (the root closure, coroots,
-pairings and the Weyl action) and table's list of types."""
+laws of special, the reference layer (the coordinate bases, the root
+closure, coroots, pairings, the Weyl action, the -K weight and the cone
+test) and table's list of types."""
 
 from .rootsys import (
     TypeSpec,
-    Root,
-    Coroot,
-    Weight,
     RootSystem,
     build_root_system,
 )
@@ -29,7 +27,6 @@ from .flag import (
     dimension,
     picard_basis,
     beta_values,
-    anticanonical_weight,
     schubert_codim,
 )
 from .blowup import (
@@ -41,14 +38,13 @@ from .blowup import (
     mori_generators,
     intersect,
     anticanonical_class,
-    is_nef,
-    is_ample,
     classify,
 )
 
 # name -> the module that holds it, or that is it
-_LAZY = dict.fromkeys(("height", "pairing", "coroot_of", "root_as_weight", "rho", "act"),
-                      "reference")
+_LAZY = dict.fromkeys(("Root", "Coroot", "Weight", "height", "pairing", "coroot_of",
+                       "root_as_weight", "rho", "act", "anticanonical_weight", "is_nef",
+                       "is_ample"), "reference")
 _LAZY.update(all_types="table", special="special")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)

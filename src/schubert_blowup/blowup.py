@@ -5,7 +5,7 @@ Divisor classes live over the basis {Bl*D_alpha} + {E_Z}, curve classes
 over {tilde C_alpha} + {e} with tilde C_alpha = Bl*C_alpha - e. The nef
 cone is generated by the Bl*D_alpha together with H - E_Z (where H is
 the pullback of sum D_alpha), the dual Mori cone by the tilde C_alpha and
-e, whose pairings decide is_nef and is_ample, and the anticanonical class is
+e, and the anticanonical class is
 
     -K = sum (1 + beta_alpha) Bl*D_alpha - (c-1) E_Z
        = sum (beta_alpha + 2 - c) Bl*D_alpha + (c-1)(H - E_Z),
@@ -31,8 +31,9 @@ DivisorClass(...) and CurveClass(...) check their coefficients, and every
 class, the generators and -K among them, is built by its constructor. Each
 FlagVariety builds its generators once, in _cones, the one builder of
 generator classes; nef_generators and mori_generators return new lists of
-those shared classes, and is_nef(fv, d) and is_ample(fv, d) pair d with
-fv's Mori tuple. A curve class keeps its support, the positions of its
+those shared classes. Kleiman's criterion, is_nef and is_ample, which pair
+a class with the Mori tuple and which only selfcheck B3 and the tests run,
+lives in reference. A curve class keeps its support, the positions of its
 nonzero coordinates, in a slot derived from its fields (value's one
 storage rule), and intersect pairs Bl*D . tilde C over it: O(1) against a
 Mori generator, which has at most one. A nonzero E_Z coefficient adds a
@@ -193,21 +194,6 @@ def anticanonical_class(fv, c):
     d = DivisorClass(inv[BASIS], tuple(1 + b for b in betas), 1 - c)
     basis2 = tuple(b + 2 - c for b in betas) + (c - 1,)
     return d, basis2
-
-
-def _mori(fv, d, call):
-    """fv's Mori tuple, for is_nef and is_ample to pair d with."""
-    if type(fv) is not FlagVariety:
-        raise EngineError(wrong_kind(call, "a FlagVariety and a DivisorClass", fv, d))
-    return _cones(fv)[1]
-
-
-def is_nef(fv, d):
-    return all(intersect(d, k) >= 0 for k in _mori(fv, d, "is_nef"))
-
-
-def is_ample(fv, d):
-    return all(intersect(d, k) > 0 for k in _mori(fv, d, "is_ample"))
 
 
 def classify(fv, c):

@@ -24,8 +24,9 @@ one loop that reads argv against it, by this grammar alone:
 `json.dumps(report, indent=2, sort_keys=True)`. So a call imports neither
 argparse (with gettext and locale) nor json: in a fresh interpreter they
 cost more start-up than the query itself. For the same reason `table` and
-`check` import their modules, table and selfcheck, only when they run: a
-classify or cones call compiles neither.
+`check` import their modules, table and selfcheck, only when they run,
+and those modules print the command's output: a classify or cones call
+compiles neither.
 """
 
 import os
@@ -166,15 +167,9 @@ def cmd_table(args):
 
 
 def cmd_check(args):
-    # imported here: only `check` needs it, and it slows every other call's start-up
     from . import selfcheck
 
-    results = selfcheck.run_all()
-    for name, status, error in results:
-        print("%s %s%s" % (status, name, ": " + error if error else ""))
-    statuses = [status for _, status, _ in results]
-    print("%d/%d checks passed" % (statuses.count("PASS"), len(results)))
-    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
+    return selfcheck.run()
 
 
 _FORMAT = ("format", ("text", "json"), "text")

@@ -5,8 +5,8 @@ Node numbering
 All simple roots are numbered 1..rank following Bourbaki (Plates I-IX).
 _diagram writes each Dynkin diagram once, as its chain of nodes, the node
 off the chain with its hub, and the multiple bond with its long and short
-ends; the Cartan columns, the symmetrizers and the Levi split of
-simple_factors are derived from it.
+ends; the Cartan columns, the Levi split of simple_factors and
+reference._symmetrizers are derived from it.
 
 Cartan matrix orientation
 -------------------------
@@ -14,12 +14,6 @@ C[i][j] = <alpha_j, alpha_i^vee>, so column j of C is the simple root
 alpha_j written in fundamental-weight coordinates, and pairing a weight
 against a coroot is a plain dot product of coordinate vectors.
 cartan_columns gives only the nonzero entries of each column.
-
-Symmetrizers
-------------
-d = (d_1, ..., d_l) are the smallest positive integers making diag(d) @ C
-symmetric; (alpha_i, alpha_j) = d_i * C[i][j] defines the invariant form,
-so (alpha_i, alpha_i) = 2 * d_i.
 
 Closed forms
 ------------
@@ -202,13 +196,3 @@ def cartan_columns(family, rank):
         cols[long - 1][short - 1] = -m
     return tuple(tuple(sorted(col.items())) for col in cols)
 
-
-def symmetrizer(family, rank):
-    """Diagonal d with diag(d) @ C symmetric, minimal positive integers: the
-    multiplicity m of the bond on the long end's side of it, 1 elsewhere."""
-    bond = _diagram(family, rank)[3]
-    if bond is None:
-        return (1,) * rank
-    long, short, m = bond
-    long_side = range(1, long + 1) if long < short else range(long, rank + 1)
-    return tuple(m if i in long_side else 1 for i in range(1, rank + 1))

@@ -1,6 +1,6 @@
 """The generalized flag variety G/P: dimension, Picard basis, the
-beta invariants beta_alpha = <w_{0,P}(rho), alpha^vee>, anticanonical
-weight rho + w_{0,P}(rho), and Schubert codimension.
+beta invariants beta_alpha = <w_{0,P}(rho), alpha^vee> and Schubert
+codimension.
 
 No Weyl word and no root is needed for the invariants: w_{0,P}(rho) =
 rho - 2 rho_P, where 2 rho_P is the sum of the positive roots of the Levi
@@ -18,12 +18,13 @@ repeated query finds them cached. Nothing is re-checked on the way:
 selfcheck F2 (the closed forms against the Weyl word of w_{0,P} and the
 closure of R^+) holds them. FlagVariety._invariants keeps them as one
 plain tuple, whose layout DIM, BETAS, BASIS and LEAST name, in its
-"__dict__" slot. The readers dimension, picard_basis, beta_values,
-least_beta and anticanonical_weight, and blowup once per query, index it
-through _invariants_of; classify unpacks it inline, and schubert_codim
-reads DIM and takes a word's W^P test and length from
-weyl._coset_length. No query reads the -K weight, so
-anticanonical_weight builds it anew from the closed form on each call.
+"__dict__" slot. The readers dimension, picard_basis and beta_values,
+blowup once per query, and table._least_beta and
+reference.anticanonical_weight index it through _invariants_of; classify
+unpacks it inline, and schubert_codim reads DIM and takes a word's W^P
+test and length from weyl._coset_length. No query reads the -K weight
+rho + w_{0,P}(rho), so reference.anticanonical_weight builds it anew from
+_closed_form on each call.
 """
 
 from functools import cached_property
@@ -31,7 +32,7 @@ from types import MappingProxyType
 
 from .conventions import positive_root_count, simple_factors, two_rho
 from .errors import EngineError, wrong_kind
-from .rootsys import RootSystem, Weight, kept_varieties
+from .rootsys import RootSystem, kept_varieties
 from .value import Value
 from .weyl import ParabolicSubset, _coset_length, check_parabolic
 
@@ -145,17 +146,6 @@ def picard_basis(fv):
 def beta_values(fv):
     """beta_alpha = <rho - 2 rho_P, alpha^vee> for alpha in S \\ S_P."""
     return _invariants_of(fv, "beta_values")[BETAS]
-
-
-def least_beta(fv):
-    """min beta_alpha over S \\ S_P, where the least margin of -K sits."""
-    return _invariants_of(fv, "least_beta")[LEAST]
-
-
-def anticanonical_weight(fv):
-    """rho + w_{0,P}(rho) = 2 rho - 2 rho_P; lies in X^*(P)."""
-    _invariants_of(fv, "anticanonical_weight")  # the one check of the argument
-    return Weight(tuple(1 + x for x in fv._closed_form()[0]))
 
 
 def schubert_codim(fv, word):

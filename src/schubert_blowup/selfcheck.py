@@ -7,7 +7,8 @@ check becomes a verdict. CHECKS is the one table of checks and ranks: each
 row gives the rank up to which `check` runs the check and the larger one
 up to which the pytest suite runs it, per type. run_all evaluates them in
 a fixed order so the report is deterministic, and reports a check that
-crashes apart from one that fails. They are the one place the internal
+crashes apart from one that fails; run prints that report for the `check`
+command, as table.run prints the table. They are the one place the internal
 invariants are verified: rootsys and flag re-check none of them at run
 time. The second derivations that only a check uses live here beside it:
 I1's root-string closure and S5's Kannan-Saha coroot identity.
@@ -26,7 +27,7 @@ import random
 from . import blowup, flag, reference, special, weyl
 from .conventions import RANK_CAP
 from .errors import EngineError
-from .reference import act, coroot_of, height, pairing, rho
+from .reference import act, cartan, coroot_of, height, highest_root, pairing, rho, simple_coroot
 from .rootsys import build_root_system
 from .table import all_types
 from .weyl import ParabolicSubset, WeylWord, length, longest_element
@@ -104,7 +105,7 @@ def check_I1_closure_order_insensitive(rs):
     order = list(range(rs.rank))
     rng = random.Random(0)
     for _ in range(5):
-        diff = _closure(rs.cartan, order) ^ base
+        diff = _closure(cartan(rs), order) ^ base
         if diff:
             yield tuple(order), min(diff)
         rng.shuffle(order)
@@ -116,7 +117,7 @@ def check_I2_sign_coherence(rs):
     for r in rs.positive_roots:
         if any(c < 0 for c in r.coeffs):
             yield (r.coeffs,)
-    top = [r.coeffs for r in rs.positive_roots if height(r) == height(rs.highest_root)]
+    top = [r.coeffs for r in rs.positive_roots if height(r) == height(highest_root(rs))]
     if len(top) != 1:
         yield tuple(top)
 
@@ -131,11 +132,11 @@ def dual_coxeter_number(spec):
 
 
 def check_I3_rho_pairing_highest_coroot(rs):
-    lhs = pairing(rho(rs), coroot_of(rs.highest_root, rs))
+    lhs = pairing(rho(rs), coroot_of(highest_root(rs), rs))
     # in the simply-laced types this coincides with ht(alpha_0)
     if lhs != dual_coxeter_number(rs.spec) - 1 or (
-            rs.spec.family in "ADE" and lhs != height(rs.highest_root)):
-        yield lhs, dual_coxeter_number(rs.spec) - 1, height(rs.highest_root)
+            rs.spec.family in "ADE" and lhs != height(highest_root(rs))):
+        yield lhs, dual_coxeter_number(rs.spec) - 1, height(highest_root(rs))
 
 
 def check_I4_root_as_weight_injective(rs):
@@ -249,7 +250,7 @@ def closed_form_mismatch(rs, pars):
         betas = flag.beta_values(fv)
         if (set(betas.values) != set(basis)
                 or any(betas[a] != img.coeffs[a - 1] for a in basis)
-                or flag.anticanonical_weight(fv) != r + img
+                or reference.anticanonical_weight(fv) != r + img
                 or flag.dimension(fv) != len(rs.positive_roots) - len(w0.letters)):
             yield sorted(par.members)
 
@@ -285,9 +286,9 @@ def check_B3_classifier_matches_cone_test(rs):
         dc, _ = blowup.anticanonical_class(fv, c)
         expected = (
             blowup.Verdict.FANO
-            if blowup.is_ample(fv, dc)
+            if reference.is_ample(fv, dc)
             else blowup.Verdict.WEAK_FANO_NOT_FANO
-            if blowup.is_nef(fv, dc)
+            if reference.is_nef(fv, dc)
             else blowup.Verdict.NOT_WEAK_FANO
         )
         if blowup.classify(fv, c).verdict != expected:
@@ -343,7 +344,7 @@ def check_S5_kannan_saha(rs):
     for node in sorted(special.cominuscule_nodes(rs)):
         fv = _maximal(rs, node)
         w0p = longest_element(fv.par, rs)
-        if (act(w0p, rs.simple_coroot(node), rs) != coroot_of(rs.highest_root, rs)
+        if (act(w0p, simple_coroot(rs, node), rs) != coroot_of(highest_root(rs), rs)
                 or flag.beta_values(fv)[node] != special.dual_height(rs)):
             yield (node,)
 
@@ -402,3 +403,14 @@ def run_all():
             status, error = "ERROR", "%s: %s" % (type(exc).__name__, exc)
         results.append((name, status, error))
     return results
+
+
+def run():
+    """Print run_all's report for `check`; the exit code: 3 if a check
+    crashed, else 1 if one failed, else 0."""
+    results = run_all()
+    for name, status, error in results:
+        print("%s %s%s" % (status, name, ": " + error if error else ""))
+    statuses = [status for _, status, _ in results]
+    print("%d/%d checks passed" % (statuses.count("PASS"), len(results)))
+    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0

@@ -10,7 +10,7 @@ margin through the one ladder blowup.verdict_of, which selfcheck B3 checks.
 
 from .blowup import check_codim, verdict_of
 from .errors import EngineError, wrong_kind
-from .reference import coroot_of
+from .reference import coroot_of, highest_root
 from .rootsys import RootSystem
 
 
@@ -28,10 +28,10 @@ def grassmannian_classify(r, n, c):
 
 
 def _highest_root(rs, call):
-    """rs.highest_root; call names the law in the wrong-kind message."""
+    """The highest root of rs; call names the law in the wrong-kind message."""
     if type(rs) is not RootSystem:
         raise EngineError(wrong_kind(call, "a RootSystem", rs))
-    return rs.highest_root
+    return highest_root(rs)
 
 
 def cominuscule_nodes(rs):

@@ -5,7 +5,8 @@ cli.cmd_table imports this module when `table` runs, as cmd_check imports
 selfcheck, so a classify or cones call never compiles it. It does not
 import cli: `python -m schubert_blowup.cli` runs cli as __main__, and an
 import of schubert_blowup.cli would compile and run it a second time. So
-cmd_table hands run its JSON writer.
+cmd_table hands run its JSON writer. _least_beta, which only the table
+reads, is here too.
 """
 
 from . import flag
@@ -41,6 +42,11 @@ def all_types(max_rank, families=RANK_BOUNDS):
     return out
 
 
+def _least_beta(fv):
+    """min beta_alpha over S \\ S_P, where the least margin of -K sits."""
+    return flag._invariants_of(fv, "_least_beta")[flag.LEAST]
+
+
 def rows(families, max_rank, policy):
     """One row per variety of the table: its type, crossed nodes, dimension,
     betas and the two Fano boundaries."""
@@ -56,7 +62,7 @@ def rows(families, max_rank, policy):
             fv = flag.FlagVariety(rs, par)
             betas = flag.beta_values(fv)
             basis = flag.picard_basis(fv)
-            bmin = flag.least_beta(fv)
+            bmin = _least_beta(fv)
             out.append({
                 "type": str(spec),
                 "crossed_nodes": list(basis),

@@ -2,10 +2,11 @@
 minimal coset representatives.
 
 Words are tuples or lists of 1-based simple-reflection indices applied
-right to left. Every walk reads RootSystem.columns. A replay checks a
-word's letters once, up front (_letters, the one writer of a bad word's
-message). longest_element and enumerate_coset_reps walk weight orbits on
-integer lists instead of replaying words. length reads one replay of the
+right to left; WeylWord takes no other container. Every walk reads
+RootSystem.columns. A replay checks a word's letters once, up front
+(_letters, the one writer of a bad letter's message). longest_element
+and enumerate_coset_reps walk weight orbits on integer lists instead of
+replaying words. length reads one replay of the
 word on rho, whose signed count of steps is the length.
 enumerate_coset_reps keeps the W^P words it returned on the RootSystem,
 as the entry _orbit of its "__dict__" slot, which the next enumeration on
@@ -29,6 +30,9 @@ class WeylWord(Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters):
+        # a set has no order, and a one-shot iterator would be spent by a replay
+        if type(letters) is not tuple and type(letters) is not list:
+            raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
         (set_letters,) = self._set
         set_letters(self, letters)
 
@@ -56,16 +60,13 @@ class ParabolicSubset(Value):
 
 
 def _letters(word, rank):
-    """The letters of a WeylWord, checked in one pass per replay: a tuple or
-    a list (a set has no order, and a one-shot iterator would be spent by
-    the check), each an int in 1..rank (a bool counts, as in
-    check_parabolic). The one writer of a bad word's message, which names
-    the first bad letter."""
+    """The letters of a WeylWord, checked in one pass per replay: each an
+    int in 1..rank (a bool counts, as in check_parabolic); WeylWord itself
+    took only a tuple or a list. The one writer of a bad letter's message,
+    which names the first bad letter."""
     if type(word) is not WeylWord:
         raise EngineError("a word must be a WeylWord, not %s" % type(word).__name__)
     letters = word.letters
-    if type(letters) is not tuple and type(letters) is not list:
-        raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
     for i in letters:
         if not (isinstance(i, int) and 1 <= i <= rank):
             raise EngineError("reflection index %r outside 1..%d" % (i, rank))

@@ -376,12 +376,26 @@ def test_cold_calls_import_neither_argparse_nor_json():
 # modules that a bare import and a classify or cones call must not load
 QUERY_FREE = {"schubert_blowup." + name for name in ("reference", "table", "selfcheck", "special")}
 
+# names that the query path defined before they moved behind the import
+# boundary, with the names they have now: the coordinate bases, the facts of
+# a RootSystem beyond its columns, the -K weight, the cone test and the
+# least beta
+MOVED = {"_Coords", "Root", "Coroot", "Weight", "cartan", "symmetrizer", "symmetrizers",
+         "_symmetrizers", "highest_root", "simple_coroot", "contains", "anticanonical_weight",
+         "is_nef", "is_ample", "_mori", "least_beta", "_least_beta"}
+
+# the most source lines that a cold classify or cones call may compile
+QUERY_LINES = 1350
+
 # runs argv, if any, as the CLI does, else imports the package; then prints
-# the package's loaded modules, and the functions of reference and table
-# that a loaded module defines too (by name)
+# the package's loaded modules; the names that a loaded module defines, as a
+# function or a class or as a member of one of its classes, and that
+# reference or table defines too or MOVED names; and the source lines of the
+# package's loaded modules, cli's among them when it ran (as __main__, which
+# runpy has restored by then)
 QUERY_IMPORTS = """
-import runpy, sys
-argv = %r
+import os, runpy, sys
+argv, moved = %r, %r
 if argv:
     sys.argv = ["schubert-blowup"] + argv
     try:
@@ -392,15 +406,24 @@ if argv:
 else:
     import schubert_blowup
 loaded = sorted(k for k in sys.modules if k.startswith("schubert_blowup"))
+files = [sys.modules[k].__file__ for k in loaded]
+if argv:
+    files.append(os.path.join(os.path.dirname(files[0]), "cli.py"))
 
 def defined(name):
     module = sys.modules[name]
     return {f for f, v in vars(module).items() if getattr(v, "__module__", None) == name}
 
-query = set().union(*map(defined, loaded))
+def members(name):
+    own = vars(sys.modules[name])
+    classes = [own[f] for f in defined(name) if isinstance(own[f], type)]
+    return defined(name).union(*map(vars, classes))
+
+query = set().union(*map(members, loaded))
 from schubert_blowup import reference, table
 print(" ".join(loaded))
-print(" ".join(sorted(query & (defined(reference.__name__) | defined(table.__name__)))))
+print(" ".join(sorted(query & (defined(reference.__name__) | defined(table.__name__) | moved))))
+print(sum(len(open(f).readlines()) for f in files))
 """
 
 
@@ -409,13 +432,14 @@ print(" ".join(sorted(query & (defined(reference.__name__) | defined(table.__nam
     for fmt in ([], ["--format", "json"])], ids=["import", "classify-text", "classify-json",
                                                  "cones-text", "cones-json"])
 def test_cold_queries_load_no_reference_code(argv):
-    proc = subprocess.run([sys.executable, "-c", QUERY_IMPORTS % (argv,)], capture_output=True,
-                          text=True, env=subprocess_env())
+    proc = subprocess.run([sys.executable, "-c", QUERY_IMPORTS % (argv, MOVED)],
+                          capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    loaded, shared = proc.stdout.splitlines()[-2:]
+    loaded, shared, lines = proc.stdout.splitlines()[-3:]
     assert "schubert_blowup.blowup" in loaded.split()
     assert QUERY_FREE & set(loaded.split()) == set()
     assert shared == ""
+    assert int(lines) <= QUERY_LINES
 
 
 def _reports(spec):
@@ -518,7 +542,7 @@ def _argument_pool():
     alike = [SimpleNamespace(family=f, rank=r) for f, r in (("A", 2), ("A", 40), ("Z", 2),
                                                            ("E", 9))]
     alike += [_like(pars[1], "members"), _like(words[3], "letters"),
-              _like(systems[1], "spec", "rank", "columns", "highest_root", "positive_roots"),
+              _like(systems[1], "spec", "rank", "columns", "positive_roots"),
               _like(fvs[0], "rs", "par", "_invariants"), SimpleNamespace(_cones=((), ())),
               _like(divisors[0], "basis", "pullback_coeffs", "exceptional_coeff"),
               _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "support")]
@@ -601,7 +625,8 @@ def test_every_public_engine_name_has_a_caller():
     assert bench.is_dir(), bench
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     bench_names = {n for path in bench.glob("*.py") for n in _named(ast.parse(path.read_text()))}
-    exported = set(_named(trees["__init__"]))
+    # imported by name, or named in _LAZY, the table of what it imports on first access
+    exported = set(_named(trees["__init__"])) | set(schubert_blowup._LAZY)
     anywhere = bench_names.union(*(_named(t) for s, t in trees.items() if s != "__init__"))
     unused = []
     for stem, tree in trees.items():
@@ -697,10 +722,11 @@ def run_optimized(code):
 def test_invariants_survive_python_O():
     proc = run_optimized("""
 from schubert_blowup import TypeSpec, build_root_system, coroot_of
+from schubert_blowup.reference import highest_root
 from schubert_blowup.errors import InvariantViolation
 rs = build_root_system(TypeSpec("A", 2))
 try:
-    print(coroot_of(rs.highest_root, rs).coeffs)
+    print(coroot_of(highest_root(rs), rs).coeffs)
 except InvariantViolation:
     print("InvariantViolation")
 """)

@@ -16,10 +16,11 @@ from schubert_blowup import (
     picard_basis,
     schubert_codim,
 )
-from schubert_blowup import flag
+from schubert_blowup import flag, table
 from schubert_blowup.conventions import RANK_CAP, simple_factors
 from schubert_blowup.flag import FLAGS_PER_SYSTEM
 from schubert_blowup.errors import EngineError
+from schubert_blowup.reference import cartan
 from schubert_blowup.rootsys import kept_varieties
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import all_parabolics, all_types
@@ -172,9 +173,9 @@ def assert_matches_support_filter(rs, members):
     count, two_rho_p = support_filter_invariants(rs, members)
     assert dimension(fv) == len(rs.positive_roots) - count
     # w_{0,P}(rho) = rho - 2 rho_P in weight coordinates
-    img = [1 - sum(c * k for c, k in zip(row, two_rho_p)) for row in rs.cartan]
+    img = [1 - sum(c * k for c, k in zip(row, two_rho_p)) for row in cartan(rs)]
     assert dict(beta_values(fv).values) == {a: img[a - 1] for a in picard_basis(fv)}
-    assert flag.least_beta(fv) == min(img[a - 1] for a in picard_basis(fv))
+    assert table._least_beta(fv) == min(img[a - 1] for a in picard_basis(fv))
     assert anticanonical_weight(fv) == Weight(tuple(1 + x for x in img))
 
 

@@ -34,6 +34,7 @@ from schubert_blowup import (
     schubert_codim,
 )
 from schubert_blowup import cli, conventions, reference, rootsys
+from schubert_blowup.reference import _symmetrizers, cartan, highest_root, simple_coroot
 from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import all_types
@@ -76,8 +77,8 @@ def test_a2_closure_by_hand():
 def test_g2_highest_root():
     rs = build_root_system(TypeSpec("G", 2))
     assert len(rs.positive_roots) == 6
-    assert rs.highest_root == Root((3, 2))
-    assert height(rs.highest_root) == 5
+    assert highest_root(rs) == Root((3, 2))
+    assert height(highest_root(rs)) == 5
 
 
 def no_closure(rs):
@@ -88,7 +89,7 @@ def no_dense_rows(rs):
     pytest.fail("the dense Cartan rows were read")
 
 
-def no_symmetrizers(family, rank):
+def no_symmetrizers(rs):
     pytest.fail("the symmetrizers were computed")
 
 
@@ -96,15 +97,15 @@ def no_symmetrizers(family, rank):
     ("B", 16, ()), ("E", 8, range(2, 9)),
 ], ids=["B16-full-flag", "E8-P1"])
 def test_queries_never_build_the_positive_roots(monkeypatch, capsys, family, rank, members):
-    # in every package module that binds the closure, so that no closure of
-    # any kind, for R^+ or for a Levi's roots, is left on a query path
-    for name, module in list(sys.modules.items()):
-        if name.startswith("schubert_blowup") and hasattr(module, "_positive_roots"):
-            monkeypatch.setattr(module, "_positive_roots", no_closure)
-    # nor the dense Cartan rows, which only the pairings of a Root read
-    monkeypatch.setattr(RootSystem, "cartan", property(no_dense_rows))
-    # nor the symmetrizers, which only reference.coroot_of reads
-    monkeypatch.setattr(conventions, "symmetrizer", no_symmetrizers)
+    # in every package module that binds them: no closure of any kind, for
+    # R^+ or for a Levi's roots, nor the dense Cartan rows, which only the
+    # pairings of a Root read, nor the symmetrizers, which only
+    # reference.coroot_of reads, is left on a query path
+    for name, fake in (("_positive_roots", no_closure), ("cartan", no_dense_rows),
+                       ("_symmetrizers", no_symmetrizers)):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("schubert_blowup") and hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
     fv = FlagVariety(build_root_system(TypeSpec(family, rank)), ParabolicSubset.of(members))
     assert classify(fv, 2).verdict == Verdict.FANO
     anticanonical_class(fv, 2)
@@ -130,7 +131,7 @@ def test_positive_roots_are_built_once_on_first_read(monkeypatch):
     rs = build_root_system(TypeSpec("A", 3))
     assert calls == []
     roots = rs.positive_roots
-    assert rs.positive_roots is roots and rs.highest_root == Root((1, 1, 1))
+    assert rs.positive_roots is roots and highest_root(rs) == Root((1, 1, 1))
     assert calls == [rs]
 
 
@@ -157,7 +158,7 @@ def test_columns_are_the_nonzero_entries_of_each_cartan_column(spec):
     rs = build_root_system(spec)
     n = rs.rank
     assert rs.columns == tuple(
-        tuple((j, rs.cartan[j][i]) for j in range(n) if rs.cartan[j][i] != 0) for i in range(n))
+        tuple((j, cartan(rs)[j][i]) for j in range(n) if cartan(rs)[j][i] != 0) for i in range(n))
 
 
 # SHA-256 of repr of the dense rows, the columns (as tuples) and the
@@ -165,7 +166,7 @@ def test_columns_are_the_nonzero_entries_of_each_cartan_column(spec):
 # which wrote each family's rows and symmetrizers out by hand, so that the
 # tables derived from conventions._diagram keep every entry
 def test_cartan_tables_pinned():
-    tables = [(rs.cartan, tuple(map(tuple, rs.columns)), rs.symmetrizers)
+    tables = [(cartan(rs), tuple(map(tuple, rs.columns)), _symmetrizers(rs))
               for rs in map(build_root_system, all_types(RANK_CAP))]
     assert len(tables) == 64
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
@@ -182,12 +183,12 @@ def test_dense_rows_are_built_once_on_first_read(monkeypatch):
     w0 = longest_element(fv.par, rs)
     assert length(w0, rs) == 42
     assert rho(rs) + act(w0, rho(rs), rs) == anticanonical_weight(fv)
-    assert act(w0, rs.simple_coroot(1), rs).rank == 8 and "cartan" not in vars(rs)
-    rows = rs.cartan
-    assert rs.cartan is rows and vars(rs)["cartan"] is rows
+    assert act(w0, simple_coroot(rs, 1), rs).rank == 8 and "cartan" not in vars(rs)
+    rows = cartan(rs)
+    assert cartan(rs) is rows and vars(rs)["cartan"] is rows
     # w_{0,P} is an involution; acting on a Root reads the cached rows
     assert act(w0, act(w0, simple_root(rs, 1), rs), rs) == simple_root(rs, 1)
-    assert rs.cartan is rows
+    assert cartan(rs) is rows
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 9), ("F", 5), ("G", 3), ("H", 2), ("A", 17)])
@@ -224,25 +225,25 @@ def test_height_of_type_a_highest_root():
     # ht(alpha_0) = n-1 in A_{n-1}
     for n in range(2, 10):
         rs = build_root_system(TypeSpec("A", n - 1))
-        assert height(rs.highest_root) == n - 1
+        assert height(highest_root(rs)) == n - 1
 
 
 def test_pairing_rho_with_simple_coroots():
     rs = build_root_system(TypeSpec("D", 4))
     for i in range(1, 5):
-        assert pairing(rho(rs), rs.simple_coroot(i)) == 1
+        assert pairing(rho(rs), simple_coroot(rs, i)) == 1
 
 
 def test_pairing_rho_with_highest_coroot_type_a():
     for n in range(2, 10):
         rs = build_root_system(TypeSpec("A", n - 1))
-        assert pairing(rho(rs), coroot_of(rs.highest_root, rs)) == n - 1
+        assert pairing(rho(rs), coroot_of(highest_root(rs), rs)) == n - 1
 
 
 def test_pairing_rho_with_highest_coroot_g2():
     # dual Coxeter number of G_2 is 4
     rs = build_root_system(TypeSpec("G", 2))
-    assert pairing(rho(rs), coroot_of(rs.highest_root, rs)) == 3
+    assert pairing(rho(rs), coroot_of(highest_root(rs), rs)) == 3
 
 
 def test_pairing_rank_mismatch():
@@ -253,7 +254,7 @@ def test_pairing_rank_mismatch():
 def test_coroot_of_simple_roots():
     rs = build_root_system(TypeSpec("C", 3))
     for i in range(1, 4):
-        assert coroot_of(simple_root(rs, i), rs) == rs.simple_coroot(i)
+        assert coroot_of(simple_root(rs, i), rs) == simple_coroot(rs, i)
 
 
 def test_coroot_of_a2_highest_root():
@@ -264,8 +265,8 @@ def test_coroot_of_a2_highest_root():
 def test_coroot_of_b2_highest_root():
     # alpha_0 = alpha_1 + 2 alpha_2 is long; its coroot is alpha_1^v + alpha_2^v
     rs = build_root_system(TypeSpec("B", 2))
-    assert rs.highest_root == Root((1, 2))
-    assert coroot_of(rs.highest_root, rs) == Coroot((1, 1))
+    assert highest_root(rs) == Root((1, 2))
+    assert coroot_of(highest_root(rs), rs) == Coroot((1, 1))
 
 
 def test_coroot_of_rejects_non_roots():
@@ -302,8 +303,8 @@ def test_rho_is_half_sum_of_positive_roots(spec):
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
 def test_symmetrized_cartan_is_symmetric(spec):
     rs = build_root_system(spec)
-    C = rs.cartan
-    d = rs.symmetrizers
+    C = cartan(rs)
+    d = _symmetrizers(rs)
     n = rs.rank
     for i, j in itertools.product(range(n), range(n)):
         assert d[i] * C[i][j] == d[j] * C[j][i]
@@ -349,6 +350,6 @@ def corrupt_a2_cartan(monkeypatch):
 def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):
     corrupt_a2_cartan(monkeypatch)
     rs = build_root_system(TypeSpec("A", 2))
-    assert rs.highest_root == Root((2, 1))
+    assert highest_root(rs) == Root((2, 1))
     with pytest.raises(InvariantViolation):
-        coroot_of(rs.highest_root, rs)
+        coroot_of(highest_root(rs), rs)

@@ -15,8 +15,9 @@ import sys
 
 import pytest
 
-from schubert_blowup import blowup, conventions, flag, reference, special, weyl
-from schubert_blowup.rootsys import Coroot, Root, TypeSpec, Weight
+from schubert_blowup import blowup, flag, reference, special, weyl
+from schubert_blowup.reference import Coroot, Root, Weight
+from schubert_blowup.rootsys import TypeSpec
 from schubert_blowup.selfcheck import CHECKS, all_types, fails, first_counterexample
 from schubert_blowup.weyl import WeylWord
 
@@ -87,7 +88,7 @@ NEGATIVE_CONTROLS = [
     ("I2", "G2", reference, "_positive_roots", lambda real: lambda rs: real(rs) | {(2, 3)},
      ((2, 3), (3, 2)), {"I1", "I2", "W3", "W4", "W5", "F2"}),
     # the symmetrizers of G2 swapped: the highest coroot changes
-    ("I3", "G2", conventions, "symmetrizer", lambda real: lambda f, r: real(f, r)[::-1],
+    ("I3", "G2", reference, "_symmetrizers", lambda real: lambda rs: real(rs)[::-1],
      (11, 3, 5), {"I3"}),
     # <beta, alpha_1^vee> dropped from the weight of a root
     ("I4", "B2", reference, "root_as_weight",
@@ -122,7 +123,7 @@ NEGATIVE_CONTROLS = [
      lambda real: lambda d, k: real(d, k) + 2 * d.exceptional_coeff * k.e_coeff,
      ([], 2), {"B1", "B3", "B5"}),
     # > for >= in is_nef: -K on the nef boundary (A2/B at c = 3) reads as not nef
-    ("B3", "A2", blowup, "is_nef", lambda real: blowup.is_ample, ([], 3), {"B3"}),
+    ("B3", "A2", reference, "is_nef", lambda real: reference.is_ample, ([], 3), {"B3"}),
     # every margin of -K one more in its second basis
     ("B5", "A2", blowup, "anticanonical_class", lambda real: lambda fv, c: (
         real(fv, c)[0], tuple(m + 1 for m in real(fv, c)[1][:-1]) + (c - 1,)), ([], 2), {"B5"}),

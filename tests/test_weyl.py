@@ -45,8 +45,10 @@ from schubert_blowup import (
     special,
     weyl,
 )
+from schubert_blowup import table
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
+from schubert_blowup.reference import cartan, highest_root, simple_coroot
 from schubert_blowup.rootsys import kept_varieties
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
 from schubert_blowup.selfcheck import _in_levi, all_types
@@ -63,7 +65,7 @@ def brute_force_group(rs):
     v - v_i alpha_i, written out here so that the oracle shares no code
     with the walks it checks.
     """
-    C = rs.cartan
+    C = cartan(rs)
     start = (1,) * rs.rank
     words = {start: ()}  # orbit point -> the first word that reached it
     queue = deque([start])
@@ -115,11 +117,11 @@ def test_reflect_root_a2(a2):
 def test_reflect_coroot_b2_matches_oracle_orbit(b2):
     # orbit of alpha_1^v under the full group, cross-checked via the
     # oracle: s_2(alpha_1^v) must land in the coroot orbit computed there
-    img = act(WeylWord((2,)), b2.simple_coroot(1), b2)
+    img = act(WeylWord((2,)), simple_coroot(b2, 1), b2)
     assert img.coeffs == (1, 1)  # alpha_1^v + alpha_2^v, hand-checked
     orbit = set()
     for w in brute_force_group(b2):
-        orbit.add(act(w, b2.simple_coroot(1), b2).coeffs)
+        orbit.add(act(w, simple_coroot(b2, 1), b2).coeffs)
     assert img.coeffs in orbit
 
 
@@ -390,7 +392,7 @@ def _like(value, *names):
     for f in (anticanonical_class, nef_generators, mori_generators)
 ] + [
     (lambda rs, fv, f=f: f(rs), "%s needs a FlagVariety, not RootSystem" % f.__name__)
-    for f in (dimension, picard_basis, beta_values, flag.least_beta, anticanonical_weight)
+    for f in (dimension, picard_basis, beta_values, table._least_beta, anticanonical_weight)
 ] + [
     # an argument of another kind that has the attribute first read: each was
     # an AttributeError or a wrong answer
@@ -421,7 +423,7 @@ def _like(value, *names):
     (lambda rs, fv: longest_element(fv.par, _like(rs, "spec", "rank", "columns")),
      "longest_element needs a ParabolicSubset and a RootSystem, not ParabolicSubset and"
      " SimpleNamespace"),
-    (lambda rs, fv: special.cominuscule_nodes(_like(rs, "highest_root")),
+    (lambda rs, fv: special.cominuscule_nodes(_like(rs, "positive_roots")),
      "cominuscule_nodes needs a RootSystem, not SimpleNamespace"),
     (lambda rs, fv: dimension(_like(fv, "_invariants")),
      "dimension needs a FlagVariety, not SimpleNamespace"),
@@ -439,6 +441,12 @@ def _like(value, *names):
     (lambda rs, fv: intersect(anticanonical_class(fv, 2)[0], _like(
         mori_generators(fv, 2)[0], "basis", "tilde_coeffs", "e_coeff", "support")),
      "intersect needs a DivisorClass and a CurveClass, not DivisorClass and SimpleNamespace"),
+] + [
+    # the facts of a system that were its methods before they moved to reference
+    (lambda rs, fv, f=f, args=args:
+     f(_like(rs, "spec", "rank", "columns", "positive_roots"), *args),
+     "%s needs a RootSystem, not SimpleNamespace" % f.__name__)
+    for f, args in ((cartan, ()), (highest_root, ()), (simple_coroot, (1,)))
 ], ids=["classify", "is-nef", "is-ample", "flag-rs", "flag-par", "longest-element", "length",
         "act", "enumerate-coset-reps", "build-root-system", "schubert-codim", "height",
         "coroot-of-spec", "coroot-of-weight", "rho", "root-as-weight-flag", "full-flag-classify",
@@ -451,7 +459,8 @@ def _like(value, *names):
         "enumerate-coset-reps-par-like", "length-word-like", "act-rs-like",
         "longest-element-rs-like", "cominuscule-nodes-like", "dimension-like", "is-nef-like",
         "classify-like", "schubert-codim-like", "schubert-codim-kept-word-like",
-        "intersect-divisor-like", "intersect-curve-like"])
+        "intersect-divisor-like", "intersect-curve-like", "cartan-like", "highest-root-like",
+        "simple-coroot-like"])
 def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2, FlagVariety(a2, ParabolicSubset({1})))
@@ -464,8 +473,9 @@ def test_wrong_kind_argument_is_an_engine_error(a2, call, message):
 # bad letter wherever it stands, also before valid letters or beside a
 # second one, and a letter that is not an int is bad even inside 1..rank.
 # Letters in a set, a generator, a range or a tuple subclass (which may
-# override ==) are no sequence, and a bool letter counts as its int on both
-# paths. N stands for rank + 1, SEQ for "not a sequence"
+# override ==) are no sequence, which WeylWord itself refuses, and a bool
+# letter counts as its int on both paths. N stands for rank + 1, SEQ for
+# "not a sequence"
 N = "rank+1"
 SEQ = "not a sequence"
 
@@ -489,6 +499,11 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
     n = rs.rank
     if type(letters) is tuple:
         letters = tuple(n + 1 if i == N else i for i in letters)
+    if first == SEQ:
+        bad = r"^word letters %s are not a sequence of nodes$" % re.escape(repr(letters))
+        with pytest.raises(EngineError, match=bad):
+            WeylWord(letters)
+        return
     word = WeylWord(letters)
     fv = FlagVariety(rs, ParabolicSubset.of(()))
     codim = lambda: schubert_codim(fv, word)
@@ -511,11 +526,8 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
         # weyl alone decides W^P membership
         assert not hasattr(flag, "_replay")
         return
-    if first == SEQ:
-        bad = r"^word letters %s are not a sequence of nodes$" % re.escape(repr(letters))
-    else:
-        bad = r"^reflection index %s outside 1\.\.%d$" % (
-            re.escape(repr(n + 1 if first == N else first)), n)
+    bad = r"^reflection index %s outside 1\.\.%d$" % (
+        re.escape(repr(n + 1 if first == N else first)), n)
     for call in (lambda: length(word, rs), codim, lambda: act(word, rho(rs), rs)):
         with pytest.raises(EngineError, match=bad):
             call()
@@ -705,7 +717,7 @@ def _replay_length(word, rs):
     reflected by s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, letter by
     letter from the right, with <beta, alpha_i^vee> read from the nonzero
     entries of Cartan row i."""
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in rs.cartan]
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan(rs)]
     roots = [list(b.coeffs) for b in rs.positive_roots]
     for i in reversed(word.letters):
         row = rows[i - 1]
