@@ -16,7 +16,7 @@ from schubert_blowup import (
     picard_basis,
     schubert_codim,
 )
-from schubert_blowup import flag, table
+from schubert_blowup import table
 from schubert_blowup.conventions import RANK_CAP, simple_factors
 from schubert_blowup.flag import FLAGS_PER_SYSTEM
 from schubert_blowup.errors import EngineError

@@ -10,7 +10,6 @@ from schubert_blowup import (
     FlagVariety,
     ParabolicSubset,
     Root,
-    RootSystem,
     TypeSpec,
     Verdict,
     Weight,
