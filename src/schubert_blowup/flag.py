@@ -12,9 +12,11 @@ closed forms, conventions.two_rho and conventions.positive_root_count
 RootSystem.columns. Each FlagVariety caches the betas, with its Picard
 basis (one tuple, shared by every class built on it), its least beta
 (where classify reads the verdict) and dim G/P, |R^+| by the same closed
-form less |R_P^+|; FlagVariety asks rootsys.kept_varieties for the one
+form less |R_P^+|. A FlagVariety builds them with itself, since every
+reader of a variety reads them, so its first classify costs what the
+others do; FlagVariety asks rootsys.kept_varieties for the one
 FlagVariety per S_P of a kept root system, up to FLAGS_PER_SYSTEM, so a
-repeated query finds them cached. Nothing is re-checked on the way:
+repeated query finds them built. Nothing is re-checked on the way:
 selfcheck F2 (the closed forms against the Weyl word of w_{0,P} and the
 closure of R^+) holds them. FlagVariety._invariants keeps them as one
 plain tuple, whose layout DIM, BETAS, BASIS and LEAST name, in its
@@ -27,7 +29,6 @@ rho + w_{0,P}(rho), so reference.anticanonical_weight builds it anew from
 _closed_form on each call.
 """
 
-from functools import cached_property
 from types import MappingProxyType
 
 from .conventions import positive_root_count, simple_factors, two_rho
@@ -48,7 +49,7 @@ DIM, BETAS, BASIS, LEAST = range(4)
 
 
 class FlagVariety(Value):
-    # par: ParabolicSubset S_P; the cached invariants (and blowup's cone
+    # par: ParabolicSubset S_P; the invariants (and blowup's cone
     # generators) live in the "__dict__" slot
     __slots__ = ("rs", "par", "__dict__")
 
@@ -70,6 +71,7 @@ class FlagVariety(Value):
         set_rs, set_par = cls._set
         set_rs(fv, rs)
         set_par(fv, par)
+        fv.__dict__["_invariants"] = fv._build_invariants()
         if kept is not None and len(kept) < FLAGS_PER_SYSTEM:
             kept[par.members] = fv
         return fv
@@ -87,10 +89,9 @@ class FlagVariety(Value):
                     img[j] -= k * a
         return img, levi
 
-    @cached_property
-    def _invariants(self):
-        """(dim G/P, BetaVector, Picard basis, least beta), in the order of
-        DIM..LEAST."""
+    def _build_invariants(self):
+        """_invariants: (dim G/P, BetaVector, Picard basis, least beta), in
+        the order of DIM..LEAST."""
         rs = self.rs
         img, levi = self._closed_form()
         basis = self.par.complement(rs.rank)

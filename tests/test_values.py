@@ -184,9 +184,8 @@ def test_constructor_checks_survive():
 
 def test_flag_variety_caches_invariants_and_stays_frozen():
     fv = FlagVariety(A2, ParabolicSubset.of({1}))
-    assert "_invariants" not in vars(fv)  # lazy: computed on first use
+    assert "_invariants" in vars(fv)  # built with the variety, not on first use
     assert dimension(fv) == 2
-    assert "_invariants" in vars(fv)
     # one basis tuple per FlagVariety, shared by every class built on it
     assert picard_basis(fv) is picard_basis(fv)
     assert all(x.basis is picard_basis(fv)
