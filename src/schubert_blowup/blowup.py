@@ -11,7 +11,9 @@ e, and the anticanonical class is
        = sum (beta_alpha + 2 - c) Bl*D_alpha + (c-1)(H - E_Z),
 
 so -K is ample (nef) iff every margin beta_alpha - c + 2 is > 0 (>= 0):
-the one ladder verdict_of, which classify and special share. Weak-Fano
+the Fano ladder, which classify reads inline on the least margin; selfcheck
+B3, S1, S3 and S4 compare it with Kleiman's criterion and the laws of
+special, which keep their own copy, special._verdict_of. Weak-Fano
 assumes that -K is big whenever it is nef, an assumption that nothing
 computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some
@@ -25,7 +27,7 @@ calls it only when c is not an int in 2..dim: a bool or an int subclass
 goes to it too. Its margins are a copy of the betas, a new dict in
 Picard-basis order, each value shifted in place by c - 2: no
 comprehension, which on Python 3.11 makes and calls a function on every
-call.
+call. It writes its FanoReport past __init__ (value's storage rule).
 
 DivisorClass(...) and CurveClass(...) check their coefficients, and every
 class, the generators and -K among them, is built by its constructor. Each
@@ -60,12 +62,6 @@ class Verdict(str, Enum):
 
 # bound once: reading Verdict.FANO goes through the Enum metaclass, 8x slower
 _FANO, _WEAK, _NOT_WEAK = Verdict.FANO, Verdict.WEAK_FANO_NOT_FANO, Verdict.NOT_WEAK_FANO
-
-
-def verdict_of(least_margin):
-    """The Fano ladder on the least margin of -K against the Mori generators:
-    Fano above 0, weak-Fano but not Fano at 0, not weak-Fano below."""
-    return _FANO if least_margin > 0 else _WEAK if least_margin == 0 else _NOT_WEAK
 
 
 def _check_coeffs(basis, coeffs, last):
@@ -117,6 +113,10 @@ class FanoReport(Value):
         set_betas(self, betas)
         set_margins(self, margins)  # alpha -> beta_alpha - c + 2
         set_verdict(self, verdict)
+
+
+_new = object.__new__
+_set_betas, _set_margins, _set_verdict = FanoReport._set
 
 
 def check_codim(c, d):
@@ -210,5 +210,10 @@ def classify(fv, c):
     shift = c - 2
     for a in margins:
         margins[a] -= shift
-    # positional: keyword arguments cost about a microsecond more per call
-    return FanoReport(betas, margins, verdict_of(least - c + 2))
+    least -= shift
+    rep = _new(FanoReport)
+    _set_betas(rep, betas)
+    _set_margins(rep, margins)
+    # the Fano ladder: a sign-indexed tuple reads slower
+    _set_verdict(rep, _FANO if least > 0 else _WEAK if least == 0 else _NOT_WEAK)
+    return rep

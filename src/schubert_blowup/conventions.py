@@ -41,17 +41,18 @@ RANK_BOUNDS = {
 }
 
 
+# the Coxeter number h = a * rank + b as (a, b) by family, E_n's by (family, rank)
+_COXETER = {"A": (1, 1), "B": (2, 0), "C": (2, 0), "D": (2, -2), "F": (0, 12), "G": (0, 6),
+            ("E", 6): (0, 12), ("E", 7): (0, 18), ("E", 8): (0, 30)}
+
+
 def positive_root_count(family, rank):
     """|R^+| = rank * h / 2 for the Coxeter number h (Humphreys, Reflection
     Groups and Coxeter Groups, 3.18; Bourbaki, Plates I-IX): n(n+1)/2 for
     A_n, n^2 for B_n and C_n, n(n-1) for D_n, 36, 63 and 120 for E_6, E_7
     and E_8, 24 for F_4 and 6 for G_2 (TypeSpec checks the type)."""
-    if family == "E":
-        h = {6: 12, 7: 18, 8: 30}[rank]
-    else:
-        h = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
-             "F": 12, "G": 6}[family]
-    return rank * h // 2
+    a, b = _COXETER[(family, rank) if family == "E" else family]
+    return rank * (a * rank + b) // 2
 
 
 # 2 rho over the simple roots of the exceptional types (Bourbaki, Plates V-IX)
@@ -123,6 +124,8 @@ def simple_factors(family, rank, members):
       if either is empty, else D_{k+3} (left arm 1), D_5 (left arm 2,
       k = 1) or E_{k+4} (left arm 2, k >= 2).
     """
+    if not members:  # the full flag: a trivial Levi
+        return []
     n = rank
     if len(members) == n:  # all of S: the type itself
         return [(family, n, tuple(range(1, n + 1)))]

@@ -26,7 +26,10 @@ reference.anticanonical_weight index it through _invariants_of; classify
 unpacks it inline, and schubert_codim reads DIM and takes a word's W^P
 test and length from weyl._coset_length. No query reads the -K weight
 rho + w_{0,P}(rho), so reference.anticanonical_weight builds it anew from
-_closed_form on each call.
+_closed_form on each call. The build writes its BetaVector, as
+schubert_codim its SchubertDatum, past __init__ (value's storage rule),
+and calls two_rho and positive_root_count through this module's globals,
+where the negative controls of selfcheck F2 and F4 patch them.
 """
 
 from types import MappingProxyType
@@ -59,15 +62,16 @@ class FlagVariety(Value):
         if type(rs) is not RootSystem or type(par) is not ParabolicSubset:
             raise EngineError(wrong_kind("FlagVariety", "a RootSystem and a ParabolicSubset",
                                          rs, par))
-        check_parabolic(par, rs.rank)
-        if len(par.members) == rs.rank:
+        rank = len(rs.columns)
+        check_parabolic(par, rank)
+        if len(par.members) == rank:
             raise EngineError("S_P = S gives the degenerate variety G/G")
         kept = kept_varieties(rs)
         if kept is not None:
             fv = kept.get(par.members)
             if fv is not None:
                 return fv
-        fv = object.__new__(cls)
+        fv = _new(cls)
         set_rs, set_par = cls._set
         set_rs(fv, rs)
         set_par(fv, par)
@@ -78,11 +82,11 @@ class FlagVariety(Value):
 
     def _closed_form(self):
         """(w_{0,P}(rho) as a list, |R_P^+|), from the Levi's simple factors."""
-        rs, cols = self.rs, self.rs.columns
+        cols = self.rs.columns
         # w_{0,P}(rho) = rho - 2 rho_P: each S_P column times its 2 rho_P coefficient
-        img = [1] * rs.rank
+        img = [1] * len(cols)
         levi = 0  # |R_P^+|
-        for fam, m, nodes in simple_factors(rs.spec.family, rs.rank, self.par.members):
+        for fam, m, nodes in simple_factors(self.rs.spec.family, len(cols), self.par.members):
             levi += positive_root_count(fam, m)
             for i, k in zip(nodes, two_rho(fam, m)):
                 for j, a in cols[i - 1]:
@@ -92,12 +96,16 @@ class FlagVariety(Value):
     def _build_invariants(self):
         """_invariants: (dim G/P, BetaVector, Picard basis, least beta), in
         the order of DIM..LEAST."""
-        rs = self.rs
         img, levi = self._closed_form()
-        basis = self.par.complement(rs.rank)
-        values = {a: img[a - 1] for a in basis}
-        dim = positive_root_count(rs.spec.family, rs.rank) - levi
-        return dim, BetaVector(MappingProxyType(values)), basis, min(values.values())
+        rank = len(img)
+        basis = self.par.complement(rank)
+        values = {}  # a loop: a comprehension makes and calls a function
+        for a in basis:
+            values[a] = img[a - 1]
+        betas = _new(BetaVector)
+        _set_values(betas, MappingProxyType(values))
+        dim = positive_root_count(self.rs.spec.family, rank) - levi
+        return dim, betas, basis, min(values.values())
 
 
 class BetaVector(Value):
@@ -124,6 +132,10 @@ class SchubertDatum(Value):
         set_dim, set_codim = self._set
         set_dim(self, dim)
         set_codim(self, codim)
+
+
+_new = object.__new__
+(_set_values,), (_set_dim, _set_codim) = BetaVector._set, SchubertDatum._set
 
 
 def _invariants_of(fv, call):
@@ -154,4 +166,7 @@ def schubert_codim(fv, word):
     if type(fv) is not FlagVariety:  # not _invariants_of: a call more per census op
         raise EngineError(wrong_kind("schubert_codim", "a FlagVariety", fv))
     d = _coset_length(word, fv.par.members, fv.rs)
-    return SchubertDatum(d, fv._invariants[DIM] - d)
+    datum = _new(SchubertDatum)
+    _set_dim(datum, d)
+    _set_codim(datum, fv._invariants[DIM] - d)
+    return datum

@@ -4,14 +4,24 @@ machinery in blowup.py.
 No law touches the Weyl group: the Grassmannian and full-flag laws are
 pure arithmetic, and the cominuscule law reads only the root system (the
 highest root, its coroot and the positive roots). What stays independent
-of blowup.classify is each law's closed-form boundary; both map the least
-margin through the one ladder blowup.verdict_of, which selfcheck B3 checks.
+of blowup.classify is each law's closed-form boundary. Each maps its least
+margin through _verdict_of, this module's own copy of the Fano ladder,
+which classify reads inline: selfcheck S1, S3 and S4 compare the two
+across the domain, and B3 compares classify with Kleiman's criterion.
 """
 
-from .blowup import check_codim, verdict_of
+from .blowup import Verdict, check_codim
 from .errors import EngineError, wrong_kind
 from .reference import coroot_of, highest_root
 from .rootsys import RootSystem
+
+
+def _verdict_of(least_margin):
+    """The Fano ladder on a law's least margin: Fano above 0, weak-Fano but
+    not Fano at 0, not weak-Fano below."""
+    if least_margin > 0:
+        return Verdict.FANO
+    return Verdict.WEAK_FANO_NOT_FANO if least_margin == 0 else Verdict.NOT_WEAK_FANO
 
 
 def grassmannian_classify(r, n, c):
@@ -24,7 +34,7 @@ def grassmannian_classify(r, n, c):
     if not (isinstance(r, int) and isinstance(n, int) and 1 <= r <= n - 1):
         raise EngineError("need 1 <= r <= n-1, got r=%r, n=%r" % (r, n))
     check_codim(c, r * (n - r))
-    return verdict_of(n + 1 - c)
+    return _verdict_of(n + 1 - c)
 
 
 def _highest_root(rs, call):
@@ -65,11 +75,11 @@ def cominuscule_classify(rs, node, c):
     if not isinstance(node, int) or node not in cominuscule_nodes(rs):
         raise EngineError("node %r is not cominuscule in %s" % (node, rs.spec))
     check_codim(c, _dim_maximal(rs, node))
-    return verdict_of(dual_height(rs) + 2 - c)
+    return _verdict_of(dual_height(rs) + 2 - c)
 
 
 def full_flag_classify(rs, c):
     """Fano law for blow-ups of G/B: Fano iff c = 2, boundary at c = 3."""
     _highest_root(rs, "full_flag_classify")
     check_codim(c, len(rs.positive_roots))
-    return verdict_of(3 - c)
+    return _verdict_of(3 - c)

@@ -5,13 +5,16 @@ Every value class keeps one storage rule. It declares its fields in
 frozen `__setattr__`: a class that declares non-empty `__slots__` gets
 `_set`, the `__set__` of each of its slot descriptors in `__slots__`
 order, and its `__init__` unpacks `self._set` and writes each slot through
-its setter. A class with cached facts (RootSystem, FlagVariety) adds a
-"__dict__" slot for them, which is no field and has no setter; a class
-with a slot derived from its fields (CurveClass's support, RootSystem's
-columns) names its fields in `_fields`, and equality, hash, repr and
-pickle read those alone. Importing `dataclasses` (and with it `inspect`)
-and generating the classes would cost more than the rest of the
-package's import, which every CLI call pays.
+its setter. A hot path that builds a record from data it has checked
+skips that frame: it writes `object.__new__(cls)` through those setters,
+bound once per module, and `__init__` stays for every other caller. A
+class with cached facts (RootSystem, FlagVariety) adds a "__dict__" slot
+for them, which is no field and has no setter; a class with a slot
+derived from its fields (CurveClass's support, RootSystem's columns)
+names its fields in `_fields`, and equality, hash, repr and pickle read
+those alone. Importing `dataclasses` (and with it `inspect`) and
+generating the classes would cost more than the rest of the package's
+import, which every CLI call pays.
 """
 
 from operator import attrgetter

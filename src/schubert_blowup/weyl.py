@@ -14,7 +14,8 @@ that system replaces: (S_P members, {letters: letters}), each returned
 tuple mapped to itself. _coset_length, the one reader of that entry, gives
 flag.schubert_codim a word's length there only when its letters are one of
 those tuples itself, each a reduced word of an element of W^P by
-construction, and replays and tests every other word.
+construction, and replays and tests every other word. The enumeration
+builds them past WeylWord.__init__ (value's storage rule).
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. That action, act on a
 Weight, Root or Coroot, lives in reference, since no classify or cones
@@ -35,6 +36,10 @@ class WeylWord(Value):
             raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
         (set_letters,) = self._set
         set_letters(self, letters)
+
+
+_new = object.__new__
+(_set_letters,) = WeylWord._set
 
 
 class ParabolicSubset(Value):
@@ -201,4 +206,7 @@ def enumerate_coset_reps(par, rs, max_length):
         # no key, puts them in (length, word) order
         reps += sorted([w for _, w in nxt])
     rs.__dict__["_orbit"] = par.members, {t: t for t in reps}
-    return [WeylWord(w) for w in reps]
+    words = [_new(WeylWord) for _ in reps]
+    for w, t in zip(words, reps):  # each t a tuple of checked letters
+        _set_letters(w, t)
+    return words

@@ -9,22 +9,29 @@ from fractions import Fraction
 import pytest
 
 from schubert_blowup import (
+    BetaVector,
     CurveClass,
     DivisorClass,
+    FanoReport,
     FlagVariety,
     ParabolicSubset,
+    RootSystem,
+    SchubertDatum,
     Verdict,
+    WeylWord,
     anticanonical_class,
     beta_values,
     build_root_system,
     classify,
     dimension,
+    enumerate_coset_reps,
     intersect,
     is_ample,
     is_nef,
     mori_generators,
     nef_generators,
     picard_basis,
+    schubert_codim,
 )
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
@@ -153,19 +160,44 @@ def _fields(x):
     return tuple(getattr(x, f) for f in x._fields)
 
 
+def _records(fv):
+    """The records that the hot paths build on fv past their __init__: the
+    report at c = 2, the betas, the W^P words to length 2 and their data."""
+    words = enumerate_coset_reps(fv.par, fv.rs, 2)
+    return [classify(fv, 2), beta_values(fv)] + words + [schubert_codim(fv, w) for w in words]
+
+
+def _refuse(self, *args):
+    raise AssertionError("%s.__init__ called" % type(self).__name__)
+
+
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
-def test_engine_built_classes_match_the_checked_constructors(spec):
-    # the generators and -K are built by the checked constructors: each
-    # equals, hashes like and holds the same slots as the class rebuilt from
-    # its fields, also after a pickle round trip
+def test_engine_built_classes_match_the_checked_constructors(monkeypatch, spec):
+    # every class that the engine builds equals and holds the same slots as
+    # the class rebuilt from its fields by its checked constructor; a
+    # hashable one also hashes like it, also after a pickle round trip (a
+    # report and its betas hold a mapping, so neither hashes or pickles)
     for _, _, fv in _cases([spec]):
         if dimension(fv) < 2:  # A1: no centre of codimension >= 2
             continue
         built = nef_generators(fv, 2) + mori_generators(fv, 2) + [anticanonical_class(fv, 2)[0]]
-        for x in built:
-            for y in (type(x)(*_fields(x)), pickle.loads(pickle.dumps(x))):
-                assert y == x and hash(y) == hash(x), x
+        for x in built + _records(fv):
+            hashable = type(x) not in (FanoReport, BetaVector)
+            rebuilt = [type(x)(*_fields(x))]
+            if hashable:
+                rebuilt.append(pickle.loads(pickle.dumps(x)))
+            for y in rebuilt:
+                assert y == x and (not hashable or hash(y) == hash(x)), x
                 assert [getattr(y, a) for a in x.__slots__] == [getattr(x, a) for a in x.__slots__]
+    # the hot paths build their records past __init__: with it refusing, each
+    # call still returns, on a system that keeps no variety built before
+    for cls in (FanoReport, BetaVector, SchubertDatum, WeylWord):
+        monkeypatch.setattr(cls, "__init__", _refuse)
+    rs = RootSystem(spec)
+    for members in [()] + [set(range(1, spec.rank + 1)) - {a} for a in range(1, spec.rank + 1)]:
+        fv = FlagVariety(rs, ParabolicSubset(members))
+        if dimension(fv) >= 2:
+            _records(fv)
 
 
 def _outputs():

@@ -378,11 +378,12 @@ QUERY_FREE = {"schubert_blowup." + name for name in ("reference", "table", "self
 
 # names that the query path defined before they moved behind the import
 # boundary, with the names they have now: the coordinate bases, the facts of
-# a RootSystem beyond its columns, the -K weight, the cone test and the
-# least beta
+# a RootSystem beyond its columns, the -K weight, the cone test, the least
+# beta and the laws' Fano ladder
 MOVED = {"_Coords", "Root", "Coroot", "Weight", "cartan", "symmetrizer", "symmetrizers",
          "_symmetrizers", "highest_root", "simple_coroot", "contains", "anticanonical_weight",
-         "is_nef", "is_ample", "_mori", "least_beta", "_least_beta"}
+         "is_nef", "is_ample", "_mori", "least_beta", "_least_beta", "verdict_of",
+         "_verdict_of"}
 
 # the most source lines that a cold classify or cones call may compile
 QUERY_LINES = 1350

@@ -129,13 +129,13 @@ NEGATIVE_CONTROLS = [
         real(fv, c)[0], tuple(m + 1 for m in real(fv, c)[1][:-1]) + (c - 1,)), ([], 2), {"B5"}),
     # the Grassmannian boundary at c = n + 2
     ("S1", "A4", special, "grassmannian_classify",
-     lambda real: lambda r, n, c: blowup.verdict_of(n + 2 - c), (2, 5, 6), {"S1"}),
+     lambda real: lambda r, n, c: special._verdict_of(n + 2 - c), (2, 5, 6), {"S1"}),
     # the cominuscule boundary at c = <rho, alpha_0^vee> + 3
     ("S3", "C3", special, "cominuscule_classify", lambda real: lambda rs, node, c: (
-        blowup.verdict_of(special.dual_height(rs) + 3 - c)), (3, 5), {"S3"}),
+        special._verdict_of(special.dual_height(rs) + 3 - c)), (3, 5), {"S3"}),
     # the full-flag boundary at c = 4
     ("S4", "A2", special, "full_flag_classify",
-     lambda real: lambda rs, c: blowup.verdict_of(4 - c), (3,), {"S4"}),
+     lambda real: lambda rs, c: special._verdict_of(4 - c), (3,), {"S4"}),
     # a coroot moved by the root formula, which reads the Cartan rows
     ("S5", "B3", reference, "act", lambda real: lambda w, x, rs: Coroot(real(
         w, Root(x.coeffs), rs).coeffs) if type(x) is Coroot else real(w, x, rs), (1,), {"S5"}),
