@@ -11,9 +11,8 @@ e, and the anticanonical class is
        = sum (beta_alpha + 2 - c) Bl*D_alpha + (c-1)(H - E_Z),
 
 so -K is ample (nef) iff every margin beta_alpha - c + 2 is > 0 (>= 0):
-the Fano ladder, which classify reads inline on the least margin; selfcheck
-B3, S1, S3 and S4 compare it with Kleiman's criterion and the laws of
-special, which keep their own copy, special._verdict_of. Weak-Fano
+the Fano ladder, read inline by classify; selfcheck B3 compares it with
+Kleiman's criterion, S1, S3 and S4 with special._verdict_of. Weak-Fano
 assumes that -K is big whenever it is nef, an assumption that nothing
 computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some

@@ -24,6 +24,8 @@ invariants take |R_P^+| and 2 rho_P of a Levi from these closed forms,
 with no root closure.
 """
 
+from functools import cache
+
 from .errors import EngineError
 
 RANK_CAP = 16
@@ -65,6 +67,7 @@ _TWO_RHO = {
 }
 
 
+@cache  # per simple type: a sweep asks for the same few Levi factors again and again
 def two_rho(family, rank):
     """2 rho of a simple type over its simple roots, in Bourbaki order
     (Plates I-IX): j(m+1-j) on A_m; j(2m-j) on B_m; j(2m-j+1), and

@@ -26,10 +26,10 @@ reference.anticanonical_weight index it through _invariants_of; classify
 unpacks it inline, and schubert_codim reads DIM and takes a word's W^P
 test and length from weyl._coset_length. No query reads the -K weight
 rho + w_{0,P}(rho), so reference.anticanonical_weight builds it anew from
-_closed_form on each call. The build writes its BetaVector, as
-schubert_codim its SchubertDatum, past __init__ (value's storage rule),
-and calls two_rho and positive_root_count through this module's globals,
-where the negative controls of selfcheck F2 and F4 patch them.
+_closed_form on each call. The build writes its BetaVector past
+__init__ (value's storage rule), as schubert_codim its SchubertDatum, and
+calls two_rho and positive_root_count through this module's globals,
+which the negative controls of selfcheck F2 and F4 patch.
 """
 
 from types import MappingProxyType
@@ -97,14 +97,13 @@ class FlagVariety(Value):
         """_invariants: (dim G/P, BetaVector, Picard basis, least beta), in
         the order of DIM..LEAST."""
         img, levi = self._closed_form()
-        rank = len(img)
-        basis = self.par.complement(rank)
+        basis = self.par.complement(len(img))
         values = {}  # a loop: a comprehension makes and calls a function
         for a in basis:
             values[a] = img[a - 1]
         betas = _new(BetaVector)
         _set_values(betas, MappingProxyType(values))
-        dim = positive_root_count(self.rs.spec.family, rank) - levi
+        dim = positive_root_count(self.rs.spec.family, len(img)) - levi
         return dim, betas, basis, min(values.values())
 
 

@@ -22,6 +22,8 @@ Weight, Root or Coroot, lives in reference, since no classify or cones
 call runs it.
 """
 
+from itertools import filterfalse
+
 from .errors import EngineError, wrong_kind
 from .rootsys import RootSystem
 from .value import Value
@@ -61,7 +63,7 @@ class ParabolicSubset(Value):
         return ParabolicSubset(indices)
 
     def complement(self, rank):
-        return tuple(i for i in range(1, rank + 1) if i not in self.members)
+        return tuple(filterfalse(self.members.__contains__, range(1, rank + 1)))
 
 
 def _letters(word, rank):
@@ -80,10 +82,12 @@ def _letters(word, rank):
 
 def check_parabolic(par, rank):
     """The one check that every node of S_P is an int in 1..rank."""
-    if not all(isinstance(i, int) and 1 <= i <= rank for i in par.members):
-        # ints in order, then any other node by its repr: mixed types never compare
-        nodes = sorted(par.members, key=lambda i: (0, i) if isinstance(i, int) else (1, repr(i)))
-        raise EngineError("parabolic indices %r outside 1..%d" % (nodes, rank))
+    for i in par.members:
+        if not (isinstance(i, int) and 1 <= i <= rank):
+            # ints in order, then any other node by its repr: mixed types never compare
+            nodes = sorted(par.members,
+                           key=lambda i: (0, i) if isinstance(i, int) else (1, repr(i)))
+            raise EngineError("parabolic indices %r outside 1..%d" % (nodes, rank))
 
 
 def _replay(word, rs):
