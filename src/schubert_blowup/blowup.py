@@ -18,34 +18,23 @@ computes yet. The Mori cone is built from c alone, so in Picard rank >= 2
 a verdict assumes a centre that is not a union of fibres of some
 G/P -> G/Q.
 
-anticanonical_class and the cone readers read FlagVariety._invariants
-once, through flag._invariants_of, and index it by flag's names for its
-layout; classify, the hot path, unpacks it inline. Each checks c
-with check_codim, the one check and message of a codimension; classify
-calls it only when c is not an int in 2..dim: a bool or an int subclass
-goes to it too. Its margins are a copy of the betas, a new dict in
-Picard-basis order, each value shifted in place by c - 2: no
-comprehension, which on Python 3.11 makes and calls a function on every
-call. It writes its FanoReport past __init__ (value's storage rule).
-
-DivisorClass(...) and CurveClass(...) check their coefficients, and every
-class, the generators and -K among them, is built by its constructor. Each
-FlagVariety builds its generators once, in _cones, the one builder of
-generator classes; nef_generators and mori_generators return new lists of
-those shared classes. Kleiman's criterion, is_nef and is_ample, which pair
-a class with the Mori tuple and which only selfcheck B3 and the tests run,
-lives in reference. A curve class keeps its support, the positions of its
-nonzero coordinates, in a slot derived from its fields (value's one
-storage rule), and intersect pairs Bl*D . tilde C over it: O(1) against a
-Mori generator, which has at most one. A nonzero E_Z coefficient adds a
-sum over the curve's coordinates.
+Each reader reads FlagVariety._invariants once, inline in classify and
+through flag._invariants_of elsewhere, and checks c with check_codim, the
+one check of a codimension; classify calls it only for a c that is not an
+int in 2..dim. The engine builds its classes and records past __init__,
+whose checks serve every other caller (value's storage rule): classify
+its FanoReport, anticanonical_class its -K and _cones, once per
+FlagVariety, the generators that nef_generators and mori_generators copy
+into new lists. Kleiman's criterion, is_nef and is_ample, lives in
+reference. A curve class derives two slots from its fields, which
+intersect reads: terms, its nonzero (position, coefficient) pairs, and
+e_degree, E_Z . k.
 """
 
 from enum import Enum
-from itertools import compress, count
 
 from .errors import EngineError, wrong_kind
-from .flag import BASIS, BETAS, DIM, FlagVariety, _invariants_of
+from .flag import BASIS, BETAS, DIM, BetaVector, FlagVariety, _invariants_of
 from .value import Value
 
 
@@ -64,10 +53,8 @@ _FANO, _WEAK, _NOT_WEAK = Verdict.FANO, Verdict.WEAK_FANO_NOT_FANO, Verdict.NOT_
 
 
 def _check_coeffs(basis, coeffs, last):
-    """The one check of a class's coordinates: a tuple basis, a tuple of one
-    int per basis node and an int last coefficient (a bool counts, as in
-    weyl._letters). A list would leave the class unhashable and unequal
-    to the same class built from tuples."""
+    """The one check of a class's coordinates: a tuple basis and a tuple (a list
+    is unhashable) of an int per node, and an int last coefficient (a bool counts)."""
     try:
         # a float or Fraction among ints makes the sum one too
         ok = (type(basis) is type(coeffs) is tuple and len(coeffs) == len(basis)
@@ -91,23 +78,26 @@ class DivisorClass(Value):
 
 
 class CurveClass(Value):
-    __slots__ = ("basis", "tilde_coeffs", "e_coeff", "support")
+    __slots__ = ("basis", "tilde_coeffs", "e_coeff", "terms", "e_degree")
     _fields = __slots__[:3]
 
     def __init__(self, basis, tilde_coeffs, e_coeff):
         _check_coeffs(basis, tilde_coeffs, e_coeff)
-        set_basis, set_tilde, set_e, set_support = self._set
+        set_basis, set_tilde, set_e, set_terms, set_e_degree = self._set
         set_basis(self, basis)
         set_tilde(self, tilde_coeffs)  # over tilde C_alpha
         set_e(self, e_coeff)
-        # the positions of the nonzero tilde coefficients, which intersect walks
-        set_support(self, tuple(compress(count(), tilde_coeffs)))
+        set_terms(self, tuple((i, a) for i, a in enumerate(tilde_coeffs) if a))
+        set_e_degree(self, sum(tilde_coeffs) - e_coeff)  # E_Z . k
 
 
 class FanoReport(Value):
     __slots__ = ("betas", "margins", "verdict")
 
     def __init__(self, betas, margins, verdict):
+        if (type(betas), type(margins), type(verdict)) != (BetaVector, dict, Verdict):
+            raise EngineError(wrong_kind("FanoReport", "a BetaVector, a dict and a Verdict",
+                                         betas, margins, verdict))
         set_betas, set_margins, set_verdict = self._set
         set_betas(self, betas)
         set_margins(self, margins)  # alpha -> beta_alpha - c + 2
@@ -116,6 +106,26 @@ class FanoReport(Value):
 
 _new = object.__new__
 _set_betas, _set_margins, _set_verdict = FanoReport._set
+_set_d_basis, _set_pullback, _set_exceptional = DivisorClass._set
+_set_k_basis, _set_tilde, _set_e, _set_terms, _set_e_degree = CurveClass._set
+
+
+def _divisor(basis, pullback, exceptional):
+    d = _new(DivisorClass)
+    _set_d_basis(d, basis)
+    _set_pullback(d, pullback)
+    _set_exceptional(d, exceptional)
+    return d
+
+
+def _curve(basis, tilde, e, terms, e_degree):
+    k = _new(CurveClass)
+    _set_k_basis(k, basis)
+    _set_tilde(k, tilde)
+    _set_e(k, e)
+    _set_terms(k, terms)
+    _set_e_degree(k, e_degree)
+    return k
 
 
 def check_codim(c, d):
@@ -128,10 +138,8 @@ def check_codim(c, d):
 
 
 def _cones(fv):
-    """fv's nef and Mori generator tuples, the one builder of generator
-    classes: built on first use and kept beside its invariants, in fv's
-    "__dict__" slot. Unit k is the one slice of a zero tuple around a 1,
-    shared by Bl*D_k and tilde C_k."""
+    """fv's nef and Mori generator tuples, kept in its "__dict__" slot; unit k,
+    a slice of a zero tuple around a 1, is shared by Bl*D_k and tilde C_k."""
     cones = fv.__dict__.get("_cones")
     if cones is None:
         basis = fv._invariants[BASIS]
@@ -140,10 +148,10 @@ def _cones(fv):
         nef, mori = [], []
         for k in range(n):
             unit = w[n - 1 - k:2 * n - 1 - k]
-            nef.append(DivisorClass(basis, unit, 0))
-            mori.append(CurveClass(basis, unit, 0))
-        nef.append(DivisorClass(basis, (1,) * n, -1))
-        mori.append(CurveClass(basis, (0,) * n, 1))
+            nef.append(_divisor(basis, unit, 0))
+            mori.append(_curve(basis, unit, 0, ((k, 1),), 1))
+        nef.append(_divisor(basis, (1,) * n, -1))
+        mori.append(_curve(basis, (0,) * n, 1, (), -1))
         cones = fv.__dict__["_cones"] = tuple(nef), tuple(mori)
     return cones
 
@@ -156,8 +164,7 @@ def _read(fv, c, call):
 
 
 def nef_generators(fv, c):
-    """{Bl*D_alpha} plus H - E_Z, with H = sum_alpha Bl*D_alpha: a new list of
-    fv's shared classes."""
+    """{Bl*D_alpha} plus H - E_Z, H = sum_alpha Bl*D_alpha: a new list of shared classes."""
     _read(fv, c, "nef_generators")
     return list(_cones(fv)[0])
 
@@ -170,41 +177,38 @@ def mori_generators(fv, c):
 
 def intersect(d, k):
     """Bilinear pairing from Bl*D_alpha . Bl*C_beta = delta, Bl*D_alpha . e = 0,
-    E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e.
-    The Bl*D . tilde C part runs over the curve's support."""
+    E_Z . Bl*C_beta = 0, E_Z . e = -1, expanding tilde C_alpha = Bl*C_alpha - e."""
     if type(d) is not DivisorClass or type(k) is not CurveClass:
         raise EngineError(wrong_kind("intersect", "a DivisorClass and a CurveClass", d, k))
-    x, y, support = d.pullback_coeffs, k.tilde_coeffs, k.support
     if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
-    dot = 0
-    for i in support:
-        dot += x[i] * y[i]
-    if d.exceptional_coeff:
-        # E_Z . tilde C_alpha = 1, E_Z . e = -1
-        dot += d.exceptional_coeff * (sum(y) - k.e_coeff)
+    x = d.pullback_coeffs
+    dot = d.exceptional_coeff * k.e_degree
+    for i, a in k.terms:
+        dot += x[i] * a
     return dot
 
 
 def anticanonical_class(fv, c):
     """-K of the blow-up in both bases (selfcheck B5 checks them against its pairings)."""
     inv = _read(fv, c, "anticanonical_class")
-    betas = inv[BETAS].values.values()  # in Picard-basis order
-    d = DivisorClass(inv[BASIS], tuple(1 + b for b in betas), 1 - c)
-    basis2 = tuple(b + 2 - c for b in betas) + (c - 1,)
-    return d, basis2
+    pullback, basis2 = [], []
+    for b in inv[BETAS].values.values():  # in Picard-basis order
+        pullback.append(1 + b)
+        basis2.append(b + 2 - c)
+    basis2.append(c - 1)
+    return _divisor(inv[BASIS], tuple(pullback), 1 - c), tuple(basis2)
 
 
 def classify(fv, c):
-    """Fano / weak-Fano verdict for Bl_Z(G/P) with Z a smooth Schubert
-    variety of codimension c (existence and smoothness are the caller's
-    assertion)."""
+    """Fano / weak-Fano verdict for Bl_Z(G/P), Z a smooth Schubert variety of
+    codimension c (its existence and smoothness are the caller's assertion)."""
     if type(fv) is not FlagVariety:
         raise EngineError(wrong_kind("classify", "a FlagVariety", fv))
     dim, betas, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
     if not (type(c) is int and 2 <= c <= dim):  # any c this lets by, check_codim passes
         check_codim(c, dim)
-    # a new dict keyed by the Picard basis, ascending
+    # a new dict keyed by the Picard basis, ascending; a loop, not a comprehension
     margins = betas.values.copy()
     shift = c - 2
     for a in margins:

@@ -19,17 +19,13 @@ FlagVariety per S_P of a kept root system, up to FLAGS_PER_SYSTEM, so a
 repeated query finds them built. Nothing is re-checked on the way:
 selfcheck F2 (the closed forms against the Weyl word of w_{0,P} and the
 closure of R^+) holds them. FlagVariety._invariants keeps them as one
-plain tuple, whose layout DIM, BETAS, BASIS and LEAST name, in its
-"__dict__" slot. The readers dimension, picard_basis and beta_values,
-blowup once per query, and table._least_beta and
-reference.anticanonical_weight index it through _invariants_of; classify
-unpacks it inline, and schubert_codim reads DIM and takes a word's W^P
-test and length from weyl._coset_length. No query reads the -K weight
-rho + w_{0,P}(rho), so reference.anticanonical_weight builds it anew from
-_closed_form on each call. The build writes its BetaVector past
-__init__ (value's storage rule), as schubert_codim its SchubertDatum, and
-calls two_rho and positive_root_count through this module's globals,
-which the negative controls of selfcheck F2 and F4 patch.
+plain tuple, laid out as DIM, BETAS, BASIS and LEAST name, in its
+"__dict__" slot; readers index it through _invariants_of, classify
+unpacks it. reference.anticanonical_weight builds rho + w_{0,P}(rho), which
+no query reads, anew from _closed_form. The build writes its BetaVector,
+and schubert_codim its SchubertDatum, past __init__ (value's storage
+rule); the build calls two_rho and positive_root_count through this
+module's globals, which the negative controls of selfcheck F2 and F4 patch.
 """
 
 from types import MappingProxyType
@@ -114,6 +110,8 @@ class BetaVector(Value):
     __slots__ = ("values",)  # MappingProxyType, keys ascending
 
     def __init__(self, values):
+        if type(values) is not MappingProxyType:
+            raise EngineError(wrong_kind("BetaVector", "a MappingProxyType", values))
         (set_values,) = self._set
         set_values(self, values)
 
@@ -128,6 +126,8 @@ class SchubertDatum(Value):
     __slots__ = ("dim", "codim")
 
     def __init__(self, dim, codim):
+        if not (isinstance(dim, int) and isinstance(codim, int)):
+            raise EngineError(wrong_kind("SchubertDatum", "two ints", dim, codim))
         set_dim, set_codim = self._set
         set_dim(self, dim)
         set_codim(self, codim)

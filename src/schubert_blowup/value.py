@@ -1,31 +1,26 @@
-"""Immutable value types without `dataclasses`.
+"""Immutable value types without `dataclasses`, whose import (with
+`inspect`) would cost more than the rest of the package's, which every CLI
+call pays.
 
 Every value class keeps one storage rule. It declares its fields in
-`__slots__` and writes each once, in an explicit `__init__`, past the
-frozen `__setattr__`: a class that declares non-empty `__slots__` gets
-`_set`, the `__set__` of each of its slot descriptors in `__slots__`
-order, and its `__init__` unpacks `self._set` and writes each slot through
-its setter. A hot path that builds a record from data it has checked
-skips that frame: it writes `object.__new__(cls)` through those setters,
-bound once per module, and `__init__` stays for every other caller. A
-class with cached facts (RootSystem, FlagVariety) adds a "__dict__" slot
-for them, which is no field and has no setter; a class with a slot
-derived from its fields (CurveClass's support, RootSystem's columns)
-names its fields in `_fields`, and equality, hash, repr and pickle read
-those alone. Importing `dataclasses` (and with it `inspect`) and
-generating the classes would cost more than the rest of the package's
-import, which every CLI call pays.
+`__slots__` and writes each once, past the frozen `__setattr__`, through
+`_set`: the `__set__` of each of its slot descriptors, in `__slots__`
+order. Its `__init__` checks the kinds of its input (EngineError) and
+writes the slots; a hot path that builds a record from data it has
+checked takes `object.__new__(cls)` and the setters, bound once per
+module, instead. A class with cached facts (RootSystem, FlagVariety) adds
+a "__dict__" slot for them, no field and with no setter; a class with
+slots derived from its fields (CurveClass's terms and e_degree,
+RootSystem's columns) names its fields in `_fields`, which alone
+equality, hash, repr and pickle read.
 """
 
 from operator import attrgetter
 
 
 class Value:
-    """Frozen fields; equality and hash over the fields, for the same type only.
-
-    Equality needs the exact same type, so the coordinate bases stay
-    distinct: Root((1, 0)) != Weight((1, 0)).
-    """
+    """Frozen fields; equality and hash over the fields, for the exact same
+    type only, so the coordinate bases stay distinct: Root((1, 0)) != Weight((1, 0))."""
 
     __slots__ = ()
 

@@ -189,14 +189,17 @@ def test_engine_built_classes_match_the_checked_constructors(monkeypatch, spec):
             for y in rebuilt:
                 assert y == x and (not hashable or hash(y) == hash(x)), x
                 assert [getattr(y, a) for a in x.__slots__] == [getattr(x, a) for a in x.__slots__]
-    # the hot paths build their records past __init__: with it refusing, each
-    # call still returns, on a system that keeps no variety built before
-    for cls in (FanoReport, BetaVector, SchubertDatum, WeylWord):
+    # the hot paths, the generators and -K among them, build their records
+    # past __init__: with it refusing, each call still returns, on a system
+    # that keeps no variety built before
+    for cls in (FanoReport, BetaVector, SchubertDatum, WeylWord, DivisorClass, CurveClass):
         monkeypatch.setattr(cls, "__init__", _refuse)
     rs = RootSystem(spec)
     for _, members, fv in _cases([spec]):
+        fv = FlagVariety(rs, ParabolicSubset(members))
         if dimension(fv) >= 2:
-            _records(FlagVariety(rs, ParabolicSubset(members)))
+            _records(fv)
+            nef_generators(fv, 2), mori_generators(fv, 2), anticanonical_class(fv, 2)
 
 
 def _outputs():

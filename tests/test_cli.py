@@ -546,7 +546,7 @@ def _argument_pool():
               _like(systems[1], "spec", "rank", "columns", "positive_roots"),
               _like(fvs[0], "rs", "par", "_invariants"), SimpleNamespace(_cones=((), ())),
               _like(divisors[0], "basis", "pullback_coeffs", "exceptional_coeff"),
-              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "support")]
+              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree")]
     kinds = dict(spec=specs, rs=systems, par=pars, fv=fvs, word=words, d=divisors, k=curves,
                  x=coords, r=coords[:3] + ints, c=ints, node=ints, max_length=ints)
     return valid + wrong + alike, kinds

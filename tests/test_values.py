@@ -143,24 +143,35 @@ def test_equality_needs_the_same_type(cls, fields):
 
 
 @pytest.mark.parametrize("cls", [DivisorClass, CurveClass], ids=["DivisorClass", "CurveClass"])
-def test_class_support_is_derived_not_a_field(cls):
-    # a curve's support, which intersect walks, is computed from its
-    # coefficients and frozen with them; a divisor keeps none. The three
-    # fields alone make equality, hash, repr and the pickle
+def test_curve_terms_and_e_degree_are_derived_not_fields(cls):
+    # a curve's terms and E_Z degree, which intersect reads, are computed
+    # from its coefficients and frozen with them; a divisor keeps neither.
+    # The three fields alone make equality, hash, repr and the pickle
     x = cls((1, 2, 3), (0, 2, 0), -1)
+    derived = ("terms", "e_degree")
     if cls is CurveClass:
-        assert x.support == (1,) and cls((1, 2, 3), (0, 0, 0), 0).support == ()
-        with pytest.raises(AttributeError):
-            x.support = ()
+        assert (x.terms, x.e_degree) == (((1, 2),), 3)
+        y = cls((1, 2, 3), (0, 0, 0), 0)
+        assert (y.terms, y.e_degree) == ((), 0)
+        for name in derived:
+            with pytest.raises(AttributeError):
+                setattr(x, name, ())
+            with pytest.raises(AttributeError):
+                delattr(x, name)
     else:
-        assert not hasattr(x, "support") and cls.__slots__ == cls._fields
-    assert len(x._fields) == 3 and "support" not in x._fields
+        assert not any(hasattr(x, name) for name in derived) and cls.__slots__ == cls._fields
+    assert len(x._fields) == 3 and not set(derived) & set(x._fields)
     y = cls(tuple([1, 2, 3]), (0, 2, 0), -1)  # an equal basis, not the same tuple
-    assert x == y and hash(x) == hash(y)
+    assert x == y and hash(x) == hash(y) == hash(((1, 2, 3), (0, 2, 0), -1))
     assert x.__reduce__() == (cls, ((1, 2, 3), (0, 2, 0), -1))
-    assert "support" not in repr(x)
+    assert not any(name in repr(x) for name in derived)
     z = pickle.loads(pickle.dumps(x))
-    assert z == x and getattr(z, "support", None) == getattr(x, "support", None)
+    assert z == x and all(getattr(z, name, None) == getattr(x, name, None) for name in derived)
+
+
+# the test's earlier name, when the one derived slot was the support, kept as a
+# second name for its ids
+test_class_support_is_derived_not_a_field = test_curve_terms_and_e_degree_are_derived_not_fields
 
 
 def test_coordinate_bases_never_compare_equal():

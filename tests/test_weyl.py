@@ -439,7 +439,7 @@ def _like(value, *names):
                                     "exceptional_coeff"), mori_generators(fv, 2)[0]),
      "intersect needs a DivisorClass and a CurveClass, not SimpleNamespace and CurveClass"),
     (lambda rs, fv: intersect(anticanonical_class(fv, 2)[0], _like(
-        mori_generators(fv, 2)[0], "basis", "tilde_coeffs", "e_coeff", "support")),
+        mori_generators(fv, 2)[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree")),
      "intersect needs a DivisorClass and a CurveClass, not DivisorClass and SimpleNamespace"),
 ] + [
     # the facts of a system that were its methods before they moved to reference
