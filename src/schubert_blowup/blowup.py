@@ -192,6 +192,7 @@ def intersect(d, k):
 def anticanonical_class(fv, c):
     """-K of the blow-up in both bases (selfcheck B5 checks them against its pairings)."""
     inv = _read(fv, c, "anticanonical_class")
+    c = int.__index__(c)  # an int subclass reads as its int, whatever its arithmetic
     pullback, basis2 = [], []
     for b in inv[BETAS].values.values():  # in Picard-basis order
         pullback.append(1 + b)
@@ -208,6 +209,7 @@ def classify(fv, c):
     dim, betas, _, least = fv._invariants  # DIM..LEAST: unpacked, the hot path
     if not (type(c) is int and 2 <= c <= dim):  # any c this lets by, check_codim passes
         check_codim(c, dim)
+        c = int.__index__(c)  # as in anticanonical_class
     # a new dict keyed by the Picard basis, ascending; a loop, not a comprehension
     margins = betas.values.copy()
     shift = c - 2

@@ -1,6 +1,5 @@
-"""Immutable value types without `dataclasses`, whose import (with
-`inspect`) would cost more than the rest of the package's, which every CLI
-call pays.
+"""Immutable value types without `dataclasses`: importing it (and `inspect`)
+would cost more than the rest of the package, which every CLI call pays.
 
 Every value class keeps one storage rule. It declares its fields in
 `__slots__` and writes each once, past the frozen `__setattr__`, through
