@@ -4,7 +4,7 @@ wrong_kind writes the one message for an argument of the wrong kind.
 
 A call recognises each argument by its type, with a `type(x) is K` test
 at its entry, so a look-alike that carries K's attributes is of the wrong
-kind.
+kind; the tests state each call's kinds once, in tests/contracts.py.
 """
 
 

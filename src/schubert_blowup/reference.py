@@ -29,7 +29,7 @@ rows, as do coroot_of, root_as_weight and the closure.
 
 from operator import mul
 
-from .blowup import _cones, intersect
+from .blowup import DivisorClass, _cones, intersect
 from .conventions import _diagram
 from .errors import EngineError, InvariantViolation, wrong_kind
 from .flag import FlagVariety, _invariants_of
@@ -232,9 +232,7 @@ def coroot_of(r, rs):
 
 def root_as_weight(r, rs):
     """Change of basis: weight coordinate i is sum_j C[i][j] * k_j."""
-    if type(r) is not Root:
-        raise EngineError(wrong_kind("root_as_weight", "a Root", r))
-    if type(rs) is not RootSystem:
+    if type(r) is not Root or type(rs) is not RootSystem:
         raise EngineError(wrong_kind("root_as_weight", "a Root and a RootSystem", r, rs))
     r.check_rank(rs)
     C = cartan(rs)
@@ -286,8 +284,9 @@ def anticanonical_weight(fv):
 
 
 def _mori(fv, d, call):
-    """fv's Mori tuple, for is_nef and is_ample to pair d with."""
-    if type(fv) is not FlagVariety:
+    """fv's Mori tuple, for is_nef and is_ample to pair d with, once the
+    kinds of both are checked."""
+    if type(fv) is not FlagVariety or type(d) is not DivisorClass:
         raise EngineError(wrong_kind(call, "a FlagVariety and a DivisorClass", fv, d))
     return _cones(fv)[1]
 

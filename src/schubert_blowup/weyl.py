@@ -187,13 +187,14 @@ def enumerate_coset_reps(par, rs, max_length):
     if not isinstance(max_length, int):
         raise EngineError("length bound %r is not an int" % (max_length,))
     start = tuple(0 if i in par.members else 1 for i in range(1, rs.rank + 1))
-    seen = {start}
     reps = [()] if max_length >= 0 else []  # the words in (length, word) order
-    level = [(start, ())]  # each point of the last level with the first word that reached it
+    level = {start: ()}  # each point of the last level -> the first word that reached it
     depth = 0
     while level and depth < max_length:
-        nxt = []
-        for img, word in level:
+        # a point's level is the length of its W^P element, so a point
+        # repeats only within its level
+        nxt = {}
+        for img, word in level.items():
             for i, c in enumerate(img, 1):
                 if c > 0:
                     # left multiplication by s_i: prepend the letter
@@ -201,15 +202,14 @@ def enumerate_coset_reps(par, rs, max_length):
                     for j, a in cols[i - 1]:
                         img2[j] -= c * a
                     img2 = tuple(img2)
-                    if img2 not in seen:
-                        seen.add(img2)
-                        nxt.append((img2, (i,) + word))
+                    if img2 not in nxt:
+                        nxt[img2] = (i,) + word
         level = nxt
         depth += 1
         # the words found on one level have one length: their own sort, with
         # no key, puts them in (length, word) order
-        reps += sorted([w for _, w in nxt])
-    rs.__dict__["_orbit"] = par.members, {t: t for t in reps}
+        reps += sorted(nxt.values())
+    rs.__dict__["_orbit"] = par.members, dict(zip(reps, reps))
     words = [_new(WeylWord) for _ in reps]
     for w, t in zip(words, reps):  # each t a tuple of checked letters
         _set_letters(w, t)

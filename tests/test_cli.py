@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -22,8 +21,8 @@ from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import all_types
 from schubert_blowup.weyl import ParabolicSubset
+from contracts import CONTRACTS, argument_pool, drawn, public_callables
 from test_rootsys import CORRUPT_A2_COLUMNS, corrupt_a2_cartan
-from test_weyl import _like
 
 
 def run(argv):
@@ -515,76 +514,26 @@ def test_no_call_probes_an_argument_for_an_attribute():
     assert probes == []
 
 
-_GENERATOR = object()  # drawn as a new one-shot generator each time
-
-
-def _argument_pool():
-    """The random caller's arguments: a pool of valid values of every kind,
-    values of no kind of the package and look-alikes, SimpleNamespaces that
-    carry the attributes of a valid value (or of a type past the bounds);
-    and, by parameter name, the valid values of that parameter's kind."""
-    B = schubert_blowup
-    specs = [B.TypeSpec(f, r) for f, r in (("A", 2), ("B", 3), ("G", 2))]
-    systems = [B.RootSystem(spec) for spec in specs]
-    pars = [ParabolicSubset(m) for m in ((), (1,), (2,), (1, 2))]
-    fvs = [B.FlagVariety(rs, par) for rs, par in zip(systems, (pars[1], pars[2], pars[0]))]
-    words = [B.WeylWord(t) for t in ((), (1,), (2,), (2, 1), (1, 2), (3, 2, 1), (1, 1))]
-    divisors = [B.anticanonical_class(fvs[0], 2)[0], B.nef_generators(fvs[1], 2)[-1]]
-    curves = B.mori_generators(fvs[0], 2)
-    coords = [B.Root((1, 0)), B.Root((1, 1)), B.Root((0, 1, 1)), B.Coroot((0, 1)),
-              B.Weight((1, -1)), B.Weight((1, 1, 1))]
-    ints = [0, 1, 2, 3, 4, 6, -1, True, 10 ** 30]
-    valid = [*specs, *systems, *pars, *fvs, *words, *divisors, *curves, *coords, *ints,
-             B.beta_values(fvs[1]), B.classify(fvs[1], 3), B.Verdict.FANO,
-             B.schubert_codim(fvs[0], words[2]), "A", "B", "E", "G", "Z",
-             (1, 0), (1, -1), (), (1, 2)]
-    wrong = [None, 2.5, Fraction(1), float("nan"), "ab", b"A", [1, 2], {1: 2}, {1},
-             _GENERATOR, object(), SimpleNamespace()]
-    alike = [SimpleNamespace(family=f, rank=r) for f, r in (("A", 2), ("A", 40), ("Z", 2),
-                                                           ("E", 9))]
-    alike += [_like(pars[1], "members"), _like(words[3], "letters"),
-              _like(systems[1], "spec", "rank", "columns", "positive_roots"),
-              _like(fvs[0], "rs", "par", "_invariants"), SimpleNamespace(_cones=((), ())),
-              _like(divisors[0], "basis", "pullback_coeffs", "exceptional_coeff"),
-              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree")]
-    kinds = dict(spec=specs, rs=systems, par=pars, fv=fvs, word=words, d=divisors, k=curves,
-                 x=coords, r=coords[:3] + ints, c=ints, node=ints, max_length=ints)
-    return valid + wrong + alike, kinds
-
-
-def _public_callables():
-    """(name, callable, parameter names) for every callable of __all__ and
-    every public function of special: a class takes its required arguments,
-    a function all its positional ones."""
-    special = schubert_blowup.special
-    named = [(n, getattr(schubert_blowup, n)) for n in schubert_blowup.__all__]
-    named += [(n, f) for n, f in vars(special).items()
-              if inspect.isfunction(f) and f.__module__ == special.__name__ and n[0] != "_"]
-    return [(name, f, [p.name for p in inspect.signature(f).parameters.values()
-                       if p.kind is p.POSITIONAL_OR_KEYWORD
-                       and (p.default is p.empty or inspect.isfunction(f))])
-            for name, f in named if callable(f)]
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_calls_return_or_raise_engine_errors(seed):
     # a seeded random caller of every public callable, on valid, wrong and
     # look-alike arguments: each call returns or raises EngineError within a
     # second, no function returns on a look-alike, and two postconditions
-    # hold on what returns. Half the draws for a parameter of a known kind
-    # are valid values of it, so that calls get past their first check. The
-    # wrong-kind and wrong-shape tables of test_weyl pin the messages; this
-    # pins the type
+    # hold on what returns. Half the draws for a parameter are values of the
+    # kind that the contract table gives it, so that calls get past their
+    # first check. The wrong-kind walk and the wrong-shape table of test_weyl
+    # pin the messages; this pins the type
     rng = random.Random(seed)
-    (pool, kinds), calls = _argument_pool(), _public_callables()
+    pool = argument_pool()
+    calls = [(f.__name__, f, [[v for v in pool if isinstance(v, kind)]
+                              for kind in CONTRACTS[f][0]]) for f in public_callables()]
 
-    def draw(param):
-        value = rng.choice(kinds[param] if param in kinds and rng.random() < 0.5 else pool)
-        return (i for i in (1, 2)) if value is _GENERATOR else value
+    def draw(valid):
+        return drawn(rng.choice(valid if rng.random() < 0.5 else pool))
 
     for _ in range(100000):
-        name, f, params = rng.choice(calls)
-        args = tuple(map(draw, params))
+        name, f, valid = rng.choice(calls)
+        args = tuple(map(draw, valid))
         start = time.perf_counter()
         try:
             out = f(*args)
