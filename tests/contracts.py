@@ -112,7 +112,10 @@ def argument_pool():
     """The arguments of the wrong-kind walk and the random caller: valid
     values of every kind, the first of each kind all on A2; values of no
     kind of the package; and look-alikes, SimpleNamespaces that carry the
-    attributes of a valid value (or of a type past the bounds)."""
+    attributes of a valid value (or of a type past the bounds). The last
+    look-alike carries a word that an enumeration kept on the first system
+    for the first variety's S_P, so that weyl._coset_length's lookup of the
+    kept words sees it."""
     specs = [TypeSpec(f, r) for f, r in (("A", 2), ("B", 3), ("G", 2))]
     systems = [RootSystem(spec) for spec in specs]
     pars = [ParabolicSubset(m) for m in ((), (1,), (2,), (1, 2))]
@@ -135,5 +138,6 @@ def argument_pool():
               _like(systems[1], "spec", "rank", "columns", "positive_roots"),
               _like(fvs[0], "rs", "par", "_invariants"), SimpleNamespace(_cones=((), ())),
               _like(divisors[0], "basis", "pullback_coeffs", "exceptional_coeff"),
-              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree")]
+              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree"),
+              _like(B.enumerate_coset_reps(pars[1], systems[0], 1)[1], "letters")]
     return valid + wrong + alike

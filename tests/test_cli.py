@@ -21,7 +21,7 @@ from schubert_blowup.conventions import RANK_BOUNDS, RANK_CAP
 from schubert_blowup.errors import EngineError, InvariantViolation
 from schubert_blowup.selfcheck import all_types
 from schubert_blowup.weyl import ParabolicSubset
-from contracts import CONTRACTS, argument_pool, drawn, public_callables
+from contracts import CONTRACTS, argument_pool, drawn, params, public_callables
 from test_rootsys import CORRUPT_A2_COLUMNS, corrupt_a2_cartan
 
 
@@ -526,7 +526,8 @@ def test_random_calls_return_or_raise_engine_errors(seed):
     rng = random.Random(seed)
     pool = argument_pool()
     calls = [(f.__name__, f, [[v for v in pool if isinstance(v, kind)]
-                              for kind in CONTRACTS[f][0]]) for f in public_callables()]
+                              for _, kind in zip(params(f), CONTRACTS[f][0], strict=True)])
+             for f in public_callables()]
 
     def draw(valid):
         return drawn(rng.choice(valid if rng.random() < 0.5 else pool))

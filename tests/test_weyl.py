@@ -224,21 +224,20 @@ _PARABOLIC_CALLS = {
         ("schubert-codim", lambda rs, w: schubert_codim(_full_flag(rs), w)),
         ("act", lambda rs, w: act(w, rho(rs), rs))]
 ] + [
-    pytest.param(lambda rs, call=call: call(_full_flag(rs)),
-                 "intersect needs a DivisorClass and a CurveClass, not %s" % kinds,
-                 id="wrong-kind-" + label)
-    for label, kinds, call in [
-        ("divisor-divisor", "DivisorClass and DivisorClass",
+    pytest.param(lambda rs, call=call: call(_full_flag(rs)), message, id="wrong-kind-" + label)
+    for label, message, call in [
+        ("divisor-divisor",
+         "intersect needs a DivisorClass and a CurveClass, not DivisorClass and DivisorClass",
          lambda fv: intersect(nef_generators(fv, 2)[0], nef_generators(fv, 2)[1])),
-        ("curve-curve", "CurveClass and CurveClass",
+        ("curve-curve",
+         "intersect needs a DivisorClass and a CurveClass, not CurveClass and CurveClass",
          lambda fv: intersect(mori_generators(fv, 2)[0], mori_generators(fv, 2)[1])),
-        ("curve-divisor", "CurveClass and DivisorClass",
-         lambda fv: intersect(mori_generators(fv, 2)[0], nef_generators(fv, 2)[0]))]
-] + [
-    # is_nef checks its divisor itself: it named intersect, a call never made
-    pytest.param(lambda rs: is_nef(_full_flag(rs), mori_generators(_full_flag(rs), 2)[0]),
-                 "is_nef needs a FlagVariety and a DivisorClass, not FlagVariety and CurveClass",
-                 id="wrong-kind-is-nef-curve"),
+        ("curve-divisor",
+         "intersect needs a DivisorClass and a CurveClass, not CurveClass and DivisorClass",
+         lambda fv: intersect(mori_generators(fv, 2)[0], nef_generators(fv, 2)[0])),
+        ("is-nef-curve",
+         "is_nef needs a FlagVariety and a DivisorClass, not FlagVariety and CurveClass",
+         lambda fv: is_nef(fv, mori_generators(fv, 2)[0]))]
 ] + [
     pytest.param(lambda rs, cls=cls, basis=basis, coeffs=coeffs, last=last: cls(basis, coeffs, last),
                  "coefficients %r, %r over basis %r: need a tuple basis, a tuple of an int per node"
