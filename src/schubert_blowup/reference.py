@@ -5,7 +5,7 @@ which the self-checks, the closed-form laws and the tests read.
   one private base, _Coords, that holds their rank and checks;
 - cartan, _symmetrizers, highest_root and simple_coroot, the facts of a
   RootSystem beyond its columns: the first two are built on first read
-  and cached in the system's "__dict__" slot, where weyl keeps _orbit;
+  and cached in the system's "__dict__" slot;
 - _positive_roots, the reflection closure of R^+, which
   RootSystem.positive_roots imports on its first read;
 - height, pairing, coroot_of, root_as_weight, rho, and act, the Weyl

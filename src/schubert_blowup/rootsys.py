@@ -10,8 +10,7 @@ reference._positive_roots, and cached in its "__dict__" slot. No classify
 or cones call reads them: the flag invariants take |R^+|, |R_P^+| and
 2 rho_P from conventions' closed forms. So the coordinate bases (Root,
 Coroot, Weight), the dense rows, the symmetrizers, the highest root and
-the simple coroots live in reference, which caches what it builds in the
-same slot, as weyl keeps _orbit there.
+the simple coroots live in reference, which caches what it builds there.
 build_root_system keeps a type's system from its second build in the
 process on (a type built once, as by a sweep, is never kept), in the
 register _systems, the one record of what is kept: a kept type's entry

@@ -49,7 +49,10 @@ def _least_beta(fv):
 
 def rows(families, max_rank, policy):
     """One row per variety of the table: its type, crossed nodes, dimension,
-    betas and the two Fano boundaries."""
+    betas and the two Fano boundaries, fano_max_c = least beta + 1 and
+    weak_fano_boundary_c = least beta + 2. Neither is capped at dim X, the
+    largest c of a blow-up, so either can exceed it: A1, a curve, reads
+    "Fano for 2<=c<=2", and A2/P1, of dimension 2, names the boundary c=4."""
     out = []
     for spec in all_types(max_rank, families):
         rs = build_root_system(spec)

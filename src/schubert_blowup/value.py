@@ -8,10 +8,11 @@ order. Its `__init__` checks the kinds of its input (EngineError) and
 writes the slots; a hot path that builds a record from data it has
 checked takes `object.__new__(cls)` and the setters, bound once per
 module, instead. A class with cached facts (RootSystem, FlagVariety) adds
-a "__dict__" slot for them, no field and with no setter; a class with
-slots derived from its fields (CurveClass's terms and e_degree,
-RootSystem's columns) names its fields in `_fields`, which alone
-equality, hash, repr and pickle read.
+a "__dict__" slot for them, no field and with no setter. A class with
+other slots names its fields in `_fields`, which alone equality, hash,
+repr and pickle read: slots derived from its fields (CurveClass's terms
+and e_degree, RootSystem's columns), and WeylWord's _coset, the one slot
+that is neither a field nor derived from one (weyl gives its format).
 """
 
 from operator import attrgetter

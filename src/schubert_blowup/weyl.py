@@ -8,14 +8,13 @@ RootSystem.columns. A replay checks a word's letters once, up front
 and enumerate_coset_reps walk weight orbits on integer lists instead of
 replaying words. length reads one replay of the
 word on rho, whose signed count of steps is the length.
-enumerate_coset_reps keeps the W^P words it returned on the RootSystem,
-as the entry _orbit of its "__dict__" slot, which the next enumeration on
-that system replaces: (S_P members, {letters: letters}), each returned
-tuple mapped to itself. _coset_length, the one reader of that entry, gives
-flag.schubert_codim a word's length there only when its letters are one of
-those tuples itself, each a reduced word of an element of W^P by
-construction, and replays and tests every other word. The enumeration
-builds them past WeylWord.__init__ (value's storage rule).
+Each word that enumerate_coset_reps builds past WeylWord.__init__
+(value's storage rule) carries its own proof of lying in W^P: its slot
+_coset holds the enumeration's one tuple (rs, S_P members), and that of
+every other word None. _coset_length, the slot's one reader, takes the
+number of letters of a WeylWord so marked with that very system and those
+members as its length, and replays every other word, a copied, rebuilt
+or unpickled one too: equality, hash, repr and pickle read the letters.
 flag.py needs no Weyl word for its invariants: they are closed forms, which
 selfcheck F2 compares with the action of w_{0,P}. That action, act on a
 Weight, Root or Coroot, lives in reference, since no classify or cones
@@ -30,18 +29,21 @@ from .value import Value
 
 
 class WeylWord(Value):
-    __slots__ = ("letters",)
+    # _coset: no field, (rs, S_P members) on a word of enumerate_coset_reps
+    __slots__ = ("letters", "_coset")
+    _fields = ("letters",)
 
     def __init__(self, letters):
         # a set has no order, and a one-shot iterator would be spent by a replay
         if type(letters) is not tuple and type(letters) is not list:
             raise EngineError("word letters %r are not a sequence of nodes" % (letters,))
-        (set_letters,) = self._set
+        set_letters, set_coset = self._set
         set_letters(self, letters)
+        set_coset(self, None)
 
 
 _new = object.__new__
-(_set_letters,) = WeylWord._set
+_set_letters, _set_coset = WeylWord._set
 
 
 class ParabolicSubset(Value):
@@ -110,18 +112,14 @@ def _replay(word, rs):
 
 
 def _coset_length(word, members, rs):
-    """l(w) for w in W^P, S_P = members, else an EngineError. One of the
-    tuples kept in _orbit for members, that tuple itself, has its size as
-    its length; every other word is replayed, and lies in W^P iff v_i > 0
-    for v = w^{-1}(rho), i.e. w(alpha_i) > 0, on each i in S_P."""
-    orbit = rs.__dict__.get("_orbit")
-    if type(word) is WeylWord and orbit is not None and (orbit[0] is members or orbit[0] == members):
-        letters = word.letters
-        try:
-            if orbit[1].get(letters) is letters:  # one of the enumeration's own words
-                return len(letters)
-        except Exception:  # letters whose __hash__ raises any error
-            pass  # the replay writes the message
+    """l(w) for w in W^P, S_P = members, else an EngineError. A word that
+    enumerate_coset_reps built on rs itself for these members (its _coset,
+    in the format that this module's docstring gives) has its number of
+    letters as its length; every other word is replayed, and lies in W^P
+    iff v_i > 0 for v = w^{-1}(rho), i.e. w(alpha_i) > 0, on each i in S_P."""
+    coset = word._coset if type(word) is WeylWord else None
+    if coset and coset[0] is rs and coset[1] == members:
+        return len(word.letters)
     v, l = _replay(word, rs)
     if not all(v[i - 1] > 0 for i in members):
         raise EngineError("word %r is not a minimal coset representative" % (word.letters,))
@@ -180,8 +178,9 @@ def enumerate_coset_reps(par, rs, max_length):
     reads as its int, as a bool letter does, and a negative bound gives no
     word.
 
-    The words returned are kept on rs for _coset_length, in the format that
-    this module's docstring gives.
+    Each word returned carries the mark (rs, S_P members) that
+    _coset_length reads, in the format that this module's docstring gives;
+    nothing is kept on rs.
     """
     cols = _columns(par, rs, "enumerate_coset_reps")
     if not isinstance(max_length, int):
@@ -209,8 +208,9 @@ def enumerate_coset_reps(par, rs, max_length):
         # the words found on one level have one length: their own sort, with
         # no key, puts them in (length, word) order
         reps += sorted(nxt.values())
-    rs.__dict__["_orbit"] = par.members, dict(zip(reps, reps))
+    coset = rs, par.members
     words = [_new(WeylWord) for _ in reps]
     for w, t in zip(words, reps):  # each t a tuple of checked letters
         _set_letters(w, t)
+        _set_coset(w, coset)
     return words

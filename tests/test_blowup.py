@@ -190,7 +190,9 @@ def test_engine_built_classes_match_the_checked_constructors(monkeypatch, spec):
     # every class that the engine builds equals and holds the same slots as
     # the class rebuilt from its fields by its checked constructor; a
     # hashable one also hashes like it, also after a pickle round trip (a
-    # report and its betas hold a mapping, so neither hashes or pickles)
+    # report and its betas hold a mapping, so neither hashes or pickles).
+    # The one slot apart is a W^P word's _coset: the enumeration marks its
+    # words with its system and S_P, and a rebuilt or unpickled word is unmarked
     for _, _, fv in _cases([spec]):
         if dimension(fv) < 2:  # A1: no centre of codimension >= 2
             continue
@@ -199,9 +201,13 @@ def test_engine_built_classes_match_the_checked_constructors(monkeypatch, spec):
             rebuilt = [type(x)(*_fields(x))]
             if hashable:
                 rebuilt.append(pickle.loads(pickle.dumps(x)))
+            slots = [a for a in x.__slots__ if a != "_coset"]
+            if type(x) is WeylWord:
+                assert x._coset == (fv.rs, fv.par.members) and x._coset[0] is fv.rs, x
             for y in rebuilt:
                 assert y == x and (not hashable or hash(y) == hash(x)), x
-                assert [getattr(y, a) for a in x.__slots__] == [getattr(x, a) for a in x.__slots__]
+                assert [getattr(y, a) for a in slots] == [getattr(x, a) for a in slots]
+                assert type(x) is not WeylWord or y._coset is None, y
     # the hot paths, the generators and -K among them, build their records
     # past __init__: with it refusing, each call still returns, on a system
     # that keeps no variety built before

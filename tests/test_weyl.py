@@ -154,15 +154,6 @@ class _IntHashRaises(int):
     __hash__ = _TupleHashRaises.__hash__
 
 
-def _codim_apart(rs, word, bound):
-    """schubert_codim on the full flag of a system of rs's type built apart,
-    with the full flag's W^P words to the bound kept on it, or none."""
-    fv = _full_flag(RootSystem(rs.spec))
-    if bound is not None:
-        enumerate_coset_reps(fv.par, fv.rs, bound)
-    return schubert_codim(fv, word)
-
-
 def _kept(rs):
     """The kept system of rs's type, from its second build in the process."""
     build_root_system(rs.spec)
@@ -300,11 +291,12 @@ _PARABOLIC_CALLS = {
         ("act", lambda rs, w: act(w, rho(rs), rs))]
 ] + [
     # letters, and a node, whose hash raises an error that is not a TypeError:
-    # each escaped as that error, the letters once an orbit of the variety's
-    # S_P was kept
-    pytest.param(lambda rs, b=b: _codim_apart(rs, WeylWord(_TupleHashRaises((2,))), b),
+    # each escaped as that error. WeylWord refuses letters in a tuple
+    # subclass before any walk, so the two ids, named for a system that
+    # kept no W^P words and one that did, are one case
+    pytest.param(lambda rs: schubert_codim(_full_flag(rs), WeylWord(_TupleHashRaises((2,)))),
                  "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-" + label)
-    for b, label in [(None, "unkept"), (3, "kept")]
+    for label in ("unkept", "kept")
 ] + [
     pytest.param(lambda rs: ParabolicSubset([_IntHashRaises(1)]),
                  "parabolic indices [1] are not a set of nodes", id="par-hash-raises"),
@@ -404,10 +396,10 @@ def test_wrong_kind_argument_is_an_engine_error(f, alike):
 
 # a bad word gives one message on every path. length, act and
 # schubert_codim's replay check the letters up front (weyl._letters), and
-# the lookup of weyl._coset_length replays every word that is not one of
-# the enumeration's own, a bad one included. The message names the first
-# bad letter wherever it stands, also before valid letters or beside a
-# second one, and a letter that is not an int is bad even inside 1..rank.
+# weyl._coset_length replays every word that the enumeration did not mark,
+# a bad one included. The message names the first bad letter wherever it
+# stands, also before valid letters or beside a second one, and a letter
+# that is not an int is bad even inside 1..rank.
 # Letters in a set, a generator, a range or a tuple subclass (which may
 # override ==) are no sequence, which WeylWord itself refuses, and a bool
 # letter counts as its int on both paths. N stands for rank + 1, SEQ for
@@ -430,7 +422,7 @@ class _TupleSubclass(tuple):
         "float", "int-then-float", "str", "unhashable",
         "negative", "set", "frozenset", "generator", "range", "bool", "tuple-subclass"])
 def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
-    # an unkept system: no orbit is kept on it until this test walks one
+    # a system built apart, on which no other test enumerates
     rs = RootSystem(spec)
     n = rs.rank
     if type(letters) is tuple:
@@ -456,7 +448,7 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
         for w in (word, WeylWord((1, 2)), WeylWord(tuple(list(own.letters)))):
             replays.clear()
             assert schubert_codim(fv, w) == datum and replays == [w]
-        # the lookup alone serves the enumeration's own word
+        # the mark alone serves the enumeration's own word
         monkeypatch.setattr(weyl, "_replay", None)
         assert schubert_codim(fv, own) == datum
         # weyl alone decides W^P membership
@@ -467,7 +459,7 @@ def test_letters_are_checked_before_the_walk(spec, letters, first, monkeypatch):
     for call in (lambda: length(word, rs), codim, lambda: act(word, rho(rs), rs)):
         with pytest.raises(EngineError, match=bad):
             call()
-    # the same word, with the orbit of its S_P kept
+    # the same word, after an enumeration of its S_P on the system
     enumerate_coset_reps(fv.par, rs, 2)
     with pytest.raises(EngineError, match=bad):
         codim()
@@ -566,9 +558,8 @@ def test_enumerate_coset_reps_zero_length(a2):
     # a bool bound reads as its int
     assert enumerate_coset_reps(ParabolicSubset.of({1}), a2, True) == enumerate_coset_reps(
         ParabolicSubset.of({1}), a2, 1)
-    # no word has length at most -1, and the slot holds that empty orbit
+    # no word has length at most -1
     assert enumerate_coset_reps(ParabolicSubset.of({2}), a2, -1) == []
-    assert vars(a2)["_orbit"] == ({2}, {})
 
 
 def test_enumerate_coset_reps_a2(a2):
@@ -599,25 +590,37 @@ test_w2_w3_longest_element_inversions = test_w5_outputs_are_reduced = check_test
 test_w6_walk_vs_replay = check_test("W6 W^P lookup vs replay")
 
 
-# the orbit slot of a system holds the words of its last enumeration, to its
-# length bound: a word of another S_P, or past the bound, is replayed
-def test_a_second_enumeration_replaces_the_orbit_slot():
+# a W^P word carries its own mark, so a later enumeration of another S_P
+# leaves the earlier words served without a replay; a word enumerated on
+# another system is replayed. (The name is that of the slot that a system
+# kept for its last enumeration before its words carried the mark.)
+def test_a_second_enumeration_replaces_the_orbit_slot(monkeypatch):
     rs = build_root_system(TypeSpec("A", 3))
-    enumerate_coset_reps(ParabolicSubset({1}), rs, 6)
-    reps = enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
-    members, words = vars(rs)["_orbit"]
-    # the keys are the returned tuples, each mapped to itself
-    assert members == {2, 3} and len(words) == len(reps)
-    assert all(k is v is w.letters for (k, v), w in zip(words.items(), reps))
+    first = enumerate_coset_reps(ParabolicSubset({1}), rs, 6)
+    second = enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
     on_1, on_23 = (FlagVariety(rs, ParabolicSubset(m)) for m in ({1}, {2, 3}))
     assert schubert_codim(on_1, WeylWord((1, 2, 3))) == SchubertDatum(3, 2)
     assert schubert_codim(on_23, WeylWord((3, 2, 1))) == SchubertDatum(3, 0)
+    # s3 s2 s3 s2 has length 4 in B3 and 2 in A3, where s2 s3 s2 = s3 s2 s3
+    b3 = enumerate_coset_reps(ParabolicSubset(()), build_root_system(TypeSpec("B", 3)), 9)
+    (b3_word,) = [w for w in b3 if w.letters == (3, 2, 3, 2)]
+    assert schubert_codim(_full_flag(rs), b3_word) == SchubertDatum(2, 4)
+    monkeypatch.setattr(weyl, "_replay", None)
+    for fv, words in ((on_1, first), (on_23, second)):
+        assert [schubert_codim(fv, w) for w in words] == [
+            SchubertDatum(len(w.letters), dimension(fv) - len(w.letters)) for w in words]
 
 
 def test_schubert_codim_builds_no_orbit():
-    rs = build_root_system(TypeSpec("A", 3))
-    assert schubert_codim(FlagVariety(rs, ParabolicSubset({1})), WeylWord((1, 2, 3))).dim == 3
-    assert "_orbit" not in vars(rs)
+    # neither the walk nor the length read from it keeps anything on the
+    # system, also on a kept one
+    rs = _kept(RootSystem(TypeSpec("A", 3)))
+    fv = FlagVariety(rs, ParabolicSubset({1}))
+    before = set(vars(rs))
+    assert schubert_codim(fv, WeylWord((1, 2, 3))).dim == 3
+    words = enumerate_coset_reps(fv.par, rs, 6)
+    assert [schubert_codim(fv, w).dim for w in words] == [len(w.letters) for w in words]
+    assert set(vars(rs)) == before
 
 
 # the greedy words of the original replay-based search, frozen
