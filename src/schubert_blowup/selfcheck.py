@@ -11,7 +11,8 @@ crashes apart from one that fails; run prints that report for the `check`
 command, as table.run prints the table. They are the one place the internal
 invariants are verified: rootsys and flag re-check none of them at run
 time. The second derivations that only a check uses live here beside it:
-I1's root-string closure and S5's Kannan-Saha coroot identity.
+I1's root-string closure, W5's inversion count (which test_weyl reads
+too) and S5's Kannan-Saha coroot identity.
 
 The rows are I1-I5 (root system), W3-W6 (Weyl words), F2 and F4 (flag
 invariants), B1, B3 and B5 (blow-up classes) and S1, S3-S5 (the laws of
@@ -191,8 +192,24 @@ def check_W4_coset_rep_count(rs):
             yield sorted(par.members), len(reps), wp_order
 
 
+def inversion_count(word, rs):
+    """#{beta > 0 : w(beta) < 0}: every positive root reflected by
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, letter by letter from
+    the right, with <beta, alpha_i^vee> read from the nonzero entries of
+    Cartan row i. R^+ is held as its coordinate columns, of which s_i
+    changes column i alone."""
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan(rs)]
+    cols = [list(col) for col in zip(*(b.coeffs for b in rs.positive_roots))]
+    for i in reversed(word.letters):
+        col = cols[i - 1]
+        for j, a in rows[i - 1]:
+            col = [x - a * y for x, y in zip(col, cols[j])]
+        cols[i - 1] = col
+    return sum(1 for b in zip(*cols) if min(b) < 0)
+
+
 def check_W5_reducedness(rs):
-    """length (a signed replay) = #{beta > 0 : w(beta) < 0} on the words of
+    """length (a signed replay) = inversion_count on the words of
     longest_element and on all of W^P, which equal len(w), and on their
     squares, most of which are not reduced. And act on the reversed word
     maps rho to the replay's w^{-1}(rho): most W^P words are no
@@ -205,7 +222,7 @@ def check_W5_reducedness(rs):
         if list(img) != weyl._replay(w, rs)[0]:
             yield w.letters, img
         for x in (w, WeylWord(w.letters * 2)):
-            inversions = sum(not act(x, b, rs).is_positive() for b in rs.positive_roots)
+            inversions = inversion_count(x, rs)
             if length(x, rs) != inversions or x is w and inversions != len(w.letters):
                 yield x.letters, inversions
 

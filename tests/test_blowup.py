@@ -370,5 +370,4 @@ def test_margins_are_the_shifted_betas_in_picard_order():
 test_b1_cone_duality = check_test("B1 cone duality")
 # B2 is gone (its -K half is in B5); the id stays
 test_b2_b3_round_trip_and_cone_agreement = check_test("B3 classifier vs cone test")
-# exhaustive despite its name: every S_P and c of every type up to rank 6
-test_b5_margin_certificates_random_sample = check_test("B5 margin certificates", per_type=False)
+test_b5_margin_certificates = check_test("B5 margin certificates")

@@ -11,7 +11,6 @@ from schubert_blowup.table import all_types
 from schubert_blowup.selfcheck import _maximal, closed_form_mismatch
 from schubert_blowup.special import cominuscule_nodes
 from schubert_blowup.weyl import ParabolicSubset
-from test_selfcheck import counterexample
 
 HIGH = [TypeSpec(f, n) for f in "ABCD" for n in range(9, RANK_CAP + 1)]
 
@@ -73,7 +72,6 @@ def test_grassmannian_beta_is_n_minus_1(n):
 ], ids=str)
 def test_cominuscule_beta_is_dual_height(spec):
     # I3 holds dual_height == h^vee - 1, S5 beta_node == dual_height at every
-    # cominuscule node; no check states that there is such a node
-    for label in ("I3 rho/highest-coroot pairing", "S5 Kannan-Saha coroot identity"):
-        assert counterexample(label, spec) is None, label
+    # cominuscule node, both in their row tests to RANK_CAP; no check states
+    # that there is such a node
     assert cominuscule_nodes(build_root_system(spec))

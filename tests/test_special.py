@@ -115,7 +115,7 @@ def test_special_imports_nothing_from_weyl():
     assert not [name for name in names if name.split(".")[-1] == "weyl"], names
 
 
-test_s1_grassmannian_two_path = check_test("S1 Grassmannian two-path", per_type=False)
+test_s1_grassmannian_two_path = check_test("S1 Grassmannian two-path")
 test_s3_cominuscule_two_path = check_test("S3 cominuscule two-path")
 test_s4_full_flag_two_path = check_test("S4 full-flag two-path")
 test_s5_kannan_saha_all_cominuscule = check_test("S5 Kannan-Saha coroot identity")

@@ -47,7 +47,7 @@ from schubert_blowup.errors import EngineError
 from schubert_blowup.reference import cartan, highest_root, simple_coroot
 from schubert_blowup.rootsys import kept_varieties
 from schubert_blowup.weyl import ParabolicSubset, WeylWord
-from schubert_blowup.selfcheck import _in_levi, all_types
+from schubert_blowup.selfcheck import _in_levi, all_types, inversion_count
 from contracts import CONTRACTS, argument_pool, drawn, params
 from test_rootsys import simple_root
 from test_selfcheck import check_test
@@ -292,12 +292,9 @@ _PARABOLIC_CALLS = {
 ] + [
     # letters, and a node, whose hash raises an error that is not a TypeError:
     # each escaped as that error. WeylWord refuses letters in a tuple
-    # subclass before any walk, so the two ids, named for a system that
-    # kept no W^P words and one that did, are one case
+    # subclass before any walk
     pytest.param(lambda rs: schubert_codim(_full_flag(rs), WeylWord(_TupleHashRaises((2,)))),
-                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-" + label)
-    for label in ("unkept", "kept")
-] + [
+                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-unkept"),
     pytest.param(lambda rs: ParabolicSubset([_IntHashRaises(1)]),
                  "parabolic indices [1] are not a set of nodes", id="par-hash-raises"),
 ] + [
@@ -592,9 +589,8 @@ test_w6_walk_vs_replay = check_test("W6 W^P lookup vs replay")
 
 # a W^P word carries its own mark, so a later enumeration of another S_P
 # leaves the earlier words served without a replay; a word enumerated on
-# another system is replayed. (The name is that of the slot that a system
-# kept for its last enumeration before its words carried the mark.)
-def test_a_second_enumeration_replaces_the_orbit_slot(monkeypatch):
+# another system is replayed
+def test_marked_words_stay_served_and_foreign_words_are_replayed(monkeypatch):
     rs = build_root_system(TypeSpec("A", 3))
     first = enumerate_coset_reps(ParabolicSubset({1}), rs, 6)
     second = enumerate_coset_reps(ParabolicSubset({2, 3}), rs, 1)
@@ -651,20 +647,6 @@ def test_coset_rep_count_exceptional(rank, node, count):
     assert len(reps[-1].letters) == len(rs.positive_roots) - len(longest.letters)
 
 
-def _replay_length(word, rs):
-    """#{beta > 0 : w(beta) < 0}: every positive root, as a list of ints,
-    reflected by s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, letter by
-    letter from the right, with <beta, alpha_i^vee> read from the nonzero
-    entries of Cartan row i."""
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan(rs)]
-    roots = [list(b.coeffs) for b in rs.positive_roots]
-    for i in reversed(word.letters):
-        row = rows[i - 1]
-        for b in roots:
-            b[i - 1] -= sum(a * b[j] for j, a in row)
-    return sum(1 for b in roots if min(b) < 0)
-
-
 def _replay_minimal(word, par, rs):
     return all(act(word, simple_root(rs, i), rs).is_positive() for i in par.members)
 
@@ -683,7 +665,7 @@ def test_length_and_coset_test_match_word_replay(spec):
             k = rng.randint(0, len(letters))
             letters[k:k] = [i, i]
         word = WeylWord(tuple(letters))
-        n = _replay_length(word, rs)
+        n = inversion_count(word, rs)
         assert length(word, rs) == n
         non_reduced += n < len(letters)
         par = ParabolicSubset.of(
