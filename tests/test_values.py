@@ -169,6 +169,11 @@ def test_curve_terms_and_e_degree_are_derived_not_fields(cls):
     assert z == x and all(getattr(z, name, None) == getattr(x, name, None) for name in derived)
 
 
+# the test's earlier name, when the one derived slot was the support, kept as a
+# second name for its ids
+test_class_support_is_derived_not_a_field = test_curve_terms_and_e_degree_are_derived_not_fields
+
+
 def test_coordinate_bases_never_compare_equal():
     root, coroot, weight = Root((1, 0)), Coroot((1, 0)), Weight((1, 0))
     assert root != weight and weight != root

@@ -154,6 +154,16 @@ class _IntHashRaises(int):
     __hash__ = _TupleHashRaises.__hash__
 
 
+def _codim_apart(rs, word, bound):
+    """schubert_codim of the word that word() builds on the full flag of a
+    system of rs's type built apart, after an enumeration of the full flag's
+    W^P words to the bound on it, or none."""
+    fv = _full_flag(RootSystem(rs.spec))
+    if bound is not None:
+        enumerate_coset_reps(fv.par, fv.rs, bound)
+    return schubert_codim(fv, word())
+
+
 def _kept(rs):
     """The kept system of rs's type, from its second build in the process."""
     build_root_system(rs.spec)
@@ -292,9 +302,12 @@ _PARABOLIC_CALLS = {
 ] + [
     # letters, and a node, whose hash raises an error that is not a TypeError:
     # each escaped as that error. WeylWord refuses letters in a tuple
-    # subclass before any walk
-    pytest.param(lambda rs: schubert_codim(_full_flag(rs), WeylWord(_TupleHashRaises((2,)))),
-                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-unkept"),
+    # subclass before any walk, also once the full flag's W^P words were
+    # enumerated on the system
+    pytest.param(lambda rs, b=b: _codim_apart(rs, lambda: WeylWord(_TupleHashRaises((2,))), b),
+                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-" + label)
+    for b, label in [(None, "unkept"), (3, "kept")]
+] + [
     pytest.param(lambda rs: ParabolicSubset([_IntHashRaises(1)]),
                  "parabolic indices [1] are not a set of nodes", id="par-hash-raises"),
 ] + [
