@@ -3,9 +3,10 @@
 Each check takes one RootSystem and yields its counterexamples, each a
 short tuple such as (sorted S_P, c). first_counterexample builds the
 system of a TypeSpec and stops at the first one; it is the one place a
-check becomes a verdict. CHECKS is the one table of checks and ranks: each
-row gives the rank up to which `check` runs the check and the larger one
-up to which the pytest suite runs it, per type. run_all evaluates them in
+check becomes a verdict. CHECKS is the one table of checks, ranks and
+families: each row gives the rank up to which `check` runs the check, the
+larger one up to which the pytest suite runs it, per type, and the families
+of the types it runs on, where its law holds. run_all evaluates them in
 a fixed order so the report is deterministic, and reports a check that
 crashes apart from one that fails; run prints that report for the `check`
 command, as table.run prints the table. They are the one place the internal
@@ -26,7 +27,7 @@ import itertools
 import random
 
 from . import blowup, flag, reference, special, weyl
-from .conventions import RANK_CAP
+from .conventions import RANK_BOUNDS, RANK_CAP
 from .errors import EngineError
 from .reference import act, cartan, coroot_of, height, highest_root, pairing, rho, simple_coroot
 from .rootsys import build_root_system
@@ -149,8 +150,6 @@ def check_I4_root_as_weight_injective(rs):
 
 
 def check_I5_simply_laced_coroot_identity(rs):
-    if rs.spec.family not in "ADE":
-        return
     for r in rs.positive_roots:
         if coroot_of(r, rs).coeffs != r.coeffs:
             yield (r.coeffs,)
@@ -278,8 +277,6 @@ def check_F2_closed_form_vs_weyl_word(rs):
 
 
 def check_F4_grassmannian_dimension(rs):
-    if rs.spec.family != "A":
-        return
     n = rs.rank + 1
     for r in range(1, n):
         d = flag.dimension(_maximal(rs, r))
@@ -329,8 +326,6 @@ def check_B5_margin_certificates(rs):
 # ---- special cross-checks ------------------------------------------------
 
 def check_S1_grassmannian_two_path(rs):
-    if rs.spec.family != "A":
-        return
     n = rs.rank + 1
     for r in range(1, n):
         fv = _maximal(rs, r)
@@ -366,28 +361,31 @@ def check_S5_kannan_saha(rs):
             yield (node,)
 
 
-# (label, check, check_rank, test_rank): `check` runs each check over
-# all_types(check_rank), and the tests over all_types(test_rank), which is
-# never smaller
+EVERY = "".join(RANK_BOUNDS)  # the families of a row whose law holds in every type
+
+# (label, check, check_rank, test_rank, families): `check` runs each check over
+# all_types(check_rank, families), and the tests over all_types(test_rank,
+# families), test_rank never the smaller. families are where the row's law
+# holds: F4 and S1 are Grassmannian laws, of type A, I5 a simply-laced one
 CHECKS = [
-    ("I1 closure order-insensitive", check_I1_closure_order_insensitive, 4, RANK_CAP),
-    ("I2 sign coherence", check_I2_sign_coherence, 4, RANK_CAP),
-    ("I3 rho/highest-coroot pairing", check_I3_rho_pairing_highest_coroot, 4, RANK_CAP),
-    ("I4 root_as_weight injective", check_I4_root_as_weight_injective, 4, RANK_CAP),
-    ("I5 simply-laced coroot identity", check_I5_simply_laced_coroot_identity, 4, RANK_CAP),
-    ("W3 longest element root permutation", check_W3_longest_element_permutes, 3, 5),
-    ("W4 coset rep counts", check_W4_coset_rep_count, 3, 5),
-    ("W5 reducedness", check_W5_reducedness, 3, 4),
-    ("W6 W^P lookup vs replay", check_W6_lookup_vs_replay, 3, 4),
-    ("F2 closed forms vs Weyl word", check_F2_closed_form_vs_weyl_word, 5, 6),
-    ("F4 Grassmannian dimension", check_F4_grassmannian_dimension, 6, RANK_CAP),
-    ("B1 cone duality", check_B1_cone_duality, 4, 6),
-    ("B3 classifier vs cone test", check_B3_classifier_matches_cone_test, 4, 4),
-    ("B5 margin certificates", check_B5_margin_certificates, 4, 6),
-    ("S1 Grassmannian two-path", check_S1_grassmannian_two_path, 6, RANK_CAP),
-    ("S3 cominuscule two-path", check_S3_cominuscule_two_path, 5, 8),
-    ("S4 full-flag two-path", check_S4_full_flag_two_path, 3, RANK_CAP),
-    ("S5 Kannan-Saha coroot identity", check_S5_kannan_saha, 5, RANK_CAP),
+    ("I1 closure order-insensitive", check_I1_closure_order_insensitive, 4, RANK_CAP, EVERY),
+    ("I2 sign coherence", check_I2_sign_coherence, 4, RANK_CAP, EVERY),
+    ("I3 rho/highest-coroot pairing", check_I3_rho_pairing_highest_coroot, 4, RANK_CAP, EVERY),
+    ("I4 root_as_weight injective", check_I4_root_as_weight_injective, 4, RANK_CAP, EVERY),
+    ("I5 simply-laced coroot identity", check_I5_simply_laced_coroot_identity, 4, RANK_CAP, "ADE"),
+    ("W3 longest element root permutation", check_W3_longest_element_permutes, 3, 5, EVERY),
+    ("W4 coset rep counts", check_W4_coset_rep_count, 3, 5, EVERY),
+    ("W5 reducedness", check_W5_reducedness, 3, 4, EVERY),
+    ("W6 W^P lookup vs replay", check_W6_lookup_vs_replay, 3, 4, EVERY),
+    ("F2 closed forms vs Weyl word", check_F2_closed_form_vs_weyl_word, 5, 6, EVERY),
+    ("F4 Grassmannian dimension", check_F4_grassmannian_dimension, 6, RANK_CAP, "A"),
+    ("B1 cone duality", check_B1_cone_duality, 4, 6, EVERY),
+    ("B3 classifier vs cone test", check_B3_classifier_matches_cone_test, 4, 4, EVERY),
+    ("B5 margin certificates", check_B5_margin_certificates, 4, 6, EVERY),
+    ("S1 Grassmannian two-path", check_S1_grassmannian_two_path, 6, RANK_CAP, "A"),
+    ("S3 cominuscule two-path", check_S3_cominuscule_two_path, 5, 8, EVERY),
+    ("S4 full-flag two-path", check_S4_full_flag_two_path, 3, RANK_CAP, EVERY),
+    ("S5 Kannan-Saha coroot identity", check_S5_kannan_saha, 5, RANK_CAP, EVERY),
 ]
 
 
@@ -407,15 +405,16 @@ def fails(check, specs):
 
 
 def run_all():
-    """(name, status, error) per check. status is PASS (no type up to the
-    check's rank gave a counterexample), FAIL (a counterexample or an
-    EngineError) or ERROR (any other exception: the check itself crashed),
-    and error is "<Type>: <msg>" for an ERROR, else None."""
+    """(name, status, error) per check. status is PASS (no type of the
+    check's families up to its rank gave a counterexample), FAIL (a
+    counterexample or an EngineError) or ERROR (any other exception: the
+    check itself crashed), and error is "<Type>: <msg>" for an ERROR, else
+    None."""
     results = []
-    for name, fn, rank, _ in CHECKS:
+    for name, fn, rank, _, families in CHECKS:
         error = None
         try:
-            status = "FAIL" if fails(fn, all_types(rank)) else "PASS"
+            status = "FAIL" if fails(fn, all_types(rank, families)) else "PASS"
         except Exception as exc:
             status, error = "ERROR", "%s: %s" % (type(exc).__name__, exc)
         results.append((name, status, error))

@@ -210,7 +210,7 @@ def test_check_reports_a_crashed_check_as_error(monkeypatch):
         yield ("counterexample",)
 
     replaced = {"B1 cone duality": crash, "I2 sign coherence": found}
-    checks = [(label, replaced.get(label, fn), *ranks) for label, fn, *ranks in selfcheck.CHECKS]
+    checks = [(label, replaced.get(label, fn), *rest) for label, fn, *rest in selfcheck.CHECKS]
     monkeypatch.setattr(selfcheck, "CHECKS", checks)
     code, out = run(["check"])
     assert code == 3
@@ -219,6 +219,18 @@ def test_check_reports_a_crashed_check_as_error(monkeypatch):
     assert "FAIL I2 sign coherence" in lines
     assert lines[-1] == "%d/%d checks passed" % (len(checks) - 2, len(checks))
     assert sum(line.startswith("PASS ") for line in lines) == len(checks) - 2
+
+
+def test_check_runs_a_row_on_its_families_alone(monkeypatch):
+    # F4 patched to fail on every type but those of its families, type A
+    def off_a(rs):
+        if rs.spec.family != "A":
+            yield (str(rs.spec),)
+
+    checks = [(label, off_a if label.startswith("F4 ") else fn, *rest)
+              for label, fn, *rest in selfcheck.CHECKS]
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
+    assert run(["check"]) == (0, CHECK_STDOUT)
 
 
 def test_table_runs_to_rank_cap():

@@ -70,8 +70,7 @@ def test_grassmannian_beta_is_n_minus_1(n):
 @pytest.mark.parametrize("spec", [
     TypeSpec(f, n) for f in "BCD" for n in range(RANK_BOUNDS[f][0], RANK_CAP + 1)
 ], ids=str)
-def test_cominuscule_beta_is_dual_height(spec):
-    # I3 holds dual_height == h^vee - 1, S5 beta_node == dual_height at every
-    # cominuscule node, both in their row tests to RANK_CAP; no check states
-    # that there is such a node
+def test_every_bcd_type_has_a_cominuscule_node(spec):
+    # S3 and S5 run at each cominuscule node, and pass where there is none;
+    # this states that B, C and D have one at every rank to RANK_CAP
     assert cominuscule_nodes(build_root_system(spec))

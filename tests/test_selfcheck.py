@@ -1,12 +1,12 @@
-"""Every invariant of selfcheck.CHECKS runs in the tests on every type up
-to the test_rank of its row, which is at least the rank that `check` runs
-it at. Each layer's test file turns its own checks into tests with
-`check_test` (I in test_rootsys, W in test_weyl, F in test_flag, B in
-test_blowup, S in test_special), one case per type; a failing case shows
-the check's first counterexample. The tests that run an unpatched check
-go through `counterexample`, so each (check, type) pair runs once per
-session. NEGATIVE_CONTROLS gives every row one mutation of the code it
-guards, under which it must fail."""
+"""Every invariant of selfcheck.CHECKS runs in the tests on every type of
+its row's families up to the test_rank of its row, which is at least the
+rank that `check` runs it at. Each layer's test file turns its own checks
+into tests with `check_test` (I in test_rootsys, W in test_weyl, F in
+test_flag, B in test_blowup, S in test_special), one case per type; a
+failing case shows the check's first counterexample. The tests that run an
+unpatched check go through `counterexample`, so each (check, type) pair
+runs once per session. NEGATIVE_CONTROLS gives every row one mutation of
+the code it guards, under which it must fail on a type of its families."""
 
 import functools
 import importlib
@@ -30,35 +30,31 @@ def counterexample(label, spec):
     """The labelled check's first counterexample on `spec`, or None,
     evaluated once per session. Tests that monkeypatch a check or the
     conventions call first_counterexample themselves."""
-    return first_counterexample(next(fn for name, fn, _, _ in CHECKS if name == label), spec)
+    return first_counterexample(next(fn for name, fn, *_ in CHECKS if name == label), spec)
 
 
-def types_for(*labels):
-    """Every type up to the largest test_rank of the labelled checks."""
-    return all_types(max(rank for name, _, _, rank in CHECKS if name in labels))
+def check_test(label):
+    """A test asserting that the labelled check returns None on every type
+    of its families up to its test_rank, one case per type."""
+    rank, families = next((rank, fams) for name, _, _, rank, fams in CHECKS if name == label)
 
-
-def check_test(*labels):
-    """A test asserting that each labelled check returns None on every type
-    up to the labels' test_rank, one case per type."""
-    @pytest.mark.parametrize("spec", types_for(*labels), ids=str)
+    @pytest.mark.parametrize("spec", all_types(rank, families), ids=str)
     def test(spec):
-        for label in labels:
-            found = counterexample(label, spec)
-            assert found is None, "%s on %s: %r" % (label, spec, found)
+        found = counterexample(label, spec)
+        assert found is None, "%s on %s: %r" % (label, spec, found)
 
-    test.check_labels = labels
+    test.check_label = label
     return test
 
 
 def test_every_check_is_tested_at_least_at_its_check_rank():
-    for label, _, check_rank, test_rank in CHECKS:
+    for label, _, check_rank, test_rank, _ in CHECKS:
         assert test_rank >= check_rank, label
 
 
 def test_every_check_is_a_generator():
     # a check yields its counterexamples; first_counterexample stops it
-    for label, fn, _, _ in CHECKS:
+    for label, fn, *_ in CHECKS:
         assert inspect.isgeneratorfunction(fn), label
 
 
@@ -66,8 +62,8 @@ def test_every_check_runs_in_a_layer_test():
     tested = set()
     for name in LAYER_TESTS:
         for obj in vars(importlib.import_module(name)).values():
-            tested.update(getattr(obj, "check_labels", ()))
-    assert tested == {label for label, _, _, _ in CHECKS}
+            tested.add(getattr(obj, "check_label", None))
+    assert tested - {None} == {label for label, *_ in CHECKS}
 
 
 # the test functions that a module still binds under more than one name:
@@ -170,11 +166,14 @@ def test_negative_control(monkeypatch, row, family_rank, module, name, mutation,
                 vars(mod).get(name) is real):
             monkeypatch.setattr(mod, name, mutation(real))
     spec = TypeSpec(family_rank[0], int(family_rank[1:]))
-    checks = {label.split()[0]: fn for label, fn, _, _ in CHECKS}
-    assert first_counterexample(checks[row], spec) == first
-    assert {r for r, fn in checks.items() if fails(fn, [spec])} == failing
+    # a row counts as failing only on a type of its families
+    checks = {label.split()[0]: (fn, families) for label, fn, _, _, families in CHECKS}
+    assert spec.family in checks[row][1]
+    assert first_counterexample(checks[row][0], spec) == first
+    assert {r for r, (fn, families) in checks.items()
+            if spec.family in families and fails(fn, [spec])} == failing
 
 
 def test_every_check_has_one_negative_control():
     assert sorted(c[0] for c in NEGATIVE_CONTROLS) == sorted(
-        label.split()[0] for label, _, _, _ in CHECKS)
+        label.split()[0] for label, *_ in CHECKS)
