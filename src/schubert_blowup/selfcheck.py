@@ -325,28 +325,28 @@ def check_B5_margin_certificates(rs):
 
 # ---- special cross-checks ------------------------------------------------
 
+def _two_path(fv, law, *args):
+    """Each c in 2..dim G/P at which law(*args, c) is not classify's verdict on (fv, c)."""
+    return (c for c in range(2, flag.dimension(fv) + 1)
+            if law(*args, c) != blowup.classify(fv, c).verdict)
+
+
 def check_S1_grassmannian_two_path(rs):
     n = rs.rank + 1
     for r in range(1, n):
-        fv = _maximal(rs, r)
-        for c in range(2, flag.dimension(fv) + 1):
-            if special.grassmannian_classify(r, n, c) != blowup.classify(fv, c).verdict:
-                yield r, n, c
+        for c in _two_path(_maximal(rs, r), special.grassmannian_classify, r, n):
+            yield r, n, c
 
 
 def check_S3_cominuscule_two_path(rs):
     for node in sorted(special.cominuscule_nodes(rs)):
-        fv = _maximal(rs, node)
-        for c in range(2, flag.dimension(fv) + 1):
-            if special.cominuscule_classify(rs, node, c) != blowup.classify(fv, c).verdict:
-                yield node, c
+        for c in _two_path(_maximal(rs, node), special.cominuscule_classify, rs, node):
+            yield node, c
 
 
 def check_S4_full_flag_two_path(rs):
-    fv = flag.FlagVariety(rs, ParabolicSubset(()))
-    for c in range(2, flag.dimension(fv) + 1):
-        if special.full_flag_classify(rs, c) != blowup.classify(fv, c).verdict:
-            yield (c,)
+    for c in _two_path(flag.FlagVariety(rs, ParabolicSubset(())), special.full_flag_classify, rs):
+        yield (c,)
 
 
 def check_S5_kannan_saha(rs):

@@ -32,10 +32,6 @@ def fv_of(family, rank, members):
     return FlagVariety(rs, ParabolicSubset.of(members))
 
 
-def grassmannian(r, n):  # Gr(r, n); test_acceptance reads it for criterion 1
-    return fv_of("A", n - 1, set(range(1, n)) - {r})
-
-
 def test_degenerate_parabolic_rejected():
     rs = build_root_system(TypeSpec("A", 2))
     with pytest.raises(EngineError):

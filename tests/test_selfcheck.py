@@ -33,12 +33,18 @@ def counterexample(label, spec):
     return first_counterexample(next(fn for name, fn, *_ in CHECKS if name == label), spec)
 
 
+def row_types(label):
+    """The types that the tests run the labelled check on: those of its
+    row's families up to its test_rank."""
+    rank, families = next((rank, fams) for name, _, _, rank, fams in CHECKS if name == label)
+    return all_types(rank, families)
+
+
 def check_test(label):
     """A test asserting that the labelled check returns None on every type
-    of its families up to its test_rank, one case per type."""
-    rank, families = next((rank, fams) for name, _, _, rank, fams in CHECKS if name == label)
+    of row_types(label), one case per type."""
 
-    @pytest.mark.parametrize("spec", all_types(rank, families), ids=str)
+    @pytest.mark.parametrize("spec", row_types(label), ids=str)
     def test(spec):
         found = counterexample(label, spec)
         assert found is None, "%s on %s: %r" % (label, spec, found)

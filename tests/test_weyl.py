@@ -30,7 +30,6 @@ from schubert_blowup import (
     flag,
     height,
     intersect,
-    is_nef,
     length,
     longest_element,
     mori_generators,
@@ -154,16 +153,6 @@ class _IntHashRaises(int):
     __hash__ = _TupleHashRaises.__hash__
 
 
-def _codim_apart(rs, word, bound):
-    """schubert_codim of the word that word() builds on the full flag of a
-    system of rs's type built apart, after an enumeration of the full flag's
-    W^P words to the bound on it, or none."""
-    fv = _full_flag(RootSystem(rs.spec))
-    if bound is not None:
-        enumerate_coset_reps(fv.par, fv.rs, bound)
-    return schubert_codim(fv, word())
-
-
 def _kept(rs):
     """The kept system of rs's type, from its second build in the process."""
     build_root_system(rs.spec)
@@ -180,13 +169,14 @@ _PARABOLIC_CALLS = {
 }
 
 
-# input whose rank is not the system's, a plain tuple, a beta node that is
-# not an int, a coordinate vector in the wrong basis, a curve where a
-# divisor goes or the reverse, a divisor or curve class whose coefficients
-# do not fit its basis, and a codimension or an S_P node that is not an int:
-# each is an EngineError with its own message, never a wrong answer or an
-# AttributeError
-@pytest.mark.parametrize("call,message", [
+# input whose rank is not the system's, a beta node that is not an int, a
+# divisor or curve class whose coefficients do not fit its basis, and a
+# codimension or an S_P node that is not an int: each is an EngineError with
+# its own message, never a wrong answer or an AttributeError. An argument of
+# the wrong kind is the contract walk's (test_wrong_kind_argument_is_an_engine_error
+# below); the table keeps only the two calls whose arguments are both of the
+# wrong kind, since the walk varies one argument at a time
+SHAPE_ROWS = [
     pytest.param(lambda rs: act(WeylWord((1,)), Weight((1, 1, 1)), rs),
                  "weight rank 3 vs system rank 2", id="weight-3"),
     pytest.param(lambda rs: act(WeylWord((1,)), Weight((5,)), rs),
@@ -199,46 +189,20 @@ _PARABOLIC_CALLS = {
                  "root rank 1 vs system rank 2", id="root-1"),
     pytest.param(lambda rs: act(WeylWord((1,)), Root((1, 0, 1)), rs),
                  "root rank 3 vs system rank 2", id="root-3"),
-    pytest.param(lambda rs: act(WeylWord((1,)), (1, 1), rs),
-                 "act needs a Weight, Root or Coroot, not tuple", id="tuple"),
     pytest.param(lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))["2"],
                  "beta is defined only on S \\ S_P, not node '2'", id="beta-str-node"),
-    pytest.param(lambda rs: root_as_weight(Coroot((1, 0)), rs), "root_as_weight needs a Root"
-                 " and a RootSystem, not Coroot and RootSystem", id="root-as-weight-coroot"),
-    pytest.param(lambda rs: root_as_weight(Weight((1, -1)), rs), "root_as_weight needs a Root"
-                 " and a RootSystem, not Weight and RootSystem", id="root-as-weight-weight"),
     pytest.param(lambda rs: Weight((1, 0)) + Root((1, 1)),
                  "a Weight adds only to a Weight, not Root", id="weight-plus-root"),
     pytest.param(lambda rs: Weight((1, 0)) + 3,
                  "a Weight adds only to a Weight, not int", id="weight-plus-int"),
     pytest.param(lambda rs: pairing(Root((1, 0)), Weight((1, 0))),
                  "pairing needs a Weight and a Coroot, not Root and Weight", id="pairing-root-weight"),
-    pytest.param(lambda rs: pairing(Weight((1, 0)), Root((1, 0))),
-                 "pairing needs a Weight and a Coroot, not Weight and Root", id="pairing-weight-root"),
     pytest.param(lambda rs: Weight((1, 0)) + Weight((1, 0, 0)),
                  "weight ranks 2 vs 3", id="weight-plus-weight-3"),
-] + [
-    pytest.param(lambda rs, call=call: call(rs, (1,)),
-                 "a word must be a WeylWord, not tuple", id="tuple-word-" + label)
-    for label, call in [
-        ("length", lambda rs, w: length(w, rs)),
-        ("schubert-codim", lambda rs, w: schubert_codim(_full_flag(rs), w)),
-        ("act", lambda rs, w: act(w, rho(rs), rs))]
-] + [
-    pytest.param(lambda rs, call=call: call(_full_flag(rs)), message, id="wrong-kind-" + label)
-    for label, message, call in [
-        ("divisor-divisor",
-         "intersect needs a DivisorClass and a CurveClass, not DivisorClass and DivisorClass",
-         lambda fv: intersect(nef_generators(fv, 2)[0], nef_generators(fv, 2)[1])),
-        ("curve-curve",
-         "intersect needs a DivisorClass and a CurveClass, not CurveClass and CurveClass",
-         lambda fv: intersect(mori_generators(fv, 2)[0], mori_generators(fv, 2)[1])),
-        ("curve-divisor",
-         "intersect needs a DivisorClass and a CurveClass, not CurveClass and DivisorClass",
-         lambda fv: intersect(mori_generators(fv, 2)[0], nef_generators(fv, 2)[0])),
-        ("is-nef-curve",
-         "is_nef needs a FlagVariety and a DivisorClass, not FlagVariety and CurveClass",
-         lambda fv: is_nef(fv, mori_generators(fv, 2)[0]))]
+    pytest.param(lambda rs: intersect(mori_generators(_full_flag(rs), 2)[0],
+                                      nef_generators(_full_flag(rs), 2)[0]),
+                 "intersect needs a DivisorClass and a CurveClass, not CurveClass and DivisorClass",
+                 id="wrong-kind-curve-divisor"),
 ] + [
     pytest.param(lambda rs, cls=cls, basis=basis, coeffs=coeffs, last=last: cls(basis, coeffs, last),
                  "coefficients %r, %r over basis %r: need a tuple basis, a tuple of an int per node"
@@ -302,23 +266,18 @@ _PARABOLIC_CALLS = {
 ] + [
     # letters, and a node, whose hash raises an error that is not a TypeError:
     # each escaped as that error. WeylWord refuses letters in a tuple
-    # subclass before any walk, also once the full flag's W^P words were
-    # enumerated on the system
-    pytest.param(lambda rs, b=b: _codim_apart(rs, lambda: WeylWord(_TupleHashRaises((2,))), b),
-                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-" + label)
-    for b, label in [(None, "unkept"), (3, "kept")]
-] + [
+    # subclass before any walk
+    pytest.param(lambda rs: WeylWord(_TupleHashRaises((2,))),
+                 "word letters (2,) are not a sequence of nodes", id="letters-hash-raises-unkept"),
     pytest.param(lambda rs: ParabolicSubset([_IntHashRaises(1)]),
                  "parabolic indices [1] are not a set of nodes", id="par-hash-raises"),
 ] + [
     pytest.param(lambda rs: special.cominuscule_classify(rs, "1", 3),
                  "node '1' is not cominuscule in A2", id="cominuscule-str-node"),
 ] + [
-    # a tuple for a TypeSpec, a length bound, coordinates, families and a
-    # Grassmannian's r that are not ints or not iterable: each was a
-    # TypeError or an AttributeError, and a bound of 2.5 was read as 3
-    pytest.param(lambda rs: RootSystem(("A", 2)), "RootSystem needs a TypeSpec, not tuple",
-                 id="root-system-tuple"),
+    # a length bound, coordinates, families and a Grassmannian's r that are
+    # not ints or not iterable: each was a TypeError or an AttributeError,
+    # and a bound of 2.5 was read as 3
     pytest.param(lambda rs: enumerate_coset_reps(ParabolicSubset(()), rs, "3"),
                  "length bound '3' is not an int", id="cosets-str-bound"),
     pytest.param(lambda rs: enumerate_coset_reps(ParabolicSubset(()), rs, 2.5),
@@ -341,10 +300,20 @@ _PARABOLIC_CALLS = {
                  "node Fraction(1, 1) is not cominuscule in A3", id="cominuscule-fraction-node"),
     pytest.param(lambda rs: beta_values(FlagVariety(rs, ParabolicSubset.of({1})))[[2]],
                  "beta is defined only on S \\ S_P, not node [2]", id="beta-list-node"),
-])
+]
+
+
+@pytest.mark.parametrize("call,message", SHAPE_ROWS)
 def test_wrong_shaped_input_is_an_engine_error(a2, call, message):
     with pytest.raises(EngineError, match="^%s$" % re.escape(message)):
         call(a2)
+
+
+def test_the_shape_table_keeps_only_the_kind_rows_the_walk_cannot_make():
+    # a message of the walk's forms in any other row is a copy of a walk id's
+    walk = re.compile(r"\w+ needs .+, not .+|a word must be a WeylWord, not .+")
+    assert [row.id for row in SHAPE_ROWS if walk.fullmatch(row.values[1])] == [
+        "pairing-root-weight", "wrong-kind-curve-divisor"]
 
 
 # the ids of the hand-written rows that the walk below replaced, where they
