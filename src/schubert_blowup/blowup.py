@@ -25,10 +25,15 @@ int in 2..dim. The engine builds its classes and records past __init__,
 whose checks serve every other caller (value's storage rule): classify
 its FanoReport, anticanonical_class its -K and _cones, once per
 FlagVariety, the generators that nef_generators and mori_generators copy
-into new lists. Kleiman's criterion, is_nef and is_ample, lives in
-reference. A curve class derives two slots from its fields, which
-intersect reads: terms, its nonzero (position, coefficient) pairs, and
-e_degree, E_Z . k.
+into new lists. Generator i of either cone carries the mark i, its index in
+the dual pair, in its slot _dual (no field; None on every other class), so
+intersect reads the pairing of two marked generators from duality, 1 iff
+the marks agree; selfcheck B1 derives it from unmarked copies. The mark is
+an index into the one cone pair of the Picard basis that intersect checks;
+once the Mori cone depends on S_Q, it must name its pair too. Any other
+pairing takes the formula, through a curve's derived slots terms, its
+nonzero (position, coefficient) pairs, and e_degree, E_Z . k. Kleiman's
+criterion, is_nef and is_ample, lives in reference.
 """
 
 from enum import Enum
@@ -67,28 +72,31 @@ def _check_coeffs(basis, coeffs, last):
 
 
 class DivisorClass(Value):
-    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff")
+    __slots__ = ("basis", "pullback_coeffs", "exceptional_coeff", "_dual")
+    _fields = __slots__[:3]
 
     def __init__(self, basis, pullback_coeffs, exceptional_coeff):
         _check_coeffs(basis, pullback_coeffs, exceptional_coeff)
-        set_basis, set_pullback, set_exceptional = self._set
+        set_basis, set_pullback, set_exceptional, set_dual = self._set
         set_basis(self, basis)  # picard_basis indices, fixes coordinate order
         set_pullback(self, pullback_coeffs)  # over Bl*D_alpha
         set_exceptional(self, exceptional_coeff)  # of E_Z
+        set_dual(self, None)
 
 
 class CurveClass(Value):
-    __slots__ = ("basis", "tilde_coeffs", "e_coeff", "terms", "e_degree")
+    __slots__ = ("basis", "tilde_coeffs", "e_coeff", "terms", "e_degree", "_dual")
     _fields = __slots__[:3]
 
     def __init__(self, basis, tilde_coeffs, e_coeff):
         _check_coeffs(basis, tilde_coeffs, e_coeff)
-        set_basis, set_tilde, set_e, set_terms, set_e_degree = self._set
+        set_basis, set_tilde, set_e, set_terms, set_e_degree, set_dual = self._set
         set_basis(self, basis)
         set_tilde(self, tilde_coeffs)  # over tilde C_alpha
         set_e(self, e_coeff)
         set_terms(self, tuple((i, a) for i, a in enumerate(tilde_coeffs) if a))
         set_e_degree(self, sum(tilde_coeffs) - e_coeff)  # E_Z . k
+        set_dual(self, None)
 
 
 class FanoReport(Value):
@@ -106,25 +114,27 @@ class FanoReport(Value):
 
 _new = object.__new__
 _set_betas, _set_margins, _set_verdict = FanoReport._set
-_set_d_basis, _set_pullback, _set_exceptional = DivisorClass._set
-_set_k_basis, _set_tilde, _set_e, _set_terms, _set_e_degree = CurveClass._set
+_set_d_basis, _set_pullback, _set_exceptional, _set_d_dual = DivisorClass._set
+_set_k_basis, _set_tilde, _set_e, _set_terms, _set_e_degree, _set_k_dual = CurveClass._set
 
 
-def _divisor(basis, pullback, exceptional):
+def _divisor(basis, pullback, exceptional, dual=None):
     d = _new(DivisorClass)
     _set_d_basis(d, basis)
     _set_pullback(d, pullback)
     _set_exceptional(d, exceptional)
+    _set_d_dual(d, dual)
     return d
 
 
-def _curve(basis, tilde, e, terms, e_degree):
+def _curve(basis, tilde, e, terms, e_degree, dual):
     k = _new(CurveClass)
     _set_k_basis(k, basis)
     _set_tilde(k, tilde)
     _set_e(k, e)
     _set_terms(k, terms)
     _set_e_degree(k, e_degree)
+    _set_k_dual(k, dual)
     return k
 
 
@@ -148,10 +158,10 @@ def _cones(fv):
         nef, mori = [], []
         for k in range(n):
             unit = w[n - 1 - k:2 * n - 1 - k]
-            nef.append(_divisor(basis, unit, 0))
-            mori.append(_curve(basis, unit, 0, ((k, 1),), 1))
-        nef.append(_divisor(basis, (1,) * n, -1))
-        mori.append(_curve(basis, (0,) * n, 1, (), -1))
+            nef.append(_divisor(basis, unit, 0, k))
+            mori.append(_curve(basis, unit, 0, ((k, 1),), 1, k))
+        nef.append(_divisor(basis, (1,) * n, -1, n))
+        mori.append(_curve(basis, (0,) * n, 1, (), -1, n))
         cones = fv.__dict__["_cones"] = tuple(nef), tuple(mori)
     return cones
 
@@ -182,6 +192,9 @@ def intersect(d, k):
         raise EngineError(wrong_kind("intersect", "a DivisorClass and a CurveClass", d, k))
     if d.basis is not k.basis and d.basis != k.basis:
         raise EngineError("divisor basis %r vs curve basis %r" % (d.basis, k.basis))
+    i, j = d._dual, k._dual
+    if i is not None and j is not None:  # two generators of one cone pair: duality
+        return 1 if i == j else 0
     x = d.pullback_coeffs
     dot = d.exceptional_coeff * k.e_degree
     for i, a in k.terms:

@@ -25,6 +25,7 @@ mutation made fail apart from another row was folded into that row.
 import collections
 import itertools
 import random
+from copy import copy
 
 from . import blowup, flag, reference, special, weyl
 from .conventions import RANK_BOUNDS, RANK_CAP
@@ -287,9 +288,11 @@ def check_F4_grassmannian_dimension(rs):
 # ---- blowup invariants --------------------------------------------------
 
 def check_B1_cone_duality(rs):
+    """The nef and Mori generators pair to the identity, by the formula:
+    copies, built by the checked constructors, carry no mark (blowup)."""
     for fv, c in _blowups(rs):
-        nef = blowup.nef_generators(fv, c)
-        mori = blowup.mori_generators(fv, c)
+        nef = list(map(copy, blowup.nef_generators(fv, c)))
+        mori = list(map(copy, blowup.mori_generators(fv, c)))
         matrix = [[blowup.intersect(d, k) for k in mori] for d in nef]
         if matrix != [[int(i == j) for j in range(len(mori))] for i in range(len(nef))]:
             yield sorted(fv.par.members), c

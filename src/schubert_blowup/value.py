@@ -11,8 +11,9 @@ module, instead. A class with cached facts (RootSystem, FlagVariety) adds
 a "__dict__" slot for them, no field and with no setter. A class with
 other slots names its fields in `_fields`, which alone equality, hash,
 repr and pickle read: slots derived from its fields (CurveClass's terms
-and e_degree, RootSystem's columns), and WeylWord's _coset, the one slot
-that is neither a field nor derived from one (weyl gives its format).
+and e_degree, RootSystem's columns), and two marks, neither a field nor
+derived from one, that only a hot path sets (__init__ writes None):
+WeylWord's _coset and a cone generator's _dual (weyl, blowup give them).
 """
 
 from operator import attrgetter

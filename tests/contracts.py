@@ -112,7 +112,10 @@ def argument_pool():
     """The arguments of the wrong-kind walk and the random caller: valid
     values of every kind, the first of each kind all on A2; values of no
     kind of the package; and look-alikes, SimpleNamespaces that carry the
-    attributes of a valid value (or of a type past the bounds). The last
+    attributes of a valid value (or of a type past the bounds). The class
+    look-alikes carry the slots, the mark _dual among them, of the first
+    variety's first nef and Mori generators, so that intersect's kind check
+    meets forged marks that agree with the pool's first curve. The last
     look-alike carries the letters and the mark of a word that an
     enumeration on the first system for the first variety's S_P returned,
     so that weyl._coset_length's test of the mark sees a forged one."""
@@ -137,7 +140,8 @@ def argument_pool():
     alike += [_like(pars[1], "members"), _like(words[3], "letters"),
               _like(systems[1], "spec", "rank", "columns", "positive_roots"),
               _like(fvs[0], "rs", "par", "_invariants"), SimpleNamespace(_cones=((), ())),
-              _like(divisors[0], "basis", "pullback_coeffs", "exceptional_coeff"),
-              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree"),
+              _like(B.nef_generators(fvs[0], 2)[0], "basis", "pullback_coeffs",
+                    "exceptional_coeff", "_dual"),
+              _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree", "_dual"),
               _like(B.enumerate_coset_reps(pars[1], systems[0], 1)[1], "letters", "_coset")]
     return valid + wrong + alike

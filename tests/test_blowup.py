@@ -17,6 +17,7 @@ from schubert_blowup import (
     ParabolicSubset,
     RootSystem,
     SchubertDatum,
+    TypeSpec,
     Verdict,
     WeylWord,
     anticanonical_class,
@@ -33,9 +34,11 @@ from schubert_blowup import (
     picard_basis,
     schubert_codim,
 )
+from schubert_blowup import blowup
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
-from schubert_blowup.selfcheck import all_parabolics, all_types
+from schubert_blowup.selfcheck import (
+    _maximal, all_parabolics, all_types, check_B1_cone_duality, first_counterexample)
 from test_flag import fv_of
 from test_selfcheck import check_test
 
@@ -155,6 +158,42 @@ def test_intersect_matches_the_dense_formula(rank):
     other = basis[:-1] + (basis[-1] + 1,)
     with pytest.raises(EngineError, match="^divisor basis .* vs curve basis"):
         intersect(d, CurveClass(other, k.tilde_coeffs, k.e_coeff))
+    # the generators of _cones, whose pairing intersect reads from their
+    # marks: each nef generator of the full flag and of P_1 of each A and B
+    # type of this rank against each Mori generator of each of them with an
+    # equal Picard basis (A_n's full flag against B_n's among them); marked
+    # generators over another basis still raise
+    systems = [build_root_system(spec) for spec in all_types(rank, "AB") if spec.rank == rank]
+    cases = [fv for rs in systems for fv in (FlagVariety(rs, ParabolicSubset.of(())),
+                                            _maximal(rs, 1))]
+    assert len({picard_basis(fv) for fv in cases}) == (1 if rank == 1 else 2)
+    for fv, fw in itertools.product(cases, repeat=2):
+        nef, mori = blowup._cones(fv)[0], blowup._cones(fw)[1]
+        if picard_basis(fv) != picard_basis(fw):
+            with pytest.raises(EngineError, match="^divisor basis .* vs curve basis"):
+                intersect(nef[0], mori[0])
+            continue
+        for d, k in itertools.product(nef, mori):
+            assert d._dual is not None is not k._dual
+            assert intersect(d, k) == dense_pairing(d, k), (d, k)
+
+
+def test_b1_pairs_the_generators_without_their_marks(monkeypatch):
+    # B1 derives the identity that the marks assume: with the coordinates of
+    # the first two Mori generators swapped and their marks kept, the marks
+    # still pair to the identity, and B1 finds the swap
+    real = blowup._cones
+
+    def swapped(fv):
+        nef, (a, b, *rest) = real(fv)
+        return nef, (blowup._curve(*_fields(b), b.terms, b.e_degree, a._dual),
+                     blowup._curve(*_fields(a), a.terms, a.e_degree, b._dual), *rest)
+
+    monkeypatch.setattr(blowup, "_cones", swapped)
+    fv = fv_of("A", 2, ())
+    nef, mori = nef_generators(fv, 2), mori_generators(fv, 2)
+    assert [[intersect(d, k) for k in mori] for d in nef] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert first_counterexample(check_B1_cone_duality, TypeSpec("A", 2)) == ([], 2)
 
 
 def _cases(specs):
@@ -191,23 +230,28 @@ def test_engine_built_classes_match_the_checked_constructors(monkeypatch, spec):
     # the class rebuilt from its fields by its checked constructor; a
     # hashable one also hashes like it, also after a pickle round trip (a
     # report and its betas hold a mapping, so neither hashes or pickles).
-    # The one slot apart is a W^P word's _coset: the enumeration marks its
-    # words with its system and S_P, and a rebuilt or unpickled word is unmarked
+    # The slots apart are the two marks, which a rebuilt or unpickled class
+    # never carries: a W^P word's _coset, the enumeration's system and S_P,
+    # and a cone generator's _dual, its index in the dual pair (None on -K)
+    marks = ("_coset", "_dual")
     for _, _, fv in _cases([spec]):
         if dimension(fv) < 2:  # A1: no centre of codimension >= 2
             continue
+        nef, mori = nef_generators(fv, 2), mori_generators(fv, 2)
+        assert [d._dual for d in nef] == [k._dual for k in mori] == list(range(len(nef)))
+        assert anticanonical_class(fv, 2)[0]._dual is None
         for x in _records(fv):
             hashable = type(x) not in (FanoReport, BetaVector)
             rebuilt = [type(x)(*_fields(x))]
             if hashable:
                 rebuilt.append(pickle.loads(pickle.dumps(x)))
-            slots = [a for a in x.__slots__ if a != "_coset"]
+            slots = [a for a in x.__slots__ if a not in marks]
             if type(x) is WeylWord:
                 assert x._coset == (fv.rs, fv.par.members) and x._coset[0] is fv.rs, x
             for y in rebuilt:
                 assert y == x and (not hashable or hash(y) == hash(x)), x
                 assert [getattr(y, a) for a in slots] == [getattr(x, a) for a in slots]
-                assert type(x) is not WeylWord or y._coset is None, y
+                assert all(getattr(y, a, None) is None for a in marks), y
     # the hot paths, the generators and -K among them, build their records
     # past __init__: with it refusing, each call still returns, on a system
     # that keeps no variety built before

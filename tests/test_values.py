@@ -146,27 +146,38 @@ def test_equality_needs_the_same_type(cls, fields):
 def test_curve_terms_and_e_degree_are_derived_not_fields(cls):
     # a curve's terms and E_Z degree, which intersect reads, are computed
     # from its coefficients and frozen with them; a divisor keeps neither.
-    # The three fields alone make equality, hash, repr and the pickle
+    # Both keep a mark, _dual, which only a generator of _cones sets. The
+    # three fields alone make equality, hash, repr and the pickle
     x = cls((1, 2, 3), (0, 2, 0), -1)
     derived = ("terms", "e_degree")
     if cls is CurveClass:
         assert (x.terms, x.e_degree) == (((1, 2),), 3)
         y = cls((1, 2, 3), (0, 0, 0), 0)
         assert (y.terms, y.e_degree) == ((), 0)
-        for name in derived:
-            with pytest.raises(AttributeError):
-                setattr(x, name, ())
-            with pytest.raises(AttributeError):
-                delattr(x, name)
+        apart = {*derived, "_dual"}
     else:
-        assert not any(hasattr(x, name) for name in derived) and cls.__slots__ == cls._fields
-    assert len(x._fields) == 3 and not set(derived) & set(x._fields)
+        assert not any(hasattr(x, name) for name in derived)
+        apart = {"_dual"}
+    assert len(x._fields) == 3 and set(cls.__slots__) - set(cls._fields) == apart
+    for name in apart:
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+        with pytest.raises(AttributeError):
+            delattr(x, name)
     y = cls(tuple([1, 2, 3]), (0, 2, 0), -1)  # an equal basis, not the same tuple
     assert x == y and hash(x) == hash(y) == hash(((1, 2, 3), (0, 2, 0), -1))
     assert x.__reduce__() == (cls, ((1, 2, 3), (0, 2, 0), -1))
-    assert not any(name in repr(x) for name in derived)
+    assert not any(name in repr(x) for name in apart)
     z = pickle.loads(pickle.dumps(x))
     assert z == x and all(getattr(z, name, None) == getattr(x, name, None) for name in derived)
+    # a marked generator and its unmarked copy: equal, with one hash, repr
+    # and pickle; the copy and the unpickled class carry no mark
+    generators = nef_generators if cls is DivisorClass else mori_generators
+    g = generators(FlagVariety(A2, ParabolicSubset.of(())), 2)[1]
+    u = cls(*g.__reduce__()[1])
+    assert (g._dual, x._dual, u._dual, pickle.loads(pickle.dumps(g))._dual) == (1, None, None, None)
+    assert g == u and hash(g) == hash(u) and repr(g) == repr(u)
+    assert pickle.dumps(g) == pickle.dumps(u)
 
 
 # the test's earlier name, when the one derived slot was the support, kept as a
