@@ -1,7 +1,8 @@
 """Ranks 9 to RANK_CAP of the classical families, against ground truth
-from family formulas that the engine does not use, and the closed form of
-2 rho that it does use against the closure on every type to RANK_CAP
-(test_flag's support filter holds |R^+| there, as dim of the full flag)."""
+from family formulas that the engine does not use, and the closed forms it
+does use against the closure: 2 rho on every type to RANK_CAP, |R^+| on the
+exceptional types (test_flag's support filter holds |R^+| on every type, as
+dim of the full flag)."""
 
 import pytest
 
@@ -29,6 +30,13 @@ def maximal_dimension(spec, k):
     if k >= n - 1:
         return n * (n - 1) // 2
     return k * (2 * n - k) - k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("spec", all_types(8, "EFG"), ids=str)
+def test_positive_root_count(spec):
+    # the closed form that dim G/P reads, against the reflection closure
+    assert (len(build_root_system(spec).positive_roots)
+            == conventions.positive_root_count(spec.family, spec.rank))
 
 
 @pytest.mark.parametrize("spec", all_types(RANK_CAP), ids=str)
