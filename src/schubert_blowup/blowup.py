@@ -23,23 +23,24 @@ through flag._invariants_of elsewhere, and checks c with check_codim, the
 one check of a codimension; classify calls it only for a c that is not an
 int in 2..dim. The engine builds its classes and records past __init__,
 whose checks serve every other caller (value's storage rule): classify
-its FanoReport, anticanonical_class its -K and _cones, once per
-FlagVariety, the generators that nef_generators and mori_generators copy
-into new lists. Generator i of either cone carries the mark i, its index in
-the dual pair, in its slot _dual (no field; None on every other class), so
+its FanoReport, anticanonical_class its -K and _cones the generators, once
+per Picard basis for the last FLAGS_PER_SYSTEM bases, shared by every
+variety with that basis; nef_generators and mori_generators copy them into
+new lists. Generator i of either cone carries the mark i, its index in the
+dual pair, in its slot _dual (no field; None on every other class), so
 intersect reads the pairing of two marked generators from duality, 1 iff
-the marks agree; selfcheck B1 derives it from unmarked copies. The mark is
-an index into the one cone pair of the Picard basis that intersect checks;
-once the Mori cone depends on S_Q, it must name its pair too. Any other
-pairing takes the formula, through a curve's derived slots terms, its
-nonzero (position, coefficient) pairs, and e_degree, E_Z . k. Kleiman's
-criterion, is_nef and is_ample, lives in reference.
+the marks agree (B1 derives it from unmarked copies): the pair is that of
+the basis intersect checks; once the Mori cone depends on S_Q, a mark must
+name its pair too. Any other pairing takes the formula, through a curve's
+derived slots terms, its nonzero (position, coefficient) pairs, and
+e_degree, E_Z . k. Kleiman's criterion, is_nef and is_ample, is reference's.
 """
 
 from enum import Enum
+from functools import lru_cache
 
 from .errors import EngineError, wrong_kind
-from .flag import BASIS, BETAS, DIM, BetaVector, FlagVariety, _invariants_of
+from .flag import BASIS, BETAS, DIM, FLAGS_PER_SYSTEM, BetaVector, FlagVariety, _invariants_of
 from .value import Value
 
 
@@ -147,23 +148,21 @@ def check_codim(c, d):
             else "G/P has dimension %d, so it has no center of codimension >= 2" % d)
 
 
-def _cones(fv):
-    """fv's nef and Mori generator tuples, kept in its "__dict__" slot; unit k,
-    a slice of a zero tuple around a 1, is shared by Bl*D_k and tilde C_k."""
-    cones = fv.__dict__.get("_cones")
-    if cones is None:
-        basis = fv._invariants[BASIS]
-        n = len(basis)
-        w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-        nef, mori = [], []
-        for k in range(n):
-            unit = w[n - 1 - k:2 * n - 1 - k]
-            nef.append(_divisor(basis, unit, 0, k))
-            mori.append(_curve(basis, unit, 0, ((k, 1),), 1, k))
-        nef.append(_divisor(basis, (1,) * n, -1, n))
-        mori.append(_curve(basis, (0,) * n, 1, (), -1, n))
-        cones = fv.__dict__["_cones"] = tuple(nef), tuple(mori)
-    return cones
+@lru_cache(maxsize=FLAGS_PER_SYSTEM)
+def _cones(basis):
+    """The nef and Mori generator tuples of a Picard basis, shared by every
+    variety with that basis; unit k, a slice of a zero tuple around a 1, is
+    shared by Bl*D_k and tilde C_k."""
+    n = len(basis)
+    w = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    nef, mori = [], []
+    for k in range(n):
+        unit = w[n - 1 - k:2 * n - 1 - k]
+        nef.append(_divisor(basis, unit, 0, k))
+        mori.append(_curve(basis, unit, 0, ((k, 1),), 1, k))
+    nef.append(_divisor(basis, (1,) * n, -1, n))
+    mori.append(_curve(basis, (0,) * n, 1, (), -1, n))
+    return tuple(nef), tuple(mori)
 
 
 def _read(fv, c, call):
@@ -175,14 +174,12 @@ def _read(fv, c, call):
 
 def nef_generators(fv, c):
     """{Bl*D_alpha} plus H - E_Z, H = sum_alpha Bl*D_alpha: a new list of shared classes."""
-    _read(fv, c, "nef_generators")
-    return list(_cones(fv)[0])
+    return list(_cones(_read(fv, c, "nef_generators")[BASIS])[0])
 
 
 def mori_generators(fv, c):
     """{tilde C_alpha} plus e: a new list of fv's shared classes."""
-    _read(fv, c, "mori_generators")
-    return list(_cones(fv)[1])
+    return list(_cones(_read(fv, c, "mori_generators")[BASIS])[1])
 
 
 def intersect(d, k):

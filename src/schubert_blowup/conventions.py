@@ -13,7 +13,7 @@ Cartan matrix orientation
 C[i][j] = <alpha_j, alpha_i^vee>, so column j of C is the simple root
 alpha_j written in fundamental-weight coordinates, and pairing a weight
 against a coroot is a plain dot product of coordinate vectors.
-cartan_columns gives only the nonzero entries of each column.
+cartan_columns gives only the nonzero entries of each column, once per type.
 
 Closed forms
 ------------
@@ -184,6 +184,7 @@ def check_type(family, rank):
         )
 
 
+@cache  # per simple type, as two_rho: every RootSystem of a type shares one tuple
 def cartan_columns(family, rank):
     """Per node j (0-based), the nonzero (row, entry) pairs of Cartan column
     j, rows ascending, built from the edges of the diagram in O(rank): 2 on

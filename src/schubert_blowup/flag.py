@@ -10,22 +10,22 @@ conventions.simple_factors, and 2 rho_P and |R_P^+| are the sums of their
 closed forms, conventions.two_rho and conventions.positive_root_count
 (Bourbaki, Plates I-IX); w_{0,P}(rho) subtracts only the S_P columns of
 RootSystem.columns. Each FlagVariety caches the betas, with its Picard
-basis (one tuple, shared by every class built on it), its least beta
-(where classify reads the verdict) and dim G/P, |R^+| by the same closed
-form less |R_P^+|. A FlagVariety builds them with itself, since every
-reader of a variety reads them, so its first classify costs what the
-others do; FlagVariety asks rootsys.kept_varieties for the one
-FlagVariety per S_P of a kept root system, up to FLAGS_PER_SYSTEM, so a
-repeated query finds them built. Nothing is re-checked on the way:
-selfcheck F2 (the closed forms against the Weyl word of w_{0,P} and the
-closure of R^+) holds them. FlagVariety._invariants keeps them as one
-plain tuple, laid out as DIM, BETAS, BASIS and LEAST name, in its
-"__dict__" slot; readers index it through _invariants_of, classify
-unpacks it. reference.anticanonical_weight builds rho + w_{0,P}(rho), which
-no query reads, anew from _closed_form. The build writes its BetaVector,
-and schubert_codim its SchubertDatum, past __init__ (value's storage
-rule); the build calls two_rho and positive_root_count through this
-module's globals, which the negative controls of selfcheck F2 and F4 patch.
+basis (one tuple per basis in the process, _BASES, which every class built
+on it shares), its least beta (where classify reads the verdict) and
+dim G/P, |R^+| by the same closed form less |R_P^+|. A FlagVariety builds
+them with itself, since every reader of a variety reads them, so its first
+classify costs what the others do; FlagVariety asks rootsys.kept_varieties
+for the one FlagVariety per S_P of a kept root system, up to
+FLAGS_PER_SYSTEM, so a repeated query finds them built. Nothing is
+re-checked: selfcheck F2 (the closed forms against the Weyl word of
+w_{0,P} and the closure of R^+) holds them. FlagVariety._invariants keeps
+them as one plain tuple, laid out as DIM, BETAS, BASIS and LEAST name, the
+one entry of its "__dict__" slot; readers index it through _invariants_of,
+classify unpacks it. reference.anticanonical_weight builds the -K weight,
+which no query reads, anew from _closed_form. The build writes its
+BetaVector, and schubert_codim its SchubertDatum, past __init__ (value's
+storage rule); the build calls two_rho and positive_root_count through
+this module's globals, which the negative controls of F2 and F4 patch.
 """
 
 from types import MappingProxyType
@@ -36,8 +36,9 @@ from .rootsys import RootSystem, kept_varieties
 from .value import Value
 from .weyl import ParabolicSubset, _coset_length, check_parabolic
 
-# how many flag varieties a kept root system holds (rootsys.build_root_system):
-# a working set of a few dozen (type, S_P) queries fits
+# how many flag varieties a kept root system holds (rootsys.build_root_system),
+# and how many bases' cone generators blowup keeps: a working set of a few
+# dozen (type, S_P) queries fits
 FLAGS_PER_SYSTEM = 64
 
 # the layout of FlagVariety._invariants: dim G/P, the BetaVector, the Picard
@@ -45,11 +46,11 @@ FLAGS_PER_SYSTEM = 64
 # every call, and over a sweep pass a namedtuple's unpack costs it about
 # 4.5% more time
 DIM, BETAS, BASIS, LEAST = range(4)
+_BASES = {}  # Picard basis -> its one tuple: at most 2^16 - 1 tuples of ints
 
 
 class FlagVariety(Value):
-    # par: ParabolicSubset S_P; the invariants (and blowup's cone
-    # generators) live in the "__dict__" slot
+    # par: ParabolicSubset S_P; the "__dict__" slot holds only _invariants
     __slots__ = ("rs", "par", "__dict__")
 
     def __new__(cls, rs, par):
@@ -94,6 +95,7 @@ class FlagVariety(Value):
         the order of DIM..LEAST."""
         img, levi = self._closed_form()
         basis = self.par.complement(len(img))
+        basis = _BASES.setdefault(basis, basis)
         values = {}  # a loop: a comprehension makes and calls a function
         for a in basis:
             values[a] = img[a - 1]

@@ -32,7 +32,7 @@ from operator import mul
 from .blowup import DivisorClass, _cones, intersect
 from .conventions import _diagram
 from .errors import EngineError, InvariantViolation, wrong_kind
-from .flag import FlagVariety, _invariants_of
+from .flag import BASIS, FlagVariety, _invariants_of
 from .rootsys import RootSystem
 from .value import Value
 from .weyl import _letters
@@ -288,7 +288,7 @@ def _mori(fv, d, call):
     kinds of both are checked."""
     if type(fv) is not FlagVariety or type(d) is not DivisorClass:
         raise EngineError(wrong_kind(call, "a FlagVariety and a DivisorClass", fv, d))
-    return _cones(fv)[1]
+    return _cones(fv._invariants[BASIS])[1]
 
 
 def is_nef(fv, d):

@@ -2,24 +2,24 @@
 Conventions (Bourbaki node numbering, Cartan matrix orientation) are
 fixed in conventions.py.
 
-A RootSystem is its TypeSpec: spec is its one field, so equality, hash,
-repr and pickle follow the type. Its constructor derives the sparse Cartan
-columns, which every Weyl walk, the flag invariants and the closure read.
-Its positive_roots are built on first read, by the reflection closure
-reference._positive_roots, and cached in its "__dict__" slot. No classify
-or cones call reads them: the flag invariants take |R^+|, |R_P^+| and
-2 rho_P from conventions' closed forms. So the coordinate bases (Root,
-Coroot, Weight), the dense rows, the symmetrizers, the highest root and
-the simple coroots live in reference, which caches what it builds there.
-build_root_system keeps a type's system from its second build in the
-process on (a type built once, as by a sweep, is never kept), in the
-register _systems, the one record of what is kept: a kept type's entry
-also holds the FlagVariety of each S_P asked of it, up to
-flag.FLAGS_PER_SYSTEM, and kept_varieties gives that dict only to
-the registered system itself. Nothing is re-checked: selfcheck I1
-compares the closure with the root-string closure, an independent second
-derivation that lives beside I1 in selfcheck, I2 holds the unique highest
-root and F2 the closed forms.
+A RootSystem is its TypeSpec: spec is its one field, so equality, hash, repr
+and pickle follow the type. Its constructor reads the sparse Cartan columns,
+built once per type (conventions.cartan_columns), so equal systems share
+them; every Weyl walk, the flag invariants and the closure read them. Its
+positive_roots are built on first read, by the reflection closure
+reference._positive_roots, and cached in its "__dict__" slot. No classify or
+cones call reads them: the flag invariants take |R^+|, |R_P^+| and 2 rho_P
+from conventions' closed forms. So the coordinate bases (Root, Coroot,
+Weight), the dense rows, the symmetrizers, the highest root and the simple
+coroots live in reference, which caches what it builds there.
+build_root_system keeps a type's system from its second build in the process
+on (a type built once, as by a sweep, is never kept), in the register
+_systems, the one record of what is kept: a kept type's entry also holds the
+FlagVariety of each S_P asked of it, up to flag.FLAGS_PER_SYSTEM, and
+kept_varieties gives that dict only to the registered system itself. Nothing
+is re-checked: selfcheck I1 compares the closure with the root-string
+closure, an independent second derivation that lives beside I1 in selfcheck,
+I2 holds the unique highest root and F2 the closed forms.
 """
 
 from functools import cached_property

@@ -139,7 +139,7 @@ def argument_pool():
                                                            ("E", 9))]
     alike += [_like(pars[1], "members"), _like(words[3], "letters"),
               _like(systems[1], "spec", "rank", "columns", "positive_roots"),
-              _like(fvs[0], "rs", "par", "_invariants"), SimpleNamespace(_cones=((), ())),
+              _like(fvs[0], "rs", "par", "_invariants"),
               _like(B.nef_generators(fvs[0], 2)[0], "basis", "pullback_coeffs",
                     "exceptional_coeff", "_dual"),
               _like(curves[0], "basis", "tilde_coeffs", "e_coeff", "terms", "e_degree", "_dual"),

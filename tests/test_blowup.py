@@ -37,6 +37,7 @@ from schubert_blowup import (
 from schubert_blowup import blowup
 from schubert_blowup.conventions import RANK_CAP
 from schubert_blowup.errors import EngineError
+from schubert_blowup.flag import FLAGS_PER_SYSTEM
 from schubert_blowup.selfcheck import (
     _maximal, all_parabolics, all_types, check_B1_cone_duality, first_counterexample)
 from test_flag import fv_of
@@ -168,7 +169,7 @@ def test_intersect_matches_the_dense_formula(rank):
                                             _maximal(rs, 1))]
     assert len({picard_basis(fv) for fv in cases}) == (1 if rank == 1 else 2)
     for fv, fw in itertools.product(cases, repeat=2):
-        nef, mori = blowup._cones(fv)[0], blowup._cones(fw)[1]
+        nef, mori = blowup._cones(picard_basis(fv))[0], blowup._cones(picard_basis(fw))[1]
         if picard_basis(fv) != picard_basis(fw):
             with pytest.raises(EngineError, match="^divisor basis .* vs curve basis"):
                 intersect(nef[0], mori[0])
@@ -184,8 +185,8 @@ def test_b1_pairs_the_generators_without_their_marks(monkeypatch):
     # still pair to the identity, and B1 finds the swap
     real = blowup._cones
 
-    def swapped(fv):
-        nef, (a, b, *rest) = real(fv)
+    def swapped(basis):
+        nef, (a, b, *rest) = real(basis)
         return nef, (blowup._curve(*_fields(b), b.terms, b.e_degree, a._dual),
                      blowup._curve(*_fields(a), a.terms, a.e_degree, b._dual), *rest)
 
@@ -305,6 +306,37 @@ def test_generator_lists_are_fresh_lists_of_shared_classes():
     assert again[0] is not nef_generators(fv, 3)
     assert all(a is b for a, b in zip(again[0] + again[1],
                                        nef_generators(fv, 4) + mori_generators(fv, 4)))
+
+
+def test_one_picard_basis_shares_one_cone_pair():
+    # the full flags of A5 and B5 have one Picard basis: they share its one
+    # tuple and its one nef and Mori pair, and the pairing of either's classes
+    # with the other's generators is the formula's
+    a5, b5 = fv_of("A", 5, ()), fv_of("B", 5, ())
+    assert picard_basis(a5) is picard_basis(b5)
+    nef, mori = nef_generators(a5, 2), mori_generators(b5, 2)
+    again = nef_generators(b5, 3) + mori_generators(a5, 3)
+    assert list(map(id, nef + mori)) == list(map(id, again))
+    for d in nef + [anticanonical_class(a5, 2)[0]]:
+        for k in mori:
+            assert intersect(d, k) == dense_pairing(d, k), (d, k)
+
+
+def test_cone_pairs_are_kept_for_flags_per_system_bases():
+    # the last FLAGS_PER_SYSTEM bases asked keep their pair; the first of 65
+    # is evicted and built again, with its marks 0..n and the identity matrix
+    rs = build_root_system(TypeSpec("A", 7))
+    fvs = [FlagVariety(rs, ParabolicSubset.of(m)) for k in range(7)
+           for m in itertools.combinations(range(1, 8), k)][:FLAGS_PER_SYSTEM + 1]
+    assert len({picard_basis(fv) for fv in fvs}) == len(fvs) == FLAGS_PER_SYSTEM + 1
+    first = [nef_generators(fv, 2) for fv in fvs]
+    assert blowup._cones.cache_info().currsize == FLAGS_PER_SYSTEM
+    nef, mori = nef_generators(fvs[0], 2), mori_generators(fvs[0], 2)
+    assert nef == first[0] and nef[0] is not first[0][0]
+    n = len(picard_basis(fvs[0]))
+    assert [d._dual for d in nef] == [k._dual for k in mori] == list(range(n + 1))
+    assert [[intersect(d, k) for k in mori] for d in nef] == [
+        [int(i == j) for j in range(n + 1)] for i in range(n + 1)]
 
 
 def test_anticanonical_full_flag_c2():

@@ -337,8 +337,10 @@ def corrupt_a2_cartan(monkeypatch):
 
 
 def test_coroot_of_raises_on_non_integral_coefficient(monkeypatch):
+    real = build_root_system(TypeSpec("A", 2)).columns  # cached for A2 from here on
     corrupt_a2_cartan(monkeypatch)
-    rs = build_root_system(TypeSpec("A", 2))
+    rs = build_root_system(TypeSpec("A", 2))  # the second build: a new system
+    assert rs.columns == CORRUPT_A2_COLUMNS != real  # the patch reaches it all the same
     assert highest_root(rs) == Root((2, 1))
     with pytest.raises(InvariantViolation):
         coroot_of(highest_root(rs), rs)

@@ -83,7 +83,6 @@ SHARED_NAMES = [
                       "test_reflection_closure_equals_root_string_closure")),
     ("test_values", ("test_class_support_is_derived_not_a_field",
                      "test_curve_terms_and_e_degree_are_derived_not_fields")),
-    ("test_weyl", ("test_w2_w3_longest_element_inversions", "test_w5_outputs_are_reduced")),
 ]
 
 

@@ -92,10 +92,10 @@ def test_every_value_keeps_its_fields_in_slots():
 
 @pytest.mark.parametrize("spec", [TypeSpec("A", 2), TypeSpec("G", 2), TypeSpec("E", 8)], ids=str)
 def test_a_root_system_is_its_type(spec):
-    # the columns are derived from the type, so a system built apart is the
-    # built one in every respect a value has
+    # the columns are derived from the type, one tuple per type, so a system
+    # built apart is the built one in every respect a value has
     rs, built = RootSystem(spec), build_root_system(spec)
-    assert rs == built and hash(rs) == hash(built) and rs.columns == built.columns
+    assert rs == built and hash(rs) == hash(built) and rs.columns is built.columns
     assert pickle.loads(pickle.dumps(built)) == rs and repr(rs) == "RootSystem(spec=%r)" % (spec,)
 
 
